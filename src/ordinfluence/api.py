@@ -1,8 +1,11 @@
-"""High-level dispatch: pick the strongest engine a function class supports.
+"""High-level operations: pick the engine, fetch its moments, assemble.
 
-Method preference for ``auto`` is exact > closed-form > mc.  Exact paths
-return rationals, closed forms return floats, Monte-Carlo returns floats with
-standard errors attached to the profile.
+Method preference for ``auto`` is exact > closed-form > mc.  Every engine
+supplies the same primaries, a :class:`~ordinfluence.projection.Moments`
+record with I(f, 1..n), the mean and <f, f>; the profile, the best
+approximation, R^2, sigma(f) and r(f, k) are all derived from it in
+``projection``.  Exact engines give rationals, closed forms floats, and
+Monte Carlo floats with standard errors.
 """
 
 from __future__ import annotations
@@ -11,41 +14,24 @@ import math
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
-from .closedforms import influence_multiplicative, influence_power_product
-from .errors import ConfigurationError, DegenerateVarianceError
-from .exact import inner_product_exact, integral
-from .funcspec import (
-    FunctionSpec,
-    MultiplicativeFunctionSpec,
-    PowerProductSpec,
-    SetFunctionSpec,
-)
-from .lovasz import influence_profile_lovasz, mean_lovasz, norm_sq_lovasz
+from .errors import ConfigurationError, DomainError
+from .funcspec import FunctionSpec
 from .montecarlo import (
     IntegrationEstimate,
+    derive_seed,
     influence_mc_covariance,
-    mc_profile_moments,
+    mc_moments,
 )
 from .projection import (
     ApproximationResult,
     InfluenceProfile,
-    approximation_exact,
+    Moments,
     approximation_from_moments,
-    profile_exact,
-    r_squared_from_coefficients,
-    tail_coefficient,
+    profile_from_moments,
 )
 
 METHOD_PREFERENCE = ("exact", "closed-form", "mc")
 DEFAULT_SAMPLES = 100_000
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Independent 64-bit substream key for quantity ``index`` of a run."""
-    ss = np.random.SeedSequence([int(seed) & (2 ** 64 - 1), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def resolve_method(spec: FunctionSpec, method: str = "auto") -> str:
@@ -63,205 +49,64 @@ def resolve_method(spec: FunctionSpec, method: str = "auto") -> str:
     return method
 
 
-# ---------------------------------------------------------------------------
-# Exact / closed-form moment extraction per function class
-# ---------------------------------------------------------------------------
+def function_moments(spec: FunctionSpec, method: str = "auto",
+                     samples: int = DEFAULT_SAMPLES, seed: int = 0, *,
+                     indices: bool = True, mean: bool = True,
+                     norm_sq: bool = True) -> Moments:
+    """The primaries of f by the chosen engine.
 
-def _exact_profile_parts(spec: FunctionSpec):
-    if isinstance(spec, SetFunctionSpec):
-        indices = influence_profile_lovasz(spec.set_function)
-        mean = mean_lovasz(spec.set_function)
-        n = spec.arity
-        tail = tail_coefficient(n, indices, mean)
-        return indices, tail, mean
-    poly = spec.to_orderstat_polynomial()
-    profile = profile_exact(poly)
-    return profile.indices, profile.formal_tail, profile.mean
+    The flags name what the caller needs; an engine fills more when it costs
+    nothing extra.  Exact and closed-form engines always fill the indices
+    and the mean, and compute <f, f> (4^n work for set functions) only for
+    ``norm_sq``.  Monte Carlo draws n covariance streams for the indices,
+    and one further pass for the mean and <f, f> together.
+    """
+    method = resolve_method(spec, method)
+    if method == "mc":
+        return mc_moments(spec.evaluator(), samples, seed, indices,
+                          mean or norm_sq)
+    return spec.moments(norm_sq)
 
-
-def _closed_form_indices(spec: FunctionSpec):
-    n = spec.arity
-    if isinstance(spec, PowerProductSpec):
-        c = float(spec.exponent)
-        return tuple(influence_power_product(c, n, k) for k in range(1, n + 1))
-    if isinstance(spec, MultiplicativeFunctionSpec):
-        return tuple(influence_multiplicative(spec.spec, k)
-                     for k in range(1, n + 1))
-    raise ConfigurationError("no closed form for %s functions" % spec.kind)
-
-
-def _closed_form_mean_and_norm(spec: FunctionSpec):
-    n = spec.arity
-    if isinstance(spec, PowerProductSpec):
-        c = float(spec.exponent)
-        return (1.0 / (c + 1.0)) ** n, (1.0 / (2.0 * c + 1.0)) ** n
-    if isinstance(spec, MultiplicativeFunctionSpec):
-        return spec.spec.mean(), spec.spec.norm_sq()
-    raise ConfigurationError("no closed form for %s functions" % spec.kind)
-
-
-def _exact_mean_and_norm(spec: FunctionSpec):
-    if isinstance(spec, SetFunctionSpec):
-        return mean_lovasz(spec.set_function), norm_sq_lovasz(spec.set_function)
-    poly = spec.to_orderstat_polynomial()
-    return integral(poly), inner_product_exact(poly, poly)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
 
 def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
                     samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> Union[Fraction, float, IntegrationEstimate]:
-    """I(f, k) by the chosen engine; Monte-Carlo returns the full estimate."""
+    """I(f, k) by the chosen engine; Monte-Carlo returns the full estimate
+    and draws only the stream of rank k."""
     method = resolve_method(spec, method)
-    if method == "exact":
-        return _exact_profile_parts(spec)[0][k - 1]
-    if method == "closed-form":
-        return _closed_form_indices(spec)[k - 1]
-    return influence_mc_covariance(spec.evaluator(), k, samples,
-                                   derive_seed(seed, k))
+    if not 1 <= k <= spec.arity:
+        raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
+    if method == "mc":
+        return influence_mc_covariance(spec.evaluator(), k, samples,
+                                       derive_seed(seed, k))
+    return spec.moments(norm_sq=False).indices[k - 1]
 
 
 def influence_profile(spec: FunctionSpec, method: str = "auto",
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = 0) -> InfluenceProfile:
     """All indices I(f, 1..n) plus the formal tail and mean."""
-    method = resolve_method(spec, method)
-    n = spec.arity
-    if method == "exact":
-        indices, tail, mean = _exact_profile_parts(spec)
-        return InfluenceProfile(n, indices, tail, mean, "exact")
-    if method == "closed-form":
-        indices = _closed_form_indices(spec)
-        mean, _ = _closed_form_mean_and_norm(spec)
-        tail = tail_coefficient(n, indices, mean)
-        return InfluenceProfile(n, indices, tail, mean, "closed-form")
-    f = spec.evaluator()
-    estimates = [influence_mc_covariance(f, k, samples, derive_seed(seed, k))
-                 for k in range(1, n + 1)]
-    moments = mc_profile_moments(f, samples, derive_seed(seed, 0))
-    return InfluenceProfile(
-        n,
-        tuple(e.value for e in estimates),
-        moments["tail"].value,
-        moments["mean"].value,
-        "monte-carlo",
-        std_errors=tuple(e.std_error for e in estimates),
-        tail_std_error=moments["tail"].std_error,
-        mean_std_error=moments["mean"].std_error,
-        samples=samples,
-        seed=seed,
-    )
+    return profile_from_moments(
+        function_moments(spec, method, samples, seed, norm_sq=False))
 
 
 def best_approximation(spec: FunctionSpec, method: str = "auto",
                        samples: int = DEFAULT_SAMPLES,
                        seed: int = 0) -> ApproximationResult:
-    """Best shifted L-statistic approximation, R^2 and residual."""
-    method = resolve_method(spec, method)
-    n = spec.arity
-    if method == "exact":
-        if isinstance(spec, SetFunctionSpec):
-            indices, _, mean = _exact_profile_parts(spec)
-            return approximation_from_moments(
-                n, indices, mean, norm_sq_lovasz(spec.set_function))
-        return approximation_exact(spec.to_orderstat_polynomial())
-    if method == "closed-form":
-        indices = _closed_form_indices(spec)
-        mean, norm_sq = _closed_form_mean_and_norm(spec)
-        return approximation_from_moments(n, indices, mean, norm_sq,
-                                          method="closed-form")
-    return _best_approximation_mc(spec, samples, seed)
-
-
-def _best_approximation_mc(spec: FunctionSpec, samples: int,
-                           seed: int) -> ApproximationResult:
-    n = spec.arity
-    f = spec.evaluator()
-    estimates = [influence_mc_covariance(f, k, samples, derive_seed(seed, k))
-                 for k in range(1, n + 1)]
-    moments = mc_profile_moments(f, samples, derive_seed(seed, 0))
-    indices = [e.value for e in estimates]
-    mean = moments["mean"].value
-    norm_sq = moments["norm_sq"].value
-    variance = norm_sq - mean * mean
-    if variance <= 0:
-        raise DegenerateVarianceError(
-            "estimated variance is non-positive; R^2 undefined")
-    tail = tail_coefficient(n, indices, mean)
-    coefficients = tuple(indices) + (tail,)
-    gram_residual = norm_sq - _quadratic_b_dot_a(n, coefficients)
-    r2 = float(r_squared_from_coefficients(n, coefficients, variance))
-
-    # first-order error propagation over (I_1..I_n, mean, norm_sq)
-    theta = list(indices) + [mean, norm_sq]
-    ses = [e.std_error for e in estimates] + [moments["mean"].std_error,
-                                              moments["norm_sq"].std_error]
-
-    def r2_of(params):
-        idx, mu, nsq = params[:n], params[n], params[n + 1]
-        t = tail_coefficient(n, idx, mu)
-        var = nsq - mu * mu
-        if var <= 0:
-            return float("nan")
-        return float(r_squared_from_coefficients(n, list(idx) + [t], var))
-
-    var_r2 = 0.0
-    for i in range(len(theta)):
-        step = 1e-6 * max(1.0, abs(theta[i]))
-        hi = list(theta)
-        lo = list(theta)
-        hi[i] += step
-        lo[i] -= step
-        grad = (r2_of(hi) - r2_of(lo)) / (2 * step)
-        if math.isfinite(grad):
-            var_r2 += (grad * ses[i]) ** 2
-
-    tail_se = math.sqrt(moments["mean"].std_error ** 2
-                        + sum((k / (n + 1) * e.std_error) ** 2
-                              for k, e in enumerate(estimates, start=1)))
-    return ApproximationResult(
-        n, coefficients, mean, r2, gram_residual, "monte-carlo",
-        r_squared_std_error=math.sqrt(var_r2),
-        coefficient_std_errors=tuple(e.std_error for e in estimates) + (tail_se,),
-        samples=samples, seed=seed)
-
-
-def _quadratic_b_dot_a(n: int, coefficients) -> float:
-    from .projection import gram_system
-    gram = gram_system(n)
-    b = [sum(float(gram.matrix[i][j]) * coefficients[j] for j in range(n + 1))
-         for i in range(n + 1)]
-    return sum(bi * ai for bi, ai in zip(b, coefficients))
+    """Best shifted L-statistic approximation, R^2, residual and r(f, k)."""
+    return approximation_from_moments(
+        function_moments(spec, method, samples, seed))
 
 
 def function_sigma(spec: FunctionSpec, method: str = "auto",
                    samples: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
     """Standard deviation of f under the uniform law on the cube."""
-    method = resolve_method(spec, method)
-    if method == "exact":
-        mean, norm_sq = _exact_mean_and_norm(spec)
-    elif method == "closed-form":
-        mean, norm_sq = _closed_form_mean_and_norm(spec)
-    else:
-        moments = mc_profile_moments(spec.evaluator(), samples,
-                                     derive_seed(seed, 0))
-        mean, norm_sq = moments["mean"].value, moments["norm_sq"].value
-    variance = norm_sq - mean * mean
-    if variance <= 0:
-        raise DegenerateVarianceError("sigma(f) vanishes: constant function")
-    return math.sqrt(float(variance))
+    moments = function_moments(spec, method, samples, seed, indices=False)
+    return math.sqrt(float(moments.variance()))
 
 
 def normalized_index(spec: FunctionSpec, k: int, method: str = "auto",
                      samples: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
-    """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2)))."""
-    method = resolve_method(spec, method)
-    n = spec.arity
-    value = influence_value(spec, k, method, samples, seed)
-    if isinstance(value, IntegrationEstimate):
-        value = value.value
-    sigma = function_sigma(spec, method, samples, seed)
-    return float(value) / (sigma * math.sqrt(2 * (n + 1) * (n + 2)))
+    """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2))), from the full fit;
+    for every rank at once use ``best_approximation(...).normalized_index``."""
+    return best_approximation(spec, method, samples, seed).normalized_index(k)

@@ -1,26 +1,14 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Batched numpy kernels for vertex-interpolating (Lovasz) extensions.
 
 The Monte-Carlo estimators evaluate millions of points; the per-row kernels
 for vertex-interpolating extensions (telescoping evaluation and directional
-slopes) are the dominant cost.  Both implementations are exposed so the
-benchmark can compare them; the active one is chosen once at import time by
-the ORDINFLUENCE_BACKEND environment variable:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy path
+slopes) are the dominant cost, so they work on whole sample batches.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-# ---------------------------------------------------------------------------
-# Pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _masks_ascending(x: np.ndarray) -> tuple:
     """Per row: ascending sort order and the bitmasks of the upper tail
@@ -31,7 +19,7 @@ def _masks_ascending(x: np.ndarray) -> tuple:
     return order, masks
 
 
-def lovasz_eval_numpy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the vertex-interpolating extension of a set-function table at
     each row of x via the telescoping (sorted-coordinates) form."""
     order, masks = _masks_ascending(x)
@@ -43,73 +31,10 @@ def lovasz_eval_numpy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return values[0] + ((v_upper - v_lower) * xs).sum(axis=1)
 
 
-def lovasz_slope_numpy(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Directional slope along the k-th smallest coordinate:
     v({pi(k),...,pi(n)}) - v({pi(k+1),...,pi(n)}) per row."""
     _, masks = _masks_ascending(x)
     upper = masks[:, k - 1]
     lower = masks[:, k] if k < x.shape[1] else np.zeros(len(x), dtype=np.int64)
     return values[upper] - values[lower]
-
-
-# ---------------------------------------------------------------------------
-# Numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def lovasz_eval_numba(values, x):  # pragma: no cover - jitted
-        m, n = x.shape
-        out = np.empty(m)
-        for r in range(m):
-            order = np.argsort(x[r])
-            mask = (1 << n) - 1
-            acc = values[0]
-            for i in range(n):
-                j = order[i]
-                upper = mask
-                mask ^= 1 << j
-                acc += (values[upper] - values[mask]) * x[r, j]
-            out[r] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def lovasz_slope_numba(values, x, k):  # pragma: no cover - jitted
-        m, n = x.shape
-        out = np.empty(m)
-        for r in range(m):
-            order = np.argsort(x[r])
-            mask = 0
-            for i in range(k - 1, n):
-                mask |= 1 << order[i]
-            out[r] = values[mask] - values[mask ^ (1 << order[k - 1])]
-        return out
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    lovasz_eval_numba = None
-    lovasz_slope_numba = None
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("ORDINFLUENCE_BACKEND", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError("ORDINFLUENCE_BACKEND must be auto, numba or numpy, got %r"
-                       % _requested)
-if _requested == "numba" and not HAVE_NUMBA:
-    raise RuntimeError("ORDINFLUENCE_BACKEND=numba but numba is not importable")
-
-if _requested == "numpy" or not HAVE_NUMBA:
-    BACKEND = "numpy"
-    lovasz_eval_batch = lovasz_eval_numpy
-    lovasz_slope_batch = lovasz_slope_numpy
-else:
-    BACKEND = "numba"
-    lovasz_eval_batch = lovasz_eval_numba
-    lovasz_slope_batch = lovasz_slope_numba

@@ -2,8 +2,8 @@
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
 documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file, 3 incompatible method or kind, 4 tainted Monte-Carlo sample, 5
-estimator disagreement in crosscheck.
+file or seed variable, 3 incompatible method or kind, 4 tainted Monte-Carlo
+sample, 5 estimator disagreement in crosscheck.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .montecarlo import (
     influence_mc_derivative,
     influence_mc_diffquotient,
 )
+from .projection import approximation_from_moments, profile_from_moments
 from .report import ReportDocument, format_value
 
 EXIT_OK = 0
@@ -44,7 +45,12 @@ ESTIMATOR_NAMES = ("covariance", "derivative", "diff-quotient-uniform",
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecFileError("%s must be an integer, got %r"
+                            % (SEED_ENV_VAR, raw), SEED_ENV_VAR)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,16 +124,19 @@ def cmd_influence(args) -> ReportDocument:
     if method == "mc":
         requested["samples"] = args.samples
     doc = _report("influence", spec, requested, seed)
-    ks = range(1, spec.arity + 1) if args.all else [args.k]
-    for k in ks:
-        if not 1 <= k <= spec.arity:
-            raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
-        value = api.influence_value(spec, k, method, args.samples, seed)
-        if hasattr(value, "std_error"):
-            doc.results.append(_result_row(k, value.value, method,
-                                           se=value.std_error))
-        else:
-            doc.results.append(_result_row(k, value, method))
+    if args.all:
+        moments = api.function_moments(spec, method, args.samples, seed,
+                                       mean=False, norm_sq=False)
+        ses = moments.index_std_errors or (None,) * spec.arity
+        for k, (value, se) in enumerate(zip(moments.indices, ses), start=1):
+            doc.results.append(_result_row(k, value, method, se=se))
+        return doc
+    value = api.influence_value(spec, args.k, method, args.samples, seed)
+    if hasattr(value, "std_error"):
+        doc.results.append(_result_row(args.k, value.value, method,
+                                       se=value.std_error))
+    else:
+        doc.results.append(_result_row(args.k, value, method))
     return doc
 
 
@@ -140,10 +149,11 @@ def cmd_approx(args) -> ReportDocument:
         requested["samples"] = args.samples
     doc = _report("approx", spec, requested, seed)
     n = spec.arity
+    moments = api.function_moments(spec, method, args.samples, seed)
     try:
-        approx = api.best_approximation(spec, method, args.samples, seed)
+        approx = approximation_from_moments(moments)
     except DegenerateVarianceError:
-        profile = api.influence_profile(spec, method, args.samples, seed)
+        profile = profile_from_moments(moments)
         doc.warnings.append("degenerate-variance: R^2 and r(f,k) undefined "
                             "for a constant function")
         for k in range(1, n + 1):
@@ -157,11 +167,7 @@ def cmd_approx(args) -> ReportDocument:
     for k in range(1, n + 1):
         row = _result_row(k, approx.coefficients[k - 1], approx.method,
                           ses[k - 1] if ses else None)
-        try:
-            row["normalized"] = api.normalized_index(spec, k, method,
-                                                     args.samples, seed)
-        except DegenerateVarianceError:
-            row["normalized"] = None
+        row["normalized"] = approx.normalized_index(k)
         doc.results.append(row)
     doc.extras["a_tail"] = format_value(approx.coefficients[-1])
     doc.extras["mean"] = format_value(approx.mean)
@@ -275,10 +281,10 @@ class _ExactEstimate:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     exit_code = EXIT_OK
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         if args.command == "influence":
             doc = cmd_influence(args)
         elif args.command == "approx":

@@ -259,6 +259,31 @@ def symmetrize(arity: int,
     return polynomial(n, terms, as_rational(constant) + extra_constant)
 
 
+def plain_integral(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
+                   constant: RationalLike = 0) -> Fraction:
+    """Exact integral over the unit cube of a plain-variable polynomial,
+    term by term with E[prod_i x_i^{a_i}] = prod_i 1/(a_i + 1)."""
+    total = as_rational(constant)
+    for coeff, exps in plain_terms:
+        value = as_rational(coeff)
+        for exp in exps.values():
+            value /= int(exp) + 1
+        total += value
+    return total
+
+
+def plain_norm_sq(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
+                  constant: RationalLike = 0) -> Fraction:
+    """Exact <f, f> of a plain-variable polynomial: the integral of the
+    product of every pair of its terms."""
+    terms = [(as_rational(constant), {})]
+    terms += [(as_rational(c), {int(v): int(e) for v, e in exps.items()})
+              for c, exps in plain_terms]
+    return plain_integral(
+        (c * d, {v: a.get(v, 0) + b.get(v, 0) for v in a.keys() | b.keys()})
+        for c, a in terms for d, b in terms)
+
+
 # ---------------------------------------------------------------------------
 # Dualization
 # ---------------------------------------------------------------------------

@@ -18,12 +18,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import backends
-from .closedforms import MultiplicativeSpec, UnaryFactor, variance_plain_terms
+from .closedforms import MultiplicativeSpec, UnaryFactor, \
+    influence_multiplicative, influence_power_product, variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
-from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
+from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
+    integral, monomial, os_function, plain_integral, plain_norm_sq, \
     polynomial, symmetrize
-from .lovasz import SetFunction
+from .lovasz import SetFunction, level_averages, norm_sq_lovasz
 from .montecarlo import Evaluator
+from .projection import Moments, indices_exact
 
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 
@@ -38,8 +41,10 @@ class FunctionSpec:
     def methods(self) -> Tuple[str, ...]:
         raise NotImplementedError
 
-    def to_orderstat_polynomial(self) -> OrderStatPolynomial:
-        raise ConfigurationError("%s specs have no exact polynomial form"
+    def moments(self, norm_sq: bool = True) -> Moments:
+        """The indices and the mean by this class's exact or closed-form
+        engine, and <f, f> when ``norm_sq`` is set."""
+        raise ConfigurationError("no exact or closed form for %s functions"
                                  % self.kind)
 
     def evaluator(self) -> Evaluator:
@@ -74,8 +79,10 @@ class OrderStatPolynomialSpec(FunctionSpec):
     def methods(self):
         return (EXACT, MC)
 
-    def to_orderstat_polynomial(self):
-        return self.poly
+    def moments(self, norm_sq=True):
+        p = self.poly
+        return Moments(p.arity, "exact", indices_exact(p), integral(p),
+                       inner_product_exact(p, p) if norm_sq else None)
 
     def evaluator(self):
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
@@ -114,8 +121,14 @@ class PlainPolynomialSpec(FunctionSpec):
     def methods(self):
         return (EXACT, MC)
 
-    def to_orderstat_polynomial(self):
-        return symmetrize(self.arity, self.terms, self.constant)
+    def moments(self, norm_sq=True):
+        # I(f,k) = <Sym f, g_k> because g_k is symmetric; the mean and <f,f>
+        # come from f itself, which need not be symmetric
+        sym = symmetrize(self.arity, self.terms, self.constant)
+        return Moments(self.arity, "exact", indices_exact(sym),
+                       plain_integral(self.terms, self.constant),
+                       plain_norm_sq(self.terms, self.constant)
+                       if norm_sq else None)
 
     def evaluator(self):
         terms = [(float(c), [(int(v), int(e)) for v, e in exps.items()])
@@ -156,6 +169,12 @@ class SetFunctionSpec(FunctionSpec):
     def methods(self):
         return (EXACT, MC)
 
+    def moments(self, norm_sq=True):
+        v = self.set_function
+        levels = level_averages(v)
+        return Moments(v.arity, "exact", levels.influence_profile(),
+                       levels.mean(), norm_sq_lovasz(v) if norm_sq else None)
+
     def evaluator(self):
         values = np.array([float(v) for v in self.set_function.values])
 
@@ -185,6 +204,13 @@ class MultiplicativeFunctionSpec(FunctionSpec):
     @property
     def methods(self):
         return (CLOSED_FORM, MC)
+
+    def moments(self, norm_sq=True):
+        spec = self.spec
+        indices = tuple(influence_multiplicative(spec, k)
+                        for k in range(1, self.arity + 1))
+        return Moments(self.arity, "closed-form", indices, spec.mean(),
+                       spec.norm_sq() if norm_sq else None)
 
     def evaluator(self):
         spec = self.spec
@@ -216,6 +242,13 @@ class PowerProductSpec(FunctionSpec):
     @property
     def methods(self):
         return (CLOSED_FORM, MC)
+
+    def moments(self, norm_sq=True):
+        c = float(self.exponent)
+        n = self.arity
+        indices = tuple(influence_power_product(c, n, k) for k in range(1, n + 1))
+        return Moments(n, "closed-form", indices, (1.0 / (c + 1.0)) ** n,
+                       (1.0 / (2.0 * c + 1.0)) ** n if norm_sq else None)
 
     def evaluator(self):
         c = float(self.exponent)
@@ -336,14 +369,19 @@ def _parse_rational(value, location: str) -> Fraction:
 
 
 def _parse_terms(raw, arity: int, location: str, slot_bound: int):
+    if not isinstance(raw, list):
+        raise SpecFileError("terms must be a list", location)
     terms = []
     for i, term in enumerate(raw):
         loc = "%s[%d]" % (location, i)
         if not isinstance(term, dict):
             raise SpecFileError("term must be an object", loc)
         coeff = _parse_rational(_require(term, "coefficient", loc), loc)
+        raw_exps = _require(term, "exponents", loc)
+        if not isinstance(raw_exps, dict):
+            raise SpecFileError("exponents must be an object", loc)
         exps = {}
-        for key, exp in _require(term, "exponents", loc).items():
+        for key, exp in raw_exps.items():
             try:
                 idx = int(key)
             except ValueError:
@@ -416,10 +454,12 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
 def parse_spec_file(path: str) -> FunctionSpec:
     """Load a function spec from a JSON file."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise SpecFileError("cannot read %s: %s" % (path, exc), path)
+    except UnicodeDecodeError as exc:
+        raise SpecFileError("not UTF-8 text: %s" % exc, path)
     except json.JSONDecodeError as exc:
         raise SpecFileError("invalid JSON: %s" % exc, "%s:%d" % (path, exc.lineno))
     return parse_spec_document(doc)

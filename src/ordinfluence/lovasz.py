@@ -96,6 +96,18 @@ class LevelAverages:
     vbar: Tuple[Fraction, ...]
     mbar: Tuple[Fraction, ...]
 
+    def influence_profile(self) -> Tuple[Fraction, ...]:
+        """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n."""
+        n = self.arity
+        return tuple(self.vbar[n - k + 1] - self.vbar[n - k]
+                     for k in range(1, n + 1))
+
+    def mean(self) -> Fraction:
+        """Integral of the extension, sum_S m(S) / (|S| + 1), summed level by
+        level as sum_s C(n, s) mbar(s) / (s + 1)."""
+        return sum((comb(self.arity, s) * m / (s + 1)
+                    for s, m in enumerate(self.mbar)), Fraction(0))
+
 
 def level_averages(v: SetFunction) -> LevelAverages:
     n = v.arity
@@ -180,9 +192,7 @@ def influence_lovasz(v: SetFunction, k: int) -> Fraction:
 
 
 def influence_profile_lovasz(v: SetFunction) -> Tuple[Fraction, ...]:
-    lv = level_averages(v)
-    n = v.arity
-    return tuple(lv.vbar[n - k + 1] - lv.vbar[n - k] for k in range(1, n + 1))
+    return level_averages(v).influence_profile()
 
 
 def influence_os_subset(n: int, subset, j: int, k: int) -> Fraction:
@@ -244,7 +254,7 @@ class EqualInfluenceDiagnosis:
 def equal_influence_class(v: SetFunction) -> EqualInfluenceDiagnosis:
     n = v.arity
     lv = level_averages(v)
-    profile = influence_profile_lovasz(v)
+    profile = lv.influence_profile()
 
     witnesses = {}
     flat = True
@@ -301,11 +311,7 @@ def symmetric_part(v: SetFunction) -> ShiftedLStatistic:
 
 def mean_lovasz(v: SetFunction) -> Fraction:
     """Exact integral of the extension: sum_S m(S) / (|S| + 1)."""
-    m = mobius(v)
-    total = m.values[0]
-    for mask in range(1, 1 << v.arity):
-        total += m.values[mask] / (bin(mask).count("1") + 1)
-    return total
+    return level_averages(v).mean()
 
 
 def _min_min_moment(a: int, b: int, c: int) -> Fraction:

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TaintedSampleError
+from .projection import Moments
 
 BATCH = 1 << 16
 
@@ -60,6 +61,12 @@ class IntegrationEstimate:
         if combined == 0.0:
             return 0.0 if self.value == other.value else math.inf
         return abs(self.value - other.value) / combined
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """Independent 64-bit substream key for quantity ``index`` of a run."""
+    ss = np.random.SeedSequence([int(seed) & (2 ** 64 - 1), int(index)])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -269,6 +276,28 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int) -> dict:
         "norm_sq": acc_norm.finish(seed, "raw-inner-product"),
         "tail": acc_tail.finish(seed, "raw-inner-product"),
     }
+
+
+def mc_moments(f: Evaluator, samples: int, seed: int, indices: bool = True,
+               second_moments: bool = True) -> Moments:
+    """Monte-Carlo Moments of any evaluator.  Rank k draws its own
+    covariance stream keyed derive_seed(seed, k); the mean and <f, f> share
+    one pass keyed derive_seed(seed, 0), made only when ``second_moments``
+    is asked for."""
+    n = f.arity
+    fields = {}
+    if indices:
+        estimates = [influence_mc_covariance(f, k, samples, derive_seed(seed, k))
+                     for k in range(1, n + 1)]
+        fields["indices"] = tuple(e.value for e in estimates)
+        fields["index_std_errors"] = tuple(e.std_error for e in estimates)
+    if second_moments:
+        moments = mc_profile_moments(f, samples, derive_seed(seed, 0))
+        fields.update(mean=moments["mean"].value,
+                      mean_std_error=moments["mean"].std_error,
+                      norm_sq=moments["norm_sq"].value,
+                      norm_sq_std_error=moments["norm_sq"].std_error)
+    return Moments(n, "monte-carlo", samples=samples, seed=seed, **fields)
 
 
 # ---------------------------------------------------------------------------

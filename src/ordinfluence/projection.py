@@ -4,6 +4,11 @@ Builds the exact Gram system of the order-statistic basis, the covariance
 kernels g_k, the influence index I(f,k) = <f, g_k>, the best shifted
 L-statistic approximation of f, the normalized index r(f,k) and the
 coefficient of determination R^2.
+
+Every engine hands the same primaries, a ``Moments`` record, to one
+assembler (``profile_from_moments``, ``approximation_from_moments``);
+``profile_exact`` and ``approximation_exact`` stay as independent exact
+references that solve a = M^{-1} b.
 """
 
 from __future__ import annotations
@@ -145,11 +150,24 @@ class ApproximationResult:
     coefficient_std_errors: Optional[tuple] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
-    degenerate: bool = False
+    variance: object = None
 
     @property
     def slopes(self):
         return self.coefficients[:-1]
+
+    @property
+    def sigma(self) -> float:
+        """sigma(f), the standard deviation of f."""
+        return math.sqrt(float(self.variance))
+
+    def normalized_index(self, k: int) -> float:
+        """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2)))."""
+        n = self.arity
+        if not 1 <= k <= n:
+            raise DomainError("rank %d outside [1, %d]" % (k, n))
+        return (float(self.coefficients[k - 1])
+                / (self.sigma * math.sqrt(2 * (n + 1) * (n + 2))))
 
     @property
     def intercept(self):
@@ -188,22 +206,118 @@ def r_squared_from_coefficients(n: int, coefficients: Sequence, variance):
     return (quad - lin * lin) / variance
 
 
-def approximation_from_moments(n: int, indices: Sequence, mean, norm_sq,
-                               method: str = "exact") -> ApproximationResult:
-    """Assemble an ApproximationResult from the influence indices, the mean
-    and <f, f>.  Works for any path that can supply those moments."""
-    tail = tail_coefficient(n, indices, mean)
-    coefficients = tuple(indices) + (tail,)
+@dataclass(frozen=True)
+class Moments:
+    """The primaries that fix the best shifted L-statistic fit of f: the
+    indices I(f, 1..n), the mean <f, 1> and <f, f>.
+
+    Exact engines carry rationals and closed forms floats; Monte Carlo also
+    fills the standard errors.  A quantity the caller did not ask for, and
+    that its engine could not give for free, is None.
+    """
+
+    arity: int
+    method: str
+    indices: Optional[tuple] = None
+    mean: object = None
+    norm_sq: object = None
+    index_std_errors: Optional[tuple] = None
+    mean_std_error: Optional[float] = None
+    norm_sq_std_error: Optional[float] = None
+    samples: Optional[int] = None
+    seed: Optional[int] = None
+
+    def variance(self):
+        """sigma^2(f) = <f, f> - <f, 1>^2; DegenerateVarianceError when it
+        is not positive."""
+        variance = self.norm_sq - self.mean * self.mean
+        if variance <= 0:
+            raise DegenerateVarianceError(
+                "sigma(f) vanishes: R^2 and r(f,k) are undefined for a "
+                "constant function")
+        return variance
+
+    def tail_std_error(self) -> Optional[float]:
+        """Standard error of a_{n+1}, treating the estimates as independent."""
+        if self.index_std_errors is None or self.mean_std_error is None:
+            return None
+        n = self.arity
+        return math.sqrt(self.mean_std_error ** 2
+                         + sum((k / (n + 1) * se) ** 2
+                               for k, se in enumerate(self.index_std_errors,
+                                                      start=1)))
+
+
+def indices_exact(f: OrderStatPolynomial) -> tuple:
+    """I(f, 1..n) from b_i = <f, os_i> by the second difference
+    I(f,k) = -(n+1)(n+2)(b_{k+1} - 2 b_k + b_{k-1}), with b_0 = 0 and
+    b_{n+1} = <f, 1>: one product with a single order statistic per rank,
+    where influence_exact multiplies by the three-term kernel g_k."""
+    n = f.arity
+    b = ([Fraction(0)]
+         + [inner_product_exact(f, os_function(n, i)) for i in range(1, n + 1)]
+         + [integral(f)])
+    return tuple(-(n + 1) * (n + 2) * (b[k + 1] - 2 * b[k] + b[k - 1])
+                 for k in range(1, n + 1))
+
+
+def profile_from_moments(m: Moments) -> InfluenceProfile:
+    """The influence profile, with the tail from mean preservation."""
+    return InfluenceProfile(
+        m.arity, m.indices, tail_coefficient(m.arity, m.indices, m.mean),
+        m.mean, m.method, std_errors=m.index_std_errors,
+        tail_std_error=m.tail_std_error(), mean_std_error=m.mean_std_error,
+        samples=m.samples, seed=m.seed)
+
+
+def approximation_from_moments(m: Moments) -> ApproximationResult:
+    """Assemble the best approximation from the indices, the mean and
+    <f, f>: coefficients, residual, R^2 and, for estimated moments, their
+    standard errors by first-order propagation."""
+    n = m.arity
+    variance = m.variance()
+    tail = tail_coefficient(n, m.indices, m.mean)
+    coefficients = tuple(m.indices) + (tail,)
     gram = gram_system(n)
     b = [sum(gram.matrix[i][j] * coefficients[j] for j in range(n + 1))
          for i in range(n + 1)]
-    residual = norm_sq - sum(bi * ai for bi, ai in zip(b, coefficients))
-    variance = norm_sq - mean * mean
-    if variance == 0:
-        raise DegenerateVarianceError(
-            "R^2 is undefined for a constant function")
+    residual = m.norm_sq - sum(bi * ai for bi, ai in zip(b, coefficients))
     r2 = r_squared_from_coefficients(n, coefficients, variance)
-    return ApproximationResult(n, coefficients, mean, r2, residual, method)
+    estimated = m.index_std_errors is not None
+    return ApproximationResult(
+        n, coefficients, m.mean, r2, residual, m.method,
+        r_squared_std_error=_r_squared_std_error(m) if estimated else None,
+        coefficient_std_errors=(tuple(m.index_std_errors) + (m.tail_std_error(),)
+                                if estimated else None),
+        samples=m.samples, seed=m.seed, variance=variance)
+
+
+def _r_squared_std_error(m: Moments) -> float:
+    # first-order propagation over (I_1..I_n, mean, norm_sq) by central
+    # differences, the estimates treated as independent
+    n = m.arity
+    theta = list(m.indices) + [m.mean, m.norm_sq]
+    ses = list(m.index_std_errors) + [m.mean_std_error, m.norm_sq_std_error]
+
+    def r2_of(params):
+        idx, mu, nsq = params[:n], params[n], params[n + 1]
+        t = tail_coefficient(n, idx, mu)
+        var = nsq - mu * mu
+        if var <= 0:
+            return float("nan")
+        return float(r_squared_from_coefficients(n, list(idx) + [t], var))
+
+    var_r2 = 0.0
+    for i in range(len(theta)):
+        step = 1e-6 * max(1.0, abs(theta[i]))
+        hi = list(theta)
+        lo = list(theta)
+        hi[i] += step
+        lo[i] -= step
+        grad = (r2_of(hi) - r2_of(lo)) / (2 * step)
+        if math.isfinite(grad):
+            var_r2 += (grad * ses[i]) ** 2
+    return math.sqrt(var_r2)
 
 
 def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:
@@ -221,7 +335,8 @@ def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:
     if variance == 0:
         raise DegenerateVarianceError("R^2 is undefined for a constant function")
     r2 = r_squared_from_coefficients(n, a, variance)
-    return ApproximationResult(n, a, mean, r2, residual, "exact")
+    return ApproximationResult(n, a, mean, r2, residual, "exact",
+                               variance=variance)
 
 
 def normalized_index_exact(f: OrderStatPolynomial, k: int) -> float:

@@ -1,9 +1,6 @@
-"""Backend selection and kernel equivalence (numpy vs numba)."""
+"""Batched Lovasz kernels against the pointwise reference implementations."""
 
-import importlib
-import os
 import numpy as np
-import pytest
 
 import ordinfluence.backends as backends
 from ordinfluence import eval_lovasz
@@ -12,64 +9,24 @@ from ordinfluence.lovasz import directional_slope
 from conftest import random_set_function
 
 
-def _reload(backend=None):
-    if backend is None:
-        os.environ.pop("ORDINFLUENCE_BACKEND", None)
-    else:
-        os.environ["ORDINFLUENCE_BACKEND"] = backend
-    return importlib.reload(backends)
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    _reload(None)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_eval_matches_reference(backend, rng):
-    module = _reload(backend)
-    assert module.BACKEND == backend
+def test_eval_matches_reference(rng):
     for _ in range(6):
         n = rng.randint(1, 6)
         v = random_set_function(rng, n, zero_grounded=False)
         values = np.array([float(t) for t in v.values])
         x = np.random.default_rng(1).random((64, n))
-        got = module.lovasz_eval_batch(values, x)
+        got = backends.lovasz_eval_batch(values, x)
         want = np.array([eval_lovasz(v, row) for row in x])
         assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_slope_matches_reference(backend, rng):
-    module = _reload(backend)
+def test_slope_matches_reference(rng):
     for _ in range(6):
         n = rng.randint(2, 5)
         v = random_set_function(rng, n)
         values = np.array([float(t) for t in v.values])
         x = np.random.default_rng(2).random((32, n))
         k = rng.randint(1, n)
-        got = module.lovasz_slope_batch(values, x, k)
+        got = backends.lovasz_slope_batch(values, x, k)
         want = np.array([directional_slope(v, row, k) for row in x])
         assert np.allclose(got, want, atol=1e-12)
-
-
-def test_backends_agree(rng):
-    v = random_set_function(rng, 8, zero_grounded=False)
-    values = np.array([float(t) for t in v.values])
-    x = np.random.default_rng(3).random((500, 8))
-    np_mod = _reload("numpy")
-    np_out = np_mod.lovasz_eval_batch(values, x)
-    nb_mod = _reload("numba")
-    nb_out = nb_mod.lovasz_eval_batch(values, x)
-    assert np.allclose(np_out, nb_out, atol=1e-12)
-
-
-def test_auto_selects_something():
-    module = _reload("auto")
-    assert module.BACKEND in ("numpy", "numba")
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(RuntimeError):
-        _reload("gpu")

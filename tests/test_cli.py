@@ -37,6 +37,27 @@ class TestExitCodes:
     def test_unreadable_file_exits_2(self):
         assert cli.main(["influence", "/no/such/file.json", "-k", "1"]) == 2
 
+    @pytest.mark.parametrize("content, env_seed", [
+        (json.dumps(PRODUCT_DOC).encode(), "abc"),
+        (json.dumps({"kind": "plain-polynomial", "arity": 2,
+                     "terms": [{"coefficient": 1, "exponents": [1]}]}).encode(),
+         None),
+        (json.dumps({"kind": "plain-polynomial", "arity": 2,
+                     "terms": 5}).encode(), None),
+        (b'{"kind": "builtin", "name": "min\xff", "arity": 2}', None),
+    ], ids=["seed-variable", "exponents-not-object", "terms-not-list",
+            "not-utf8"])
+    def test_bad_outside_input_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       content, env_seed):
+        if env_seed is None:
+            monkeypatch.delenv("ORDINFLUENCE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ORDINFLUENCE_SEED", env_seed)
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        assert cli.main(["influence", str(path), "-k", "1"]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_incompatible_method_exits_3(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
                                      "exponent": 1})
