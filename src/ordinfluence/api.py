@@ -16,12 +16,7 @@ from typing import Union
 
 from .errors import ConfigurationError, DomainError
 from .funcspec import FunctionSpec
-from .montecarlo import (
-    IntegrationEstimate,
-    derive_seed,
-    influence_mc_covariance,
-    mc_moments,
-)
+from .montecarlo import IntegrationEstimate, mc_moments
 from .projection import (
     ApproximationResult,
     InfluenceProfile,
@@ -58,8 +53,9 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
     The flags name what the caller needs; an engine fills more when it costs
     nothing extra.  Exact and closed-form engines always fill the indices
     and the mean, and compute <f, f> (4^n work for set functions) only for
-    ``norm_sq``.  Monte Carlo draws n covariance streams for the indices,
-    and one further pass for the mean and <f, f> together.
+    ``norm_sq``.  Monte Carlo makes one pass, keyed derive_seed(seed, 0),
+    that estimates the asked-for quantities from the same samples, with
+    their joint covariance.
     """
     method = resolve_method(spec, method)
     if method == "mc":
@@ -71,14 +67,16 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
 def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
                     samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> Union[Fraction, float, IntegrationEstimate]:
-    """I(f, k) by the chosen engine; Monte-Carlo returns the full estimate
-    and draws only the stream of rank k."""
+    """I(f, k) by the chosen engine; Monte-Carlo returns the full estimate,
+    read from the same pass as ``function_moments`` makes for the indices,
+    so it equals rank k of the profile at the same seed."""
     method = resolve_method(spec, method)
     if not 1 <= k <= spec.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
     if method == "mc":
-        return influence_mc_covariance(spec.evaluator(), k, samples,
-                                       derive_seed(seed, k))
+        m = mc_moments(spec.evaluator(), samples, seed, second_moments=False)
+        return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],
+                                   samples, seed, "covariance")
     return spec.moments(norm_sq=False).indices[k - 1]
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
 documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file or seed variable, 3 incompatible method or kind, 4 tainted Monte-Carlo
-sample, 5 estimator disagreement in crosscheck.
+file or seed variable, 3 incompatible method or kind, or a closed-form branch
+that cannot be decided, 4 tainted Monte-Carlo sample, 5 estimator
+disagreement in crosscheck, 6 quadrature short of its tolerance.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ from fractions import Fraction
 
 from . import __version__, api
 from .errors import (
+    BranchAmbiguityError,
     ConfigurationError,
     DegenerateVarianceError,
     DomainError,
+    QuadratureError,
     SpecFileError,
     TaintedSampleError,
 )
 from .funcspec import SetFunctionSpec, parse_spec_file
-from .lovasz import equal_influence_class, mobius, symmetric_part
+from .lovasz import equal_influence_class, level_averages, symmetric_part
 from .montecarlo import (
+    derive_seed,
     influence_mc_covariance,
     influence_mc_derivative,
     influence_mc_diffquotient,
@@ -37,6 +41,7 @@ EXIT_BAD_SPEC = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_TAINTED = 4
 EXIT_DISAGREEMENT = 5
+EXIT_QUADRATURE = 6
 
 SEED_ENV_VAR = "ORDINFLUENCE_SEED"
 
@@ -186,20 +191,20 @@ def cmd_lovasz(args) -> ReportDocument:
     doc = _report("lovasz", spec, {"quantity": "set-function diagnostics"},
                   args.seed)
     v = spec.set_function
-    profile = api.influence_profile(spec, "exact")
-    for k in range(1, spec.arity + 1):
-        doc.results.append(_result_row(k, profile.indices[k - 1], "exact"))
-    doc.extras["mean"] = format_value(profile.mean)
+    levels = level_averages(v)
+    for k, value in enumerate(levels.influence_profile(), start=1):
+        doc.results.append(_result_row(k, value, "exact"))
+    doc.extras["mean"] = format_value(levels.mean())
     if args.mobius:
-        doc.extras["mobius"] = [str(Fraction(m)) for m in mobius(v).values]
+        doc.extras["mobius"] = [str(Fraction(m)) for m in levels.mobius.values]
     if args.symmetric_part:
-        part = symmetric_part(v)
+        part = symmetric_part(v, levels)
         doc.extras["symmetric_part"] = {
             "constant": str(part.constant),
             "slopes": [str(s) for s in part.slopes],
         }
     if args.diagnose_equal_influence:
-        diag = equal_influence_class(v)
+        diag = equal_influence_class(v, levels)
         doc.extras["equal_influence"] = {
             "equal": diag.equal,
             "profile_flat": diag.profile_flat,
@@ -224,7 +229,7 @@ def cmd_crosscheck(args):
     seed = args.seed
     estimates = {}
     for i, name in enumerate(names):
-        sub_seed = api.derive_seed(seed, 1000 + i)
+        sub_seed = derive_seed(seed, 1000 + i)
         if name == "covariance":
             estimates[name] = influence_mc_covariance(
                 evaluator, k, args.samples, sub_seed)
@@ -296,12 +301,15 @@ def main(argv=None) -> int:
     except SpecFileError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_SPEC
-    except (ConfigurationError, DomainError) as exc:
+    except (ConfigurationError, DomainError, BranchAmbiguityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except TaintedSampleError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_TAINTED
+    except QuadratureError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_QUADRATURE
     sys.stdout.write(doc.render(args.format))
     return exit_code
 

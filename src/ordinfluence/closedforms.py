@@ -388,9 +388,7 @@ def subset_box_integral(f, subset, mode: str, nodes_per_axis: int = 24,
                 intervals.append((y, 1.0) if mode == "split" else (0.0, 1.0))
         return _box_integral(f.evaluate, intervals, nodes_per_axis)
 
-    value, err = integrate.quad(inner, 0.0, 1.0, epsabs=tol, epsrel=tol,
-                                limit=100)
-    return value
+    return _quad(inner, tol)
 
 
 _ALT_FORMULAS = ("dfsg5", "dfsg6", "dfsg7")

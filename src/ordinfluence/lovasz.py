@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import as_rational
@@ -90,11 +90,13 @@ def zeta(m: MobiusRepresentation) -> SetFunction:
 
 @dataclass(frozen=True)
 class LevelAverages:
-    """Averages over subsets of each cardinality: vbar(s) and mbar(s), s=0..n."""
+    """Averages over subsets of each cardinality: vbar(s) and mbar(s),
+    s=0..n, and the Moebius transform they were taken from."""
 
     arity: int
     vbar: Tuple[Fraction, ...]
     mbar: Tuple[Fraction, ...]
+    mobius: MobiusRepresentation
 
     def influence_profile(self) -> Tuple[Fraction, ...]:
         """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n."""
@@ -120,7 +122,7 @@ def level_averages(v: SetFunction) -> LevelAverages:
         msum[s] += m.values[mask]
     vbar = tuple(vsum[s] / comb(n, s) for s in range(n + 1))
     mbar = tuple(msum[s] / comb(n, s) for s in range(n + 1))
-    return LevelAverages(n, vbar, mbar)
+    return LevelAverages(n, vbar, mbar, m)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,12 @@ class EqualInfluenceDiagnosis:
     witnesses: dict
 
 
-def equal_influence_class(v: SetFunction) -> EqualInfluenceDiagnosis:
+def equal_influence_class(v: SetFunction,
+                          levels: Optional[LevelAverages] = None
+                          ) -> EqualInfluenceDiagnosis:
+    """Diagnose v from its level averages, ``levels`` when already taken."""
     n = v.arity
-    lv = level_averages(v)
+    lv = levels or level_averages(v)
     profile = lv.influence_profile()
 
     witnesses = {}
@@ -303,10 +308,13 @@ class ShiftedLStatistic:
         return value
 
 
-def symmetric_part(v: SetFunction) -> ShiftedLStatistic:
+def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
+                   ) -> ShiftedLStatistic:
     """Average of the extension over all permutations of the input point:
-    v(emptyset) + sum_i I(f,i) os_i."""
-    return ShiftedLStatistic(v.arity, v.values[0], influence_profile_lovasz(v))
+    v(emptyset) + sum_i I(f,i) os_i; ``levels`` are the level averages of
+    v when already taken."""
+    profile = (levels or level_averages(v)).influence_profile()
+    return ShiftedLStatistic(v.arity, v.values[0], profile)
 
 
 def mean_lovasz(v: SetFunction) -> Fraction:

@@ -22,6 +22,9 @@ from .errors import ConfigurationError, DomainError, TaintedSampleError
 from .projection import Moments
 
 BATCH = 1 << 16
+# mc_profile_moments holds about three times a per-rank stream's working set
+# per row, so it takes smaller batches
+PASS_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _check_finite(values: np.ndarray, points: np.ndarray):
     bad = ~np.isfinite(values)
+    if bad.ndim > 1:
+        bad = bad.any(axis=1)
     if bad.any():
         idx = int(np.argmax(bad))
         raise TaintedSampleError(
@@ -100,11 +105,11 @@ class _Accumulator:
                                    estimator, variant)
 
 
-def _batches(samples: int):
+def _batches(samples: int, size: int = BATCH):
     remaining = samples
     while remaining > 0:
-        yield min(remaining, BATCH)
-        remaining -= BATCH
+        yield min(remaining, size)
+        remaining -= size
 
 
 # ---------------------------------------------------------------------------
@@ -255,49 +260,97 @@ def _draw_untied(rng, m: int, n: int, k: int) -> np.ndarray:
     raise TaintedSampleError("could not draw tie-free samples")
 
 
-def mc_profile_moments(f: Evaluator, samples: int, seed: int) -> dict:
-    """One-pass estimates of the mean <f,1>, the squared norm <f,f> and the
-    formal tail coefficient (n+1)^2 <f,1> - (n+1)(n+2) <f, os_n>."""
+def mc_profile_moments(f: Evaluator, samples: int, seed: int,
+                       indices: bool = True, second_moments: bool = True) -> dict:
+    """One pass for every primary: each batch is drawn, evaluated and sorted
+    once, and the kernels g_1..g_n come from second differences of the
+    sorted rows padded with 0 and 1.
+
+    Returns IntegrationEstimates under ``"indices"`` (ranks 1..n, when
+    ``indices``), ``"mean"`` and ``"norm_sq"`` (when ``second_moments``) and
+    ``"tail"``, the formal tail coefficient mean - sum_k k I(f,k) / (n+1)
+    (when both), plus ``"covariance"``: the joint covariance matrix of the
+    estimates in the order (I(f,1), ..., I(f,n), mean, <f,f>), restricted to
+    those estimated.
+    """
     if samples < 2:
         raise DomainError("need at least 2 samples")
+    if not (indices or second_moments):
+        raise DomainError("nothing to estimate")
     n = f.arity
     rng = _rng(seed)
-    acc_mean, acc_norm, acc_tail = _Accumulator(), _Accumulator(), _Accumulator()
-    for m in _batches(samples):
+    shift = None
+    total = total_cross = None
+    for m in _batches(samples, PASS_BATCH):
         x = rng.random((m, n))
         v = f(x)
         _check_finite(v, x)
-        largest = np.max(x, axis=1)
-        acc_mean.add(v)
-        acc_norm.add(v * v)
-        acc_tail.add((n + 1) ** 2 * v - (n + 1) * (n + 2) * v * largest)
-    return {
-        "mean": acc_mean.finish(seed, "raw-inner-product"),
-        "norm_sq": acc_norm.finish(seed, "raw-inner-product"),
-        "tail": acc_tail.finish(seed, "raw-inner-product"),
-    }
+        columns = []
+        if indices:
+            padded = np.concatenate(
+                [np.zeros((m, 1)), np.sort(x, axis=1), np.ones((m, 1))], axis=1)
+            fg = padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]
+            fg *= (-(n + 1) * (n + 2) * v)[:, None]
+            columns.append(fg)
+        if second_moments:
+            columns += [v, v * v]
+        contrib = np.column_stack(columns)
+        _check_finite(contrib, x)
+        if shift is None:
+            # accumulate about the first batch's means, so that the
+            # covariance does not cancel against large means
+            shift = contrib.mean(axis=0)
+            total = np.zeros(len(shift))
+            total_cross = np.zeros((len(shift), len(shift)))
+        contrib -= shift
+        total += contrib.sum(axis=0)
+        total_cross += contrib.T @ contrib
+    offset = total / samples
+    values = shift + offset
+    covariance = ((total_cross - samples * np.outer(offset, offset))
+                  / ((samples - 1) * samples))
+    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+
+    def estimate(i, estimator="raw-inner-product"):
+        return IntegrationEstimate(float(values[i]), float(ses[i]), samples,
+                                   seed, estimator)
+
+    out = {"covariance": covariance}
+    if indices:
+        out["indices"] = tuple(estimate(i, "covariance") for i in range(n))
+    if second_moments:
+        first = n if indices else 0
+        out["mean"], out["norm_sq"] = estimate(first), estimate(first + 1)
+    if indices and second_moments:
+        weights = np.append(-np.arange(1, n + 1) / (n + 1), 1.0)
+        tail_var = float(weights @ covariance[:n + 1, :n + 1] @ weights)
+        out["tail"] = IntegrationEstimate(
+            float(weights @ values[:n + 1]), math.sqrt(max(tail_var, 0.0)),
+            samples, seed, "raw-inner-product")
+    return out
 
 
 def mc_moments(f: Evaluator, samples: int, seed: int, indices: bool = True,
                second_moments: bool = True) -> Moments:
-    """Monte-Carlo Moments of any evaluator.  Rank k draws its own
-    covariance stream keyed derive_seed(seed, k); the mean and <f, f> share
-    one pass keyed derive_seed(seed, 0), made only when ``second_moments``
-    is asked for."""
+    """Monte-Carlo Moments of any evaluator from one mc_profile_moments pass
+    keyed derive_seed(seed, 0); the mean and <f, f> are estimated only when
+    ``second_moments`` is asked for.  The standard errors and the joint
+    covariance come from the same samples."""
     n = f.arity
+    est = mc_profile_moments(f, samples, derive_seed(seed, 0), indices,
+                             second_moments)
     fields = {}
     if indices:
-        estimates = [influence_mc_covariance(f, k, samples, derive_seed(seed, k))
-                     for k in range(1, n + 1)]
-        fields["indices"] = tuple(e.value for e in estimates)
-        fields["index_std_errors"] = tuple(e.std_error for e in estimates)
+        fields["indices"] = tuple(e.value for e in est["indices"])
+        fields["index_std_errors"] = tuple(e.std_error for e in est["indices"])
     if second_moments:
-        moments = mc_profile_moments(f, samples, derive_seed(seed, 0))
-        fields.update(mean=moments["mean"].value,
-                      mean_std_error=moments["mean"].std_error,
-                      norm_sq=moments["norm_sq"].value,
-                      norm_sq_std_error=moments["norm_sq"].std_error)
-    return Moments(n, "monte-carlo", samples=samples, seed=seed, **fields)
+        fields.update(mean=est["mean"].value,
+                      mean_std_error=est["mean"].std_error,
+                      norm_sq=est["norm_sq"].value,
+                      norm_sq_std_error=est["norm_sq"].std_error)
+    covariance = tuple(tuple(float(c) for c in row) for row in est["covariance"])
+    return Moments(n, "monte-carlo", samples=samples, seed=seed,
+                   covariance=covariance, **fields)
 
 
 # ---------------------------------------------------------------------------

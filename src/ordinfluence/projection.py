@@ -212,8 +212,10 @@ class Moments:
     indices I(f, 1..n), the mean <f, 1> and <f, f>.
 
     Exact engines carry rationals and closed forms floats; Monte Carlo also
-    fills the standard errors.  A quantity the caller did not ask for, and
-    that its engine could not give for free, is None.
+    fills the standard errors and ``covariance``, the joint covariance
+    matrix of the estimates in the order (I(f,1), ..., I(f,n), mean,
+    <f,f>), restricted to those estimated.  A quantity the caller did not
+    ask for, and that its engine could not give for free, is None.
     """
 
     arity: int
@@ -226,6 +228,7 @@ class Moments:
     norm_sq_std_error: Optional[float] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
+    covariance: Optional[tuple] = None
 
     def variance(self):
         """sigma^2(f) = <f, f> - <f, 1>^2; DegenerateVarianceError when it
@@ -238,14 +241,24 @@ class Moments:
         return variance
 
     def tail_std_error(self) -> Optional[float]:
-        """Standard error of a_{n+1}, treating the estimates as independent."""
-        if self.index_std_errors is None or self.mean_std_error is None:
+        """Standard error of a_{n+1} = mean - sum_k k I(f,k) / (n+1), from
+        the joint covariance of the indices and the mean."""
+        if (self.covariance is None or self.indices is None
+                or self.mean is None):
             return None
         n = self.arity
-        return math.sqrt(self.mean_std_error ** 2
-                         + sum((k / (n + 1) * se) ** 2
-                               for k, se in enumerate(self.index_std_errors,
-                                                      start=1)))
+        return _joint_std_error(self.covariance,
+                                [-k / (n + 1) for k in range(1, n + 1)] + [1.0])
+
+
+def _joint_std_error(covariance, gradient: Sequence[float]) -> float:
+    """sqrt(g^T C g): the first-order standard error of a function of the
+    estimates whose gradient over their leading len(g) entries is g, with C
+    their joint covariance."""
+    variance = sum(gi * covariance[i][j] * gj
+                   for i, gi in enumerate(gradient)
+                   for j, gj in enumerate(gradient))
+    return math.sqrt(max(variance, 0.0))
 
 
 def indices_exact(f: OrderStatPolynomial) -> tuple:
@@ -283,7 +296,7 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
          for i in range(n + 1)]
     residual = m.norm_sq - sum(bi * ai for bi, ai in zip(b, coefficients))
     r2 = r_squared_from_coefficients(n, coefficients, variance)
-    estimated = m.index_std_errors is not None
+    estimated = m.covariance is not None
     return ApproximationResult(
         n, coefficients, m.mean, r2, residual, m.method,
         r_squared_std_error=_r_squared_std_error(m) if estimated else None,
@@ -293,11 +306,10 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
 
 
 def _r_squared_std_error(m: Moments) -> float:
-    # first-order propagation over (I_1..I_n, mean, norm_sq) by central
-    # differences, the estimates treated as independent
+    # first-order propagation over (I_1..I_n, mean, norm_sq): the gradient
+    # by central differences, the joint covariance of the estimates
     n = m.arity
     theta = list(m.indices) + [m.mean, m.norm_sq]
-    ses = list(m.index_std_errors) + [m.mean_std_error, m.norm_sq_std_error]
 
     def r2_of(params):
         idx, mu, nsq = params[:n], params[n], params[n + 1]
@@ -307,7 +319,7 @@ def _r_squared_std_error(m: Moments) -> float:
             return float("nan")
         return float(r_squared_from_coefficients(n, list(idx) + [t], var))
 
-    var_r2 = 0.0
+    gradient = []
     for i in range(len(theta)):
         step = 1e-6 * max(1.0, abs(theta[i]))
         hi = list(theta)
@@ -315,9 +327,8 @@ def _r_squared_std_error(m: Moments) -> float:
         hi[i] += step
         lo[i] -= step
         grad = (r2_of(hi) - r2_of(lo)) / (2 * step)
-        if math.isfinite(grad):
-            var_r2 += (grad * ses[i]) ** 2
-    return math.sqrt(var_r2)
+        gradient.append(grad if math.isfinite(grad) else 0.0)
+    return _joint_std_error(m.covariance, gradient)
 
 
 def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:

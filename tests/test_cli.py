@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ordinfluence import Evaluator, cli
+from ordinfluence import BranchAmbiguityError, Evaluator, QuadratureError, cli
 from ordinfluence.funcspec import RawEvaluatorSpec
 from ordinfluence.report import ReportDocument
 
@@ -78,6 +78,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "parse_spec_file", lambda _: bad)
         assert cli.main(["influence", path, "-k", "1", "--method", "mc",
                          "--samples", "1000"]) == 4
+
+    @pytest.mark.parametrize("error, code", [
+        (BranchAmbiguityError("Phi(1) is near zero but not declared"), 3),
+        (QuadratureError("quadrature error above tolerance", 1e-3), 6),
+    ], ids=["branch-ambiguity", "quadrature"])
+    def test_closed_form_failures_exit_with_their_code(self, tmp_path, capsys,
+                                                       monkeypatch, error, code):
+        path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
+                                     "exponent": 1})
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.api, "function_moments", failing)
+        assert cli.main(["approx", path]) == code
+        assert "error" in capsys.readouterr().err
 
     def test_crosscheck_agreement_exits_0(self, tmp_path, capsys):
         path = write_spec(tmp_path, PRODUCT_DOC)

@@ -10,6 +10,7 @@ from ordinfluence import (
     BranchAmbiguityError,
     DomainError,
     MultiplicativeSpec,
+    QuadratureError,
     UnaryFactor,
     influence_exact,
     influence_multiplicative,
@@ -186,6 +187,19 @@ class TestAlternativeFormulas:
         assert upper == pytest.approx(1 / 6, abs=1e-10)
         assert subset_box_integral(spec, (1,), "split") == pytest.approx(
             (1 / 12) * 0 + _split_reference(), abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_black_box_error_estimate_is_checked(self):
+        class Rough:
+            arity = 2
+
+            @staticmethod
+            def evaluate(x):
+                return np.sin(1e4 * x[:, 0])
+
+        with pytest.raises(QuadratureError) as err:
+            subset_box_integral(Rough, (1,), "lower-box")
+        assert err.value.achieved_tolerance > 1e-10
 
     def test_bad_inputs(self):
         spec = MultiplicativeSpec.symmetric(UnaryFactor.power(1), 2)

@@ -10,6 +10,7 @@ import pytest
 from ordinfluence import (
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
+    RawEvaluatorSpec,
     SetFunctionSpec,
     approximation_exact,
     best_approximation,
@@ -135,6 +136,35 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+class TestMonteCarloPass:
+    def test_single_rank_is_a_row_of_the_profile(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(TestEachPrimaryOnce.PLAIN))
+
+        def rows(*argv):
+            assert cli.main(["influence", str(path), *argv, "--method", "mc",
+                             "--samples", "3000", "--seed", "5",
+                             "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)["results"]
+
+        profile = rows("--all")
+        for k in (1, 3):
+            (row,) = rows("-k", str(k))
+            assert row == profile[k - 1]
+
+    def test_approx_evaluates_each_sample_once(self):
+        points = []
+
+        def func(x):
+            points.append(len(x))
+            return x[:, 0] * x[:, 1] + x[:, 2]
+
+        spec = RawEvaluatorSpec(Evaluator(3, func, name="counted"))
+        fit = best_approximation(spec, "mc", samples=40_000, seed=2)
+        assert sum(points) == 40_000
+        assert fit.r_squared_std_error > 0
+
+
 class TestEachPrimaryOnce:
     SETFN = {"kind": "set-function", "arity": 4,
              "values": [str(Fraction(i * 7 % 11, 5)) for i in range(16)]}
@@ -157,6 +187,12 @@ class TestEachPrimaryOnce:
         norms = _count_calls(monkeypatch, lovasz, "norm_sq_lovasz")
         self.run(tmp_path, self.SETFN, "influence", "--all")
         assert len(calls) == 1 and not norms
+
+    def test_lovasz_diagnostics_take_one_mobius(self, tmp_path, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, lovasz, "mobius")
+        self.run(tmp_path, self.SETFN, "lovasz", "--mobius", "--symmetric-part",
+                 "--diagnose-equal-influence")
+        assert len(calls) == 1
 
     def test_plain_influence_symmetrizes_once(self, tmp_path, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, exact, "symmetrize")

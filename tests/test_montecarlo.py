@@ -21,10 +21,14 @@ from ordinfluence import (
     tensor_quadrature,
 )
 from ordinfluence.montecarlo import (
+    PASS_BATCH,
+    _rng,
     g_kernel_values,
     h_density_values,
+    mc_moments,
     mc_profile_moments,
 )
+from ordinfluence.projection import approximation_from_moments
 
 from conftest import poly_evaluator
 
@@ -157,6 +161,48 @@ class TestMomentsAndInnerProducts:
         with pytest.raises(TaintedSampleError) as err:
             mc_profile_moments(bad, 1000, 0)
         assert err.value.point is not None
+
+
+class TestOnePass:
+    def test_matches_unbatched_reference(self):
+        # the pass reads the stream row by row whatever its batch size, and
+        # its kernels equal the reference g_k on the same rows
+        ev = Evaluator(3, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
+        samples = PASS_BATCH + 3
+        est = mc_profile_moments(ev, samples, 8)
+        x = _rng(8).random((samples, 3))
+        v = ev(x)
+        for k, got in enumerate(est["indices"], start=1):
+            assert got.value == pytest.approx(
+                np.mean(v * g_kernel_values(x, k)), rel=1e-12, abs=1e-12)
+        assert est["mean"].value == pytest.approx(np.mean(v), rel=1e-12)
+        assert est["norm_sq"].value == pytest.approx(np.mean(v * v), rel=1e-12)
+        # (n+1)^2 f - (n+1)(n+2) f x_(n) at n = 3
+        tail = 16 * v - 20 * v * x.max(axis=1)
+        assert est["tail"].value == pytest.approx(np.mean(tail), rel=1e-12)
+        assert est["tail"].std_error == pytest.approx(
+            np.std(tail, ddof=1) / np.sqrt(samples), rel=1e-9)
+        assert est["covariance"][0, 1] == pytest.approx(
+            np.cov(v * g_kernel_values(x, 1), v * g_kernel_values(x, 2))[0, 1]
+            / samples, rel=1e-9)
+
+    @pytest.mark.parametrize("ev", [
+        Evaluator(3, lambda x: x.prod(axis=1), name="x1 x2 x3"),
+        Evaluator(8, lambda x: x.mean(axis=1), name="mean of 8"),
+    ], ids=lambda ev: ev.name)
+    def test_joint_std_errors_match_replicate_spread(self, ev):
+        # estimates from one sample are correlated: the reported tail and
+        # R^2 standard errors must match the spread over independent seeds
+        tails, tail_ses, r2s, r2_ses = [], [], [], []
+        for seed in range(300):
+            fit = approximation_from_moments(mc_moments(ev, 4000, seed))
+            tails.append(fit.intercept)
+            tail_ses.append(fit.coefficient_std_errors[-1])
+            r2s.append(fit.r_squared)
+            r2_ses.append(fit.r_squared_std_error)
+        for values, ses in ((tails, tail_ses), (r2s, r2_ses)):
+            spread = np.std(values, ddof=1)
+            assert np.mean(ses) == pytest.approx(spread, rel=0.25)
 
 
 class TestTensorQuadrature:
