@@ -16,7 +16,7 @@ from typing import Union
 
 from .errors import ConfigurationError, DomainError
 from .funcspec import FunctionSpec
-from .montecarlo import IntegrationEstimate, mc_moments
+from .montecarlo import IntegrationEstimate, mc_profile_moments
 from .projection import (
     ApproximationResult,
     InfluenceProfile,
@@ -59,8 +59,8 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
     """
     method = resolve_method(spec, method)
     if method == "mc":
-        return mc_moments(spec.evaluator(), samples, seed, indices,
-                          mean or norm_sq)
+        return mc_profile_moments(spec.evaluator(), samples, seed, indices,
+                                  mean or norm_sq)
     return spec.moments(norm_sq)
 
 
@@ -74,7 +74,8 @@ def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
     if not 1 <= k <= spec.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
     if method == "mc":
-        m = mc_moments(spec.evaluator(), samples, seed, second_moments=False)
+        m = mc_profile_moments(spec.evaluator(), samples, seed,
+                               second_moments=False)
         return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],
                                    samples, seed, "covariance")
     return spec.moments(norm_sq=False).indices[k - 1]

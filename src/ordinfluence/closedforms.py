@@ -248,8 +248,10 @@ def influence_power_product(c: float, n: int, k: int) -> float:
     if not 1 <= k <= n:
         raise DomainError("rank %d outside [1, %d]" % (k, n))
     u = 1.0 / (c + 1.0)
-    return (c * u ** (n + 2) * math.gamma(n + 3) * math.gamma(k - 1 + u)
-            / (math.gamma(k + 1) * math.gamma(n + 1 + u)))
+    # in logarithms: Gamma(n+3) overflows a float from n = 169 on
+    return c * math.exp((n + 2) * math.log(u) + math.lgamma(n + 3)
+                        + math.lgamma(k - 1 + u) - math.lgamma(k + 1)
+                        - math.lgamma(n + 1 + u))
 
 
 def power_product_ratio(c: float, k: int) -> float:
@@ -258,7 +260,8 @@ def power_product_ratio(c: float, k: int) -> float:
     if c <= -0.5:
         raise DomainError("exponent must exceed -1/2, got %g" % c)
     u = 1.0 / (c + 1.0)
-    return math.gamma(k - 1 + u) / (math.gamma(k + 1) * math.gamma(u))
+    return math.exp(math.lgamma(k - 1 + u) - math.lgamma(k + 1)
+                    - math.lgamma(u))
 
 
 # ---------------------------------------------------------------------------

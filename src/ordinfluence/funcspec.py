@@ -24,7 +24,7 @@ from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
     integral, monomial, os_function, plain_integral, plain_norm_sq, \
     polynomial, symmetrize
-from .lovasz import SetFunction, level_averages, norm_sq_lovasz
+from .lovasz import SetFunction, check_arity, level_averages, norm_sq_lovasz
 from .montecarlo import Evaluator
 from .projection import Moments, indices_exact
 
@@ -173,7 +173,8 @@ class SetFunctionSpec(FunctionSpec):
         v = self.set_function
         levels = level_averages(v)
         return Moments(v.arity, "exact", levels.influence_profile(),
-                       levels.mean(), norm_sq_lovasz(v) if norm_sq else None)
+                       levels.mean(),
+                       norm_sq_lovasz(v, levels) if norm_sq else None)
 
     def evaluator(self):
         values = np.array([float(v) for v in self.set_function.values])
@@ -324,6 +325,7 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
         return PlainPolynomialSpec(n, variance_plain_terms(n),
                                    builtin_name=name)
     if name == "arithmetic-mean":
+        check_arity(n)
         return SetFunctionSpec(_arithmetic_mean_set_function(n),
                                builtin_name=name)
     if name == "geometric-mean":
@@ -415,6 +417,10 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         constant = _parse_rational(doc.get("constant", 0), "constant")
         return PlainPolynomialSpec(arity, terms, constant)
     if kind == "set-function":
+        try:
+            check_arity(arity)
+        except DomainError as exc:
+            raise SpecFileError(str(exc), "arity")
         values = _require(doc, "values", "values")
         if not isinstance(values, list) or len(values) != 1 << arity:
             raise SpecFileError("set-function payload needs exactly %d values"

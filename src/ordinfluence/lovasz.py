@@ -20,7 +20,9 @@ from .exact import as_rational
 MAX_ARITY = 24  # dense 2^n tables; transforms are Theta(n 2^n)
 
 
-def _check_arity(n: int):
+def check_arity(n: int):
+    """DomainError unless 1 <= n <= MAX_ARITY; callers check before they
+    build anything of size 2^n."""
     if not 1 <= n <= MAX_ARITY:
         raise DomainError("arity %d outside [1, %d]" % (n, MAX_ARITY))
 
@@ -33,7 +35,7 @@ class SetFunction:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_arity(self.arity)
+        check_arity(self.arity)
         if len(self.values) != 1 << self.arity:
             raise DomainError("expected %d values, got %d"
                               % (1 << self.arity, len(self.values)))
@@ -58,7 +60,7 @@ class MobiusRepresentation:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_arity(self.arity)
+        check_arity(self.arity)
         if len(self.values) != 1 << self.arity:
             raise DomainError("expected %d values, got %d"
                               % (1 << self.arity, len(self.values)))
@@ -330,11 +332,12 @@ def _min_min_moment(a: int, b: int, c: int) -> Fraction:
     return half(a, b, c) + half(b, a, c)
 
 
-def norm_sq_lovasz(v: SetFunction) -> Fraction:
+def norm_sq_lovasz(v: SetFunction,
+                   levels: Optional[LevelAverages] = None) -> Fraction:
     """Exact <f, f> of the extension via its Moebius expansion into subset
-    minima.  Quadratic in the number of nonzero Moebius coefficients."""
-    n = v.arity
-    m = mobius(v)
+    minima, with the transform of ``levels`` when already taken.  Quadratic
+    in the number of nonzero Moebius coefficients."""
+    m = levels.mobius if levels else mobius(v)
     nonzero = [(mask, coeff) for mask, coeff in enumerate(m.values) if coeff != 0]
     total = Fraction(0)
     for smask, sc in nonzero:

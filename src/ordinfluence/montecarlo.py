@@ -261,24 +261,23 @@ def _draw_untied(rng, m: int, n: int, k: int) -> np.ndarray:
 
 
 def mc_profile_moments(f: Evaluator, samples: int, seed: int,
-                       indices: bool = True, second_moments: bool = True) -> dict:
-    """One pass for every primary: each batch is drawn, evaluated and sorted
+                       indices: bool = True,
+                       second_moments: bool = True) -> Moments:
+    """Monte-Carlo Moments of any evaluator from one pass over the stream
+    keyed derive_seed(seed, 0): each batch is drawn, evaluated and sorted
     once, and the kernels g_1..g_n come from second differences of the
     sorted rows padded with 0 and 1.
 
-    Returns IntegrationEstimates under ``"indices"`` (ranks 1..n, when
-    ``indices``), ``"mean"`` and ``"norm_sq"`` (when ``second_moments``) and
-    ``"tail"``, the formal tail coefficient mean - sum_k k I(f,k) / (n+1)
-    (when both), plus ``"covariance"``: the joint covariance matrix of the
-    estimates in the order (I(f,1), ..., I(f,n), mean, <f,f>), restricted to
-    those estimated.
+    The indices are estimated when ``indices`` is set, the mean and <f, f>
+    when ``second_moments`` is; their standard errors and joint covariance
+    come from the same samples.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
     if not (indices or second_moments):
         raise DomainError("nothing to estimate")
     n = f.arity
-    rng = _rng(seed)
+    rng = _rng(derive_seed(seed, 0))
     shift = None
     total = total_cross = None
     for m in _batches(samples, PASS_BATCH):
@@ -306,51 +305,19 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
         total += contrib.sum(axis=0)
         total_cross += contrib.T @ contrib
     offset = total / samples
-    values = shift + offset
+    values = (shift + offset).tolist()
     covariance = ((total_cross - samples * np.outer(offset, offset))
                   / ((samples - 1) * samples))
-    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-
-    def estimate(i, estimator="raw-inner-product"):
-        return IntegrationEstimate(float(values[i]), float(ses[i]), samples,
-                                   seed, estimator)
-
-    out = {"covariance": covariance}
-    if indices:
-        out["indices"] = tuple(estimate(i, "covariance") for i in range(n))
-    if second_moments:
-        first = n if indices else 0
-        out["mean"], out["norm_sq"] = estimate(first), estimate(first + 1)
-    if indices and second_moments:
-        weights = np.append(-np.arange(1, n + 1) / (n + 1), 1.0)
-        tail_var = float(weights @ covariance[:n + 1, :n + 1] @ weights)
-        out["tail"] = IntegrationEstimate(
-            float(weights @ values[:n + 1]), math.sqrt(max(tail_var, 0.0)),
-            samples, seed, "raw-inner-product")
-    return out
-
-
-def mc_moments(f: Evaluator, samples: int, seed: int, indices: bool = True,
-               second_moments: bool = True) -> Moments:
-    """Monte-Carlo Moments of any evaluator from one mc_profile_moments pass
-    keyed derive_seed(seed, 0); the mean and <f, f> are estimated only when
-    ``second_moments`` is asked for.  The standard errors and the joint
-    covariance come from the same samples."""
-    n = f.arity
-    est = mc_profile_moments(f, samples, derive_seed(seed, 0), indices,
-                             second_moments)
+    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist()
     fields = {}
     if indices:
-        fields["indices"] = tuple(e.value for e in est["indices"])
-        fields["index_std_errors"] = tuple(e.std_error for e in est["indices"])
+        fields.update(indices=tuple(values[:n]),
+                      index_std_errors=tuple(ses[:n]))
     if second_moments:
-        fields.update(mean=est["mean"].value,
-                      mean_std_error=est["mean"].std_error,
-                      norm_sq=est["norm_sq"].value,
-                      norm_sq_std_error=est["norm_sq"].std_error)
-    covariance = tuple(tuple(float(c) for c in row) for row in est["covariance"])
+        fields.update(mean=values[-2], mean_std_error=ses[-2],
+                      norm_sq=values[-1], norm_sq_std_error=ses[-1])
     return Moments(n, "monte-carlo", samples=samples, seed=seed,
-                   covariance=covariance, **fields)
+                   covariance=tuple(map(tuple, covariance.tolist())), **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Least-squares machinery on the span of {os_1, ..., os_n, 1}.
 
-Builds the exact Gram system of the order-statistic basis, the covariance
-kernels g_k, the influence index I(f,k) = <f, g_k>, the best shifted
-L-statistic approximation of f, the normalized index r(f,k) and the
-coefficient of determination R^2.
+Defines the covariance kernels g_k, the influence index I(f,k) = <f, g_k>,
+the best shifted L-statistic approximation of f, the normalized index r(f,k)
+and the coefficient of determination R^2.
 
 Every engine hands the same primaries, a ``Moments`` record, to one
-assembler (``profile_from_moments``, ``approximation_from_moments``);
-``profile_exact`` and ``approximation_exact`` stay as independent exact
-references that solve a = M^{-1} b.
+assembler (``profile_from_moments``, ``approximation_from_moments``).  The
+fit's slopes are the indices themselves, so its variance, R^2 and residual
+are closed forms in them.  ``profile_exact`` and ``approximation_exact``
+stay as independent exact references that solve a = M^{-1} b with the Gram
+system of the basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,49 +288,52 @@ def profile_from_moments(m: Moments) -> InfluenceProfile:
 def approximation_from_moments(m: Moments) -> ApproximationResult:
     """Assemble the best approximation from the indices, the mean and
     <f, f>: coefficients, residual, R^2 and, for estimated moments, their
-    standard errors by first-order propagation."""
+    standard errors by first-order propagation.
+
+    The fit mean + sum_k I(f,k) (x_(k) - k/(n+1)) is linear in the spacings
+    of the sorted point, whose covariance is ((n+1) delta_ij - 1) over
+    (n+1)^2 (n+2).  So with the tail sums A_i and S = sum A_i,
+    Var(f_L) = ((n+1) sum A_i^2 - S^2) / ((n+1)^2 (n+2)), R^2 is
+    Var(f_L) / sigma^2(f) and the residual sigma^2(f) - Var(f_L).
+    """
     n = m.arity
     variance = m.variance()
     tail = tail_coefficient(n, m.indices, m.mean)
-    coefficients = tuple(m.indices) + (tail,)
-    gram = gram_system(n)
-    b = [sum(gram.matrix[i][j] * coefficients[j] for j in range(n + 1))
-         for i in range(n + 1)]
-    residual = m.norm_sq - sum(bi * ai for bi, ai in zip(b, coefficients))
-    r2 = r_squared_from_coefficients(n, coefficients, variance)
+    tails = _tail_sums(m.indices)
+    total = sum(tails)
+    fit_variance = (((n + 1) * sum(a * a for a in tails) - total * total)
+                    / ((n + 1) ** 2 * (n + 2)))
+    r2 = fit_variance / variance
     estimated = m.covariance is not None
     return ApproximationResult(
-        n, coefficients, m.mean, r2, residual, m.method,
-        r_squared_std_error=_r_squared_std_error(m) if estimated else None,
+        n, tuple(m.indices) + (tail,), m.mean, r2, variance - fit_variance,
+        m.method,
+        r_squared_std_error=(_joint_std_error(m.covariance,
+                                              _r_squared_gradient(m, r2))
+                             if estimated else None),
         coefficient_std_errors=(tuple(m.index_std_errors) + (m.tail_std_error(),)
                                 if estimated else None),
         samples=m.samples, seed=m.seed, variance=variance)
 
 
-def _r_squared_std_error(m: Moments) -> float:
-    # first-order propagation over (I_1..I_n, mean, norm_sq): the gradient
-    # by central differences, the joint covariance of the estimates
+def _tail_sums(indices: Sequence) -> list:
+    """A_i = I(f,i) + ... + I(f,n) for i = 1..n, the fit's slopes on the
+    spacings x_(i) - x_(i-1)."""
+    return list(itertools.accumulate(reversed(indices)))[::-1]
+
+
+def _r_squared_gradient(m: Moments, r2) -> list:
+    """Gradient of R^2 over (I(f,1), ..., I(f,n), mean, <f,f>):
+    dR^2/dI_k = 2 sum_{i<=k} ((n+1) A_i - S) / ((n+1)^2 (n+2) sigma^2),
+    dR^2/dmean = 2 mean R^2 / sigma^2 and dR^2/d<f,f> = -R^2 / sigma^2."""
     n = m.arity
-    theta = list(m.indices) + [m.mean, m.norm_sq]
-
-    def r2_of(params):
-        idx, mu, nsq = params[:n], params[n], params[n + 1]
-        t = tail_coefficient(n, idx, mu)
-        var = nsq - mu * mu
-        if var <= 0:
-            return float("nan")
-        return float(r_squared_from_coefficients(n, list(idx) + [t], var))
-
-    gradient = []
-    for i in range(len(theta)):
-        step = 1e-6 * max(1.0, abs(theta[i]))
-        hi = list(theta)
-        lo = list(theta)
-        hi[i] += step
-        lo[i] -= step
-        grad = (r2_of(hi) - r2_of(lo)) / (2 * step)
-        gradient.append(grad if math.isfinite(grad) else 0.0)
-    return _joint_std_error(m.covariance, gradient)
+    variance = m.variance()
+    tails = _tail_sums(m.indices)
+    total = sum(tails)
+    scale = 2 / ((n + 1) ** 2 * (n + 2) * variance)
+    return ([scale * g for g in itertools.accumulate(
+                (n + 1) * a - total for a in tails)]
+            + [2 * m.mean * r2 / variance, -r2 / variance])
 
 
 def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from ordinfluence import BranchAmbiguityError, Evaluator, QuadratureError, cli
+from ordinfluence import (
+    BranchAmbiguityError,
+    Evaluator,
+    QuadratureError,
+    cli,
+    funcspec,
+    lovasz,
+)
 from ordinfluence.funcspec import RawEvaluatorSpec
 from ordinfluence.report import ReportDocument
 
@@ -57,6 +64,27 @@ class TestExitCodes:
         path.write_bytes(content)
         assert cli.main(["influence", str(path), "-k", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_oversized_set_function_arity_exits_2(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "set-function", "arity": 20000,
+                                     "values": []})
+        assert cli.main(["influence", path, "--all"]) == 2
+        err = capsys.readouterr().err
+        assert "arity" in err and "Traceback" not in err
+
+    def test_set_function_arity_is_checked_before_the_table(
+            self, tmp_path, capsys, monkeypatch):
+        built, parsed = [], []
+        monkeypatch.setattr(lovasz, "MAX_ARITY", 3)
+        monkeypatch.setattr(funcspec, "_arithmetic_mean_set_function",
+                            lambda n: built.append(n))
+        monkeypatch.setattr(funcspec, "_parse_rational",
+                            lambda value, location: parsed.append(value))
+        for doc in ({"kind": "builtin", "name": "arithmetic-mean", "arity": 4},
+                    {"kind": "set-function", "arity": 4, "values": ["0"] * 16}):
+            assert cli.main(["influence", write_spec(tmp_path, doc),
+                             "--all"]) == 2
+        assert not built and not parsed
 
     def test_incompatible_method_exits_3(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,

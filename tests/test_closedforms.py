@@ -1,6 +1,8 @@
 """Closed-form tests: multiplicative functions, power products, variance,
 and the subset-box alternative formulas."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from ordinfluence import (
     symmetrize,
     variance_profile,
 )
+from ordinfluence import cli, function_moments, resolve_builtin
 from ordinfluence.closedforms import subset_box_integral, variance_plain_terms
 from ordinfluence.projection import approximation_exact
 
@@ -61,6 +64,43 @@ class TestPowerProduct:
         # as c -> -1/2 all indices approach the first one
         for k in (2, 3, 4):
             assert power_product_ratio(-0.4999, k) == pytest.approx(1.0, abs=1e-3)
+
+    def test_log_gamma_form_matches_gamma_form(self):
+        # the Gamma-function formulas, finite in floats at these arities
+        for n in range(1, 21):
+            for c in (-0.4, 1 / n, 0.5, 1.0, 3.0):
+                u = 1 / (c + 1)
+                for k in range(1, n + 1):
+                    index = (c * u ** (n + 2) * math.gamma(n + 3)
+                             * math.gamma(k - 1 + u)
+                             / (math.gamma(k + 1) * math.gamma(n + 1 + u)))
+                    ratio = (math.gamma(k - 1 + u)
+                             / (math.gamma(k + 1) * math.gamma(u)))
+                    assert influence_power_product(c, n, k) == pytest.approx(
+                        index, rel=1e-12)
+                    assert power_product_ratio(c, k) == pytest.approx(
+                        ratio, rel=1e-12)
+
+    def test_geometric_mean_at_large_arity(self, tmp_path, capsys):
+        # Gamma(n+3) overflows a float from n = 169 on, Gamma(k+1) from k = 171
+        n = 200
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "builtin", "name": "geometric-mean",
+                                    "arity": n}))
+        assert cli.main(["influence", str(path), "--all",
+                         "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        closed = [row["value"] for row in rows]
+        assert len(closed) == n and all(math.isfinite(v) for v in closed)
+        assert power_product_ratio(1 / n, n) == pytest.approx(
+            closed[-1] / closed[0], rel=1e-9)
+        mc = function_moments(resolve_builtin("geometric-mean", n), "mc",
+                              20_000, 5, mean=False, norm_sq=False)
+        # the lowest, a middle and the highest rank, fixed in advance: over
+        # all 200 ranks some |z| > 3 is expected by chance
+        for k in (1, n // 2, n):
+            assert (abs(mc.indices[k - 1] - closed[k - 1])
+                    <= 3 * mc.index_std_errors[k - 1])
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -270,5 +270,5 @@ class TestSymmetricPartAndMoments:
         values = np.array([float(t) for t in v.values])
         ev = Evaluator(3, lambda x: lovasz_eval_batch(values, x))
         moments = mc_profile_moments(ev, 200_000, 99)
-        est = moments["norm_sq"]
-        assert abs(est.value - float(norm_sq_lovasz(v))) <= 3 * est.std_error
+        assert (abs(moments.norm_sq - float(norm_sq_lovasz(v)))
+                <= 3 * moments.norm_sq_std_error)

@@ -23,11 +23,20 @@ from ordinfluence import (
     lovasz,
     normalized_index,
     profile_exact,
+    projection,
+    resolve_builtin,
     tensor_quadrature,
 )
 from ordinfluence.exact import plain_integral, plain_norm_sq
 from ordinfluence.montecarlo import Evaluator
-from ordinfluence.projection import approximation_from_moments
+from ordinfluence.projection import (
+    Moments,
+    _r_squared_gradient,
+    approximation_from_moments,
+    gram_system,
+    r_squared_from_coefficients,
+    tail_coefficient,
+)
 
 from conftest import (
     random_orderstat_polynomial,
@@ -95,23 +104,85 @@ class TestPlainPolynomials:
                     <= 3 * se_variance / (2 * want.sigma))
 
 
+def _random_orderstat_spec(rng):
+    return OrderStatPolynomialSpec(
+        random_orderstat_polynomial(rng, rng.randint(1, 4)))
+
+
+def _random_set_function_spec(rng):
+    return SetFunctionSpec(
+        random_set_function(rng, rng.randint(1, 4), zero_grounded=False))
+
+
+def _random_plain_spec(rng):
+    n = rng.randint(1, 4)
+    return PlainPolynomialSpec(n, random_plain_terms(rng, n),
+                               Fraction(rng.randint(-3, 3), 4))
+
+
 class TestAssemblerAgainstOracles:
-    def test_orderstat_fit_matches_gram_solve(self, rng):
+    @pytest.mark.parametrize("random_spec", [
+        _random_orderstat_spec, _random_set_function_spec, _random_plain_spec,
+    ], ids=["orderstat", "set-function", "plain"])
+    def test_orderstat_fit_matches_gram_solve(self, rng, random_spec):
         for _ in range(20):
-            n = rng.randint(1, 4)
-            poly = random_orderstat_polynomial(rng, n)
-            spec = OrderStatPolynomialSpec(poly)
+            spec = random_spec(rng)
+            n = spec.arity
             moments = spec.moments()
-            assert moments.indices == profile_exact(poly).indices
-            assert moments.norm_sq == inner_product_exact(poly, poly)
+            if isinstance(spec, OrderStatPolynomialSpec):
+                poly = spec.poly
+                assert moments.indices == profile_exact(poly).indices
+                assert moments.norm_sq == inner_product_exact(poly, poly)
             if moments.norm_sq == moments.mean ** 2:
                 continue
-            want = approximation_exact(poly)
             got = best_approximation(spec, "exact")
-            assert got.coefficients == want.coefficients
-            assert got.r_squared == want.r_squared
-            assert got.residual_norm_sq == want.residual_norm_sq
-            assert got.normalized_index(1) == normalized_index(spec, 1, "exact")
+            # the closed form against a^T M a with the Gram matrix M
+            a = got.coefficients
+            matrix = gram_system(n).matrix
+            fit_norm_sq = sum(a[i] * matrix[i][j] * a[j]
+                              for i in range(n + 1) for j in range(n + 1))
+            assert got.r_squared == r_squared_from_coefficients(
+                n, a, moments.variance())
+            assert got.residual_norm_sq == moments.norm_sq - fit_norm_sq
+            if isinstance(spec, OrderStatPolynomialSpec):
+                want = approximation_exact(poly)
+                assert got.coefficients == want.coefficients
+                assert got.r_squared == want.r_squared
+                assert got.residual_norm_sq == want.residual_norm_sq
+                assert got.normalized_index(1) == normalized_index(spec, 1,
+                                                                   "exact")
+
+    def test_r_squared_gradient_matches_central_differences(self, rng):
+        def r_squared(theta, n):
+            idx, mean, norm_sq = theta[:n], theta[n], theta[n + 1]
+            coefficients = idx + [tail_coefficient(n, idx, mean)]
+            return float(r_squared_from_coefficients(n, coefficients,
+                                                     norm_sq - mean * mean))
+
+        for _ in range(10):
+            n = rng.randint(1, 8)
+            theta = ([rng.uniform(-1, 1) for _ in range(n + 1)]
+                     + [rng.uniform(1.5, 3)])
+            m = Moments(n, "monte-carlo", tuple(theta[:n]), theta[n],
+                        theta[n + 1])
+            r2 = approximation_from_moments(m).r_squared
+            step = 1e-6
+            numeric = []
+            for i in range(n + 2):
+                hi, lo = list(theta), list(theta)
+                hi[i] += step
+                lo[i] -= step
+                numeric.append((r_squared(hi, n) - r_squared(lo, n))
+                               / (2 * step))
+            assert _r_squared_gradient(m, r2) == pytest.approx(
+                numeric, rel=1e-6, abs=1e-8)
+
+    def test_fit_builds_no_gram_system(self, monkeypatch):
+        calls = _count_calls(monkeypatch, projection, "gram_system")
+        spec = resolve_builtin("median", 5)
+        best_approximation(spec, "exact")
+        best_approximation(spec, "mc", samples=4000, seed=1)
+        assert not calls
 
     def test_profile_tail_is_mean_preserving(self, rng):
         for _ in range(10):
@@ -179,6 +250,11 @@ class TestEachPrimaryOnce:
 
     def test_set_function_approx_takes_one_norm(self, tmp_path, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, lovasz, "norm_sq_lovasz")
+        self.run(tmp_path, self.SETFN, "approx")
+        assert len(calls) == 1
+
+    def test_set_function_approx_takes_one_mobius(self, tmp_path, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, lovasz, "mobius")
         self.run(tmp_path, self.SETFN, "approx")
         assert len(calls) == 1
 

@@ -23,12 +23,15 @@ from ordinfluence import (
 from ordinfluence.montecarlo import (
     PASS_BATCH,
     _rng,
+    derive_seed,
     g_kernel_values,
     h_density_values,
-    mc_moments,
     mc_profile_moments,
 )
-from ordinfluence.projection import approximation_from_moments
+from ordinfluence.projection import (
+    approximation_from_moments,
+    profile_from_moments,
+)
 
 from conftest import poly_evaluator
 
@@ -141,13 +144,13 @@ class TestMomentsAndInnerProducts:
     def test_profile_moments(self):
         ev = product_evaluator()
         moments = mc_profile_moments(ev, 150_000, 404)
-        assert abs(moments["mean"].value - 0.25) <= 3 * moments["mean"].std_error
-        assert abs(moments["norm_sq"].value - 1 / 9) <= \
-            3 * moments["norm_sq"].std_error
+        assert abs(moments.mean - 0.25) <= 3 * moments.mean_std_error
+        assert abs(moments.norm_sq - 1 / 9) <= 3 * moments.norm_sq_std_error
         # tail: a_3 = 9<f,1> - 12<f, os_2>; <x1 x2 max> = 2/5 via moment formula
         exact_tail = 9 * 0.25 - 12 * (1 / 5)
-        assert abs(moments["tail"].value - exact_tail) <= \
-            3 * moments["tail"].std_error
+        profile = profile_from_moments(moments)
+        assert abs(profile.formal_tail - exact_tail) <= \
+            3 * profile.tail_std_error
 
     def test_inner_product(self):
         f = product_evaluator()
@@ -170,19 +173,20 @@ class TestOnePass:
         ev = Evaluator(3, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
         samples = PASS_BATCH + 3
         est = mc_profile_moments(ev, samples, 8)
-        x = _rng(8).random((samples, 3))
+        x = _rng(derive_seed(8, 0)).random((samples, 3))
         v = ev(x)
-        for k, got in enumerate(est["indices"], start=1):
-            assert got.value == pytest.approx(
+        for k, got in enumerate(est.indices, start=1):
+            assert got == pytest.approx(
                 np.mean(v * g_kernel_values(x, k)), rel=1e-12, abs=1e-12)
-        assert est["mean"].value == pytest.approx(np.mean(v), rel=1e-12)
-        assert est["norm_sq"].value == pytest.approx(np.mean(v * v), rel=1e-12)
+        assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
+        assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
         # (n+1)^2 f - (n+1)(n+2) f x_(n) at n = 3
         tail = 16 * v - 20 * v * x.max(axis=1)
-        assert est["tail"].value == pytest.approx(np.mean(tail), rel=1e-12)
-        assert est["tail"].std_error == pytest.approx(
+        profile = profile_from_moments(est)
+        assert profile.formal_tail == pytest.approx(np.mean(tail), rel=1e-12)
+        assert profile.tail_std_error == pytest.approx(
             np.std(tail, ddof=1) / np.sqrt(samples), rel=1e-9)
-        assert est["covariance"][0, 1] == pytest.approx(
+        assert est.covariance[0][1] == pytest.approx(
             np.cov(v * g_kernel_values(x, 1), v * g_kernel_values(x, 2))[0, 1]
             / samples, rel=1e-9)
 
@@ -195,7 +199,7 @@ class TestOnePass:
         # R^2 standard errors must match the spread over independent seeds
         tails, tail_ses, r2s, r2_ses = [], [], [], []
         for seed in range(300):
-            fit = approximation_from_moments(mc_moments(ev, 4000, seed))
+            fit = approximation_from_moments(mc_profile_moments(ev, 4000, seed))
             tails.append(fit.intercept)
             tail_ses.append(fit.coefficient_std_errors[-1])
             r2s.append(fit.r_squared)
