@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import integrate
@@ -24,19 +24,24 @@ from .errors import (
     DomainError,
     QuadratureError,
 )
-from .exact import as_rational
+from .exact import as_rational, product_indices
 
 QUAD_TOL = 1e-10
-SUBSET_ENUM_LIMIT = 20  # the subset formulas are exponential by construction
 PHI_ONE_AMBIGUITY = 1e-12
+
+
+def _checked(value, err: float, tol: float):
+    """``value`` if the error estimate ``err`` meets the tolerance; for a
+    vector of integrals, relative to its largest entry."""
+    if err > max(tol, 1e-8 * float(np.max(np.abs(value)))) * 10:
+        raise QuadratureError("quadrature error %.3e above tolerance %.1e"
+                              % (err, tol), achieved_tolerance=err)
+    return value
 
 
 def _quad(func: Callable[[float], float], tol: float = QUAD_TOL) -> float:
     value, err = integrate.quad(func, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol, 1e-8 * abs(value)) * 10:
-        raise QuadratureError("quadrature error %.3e above tolerance %.1e"
-                              % (err, tol), achieved_tolerance=err)
-    return value
+    return _checked(value, err, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -159,45 +164,49 @@ class MultiplicativeSpec:
         return out
 
 
-def _integral_of_phi_product(factors: Sequence[UnaryFactor]) -> float:
-    """int_0^1 prod_i Phi_i(y) dy, exact for all-symbolic factor lists."""
-    if not factors:
-        return 1.0
+def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
+    """I(f, 1..n) of a product of unary factors, from the product form
+
+        I(f,k) = (n+1)(n+2) int_0^1 (r_{k-1}(y) - r_k(y)) dy,
+        sum_j r_j(y) w^j = prod_i (Phibar_i(y) + w Phi_i(y)),
+
+    with Phibar_i = Phi_i(1) - Phi_i.  Symbolic factors x^c take all n
+    indices from one exact ``exact.product_indices`` call.  Callable factors,
+    and symbolic products too large for the exact form, run the recurrence
+    r_j <- Phibar_i r_j + Phi_i r_{j-1} in floats at each y, under one
+    adaptive vector quadrature for all ranks.
+    """
+    factors = spec.factors
     if all(f.is_symbolic for f in factors):
-        scale = Fraction(1)
-        degree = Fraction(0)
-        for f in factors:
-            scale /= f.exponent + 1
-            degree += f.exponent + 1
-        return float(scale / (degree + 1))
-    return _quad(lambda y: math.prod(f.antiderivative_value(y) for f in factors))
+        try:
+            return tuple(float(v) for v in
+                         product_indices([f.exponent for f in factors]))
+        except ConfigurationError:
+            pass  # too many distinct exponent sums for the exact form
+    n = spec.arity
+    full = [float(f.phi_one()) for f in factors]
+
+    def r_of(y):
+        r = np.zeros(n + 1)
+        r[0] = 1.0
+        for i, factor in enumerate(factors):
+            low = factor.antiderivative_value(y)
+            r[1:i + 2] = r[1:i + 2] * (full[i] - low) + r[:i + 1] * low
+            r[0] *= full[i] - low
+        return r
+
+    sums = _checked(*integrate.quad_vec(r_of, 0.0, 1.0, epsabs=QUAD_TOL,
+                                        epsrel=QUAD_TOL, norm="max",
+                                        limit=200), QUAD_TOL)
+    return tuple(((n + 1) * (n + 2) * (sums[:-1] - sums[1:])).tolist())
 
 
 def influence_multiplicative(spec: MultiplicativeSpec, k: int) -> float:
-    """Influence index of a product of unary factors via the alternating
-    subset expansion
-
-        I(f,k) / ((n+1)(n+2)) = sum_{|S| >= k-1} (-1)^{|S|+1-k} C(|S|+1, k)
-                                prod_{i not in S} Phi_i(1) int_0^1 prod_{i in S} Phi_i(y) dy.
-    """
-    n = spec.arity
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    if n > SUBSET_ENUM_LIMIT:
-        raise ConfigurationError("subset enumeration capped at arity %d"
-                                 % SUBSET_ENUM_LIMIT)
-    phi1 = [float(f.phi_one()) for f in spec.factors]
-    total = 0.0
-    for size in range(k - 1, n + 1):
-        sign_binom = (-1) ** (size + 1 - k) * comb(size + 1, k)
-        for subset in combinations(range(n), size):
-            inside = set(subset)
-            outer = math.prod(phi1[i] for i in range(n) if i not in inside)
-            if outer == 0.0:
-                continue
-            inner = _integral_of_phi_product([spec.factors[i] for i in subset])
-            total += sign_binom * outer * inner
-    return (n + 1) * (n + 2) * total
+    """I(f, k) of a product of unary factors; see ``multiplicative_indices``,
+    which gives all ranks at the cost of one."""
+    if not 1 <= k <= spec.arity:
+        raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
+    return multiplicative_indices(spec)[k - 1]
 
 
 def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> float:
@@ -206,8 +215,8 @@ def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> f
     When Phi(1) != 0 the index is Phi(1)^n times the integral over y of an
     explicit binomial difference evaluated at z = Phi(y)/Phi(1) (the
     derivative of a beta(k+1, n-k+2) density); when Phi(1) = 0 only the full
-    subset survives and the index collapses to a single Gamma-ratio times
-    int_0^1 Phi(y)^n dy.
+    subset survives and the index collapses to the integer
+    (-1)^{n-k+1} (n+1)(n+2) C(n+1, k) times int_0^1 Phi(y)^n dy.
     """
     if not 1 <= k <= n:
         raise DomainError("rank %d outside [1, %d]" % (k, n))
@@ -227,8 +236,8 @@ def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> f
                     - c_high * z ** k * (1.0 - z) ** (n - k))
 
         return (n + 1) * (n + 2) * phi1 ** n * _quad(integrand)
-    scale = ((-1) ** (n - k + 1) * (n + 1)
-             * math.gamma(n + 3) / (math.gamma(k + 1) * math.gamma(n - k + 2)))
+    # Gamma(n+3) / (Gamma(k+1) Gamma(n-k+2)) as an exact integer
+    scale = (-1) ** (n - k + 1) * (n + 1) * (n + 2) * comb(n + 1, k)
     return scale * _quad(lambda y: factor.antiderivative_value(y) ** n)
 
 

@@ -3,19 +3,21 @@
 Everything here is computed with arbitrary-precision rationals: evaluation of
 order statistics, the closed-form moment of a product of order-statistic
 powers over the unit cube, inner products, symmetrization of plain-variable
-polynomials, dualization, and the combinatorial expansions relating subset
-order statistics to the order statistics of the full variable set.
+polynomials, the influence indices of products of powers (product form),
+dualization, and the combinatorial expansions relating subset order
+statistics to the order statistics of the full variable set.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -259,6 +261,95 @@ def symmetrize(arity: int,
     return polynomial(n, terms, as_rational(constant) + extra_constant)
 
 
+# ---------------------------------------------------------------------------
+# Product form: the indices of a product of powers
+# ---------------------------------------------------------------------------
+
+PRODUCT_FORM_LIMIT = 250_000  # polynomial terms the product form may hold
+
+
+def product_indices(exponents: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
+    """Exact I(f, 1..n) of f(x) = prod_i x_i^{c_i}, with n = len(exponents),
+    every c_i rational above -1/2, and c_i = 0 for a variable f does not use.
+
+    With Phi_i(y) = y^{c_i+1}/(c_i+1), Phibar_i = Phi_i(1) - Phi_i and
+    sum_j r_j(y) w^j = prod_i (Phibar_i(y) + w Phi_i(y)),
+
+        I(f, k) = (n+1)(n+2) int_0^1 (r_{k-1}(y) - r_k(y)) dy,
+
+    the alternating subset expansion of the index summed in closed form.
+    Once the scale prod_i 1/(c_i+1) is pulled out, each factor reads
+    1 - u + w u with u = y^{c_i+1}.  In z = y^{1/D}, D the common denominator
+    of the c_i, the r_j are then polynomials with integer coefficients, and
+    int_0^1 z^q dy = D/(q+D).  The m variables that share an exponent enter
+    at once through (1 - u + w u)^m = sum_j C(m,j) w^j u^j (1-u)^{m-j}.
+
+    The work is polynomial in n for a fixed set of distinct exponents; a
+    product form above ``PRODUCT_FORM_LIMIT`` terms raises
+    ``ConfigurationError`` before it is built.
+    """
+    cs = [as_rational(c) for c in exponents]
+    n = len(cs)
+    if n < 1:
+        raise DomainError("a product needs at least one variable")
+    if any(c <= Fraction(-1, 2) for c in cs):
+        raise DomainError("exponents must exceed -1/2")
+    den = lcm(*(c.denominator for c in cs))
+    groups = Counter(int((c + 1) * den) for c in cs)  # power of z -> count
+    # each r_j holds at most one term per reachable sum of group powers
+    powers = min(prod(m + 1 for m in groups.values()),
+                 sum(p * m for p, m in groups.items()) + 1)
+    if (n + 1) * powers > PRODUCT_FORM_LIMIT:
+        raise ConfigurationError(
+            "the product form needs up to %d terms, above the limit %d"
+            % ((n + 1) * powers, PRODUCT_FORM_LIMIT))
+    r = [{0: 1}]  # r[j] maps a power q of z to its coefficient in r_j
+    for p, m in groups.items():
+        group = [{p * (j + t): comb(m, j) * comb(m - j, t) * (-1) ** t
+                  for t in range(m - j + 1)} for j in range(m + 1)]
+        out = [{} for _ in range(len(r) + m)]
+        for j, rj in enumerate(r):
+            for i, gi in enumerate(group):
+                acc = out[i + j]
+                for q, a in rj.items():
+                    for s, b in gi.items():
+                        acc[q + s] = acc.get(q + s, 0) + a * b
+        r = out
+    # int_0^1 r_j dy = D * sum_q coeff * (L / (q+D)) / L over one common L
+    common = lcm(*(q + den for rj in r for q in rj))
+    sums = [sum(a * (common // (q + den)) for q, a in rj.items()) for rj in r]
+    scale = Fraction((n + 1) * (n + 2) * den, common)
+    for c in cs:
+        scale /= c + 1
+    return tuple(scale * (sums[k - 1] - sums[k]) for k in range(1, n + 1))
+
+
+def plain_indices(arity: int,
+                  plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]]
+                  ) -> Tuple[Fraction, ...]:
+    """Exact I(f, 1..n) of a plain-variable polynomial without symmetrizing
+    it.  The index is linear in f and blind to which variables carry which
+    exponents, so the terms are grouped by their sorted exponent list and
+    ``product_indices`` runs once per group with a nonzero coefficient sum.
+    Constants have index 0."""
+    n = arity
+    shapes = {}
+    for coeff, exps in plain_terms:
+        for v in exps:
+            if not 1 <= int(v) <= n:
+                raise DomainError("variable index %s outside [1, %d]" % (v, n))
+        shape = tuple(sorted((int(c) for c in exps.values() if c), reverse=True))
+        if len(shape) > n:
+            raise DomainError("monomial uses more variables than the arity")
+        shapes[shape] = shapes.get(shape, Fraction(0)) + as_rational(coeff)
+    total = [Fraction(0)] * n
+    for shape, coeff in shapes.items():
+        if shape and coeff:
+            part = product_indices(shape + (0,) * (n - len(shape)))
+            total = [t + coeff * v for t, v in zip(total, part)]
+    return tuple(total)
+
+
 def plain_integral(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
                    constant: RationalLike = 0) -> Fraction:
     """Exact integral over the unit cube of a plain-variable polynomial,
@@ -275,13 +366,30 @@ def plain_integral(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]]
 def plain_norm_sq(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
                   constant: RationalLike = 0) -> Fraction:
     """Exact <f, f> of a plain-variable polynomial: the integral of the
-    product of every pair of its terms."""
+    product of every pair of its terms, E[prod_v x_v^{a_v+b_v}] =
+    1/prod_v (a_v+b_v+1).  Each unordered pair is visited once and an
+    off-diagonal pair counts twice.  With the coefficients scaled to one
+    common denominator Q, the pairs are summed as integers per distinct
+    divisor, and only those sums become Fractions."""
     terms = [(as_rational(constant), {})]
     terms += [(as_rational(c), {int(v): int(e) for v, e in exps.items()})
               for c, exps in plain_terms]
-    return plain_integral(
-        (c * d, {v: a.get(v, 0) + b.get(v, 0) for v in a.keys() | b.keys()})
-        for c, a in terms for d, b in terms)
+    q = lcm(*(c.denominator for c, _ in terms))
+    scaled = [(c.numerator * (q // c.denominator), a) for c, a in terms if c]
+    by_divisor = {}
+    for i, (c, a) in enumerate(scaled):
+        for j in range(i, len(scaled)):
+            d, b = scaled[j]
+            divisor = 1
+            for v, e in a.items():
+                divisor *= e + b.get(v, 0) + 1
+            for v, e in b.items():
+                if v not in a:
+                    divisor *= e + 1
+            by_divisor[divisor] = (by_divisor.get(divisor, 0)
+                                   + (c * d if i == j else 2 * c * d))
+    return sum((Fraction(s, d) for d, s in by_divisor.items()),
+               Fraction(0)) / (q * q)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import backends
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
-    influence_multiplicative, influence_power_product, variance_plain_terms
+    influence_power_product, multiplicative_indices, variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
-    integral, monomial, os_function, plain_integral, plain_norm_sq, \
-    polynomial, symmetrize
+    integral, monomial, os_function, plain_indices, plain_integral, \
+    plain_norm_sq, polynomial
 from .lovasz import SetFunction, check_arity, level_averages, norm_sq_lovasz
 from .montecarlo import Evaluator
 from .projection import Moments, indices_exact
@@ -122,10 +122,9 @@ class PlainPolynomialSpec(FunctionSpec):
         return (EXACT, MC)
 
     def moments(self, norm_sq=True):
-        # I(f,k) = <Sym f, g_k> because g_k is symmetric; the mean and <f,f>
-        # come from f itself, which need not be symmetric
-        sym = symmetrize(self.arity, self.terms, self.constant)
-        return Moments(self.arity, "exact", indices_exact(sym),
+        # the indices depend on the exponent lists of the terms only, while
+        # the mean and <f,f> come from f itself, which need not be symmetric
+        return Moments(self.arity, "exact", plain_indices(self.arity, self.terms),
                        plain_integral(self.terms, self.constant),
                        plain_norm_sq(self.terms, self.constant)
                        if norm_sq else None)
@@ -208,9 +207,8 @@ class MultiplicativeFunctionSpec(FunctionSpec):
 
     def moments(self, norm_sq=True):
         spec = self.spec
-        indices = tuple(influence_multiplicative(spec, k)
-                        for k in range(1, self.arity + 1))
-        return Moments(self.arity, "closed-form", indices, spec.mean(),
+        return Moments(self.arity, "closed-form", multiplicative_indices(spec),
+                       spec.mean(),
                        spec.norm_sq() if norm_sq else None)
 
     def evaluator(self):

@@ -3,7 +3,9 @@ and the subset-box alternative formulas."""
 
 import json
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,8 +27,12 @@ from ordinfluence import (
     symmetrize,
     variance_profile,
 )
-from ordinfluence import cli, function_moments, resolve_builtin
-from ordinfluence.closedforms import subset_box_integral, variance_plain_terms
+from ordinfluence import cli, exact, function_moments, resolve_builtin
+from ordinfluence.closedforms import (
+    multiplicative_indices,
+    subset_box_integral,
+    variance_plain_terms,
+)
 from ordinfluence.projection import approximation_exact
 
 
@@ -149,6 +155,19 @@ class TestMultiplicative:
                     factor, n, k) == pytest.approx(
                     influence_multiplicative(spec, k), rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 20, 168, 200])
+    def test_phi_one_zero_branch_at_large_arity(self, n):
+        # Gamma(n+3) overflows a float from n = 169 on; the index is
+        # (-1)^{k-1} (n+1)(n+2) C(n+1,k) int_0^1 (y(1-y))^n dy
+        factor = UnaryFactor.from_callable(
+            lambda t: 2.0 * t - 1.0, antiderivative=lambda y: y * y - y,
+            declared_phi_one=0)
+        for k in (1, n // 2, n):
+            exact = ((-1) ** (k - 1) * (n + 1) * (n + 2) * math.comb(n + 1, k)
+                     * Fraction(math.factorial(n) ** 2, math.factorial(2 * n + 1)))
+            assert influence_symmetric_multiplicative(factor, n, k) == \
+                pytest.approx(float(exact), rel=1e-6, abs=0)
+
     def test_ambiguous_phi_one_raises(self):
         factor = UnaryFactor.from_callable(lambda t: 2.0 * t - 1.0)
         with pytest.raises(BranchAmbiguityError):
@@ -158,6 +177,103 @@ class TestMultiplicative:
         spec = MultiplicativeSpec.symmetric(UnaryFactor.power(1), 2)
         assert spec.mean() == pytest.approx(0.25, abs=1e-12)
         assert spec.norm_sq() == pytest.approx(1 / 9, abs=1e-12)
+
+
+def subset_expansion(spec, k):
+    """The alternating subset expansion of I(f,k) for symbolic factors, in
+    exact rationals:
+
+        I(f,k) / ((n+1)(n+2)) = sum_{|S| >= k-1} (-1)^{|S|+1-k} C(|S|+1, k)
+                                prod_{i not in S} Phi_i(1) int_0^1 prod_{i in S} Phi_i(y) dy.
+    """
+    n = spec.arity
+    exps = [f.exponent for f in spec.factors]
+    total = Fraction(0)
+    for size in range(k - 1, n + 1):
+        sign_binom = (-1) ** (size + 1 - k) * math.comb(size + 1, k)
+        for subset in combinations(range(n), size):
+            # Phi_i(1) = 1/(c_i+1) outside S, and the integral over y of the
+            # product inside S is prod 1/(c_i+1) over (sum (c_i+1) + 1)
+            term = Fraction(sign_binom)
+            for i in range(n):
+                term /= exps[i] + 1
+            term /= sum(exps[i] + 1 for i in subset) + 1
+            total += term
+    return float((n + 1) * (n + 2) * total)
+
+
+def _random_symbolic(rnd, n):
+    choices = [Fraction(c) for c in ("-2/5", "0", "1/3", "2/3", "1", "4/3", "5/2")]
+    return MultiplicativeSpec(n, tuple(UnaryFactor.power(rnd.choice(choices))
+                                       for _ in range(n)))
+
+
+class TestProductForm:
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_product_builtin_matches_power_product(self, n):
+        indices = resolve_builtin("product", n).moments(norm_sq=False).indices
+        for k in range(1, n + 1):
+            assert float(indices[k - 1]) == pytest.approx(
+                influence_power_product(1, n, k), rel=1e-12, abs=0)
+
+    def test_symbolic_matches_subset_expansion(self):
+        rnd = random.Random(41)
+        for n in range(1, 9):
+            for _ in range(3):
+                spec = _random_symbolic(rnd, n)
+                got = multiplicative_indices(spec)
+                for k in range(1, n + 1):
+                    assert got[k - 1] == pytest.approx(
+                        subset_expansion(spec, k), rel=1e-12, abs=0)
+
+    def test_symbolic_matches_lower_box_formula(self):
+        rnd = random.Random(43)
+        for n in (2, 3, 4):
+            spec = _random_symbolic(rnd, n)
+            got = multiplicative_indices(spec)
+            for k in range(1, n + 1):
+                assert got[k - 1] == pytest.approx(
+                    influence_via_alternative(spec, k, "dfsg5"), abs=1e-7)
+
+    def test_callable_factor_matches_symbolic(self):
+        # one factor with its antiderivative, one through nested quadrature
+        with_antiderivative = UnaryFactor.from_callable(
+            lambda t: t ** (1 / 3), antiderivative=lambda y: 0.75 * y ** (4 / 3))
+        bare = UnaryFactor.from_callable(lambda t: t ** (1 / 3))
+        symbolic = UnaryFactor.power(Fraction(1, 3))
+        for n, factor in ((6, with_antiderivative), (3, bare)):
+            got = multiplicative_indices(MultiplicativeSpec.symmetric(factor, n))
+            expected = multiplicative_indices(
+                MultiplicativeSpec.symmetric(symbolic, n))
+            assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_large_symbolic_product_falls_back_to_quadrature(self, monkeypatch):
+        spec = MultiplicativeSpec(5, tuple(UnaryFactor.power(Fraction(1, p))
+                                           for p in (2, 3, 5, 7, 11)))
+        exact_values = multiplicative_indices(spec)
+        monkeypatch.setattr(exact, "PRODUCT_FORM_LIMIT", 10)
+        assert multiplicative_indices(spec) == pytest.approx(
+            exact_values, rel=1e-9, abs=0)
+
+    def test_float_path_error_is_checked(self):
+        rough = UnaryFactor.from_callable(
+            lambda t: math.sin(1e4 * t),
+            antiderivative=lambda y: (1.0 - math.cos(1e4 * y)) / 1e4)
+        spec = MultiplicativeSpec(2, (rough, UnaryFactor.power(1)))
+        with pytest.raises(QuadratureError):
+            multiplicative_indices(spec)
+
+    def test_multiplicative_above_arity_20(self, tmp_path, capsys):
+        n = 30
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "multiplicative", "arity": n,
+                                    "factors": [{"exponent": "1/2"}] * n}))
+        assert cli.main(["influence", str(path), "--all",
+                         "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        for k in (1, n // 2, n):
+            assert rows[k - 1]["value"] == pytest.approx(
+                influence_power_product(0.5, n, k), rel=1e-12, abs=0)
 
 
 class TestVariance:

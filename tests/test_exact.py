@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from ordinfluence import (
+    ConfigurationError,
     DomainError,
     dualize,
+    exact,
+    influence_power_product,
     inner_product_exact,
     integral,
     moment,
@@ -28,7 +31,12 @@ from ordinfluence.exact import (
     eval_order_stat,
     expand_min_max,
     expand_subset_sum,
+    plain_indices,
+    plain_integral,
+    plain_norm_sq,
+    product_indices,
 )
+from ordinfluence.projection import indices_exact
 
 from conftest import poly_evaluator, random_orderstat_polynomial
 
@@ -250,3 +258,75 @@ class TestExpansions:
     def test_min_max_bad_mode(self):
         with pytest.raises(DomainError):
             expand_min_max(3, 1, "sideways")
+
+
+class TestProductForm:
+    @staticmethod
+    def random_plain(rnd, n):
+        terms = []
+        for _ in range(rnd.randint(1, 4)):
+            variables = rnd.sample(range(1, n + 1), rnd.randint(0, min(n, 4)))
+            terms.append((Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)),
+                          {v: rnd.randint(1, 3) for v in variables}))
+        if n >= 2 and rnd.random() < 0.5:
+            # two terms of one shape whose coefficients cancel
+            a, b = rnd.sample(range(1, n + 1), 2)
+            terms += [(Fraction(5, 3), {a: 2}), (Fraction(-5, 3), {b: 2})]
+        return terms
+
+    def test_plain_indices_match_symmetrize(self):
+        rnd = random.Random(31)
+        for _ in range(36):
+            n = rnd.randint(1, 7)
+            terms = self.random_plain(rnd, n)
+            constant = Fraction(rnd.randint(-3, 3), 2)
+            assert plain_indices(n, terms) == indices_exact(
+                symmetrize(n, terms, constant))
+
+    def test_constant_and_cancelled_shapes_have_index_zero(self):
+        terms = [(3, {}), (Fraction(1, 2), {1: 1, 2: 2}),
+                 (Fraction(-1, 2), {3: 2, 1: 1})]
+        assert plain_indices(3, terms) == (0, 0, 0)
+
+    def test_rational_exponents_match_power_product(self):
+        for n in (1, 2, 5, 9):
+            for c in (Fraction(-2, 5), Fraction(1, n), Fraction(2, 3), Fraction(3)):
+                got = product_indices([c] * n)
+                for k in range(1, n + 1):
+                    assert float(got[k - 1]) == pytest.approx(
+                        influence_power_product(c, n, k), rel=1e-12, abs=0)
+
+    def test_mixed_exponents_match_symmetrize(self):
+        # x_1^3 x_2 x_4^2 at n = 5, with the unused variables at exponent 0
+        sym = symmetrize(5, [(1, {1: 3, 2: 1, 4: 2})])
+        assert product_indices([3, 1, 0, 2, 0]) == indices_exact(sym)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            product_indices([])
+        with pytest.raises(DomainError):
+            product_indices([1, Fraction(-1, 2)])
+        with pytest.raises(DomainError):
+            plain_indices(2, [(1, {3: 1})])
+        with pytest.raises(DomainError):
+            plain_indices(2, [(1, {1: 1, 2: 1, 3: 1})])
+
+    def test_size_is_checked_before_the_build(self, monkeypatch):
+        # n + 1 polynomials r_j of at most n + 1 powers of y^2 each
+        monkeypatch.setattr(exact, "PRODUCT_FORM_LIMIT", 81)
+        assert len(product_indices([1] * 8)) == 8
+        with pytest.raises(ConfigurationError):
+            product_indices([1] * 9)
+
+    def test_plain_norm_sq_equals_ordered_pair_sum(self):
+        # the integral of every ordered pair of terms, as an independent sum
+        rnd = random.Random(37)
+        for _ in range(40):
+            n = rnd.randint(1, 5)
+            terms = self.random_plain(rnd, n)
+            constant = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+            full = [(constant, {})] + terms
+            pairs = [(c * d, {v: a.get(v, 0) + b.get(v, 0)
+                              for v in a.keys() | b.keys()})
+                     for c, a in full for d, b in full]
+            assert plain_norm_sq(terms, constant) == plain_integral(pairs)

@@ -8,13 +8,17 @@ from fractions import Fraction
 import pytest
 
 from ordinfluence import (
+    MultiplicativeFunctionSpec,
+    MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
+    UnaryFactor,
     approximation_exact,
     best_approximation,
     cli,
+    closedforms,
     exact,
     function_moments,
     function_sigma,
@@ -270,7 +274,32 @@ class TestEachPrimaryOnce:
                  "--diagnose-equal-influence")
         assert len(calls) == 1
 
-    def test_plain_influence_symmetrizes_once(self, tmp_path, monkeypatch, capsys):
-        calls = _count_calls(monkeypatch, exact, "symmetrize")
+    def test_plain_influence_takes_one_product_form_per_shape(
+            self, tmp_path, monkeypatch, capsys):
+        sym = _count_calls(monkeypatch, exact, "symmetrize")
+        calls = _count_calls(monkeypatch, exact, "product_indices")
         self.run(tmp_path, self.PLAIN, "influence", "--all")
-        assert len(calls) == 1
+        assert len(calls) == 2 and not sym  # shapes (1,) and (2, 1)
+
+    def test_variance_approx_takes_two_product_forms(self, monkeypatch):
+        sym = _count_calls(monkeypatch, exact, "symmetrize")
+        calls = _count_calls(monkeypatch, exact, "product_indices")
+        for n in (3, 12):
+            resolve_builtin("variance", n).moments()
+        assert len(calls) == 4 and not sym
+
+    def test_multiplicative_builds_one_recurrence(self, monkeypatch):
+        calls = _count_calls(monkeypatch, exact, "product_indices")
+        quads = []
+        original = closedforms.integrate.quad_vec
+        monkeypatch.setattr(closedforms.integrate, "quad_vec",
+                            lambda *a, **kw: quads.append(1) or original(*a, **kw))
+        symbolic = MultiplicativeSpec(6, tuple(UnaryFactor.power(Fraction(c, 3))
+                                               for c in (1, 2, 4, 5, 0, 3)))
+        MultiplicativeFunctionSpec(symbolic).moments()
+        assert len(calls) == 1 and not quads
+        cube_root = UnaryFactor.from_callable(
+            lambda t: t ** (1 / 3), antiderivative=lambda y: 0.75 * y ** (4 / 3))
+        MultiplicativeFunctionSpec(
+            MultiplicativeSpec.symmetric(cube_root, 6)).moments()
+        assert len(calls) == 1 and len(quads) == 1
