@@ -39,9 +39,15 @@ def _checked(value, err: float, tol: float):
     return value
 
 
-def _quad(func: Callable[[float], float], tol: float = QUAD_TOL) -> float:
-    value, err = integrate.quad(func, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    return _checked(value, err, tol)
+def _quad(func: Callable[[float], float], tol: float = QUAD_TOL,
+          epsabs: Optional[float] = None) -> float:
+    """int_0^1 func to the relative tolerance ``tol`` and the absolute one
+    ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy only,
+    for integrals far below ``tol``."""
+    epsabs = tol if epsabs is None else epsabs
+    value, err = integrate.quad(func, 0.0, 1.0, epsabs=epsabs, epsrel=tol,
+                                limit=200)
+    return _checked(value, err, epsabs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,10 @@ def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> f
         return (n + 1) * (n + 2) * phi1 ** n * _quad(integrand)
     # Gamma(n+3) / (Gamma(k+1) Gamma(n-k+2)) as an exact integer
     scale = (-1) ** (n - k + 1) * (n + 1) * (n + 2) * comb(n + 1, k)
-    return scale * _quad(lambda y: factor.antiderivative_value(y) ** n)
+    # the integral falls like 4^-n for phi(t) = 2t - 1, so tolerance is
+    # relative only: an absolute one accepts the first estimate
+    return scale * _quad(lambda y: factor.antiderivative_value(y) ** n,
+                         epsabs=0.0)
 
 
 # ---------------------------------------------------------------------------

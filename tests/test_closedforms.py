@@ -168,6 +168,19 @@ class TestMultiplicative:
             assert influence_symmetric_multiplicative(factor, n, k) == \
                 pytest.approx(float(exact), rel=1e-6, abs=0)
 
+    @pytest.mark.parametrize("n", [168, 200])
+    def test_phi_one_zero_branch_is_relatively_accurate(self, n):
+        # int_0^1 (y(1-y))^n dy is about 4^-n, far below any absolute
+        # tolerance; the branch must still meet 1e-10 relative
+        factor = UnaryFactor.from_callable(
+            lambda t: 2.0 * t - 1.0, antiderivative=lambda y: y * y - y,
+            declared_phi_one=0)
+        for k in (1, n // 2, n):
+            exact = ((-1) ** (k - 1) * (n + 1) * (n + 2) * math.comb(n + 1, k)
+                     * Fraction(math.factorial(n) ** 2, math.factorial(2 * n + 1)))
+            assert influence_symmetric_multiplicative(factor, n, k) == \
+                pytest.approx(float(exact), rel=1e-10, abs=0)
+
     def test_ambiguous_phi_one_raises(self):
         factor = UnaryFactor.from_callable(lambda t: 2.0 * t - 1.0)
         with pytest.raises(BranchAmbiguityError):

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 
 from ordinfluence import (
@@ -25,6 +26,7 @@ from ordinfluence import (
     symmetric_part,
     zeta,
 )
+from ordinfluence import lovasz
 from ordinfluence.lovasz import (
     directional_slope,
     dual_set_function,
@@ -34,6 +36,100 @@ from ordinfluence.lovasz import (
 )
 
 from conftest import random_set_function
+
+
+def _min_min_moment(a, b, c):
+    # E[min_S min_T] for |S\T|=a, |T\S|=b, |S cap T|=c, S and T nonempty
+    def half(a, b, c):
+        return Fraction(1, a + 1) * (Fraction(1, b + c + 1)
+                                     - Fraction(1, a + b + c + 2))
+    return half(a, b, c) + half(b, a, c)
+
+
+def reference_mobius(v):
+    """Moebius coefficients by the butterfly over a list of Fractions."""
+    arr = list(v.values)
+    for i in range(v.arity):
+        for mask in range(1 << v.arity):
+            if mask >> i & 1:
+                arr[mask] -= arr[mask ^ (1 << i)]
+    return tuple(arr)
+
+
+def pair_sum_norm_sq(v):
+    """<f, f> as the double sum over nonzero Moebius coefficients of
+    m(S) m(T) E[min_S min_T], in Fractions: the reference for the chain form."""
+    nonzero = [(mask, coeff) for mask, coeff in enumerate(reference_mobius(v))
+               if coeff != 0]
+    total = Fraction(0)
+    for smask, sc in nonzero:
+        for tmask, tc in nonzero:
+            if smask == 0 and tmask == 0:
+                q = Fraction(1)
+            elif smask == 0:
+                q = Fraction(1, bin(tmask).count("1") + 1)
+            elif tmask == 0:
+                q = Fraction(1, bin(smask).count("1") + 1)
+            else:
+                inter = bin(smask & tmask).count("1")
+                q = _min_min_moment(bin(smask).count("1") - inter,
+                                    bin(tmask).count("1") - inter, inter)
+            total += sc * tc * q
+    return total
+
+
+def reference_level_averages(v):
+    """vbar and mbar by a loop over Fractions."""
+    n = v.arity
+    m = reference_mobius(v)
+    vsum = [Fraction(0)] * (n + 1)
+    msum = [Fraction(0)] * (n + 1)
+    for mask in range(1 << n):
+        s = bin(mask).count("1")
+        vsum[s] += v.values[mask]
+        msum[s] += m[mask]
+    return (tuple(vsum[s] / comb(n, s) for s in range(n + 1)),
+            tuple(msum[s] / comb(n, s) for s in range(n + 1)))
+
+
+def chain_form_cases():
+    """36 seeded set functions at n <= 6 with denominators 1..9, n = 1, the
+    zero function, the arithmetic mean and a subset order statistic."""
+    rng = random.Random(8_2026)
+    cases = []
+    for i in range(36):
+        n = 1 + i % 6
+        cases.append(SetFunction(n, tuple(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            for _ in range(1 << n))))
+    cases.append(SetFunction(1, (Fraction(2, 3), Fraction(-5, 7))))
+    cases.append(SetFunction(4, (Fraction(0),) * 16))
+    cases.append(SetFunction(5, tuple(Fraction(bin(s).count("1"), 5)
+                                      for s in range(1 << 5))))
+    cases.append(os_subset_set_function(6, (2, 3, 5), 2))
+    return cases
+
+
+def scaled_cases(factor):
+    """The chain-form cases times ``factor``, except the zero function, whose
+    numerators no factor enlarges."""
+    return [SetFunction(v.arity, tuple(factor * x for x in v.values))
+            for v in chain_form_cases() if any(v.values)]
+
+
+@pytest.fixture
+def table_dtypes(monkeypatch):
+    """Record the dtype of every integer table the engine builds."""
+    seen = []
+    original = lovasz._integer_table
+
+    def recorded(values, limit):
+        table, scale = original(values, limit)
+        seen.append(table.dtype)
+        return table, scale
+
+    monkeypatch.setattr(lovasz, "_integer_table", recorded)
+    return seen
 
 
 class TestTransforms:
@@ -62,6 +158,78 @@ class TestTransforms:
     def test_wrong_length(self):
         with pytest.raises(DomainError):
             SetFunction(2, (Fraction(0), Fraction(1)))
+
+
+class TestIntegerTables:
+    def test_mobius_and_levels_match_fraction_loops(self):
+        for v in chain_form_cases():
+            vbar, mbar = reference_level_averages(v)
+            levels = lovasz.level_averages(v)
+            assert levels.mobius.values == reference_mobius(v)
+            assert (levels.vbar, levels.mbar) == (vbar, mbar)
+
+    @pytest.mark.parametrize("factor, dtype", [(1, np.int64),
+                                               (2 ** 60 + Fraction(1, 7), object)])
+    def test_round_trip_on_both_dtypes(self, factor, dtype, table_dtypes):
+        for w in scaled_cases(factor):
+            assert zeta(mobius(w)).values == w.values
+        assert set(table_dtypes) == {np.dtype(dtype)}
+
+    def test_mobius_at_the_int64_edge(self, table_dtypes):
+        # v(S) = (-1)^|S| p gives m([n]) = (-1)^n 2^n p, the largest possible
+        # magnitude: 2^63 - 64 still fits in int64 at n = 6, 2^63 does not
+        n = 6
+        for p, dtype in ((2 ** 57 - 1, np.int64), (2 ** 57, object)):
+            v = SetFunction(n, tuple(Fraction((-1) ** bin(s).count("1") * p)
+                                     for s in range(1 << n)))
+            assert mobius(v).values[-1] == (-1) ** n * 2 ** n * p
+            assert table_dtypes[-1] == np.dtype(dtype)
+
+
+class TestChainFormNorm:
+    def test_matches_pair_sum(self, table_dtypes):
+        for v in chain_form_cases():
+            assert norm_sq_lovasz(v) == pair_sum_norm_sq(v)
+        assert set(table_dtypes) == {np.dtype(np.int64)}
+
+    def test_object_fallback_matches_pair_sum(self, table_dtypes):
+        # numerators >= 2^40 square past int64, so the norm works on Python ints
+        for w in scaled_cases(2 ** 40 + Fraction(1, 3)):
+            table_dtypes.clear()
+            assert norm_sq_lovasz(w) == pair_sum_norm_sq(w)
+            assert np.dtype(object) in table_dtypes
+
+    def test_quadrature_at_arity_10(self):
+        # v(S) = w(S cap {1,2,3}) + sum_{i in S, i > 3} a_i has the extension
+        # f_w(x1, x2, x3) + sum_{i > 3} a_i x_i.  On each ordering of x1..x3,
+        # x_c = u1, x_b = u1 u2, x_a = u1 u2 u3 (Jacobian u1^2 u2) makes f^2 a
+        # polynomial of degree <= 4 per u, and degree <= 2 per x_i, i > 3, so
+        # 3-point and 2-point Gauss-Legendre rules integrate it exactly.
+        rng = random.Random(10)
+        n = 10
+        w = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(7)]
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 3)]
+        v = SetFunction(n, tuple(
+            w[s & 7] + sum(a[i - 3] for i in range(3, n) if s >> i & 1)
+            for s in range(1 << n)))
+        g3, w3 = np.polynomial.legendre.leggauss(3)
+        g2, w2 = np.polynomial.legendre.leggauss(2)
+        u, wu = (g3 + 1) / 2, w3 / 2
+        t, wt = (g2 + 1) / 2, w2 / 2
+        total = 0.0
+        for lo, mid, hi in permutations(range(3)):
+            for i1, i2, i3 in np.ndindex(3, 3, 3):
+                x = [0.0] * n
+                x[hi] = u[i1]
+                x[mid] = u[i1] * u[i2]
+                x[lo] = u[i1] * u[i2] * u[i3]
+                weight = wu[i1] * wu[i2] * wu[i3] * u[i1] ** 2 * u[i2]
+                for rest in np.ndindex(*(2,) * (n - 3)):
+                    x[3:] = t[list(rest)]
+                    total += (weight * np.prod(wt[list(rest)])
+                              * eval_lovasz(v, x) ** 2)
+        assert float(norm_sq_lovasz(v)) == pytest.approx(total, rel=1e-9, abs=0)
 
 
 class TestEvaluation:
