@@ -24,7 +24,8 @@ from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
     integral, monomial, os_function, plain_indices, plain_integral, \
     plain_norm_sq, polynomial
-from .lovasz import SetFunction, check_arity, level_averages, norm_sq_lovasz
+from .lovasz import SetFunction, _popcounts, check_arity, level_averages, \
+    norm_sq_lovasz
 from .montecarlo import Evaluator
 from .projection import Moments, indices_exact
 
@@ -305,8 +306,9 @@ def _conjunctive_threshold(x):
 
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
-    return SetFunction(n, tuple(Fraction(bin(mask).count("1"), n)
-                                for mask in range(1 << n)))
+    levels = [Fraction(size, n) for size in range(n + 1)]
+    return SetFunction(n, tuple(map(levels.__getitem__,
+                                    _popcounts(n).tolist())))
 
 
 BUILTIN_NAMES = ("variance", "arithmetic-mean", "geometric-mean", "product",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import csv as csv_module
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +34,11 @@ class ReportDocument:
     version: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the fields hold plain JSON values, and json.dumps rejects a nested
+        # dataclass, so this is the text of asdict(self) without its deep
+        # copy of the spec echo (2^n value strings for a set function)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output formats, and report round trips."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -167,6 +168,30 @@ class TestFormats:
         doc = ReportDocument.from_json(text)
         assert doc.to_json() + "\n" == text
         assert doc.command == "approx"
+
+    @pytest.mark.parametrize("spec_doc, command, options", [
+        (PRODUCT_DOC, "influence", ["--all"]),
+        (PRODUCT_DOC, "influence", ["-k", "2", "--method", "mc",
+                                    "--samples", "2000"]),
+        (MEAN_DOC, "approx", []),
+        (PRODUCT_DOC, "approx", ["--method", "mc", "--samples", "2000"]),
+        ({"kind": "power-product", "arity": 3, "exponent": "1/2"}, "approx",
+         ["--method", "closed-form"]),
+        (MEAN_DOC, "lovasz", ["--mobius", "--symmetric-part",
+                              "--diagnose-equal-influence"]),
+        (PRODUCT_DOC, "crosscheck", ["-k", "1", "--samples", "2000"]),
+    ])
+    def test_json_is_the_asdict_rendering(self, tmp_path, spec_doc, command,
+                                          options):
+        path = write_spec(tmp_path, spec_doc)
+        args = cli._build_parser().parse_args(
+            [command, path, *options, "--seed", "3"])
+        doc = getattr(cli, "cmd_" + command)(args)
+        if command == "crosscheck":
+            doc, _ = doc
+        text = doc.to_json()
+        assert text == json.dumps(asdict(doc), indent=2, sort_keys=True)
+        assert ReportDocument.from_json(text).to_json() == text
 
     def test_exact_decimal_matches_rational(self, tmp_path, capsys):
         path = write_spec(tmp_path, PRODUCT_DOC)

@@ -25,6 +25,7 @@ from ordinfluence.funcspec import (
     RawEvaluatorSpec,
     SetFunctionSpec,
 )
+from ordinfluence.lovasz import SetFunction
 
 
 class TestParsing:
@@ -126,6 +127,13 @@ class TestBuiltins:
         spec = resolve_builtin("arithmetic-mean", 4)
         profile = influence_profile(spec, "exact")
         assert profile.indices == (Fraction(1, 4),) * 4
+
+    def test_arithmetic_mean_table(self):
+        # v(S) = |S| / n at every bitmask
+        for n in range(1, 11):
+            spec = resolve_builtin("arithmetic-mean", n)
+            assert spec.set_function == SetFunction(n, tuple(
+                Fraction(bin(mask).count("1"), n) for mask in range(1 << n)))
 
     def test_geometric_mean_is_power_product(self):
         spec = resolve_builtin("geometric-mean", 3)

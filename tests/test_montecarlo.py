@@ -208,6 +208,65 @@ class TestOnePass:
             spread = np.std(values, ddof=1)
             assert np.mean(ses) == pytest.approx(spread, rel=0.25)
 
+    def test_view_returning_evaluator(self):
+        # f returns a view of the draw buffer: the pass must sort a copy, so
+        # that v still reads the unsorted first coordinate
+        ev = Evaluator(3, lambda x: x[:, 0])
+        samples = PASS_BATCH + 3
+        est = mc_profile_moments(ev, samples, 12)
+        x = _rng(derive_seed(12, 0)).random((samples, 3))
+        v = x[:, 0]
+        for k, got in enumerate(est.indices, start=1):
+            assert got == pytest.approx(
+                np.mean(v * g_kernel_values(x, k)), rel=1e-12, abs=1e-12)
+        assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
+        assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
+
+    @pytest.mark.parametrize("indices, second_moments",
+                             [(False, True), (True, False)])
+    def test_partial_moments(self, indices, second_moments):
+        n, samples = 3, PASS_BATCH + 3
+        ev = Evaluator(n, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
+        est = mc_profile_moments(ev, samples, 8, indices, second_moments)
+        x = _rng(derive_seed(8, 0)).random((samples, n))
+        v = ev(x)
+        if indices:
+            columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)]
+            assert est.mean is None and est.norm_sq is None
+            values = est.indices
+            ses = est.index_std_errors
+        else:
+            columns = [v, v * v]
+            assert est.indices is None
+            values = (est.mean, est.norm_sq)
+            ses = (est.mean_std_error, est.norm_sq_std_error)
+        covariance = np.cov(np.array(columns)) / samples
+        assert np.shape(est.covariance) == covariance.shape
+        assert np.allclose(est.covariance, covariance, rtol=1e-9, atol=0.0)
+        for got, column in zip(values, columns):
+            assert got == pytest.approx(np.mean(column), rel=1e-12, abs=1e-12)
+        assert np.allclose(ses, np.sqrt(np.diag(covariance)), rtol=1e-9)
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_overflow_on_squaring_names_unsorted_row(self, batch):
+        # 1e200 is finite but its square is not: the error carries the row
+        # as drawn, whether the first batch (whose mean sets the shift) or a
+        # later one holds it
+        calls = []
+
+        def func(x):
+            v = x.sum(axis=1)
+            if len(calls) == batch:
+                v[5] = 1e200
+            calls.append(len(x))
+            return v
+        samples = 2 * PASS_BATCH
+        with pytest.raises(TaintedSampleError) as err:
+            mc_profile_moments(Evaluator(3, func), samples, 4)
+        row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * PASS_BATCH + 5]
+        assert not np.all(np.diff(row) >= 0)
+        assert np.array_equal(err.value.point, row)
+
 
 class TestTensorQuadrature:
     def test_polynomial_exact(self):
