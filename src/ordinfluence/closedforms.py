@@ -4,11 +4,15 @@ Covers products of unary factors (with the symmetric beta-density special
 case), the power-product family, the sample-variance statistic, and the
 subset-box integral identities that express the index without any order
 statistic inside the integrand.
+
+Only the quadrature paths need ``scipy.integrate``; it is imported on their
+first use, since loading it takes longer than any exact or closed-form command.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +20,6 @@ from math import comb
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BranchAmbiguityError,
@@ -28,6 +31,20 @@ from .exact import as_rational, product_indices
 
 QUAD_TOL = 1e-10
 PHI_ONE_AMBIGUITY = 1e-12
+
+# The quadrature paths reach scipy.integrate as ``_module.integrate``, so that
+# a caller who replaces the module attribute (a tracer, a test) is seen.
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """``integrate`` is scipy.integrate, imported on first access (PEP 562)
+    and then bound in the module like an eager import."""
+    if name == "integrate":
+        from scipy import integrate
+        globals()["integrate"] = integrate
+        return integrate
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _checked(value, err: float, tol: float):
@@ -45,8 +62,8 @@ def _quad(func: Callable[[float], float], tol: float = QUAD_TOL,
     ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy only,
     for integrals far below ``tol``."""
     epsabs = tol if epsabs is None else epsabs
-    value, err = integrate.quad(func, 0.0, 1.0, epsabs=epsabs, epsrel=tol,
-                                limit=200)
+    value, err = _module.integrate.quad(func, 0.0, 1.0, epsabs=epsabs,
+                                        epsrel=tol, limit=200)
     return _checked(value, err, epsabs)
 
 
@@ -103,8 +120,8 @@ class UnaryFactor:
             return self.antiderivative(y)
         if y == 0.0:
             return 0.0
-        value, _ = integrate.quad(self.phi, 0.0, y, epsabs=QUAD_TOL,
-                                  epsrel=QUAD_TOL, limit=200)
+        value, _ = _module.integrate.quad(self.phi, 0.0, y, epsabs=QUAD_TOL,
+                                          epsrel=QUAD_TOL, limit=200)
         return value
 
     def phi_one(self):
@@ -201,9 +218,9 @@ def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
             r[0] *= full[i] - low
         return r
 
-    sums = _checked(*integrate.quad_vec(r_of, 0.0, 1.0, epsabs=QUAD_TOL,
-                                        epsrel=QUAD_TOL, norm="max",
-                                        limit=200), QUAD_TOL)
+    sums = _checked(*_module.integrate.quad_vec(r_of, 0.0, 1.0, epsabs=QUAD_TOL,
+                                                epsrel=QUAD_TOL, norm="max",
+                                                limit=200), QUAD_TOL)
     return tuple(((n + 1) * (n + 2) * (sums[:-1] - sums[1:])).tolist())
 
 

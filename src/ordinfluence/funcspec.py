@@ -24,8 +24,8 @@ from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
     integral, monomial, os_function, plain_indices, plain_integral, \
     plain_norm_sq, polynomial
-from .lovasz import SetFunction, _popcounts, check_arity, level_averages, \
-    norm_sq_lovasz
+from .lovasz import SetFunction, _popcounts, _value_strings, check_arity, \
+    level_averages, norm_sq_lovasz
 from .montecarlo import Evaluator
 from .projection import Moments, indices_exact
 
@@ -189,7 +189,7 @@ class SetFunctionSpec(FunctionSpec):
                          name=self.builtin_name or self.kind)
 
     def payload(self):
-        return {"values": [_rational_str(v) for v in self.set_function.values]}
+        return {"values": _value_strings(self.set_function)}
 
 
 @dataclass

@@ -6,9 +6,10 @@ the unique extension that is affine on every simplex of ordered coordinates
 and interpolates v at the cube's vertices; its influence profile has an exact
 closed form in terms of the level averages of v (or of its Moebius transform).
 
-The transforms run on one integer table per call: the values scaled to their
-least common denominator D, held as int64 when a bound on every intermediate
-shows it cannot overflow and as Python ints in an object array otherwise.
+The transforms run on integer tables: the values scaled to their least common
+denominator D, built once per table object and kept on it, and copied for
+each use as int64 when a bound on every intermediate shows it cannot overflow
+and as Python ints in an object array otherwise.
 Zeta and Moebius are butterfly passes over a (2,)*n view of the table, one
 axis per element; results leave as exact Fractions.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -39,8 +41,8 @@ def check_arity(n: int):
 
 
 @dataclass(frozen=True)
-class SetFunction:
-    """v: 2^[n] -> Q as a dense tuple of 2^n exact rationals in bitmask order."""
+class _DenseTable:
+    """2^n exact rationals in bitmask order."""
 
     arity: int
     values: Tuple[Fraction, ...]
@@ -50,6 +52,20 @@ class SetFunction:
         if len(self.values) != 1 << self.arity:
             raise DomainError("expected %d values, got %d"
                               % (1 << self.arity, len(self.values)))
+
+    @cached_property
+    def _numerators(self) -> Tuple[np.ndarray, int, int]:
+        """(table, D, peak): the values times their least common denominator
+        D, and the largest magnitude among them.  Built from the Fractions at
+        most once per object; a transform hands its result the table it
+        computed.  Shared, so read it through ``_integer_table``, which
+        copies, before changing it."""
+        return _scaled_numerators(self.values)
+
+
+@dataclass(frozen=True)
+class SetFunction(_DenseTable):
+    """v: 2^[n] -> Q as a dense tuple of 2^n exact rationals in bitmask order."""
 
     @classmethod
     def from_values(cls, arity: int, values: Sequence) -> "SetFunction":
@@ -66,15 +82,8 @@ class SetFunction:
 
 
 @dataclass(frozen=True)
-class MobiusRepresentation:
-    arity: int
-    values: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        check_arity(self.arity)
-        if len(self.values) != 1 << self.arity:
-            raise DomainError("expected %d values, got %d"
-                              % (1 << self.arity, len(self.values)))
+class MobiusRepresentation(_DenseTable):
+    """m: 2^[n] -> Q, the Moebius transform of a set function."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +93,35 @@ class MobiusRepresentation:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _integer_table(values: Sequence[Fraction],
-                   limit: int) -> Tuple[np.ndarray, int]:
+def _scaled_numerators(values: Sequence[Fraction]
+                       ) -> Tuple[np.ndarray, int, int]:
     """``values`` as integer numerators over their least common denominator,
-    and that denominator.  The table is int64 when no numerator exceeds
-    ``limit`` in magnitude (the caller's bound for its own intermediates to
-    fit), else Python ints in an object array."""
+    that denominator and the largest numerator magnitude; the table is int64
+    when that magnitude fits, else Python ints in an object array."""
     pairs = [x.as_integer_ratio() for x in values]
     scale = lcm(*{d for _, d in pairs})
     ints = [p * (scale // d) for p, d in pairs]
-    dtype = np.int64 if max(map(abs, ints)) <= limit else object
-    return np.array(ints, dtype=dtype), scale
+    peak = max(map(abs, ints))
+    dtype = np.int64 if peak <= _INT64_MAX else object
+    return np.array(ints, dtype=dtype), scale, peak
+
+
+def _integer_table(x: _DenseTable, limit: int) -> Tuple[np.ndarray, int]:
+    """A fresh copy of ``x``'s integer numerators, and their denominator.  The
+    copy is int64 when no numerator exceeds ``limit`` in magnitude (the
+    caller's bound for its own intermediates to fit), else Python ints in an
+    object array."""
+    table, scale, peak = x._numerators
+    return table.astype(np.int64 if peak <= limit else object), scale
+
+
+def _with_numerators(x: _DenseTable, table: np.ndarray,
+                     scale: int) -> _DenseTable:
+    """``x`` holding ``table`` / ``scale``, its values, as its numerators;
+    ``scale`` stays their least common denominator because the transforms are
+    integer matrices with integer inverses."""
+    x.__dict__["_numerators"] = (table, scale, int(np.abs(table).max()))
+    return x
 
 
 def _butterfly(table: np.ndarray, n: int, sign: int) -> None:
@@ -137,6 +164,13 @@ def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
     return tuple(map(built.__getitem__, ints))
 
 
+def _value_strings(x: _DenseTable) -> list:
+    """``str`` of every value of ``x``, formatted once per distinct numerator."""
+    ints = x._numerators[0].tolist()
+    text = {p: str(as_rational(v)) for p, v in dict(zip(ints, x.values)).items()}
+    return list(map(text.__getitem__, ints))
+
+
 # ---------------------------------------------------------------------------
 # Transforms and level averages
 # ---------------------------------------------------------------------------
@@ -144,17 +178,19 @@ def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
 def mobius(v: SetFunction) -> MobiusRepresentation:
     """Moebius transform m(S) = sum_{T subset S} (-1)^{|S|-|T|} v(T)."""
     n = v.arity
-    table, scale = _integer_table(v.values, _INT64_MAX >> n)
+    table, scale = _integer_table(v, _INT64_MAX >> n)
     _butterfly(table, n, -1)
-    return MobiusRepresentation(n, _fractions(table, scale))
+    return _with_numerators(MobiusRepresentation(n, _fractions(table, scale)),
+                            table, scale)
 
 
 def zeta(m: MobiusRepresentation) -> SetFunction:
     """Zeta transform v(S) = sum_{T subset S} m(T); inverse of mobius()."""
     n = m.arity
-    table, scale = _integer_table(m.values, _INT64_MAX >> n)
+    table, scale = _integer_table(m, _INT64_MAX >> n)
     _butterfly(table, n, 1)
-    return SetFunction(n, _fractions(table, scale))
+    return _with_numerators(SetFunction(n, _fractions(table, scale)),
+                            table, scale)
 
 
 @dataclass(frozen=True)
@@ -186,8 +222,8 @@ def level_averages(v: SetFunction) -> LevelAverages:
     size s, so sum_{|S|=s} v(S) = sum_t C(n-t, s-t) sum_{|T|=t} m(T)."""
     n = v.arity
     m = mobius(v)
-    # a level holds at most 2^n sets
-    table, scale = _integer_table(m.values, _INT64_MAX >> n)
+    # m keeps the table mobius butterflied; a level holds at most 2^n sets
+    table, scale = _integer_table(m, _INT64_MAX >> n)
     msum = _level_sums(table, _popcounts(n))
     vsum = [sum(comb(n - t, s - t) * msum[t] for t in range(s + 1))
             for s in range(n + 1)]
@@ -411,7 +447,7 @@ def norm_sq_lovasz(v: SetFunction,
     n = v.arity
     # |v(A) z_b(A)| <= C(a,b) peak^2, and sum_{|A|=a} C(a,b) = C(n,a) C(a,b)
     # <= 3^n, so every partial sum stays within peak^2 3^n
-    table, scale = _integer_table(v.values, isqrt(_INT64_MAX // 3 ** n))
+    table, scale = _integer_table(v, isqrt(_INT64_MAX // 3 ** n))
     counts = _popcounts(n)
     # row b starts as v on the sets of size b; the zeta transform makes it z_b
     ranked = np.zeros((n + 1, 1 << n), dtype=table.dtype)

@@ -1,6 +1,7 @@
 """Function-spec parsing, builtins, and engine capability flags."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,8 @@ from ordinfluence.funcspec import (
     RawEvaluatorSpec,
     SetFunctionSpec,
 )
-from ordinfluence.lovasz import SetFunction
+from ordinfluence.exact import as_rational
+from ordinfluence.lovasz import SetFunction, mobius, zeta
 
 
 class TestParsing:
@@ -134,6 +136,24 @@ class TestBuiltins:
             spec = resolve_builtin("arithmetic-mean", n)
             assert spec.set_function == SetFunction(n, tuple(
                 Fraction(bin(mask).count("1"), n) for mask in range(1 << n)))
+
+    def test_set_function_payload_formats_every_value(self):
+        # the spec echo equals the per-value strings, also for int and float
+        # values, numerators past int64 and a table a transform handed on
+        rng = random.Random(5_2026)
+        cases = [resolve_builtin("arithmetic-mean", n).set_function
+                 for n in (1, 4, 10)]
+        for n in (1, 3, 6, 8):
+            cases.append(SetFunction(n, tuple(
+                Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                for _ in range(1 << n))))
+        cases.append(SetFunction(2, (0, Fraction(1, 2), 0.5, 3)))
+        cases.append(SetFunction(3, tuple(Fraction(2 ** 70 + i, 3 + i % 2)
+                                          for i in range(8))))
+        cases.append(zeta(mobius(cases[4])))
+        for v in cases:
+            assert SetFunctionSpec(v).payload() == {
+                "values": [str(as_rational(x)) for x in v.values]}
 
     def test_geometric_mean_is_power_product(self):
         spec = resolve_builtin("geometric-mean", 3)

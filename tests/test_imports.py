@@ -1,0 +1,120 @@
+"""scipy is imported only on the quadrature paths, checked in fresh
+interpreters: a test process has usually loaded it already."""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import ordinfluence
+
+SRC = str(Path(ordinfluence.__file__).resolve().parent.parent)
+
+# Runs cli.main on each (name, argv) pair of the JSON list in argv[1], with
+# stdout captured, and records whether scipy was loaded after each run.
+CLI_RUNS = """
+import contextlib, io, json, sys
+from ordinfluence import cli
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+# The quad_vec fallback of multiplicative_indices, reached by a callable
+# factor and by a symbolic product above a lowered PRODUCT_FORM_LIMIT, next
+# to the exact product form of the same functions.
+FALLBACK = """
+import json, sys
+from fractions import Fraction
+from ordinfluence import closedforms, exact
+from ordinfluence.closedforms import MultiplicativeSpec, UnaryFactor
+before = "scipy" in sys.modules
+cube_root = UnaryFactor.from_callable(
+    lambda t: t ** (1 / 3), antiderivative=lambda y: 0.75 * y ** (4 / 3))
+callable_values = closedforms.multiplicative_indices(
+    MultiplicativeSpec.symmetric(cube_root, 6))
+after_callable = "scipy" in sys.modules
+cs = [Fraction(c, 3) for c in (1, 2, 4, 5, 0, 3)]
+symbolic = MultiplicativeSpec(6, tuple(UnaryFactor.power(c) for c in cs))
+import scipy.integrate
+resolves = closedforms.integrate is scipy.integrate
+calls, quad_vec = [], scipy.integrate.quad_vec
+scipy.integrate.quad_vec = lambda *a, **kw: calls.append(1) or quad_vec(*a, **kw)
+limit, exact.PRODUCT_FORM_LIMIT = exact.PRODUCT_FORM_LIMIT, 10
+fallback_values = closedforms.multiplicative_indices(symbolic)
+exact.PRODUCT_FORM_LIMIT = limit
+print(json.dumps({
+    "before": before, "after_callable": after_callable,
+    "resolves": resolves, "fallback_quad_vec_calls": len(calls),
+    "callable": callable_values, "fallback": fallback_values,
+    "exact_callable": [str(v) for v in exact.product_indices([Fraction(1, 3)] * 6)],
+    "exact_fallback": [str(v) for v in exact.product_indices(cs)]}))
+"""
+
+
+def run_fresh(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def write_spec(tmp_path, name, doc):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_package_import_leaves_scipy_out():
+    loaded = run_fresh("-c", """
+import json, sys
+import ordinfluence
+package = "scipy" in sys.modules
+import ordinfluence.cli
+print(json.dumps([package, "scipy" in sys.modules]))
+""")
+    assert loaded == [False, False]
+
+
+def test_exact_mc_and_closed_form_commands_leave_scipy_out(tmp_path):
+    plain = write_spec(tmp_path, "plain", {
+        "kind": "plain-polynomial", "arity": 3, "constant": "1/3",
+        "terms": [{"coefficient": "3/2", "exponents": {"2": 1}},
+                  {"coefficient": "-1", "exponents": {"3": 2, "1": 1}}]})
+    setfn = write_spec(tmp_path, "setfn", {
+        "kind": "set-function", "arity": 3,
+        "values": [str(Fraction(i * 7 % 11, 5)) for i in range(8)]})
+    power = write_spec(tmp_path, "power", {
+        "kind": "power-product", "arity": 4, "exponent": "2/3"})
+    runs = [
+        ("plain-exact", ["influence", plain, "--all", "--method", "exact"]),
+        ("plain-approx", ["approx", plain, "--method", "exact"]),
+        ("lovasz", ["lovasz", setfn, "--mobius", "--symmetric-part",
+                    "--diagnose-equal-influence"]),
+        ("setfn-approx", ["approx", setfn, "--method", "exact"]),
+        ("mc-approx", ["approx", plain, "--method", "mc", "--samples", "2000",
+                       "--seed", "1"]),
+        ("power-product-approx", ["approx", power, "--method", "closed-form"]),
+    ]
+    loaded = run_fresh("-c", CLI_RUNS, json.dumps(
+        [(name, argv + ["--format", "json"]) for name, argv in runs]))
+    assert loaded == {name: False for name, _ in runs}
+
+
+def test_quad_vec_fallback_loads_scipy_and_matches_exact_form():
+    out = run_fresh("-c", FALLBACK)
+    assert not out["before"] and out["after_callable"] and out["resolves"]
+    assert out["fallback_quad_vec_calls"] == 1
+    for got, want in ((out["callable"], out["exact_callable"]),
+                      (out["fallback"], out["exact_fallback"])):
+        assert len(got) == len(want) == 6
+        for value, exact in zip(got, want):
+            assert abs(value - float(Fraction(exact))) <= 1e-9 * abs(float(Fraction(exact)))

@@ -262,6 +262,14 @@ class TestEachPrimaryOnce:
         self.run(tmp_path, self.SETFN, "approx")
         assert len(calls) == 1
 
+    def test_set_function_approx_scales_values_once(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # one integer table from the Fractions, shared by the spec echo, the
+        # Moebius transform, its level sums and the norm
+        builds = _count_calls(monkeypatch, lovasz, "_scaled_numerators")
+        self.run(tmp_path, self.SETFN, "approx")
+        assert len(builds) == 1
+
     def test_set_function_influence_takes_one_mobius(self, tmp_path, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, lovasz, "mobius")
         norms = _count_calls(monkeypatch, lovasz, "norm_sq_lovasz")
