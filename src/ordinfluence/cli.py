@@ -10,10 +10,10 @@ disagreement in crosscheck, 6 quadrature short of its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__, api
 from .errors import (
@@ -26,7 +26,8 @@ from .errors import (
     TaintedSampleError,
 )
 from .funcspec import SetFunctionSpec, parse_spec_file
-from .lovasz import equal_influence_class, level_averages, symmetric_part
+from .lovasz import _value_strings, equal_influence_class, level_averages, \
+    symmetric_part
 from .montecarlo import (
     derive_seed,
     influence_mc_covariance,
@@ -58,7 +59,10 @@ def _default_seed() -> int:
                             % (SEED_ENV_VAR, raw), SEED_ENV_VAR)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    ``main`` in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordinfluence",
         description="Influence of the k-th largest variable and best shifted "
@@ -196,7 +200,7 @@ def cmd_lovasz(args) -> ReportDocument:
         doc.results.append(_result_row(k, value, "exact"))
     doc.extras["mean"] = format_value(levels.mean())
     if args.mobius:
-        doc.extras["mobius"] = [str(Fraction(m)) for m in levels.mobius.values]
+        doc.extras["mobius"] = _value_strings(levels.mobius)
     if args.symmetric_part:
         part = symmetric_part(v, levels)
         doc.extras["symmetric_part"] = {

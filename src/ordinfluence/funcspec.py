@@ -307,8 +307,7 @@ def _conjunctive_threshold(x):
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
     levels = [Fraction(size, n) for size in range(n + 1)]
-    return SetFunction(n, tuple(map(levels.__getitem__,
-                                    _popcounts(n).tolist())))
+    return SetFunction.from_codes(n, levels, _popcounts(n))
 
 
 BUILTIN_NAMES = ("variance", "arithmetic-mean", "geometric-mean", "product",
@@ -364,10 +363,32 @@ def _require(doc: dict, key: str, location: str):
 
 
 def _parse_rational(value, location: str) -> Fraction:
+    # a JSON true or false would pass as the int 1 or 0, and 1e400 arrives
+    # as an infinite float, which Fraction rejects with an OverflowError
+    if isinstance(value, bool):
+        raise SpecFileError("expected a rational, got %s"
+                            % json.dumps(value), location)
     try:
         return as_rational(value)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise SpecFileError("cannot parse rational from %r" % (value,), location)
+
+
+def _parse_set_function(arity: int, values: list) -> SetFunction:
+    """The set function with the given JSON values, each distinct one parsed
+    once; a bad value is reported at the first index that holds it."""
+    codes, distinct, seen = [], [], {}
+    for i, value in enumerate(values):
+        try:
+            # true hashes as 1, so it must not find a parsed 1
+            code = None if isinstance(value, bool) else seen.get(value)
+        except TypeError:  # a list or an object, which _parse_rational rejects
+            code = None
+        if code is None:
+            distinct.append(_parse_rational(value, "values[%d]" % i))
+            code = seen[value] = len(distinct) - 1
+        codes.append(code)
+    return SetFunction.from_codes(arity, distinct, codes)
 
 
 def _parse_terms(raw, arity: int, location: str, slot_bound: int):
@@ -391,7 +412,7 @@ def _parse_terms(raw, arity: int, location: str, slot_bound: int):
             if not 1 <= idx <= slot_bound:
                 raise SpecFileError("index %d outside [1, %d]"
                                     % (idx, slot_bound), loc)
-            if not isinstance(exp, int) or exp < 1:
+            if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
                 raise SpecFileError("exponent must be a positive integer", loc)
             exps[idx] = exp
         terms.append((coeff, exps))
@@ -404,7 +425,7 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         raise SpecFileError("spec document must be a JSON object", "$")
     kind = _require(doc, "kind", "$")
     arity = _require(doc, "arity", "$")
-    if not isinstance(arity, int) or arity < 1:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
         raise SpecFileError("arity must be a positive integer", "arity")
 
     if kind == "orderstat-polynomial":
@@ -425,9 +446,7 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         if not isinstance(values, list) or len(values) != 1 << arity:
             raise SpecFileError("set-function payload needs exactly %d values"
                                 % (1 << arity), "values")
-        rationals = [_parse_rational(v, "values[%d]" % i)
-                     for i, v in enumerate(values)]
-        return SetFunctionSpec(SetFunction(arity, tuple(rationals)))
+        return SetFunctionSpec(_parse_set_function(arity, values))
     if kind == "multiplicative":
         raw_factors = _require(doc, "factors", "factors")
         if not isinstance(raw_factors, list) or len(raw_factors) != arity:

@@ -28,8 +28,8 @@ from .errors import DomainError
 from .exact import as_rational
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
-# CPUs: arity 20 takes 7.9 s and 0.6 GB peak RSS, arity 21 takes 14.7 s and
-# 1.1 GB; most of it builds the 2^n values and prints them in the report.
+# CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
+# arity 20 2.2 s and 0.44 GB, of which the chain-form norm is about 1.4 s.
 MAX_ARITY = 20
 
 
@@ -70,6 +70,18 @@ class SetFunction(_DenseTable):
     @classmethod
     def from_values(cls, arity: int, values: Sequence) -> "SetFunction":
         return cls(arity, tuple(as_rational(v) for v in values))
+
+    @classmethod
+    def from_codes(cls, arity: int, distinct: Sequence[Fraction],
+                   codes: Sequence[int]) -> "SetFunction":
+        """v(S) = distinct[codes[S]], where ``codes`` uses every value of
+        ``distinct``: the table shares one Fraction per distinct value, and
+        its integer numerators are scaled from the distinct values alone."""
+        codes = np.asarray(codes, dtype=np.intp)
+        v = cls(arity, tuple(map(distinct.__getitem__, codes.tolist())))
+        table, scale, peak = _scaled_numerators(distinct)
+        v.__dict__["_numerators"] = (table[codes], scale, peak)
+        return v
 
     def value(self, subset) -> Fraction:
         """Value at a subset given as a bitmask or an iterable of elements of [n]."""
@@ -166,8 +178,9 @@ def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
 
 def _value_strings(x: _DenseTable) -> list:
     """``str`` of every value of ``x``, formatted once per distinct numerator."""
-    ints = x._numerators[0].tolist()
-    text = {p: str(as_rational(v)) for p, v in dict(zip(ints, x.values)).items()}
+    table, scale, _ = x._numerators
+    ints = table.tolist()
+    text = {p: str(Fraction(p, scale)) for p in set(ints)}
     return list(map(text.__getitem__, ints))
 
 

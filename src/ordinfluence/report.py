@@ -10,8 +10,10 @@ from __future__ import annotations
 import io
 import csv as csv_module
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 
@@ -20,6 +22,61 @@ def format_value(value) -> dict:
     if isinstance(value, Fraction) or isinstance(value, int):
         return {"value": float(value), "rational": str(Fraction(value))}
     return {"value": float(value), "rational": None}
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_json(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            "not %s" % type(key).__name__)
+        key = _to_json(key, "")
+    return encode_basestring_ascii(key)
+
+
+def _to_json(value, indent: str) -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True)``
+    lays it out, nested at ``indent``.  The json module writes that layout
+    with its pure-Python encoder; here every string goes through its C
+    string encoder, a whole list of strings at once."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a list of strings, such as a spec echo, in one C pass
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:  # some item is not a string
+            items = [_to_json(item, inner) for item in value]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_key_json(key) + ": " + _to_json(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
 
 
 @dataclass
@@ -37,8 +94,8 @@ class ReportDocument:
         # the fields hold plain JSON values, and json.dumps rejects a nested
         # dataclass, so this is the text of asdict(self) without its deep
         # copy of the spec echo (2^n value strings for a set function)
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
-                          indent=2, sort_keys=True)
+        return _to_json({f.name: getattr(self, f.name) for f in fields(self)},
+                        "")
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":

@@ -87,6 +87,50 @@ class TestExitCodes:
                              "--all"]) == 2
         assert not built and not parsed
 
+    @pytest.mark.parametrize("text, location", [
+        ('{"kind": "set-function", "arity": 1, "values": [0, 1e400]}',
+         "values[1]"),
+        ('{"kind": "plain-polynomial", "arity": 1, "terms": '
+         '[{"coefficient": -1e400, "exponents": {"1": 1}}]}', "terms[0]"),
+        ('{"kind": "power-product", "arity": 2, "exponent": 1e400}',
+         "exponent"),
+    ], ids=["value", "coefficient", "exponent"])
+    def test_infinite_rational_exits_2(self, tmp_path, capsys, text,
+                                       location):
+        # JSON reads 1e400 as an infinite float, which has no rational value
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert cli.main(["influence", str(path), "--all"]) == 2
+        assert "(at %s)" % location in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, location", [
+        ({"kind": "builtin", "name": "min", "arity": True}, "arity"),
+        ({"kind": "set-function", "arity": True, "values": [0, 1]}, "arity"),
+        ({"kind": "set-function", "arity": 1, "values": [False, 1]},
+         "values[0]"),
+        # true equals 1 and hashes like it, and must not pass as a repeat
+        ({"kind": "set-function", "arity": 2, "values": [0, 1, True, 1]},
+         "values[2]"),
+        ({"kind": "plain-polynomial", "arity": 1,
+          "terms": [{"coefficient": True, "exponents": {"1": 1}}]},
+         "terms[0]"),
+        ({"kind": "plain-polynomial", "arity": 1,
+          "terms": [{"coefficient": 1, "exponents": {"1": True}}]},
+         "terms[0]"),
+        ({"kind": "orderstat-polynomial", "arity": 1, "constant": False,
+          "terms": []}, "constant"),
+        ({"kind": "multiplicative", "arity": 1,
+          "factors": [{"exponent": True}]}, "factors[0]"),
+        ({"kind": "power-product", "arity": 1, "exponent": False},
+         "exponent"),
+    ], ids=["arity", "set-function-arity", "value", "value-after-1",
+            "coefficient", "exponent", "constant", "factor-exponent",
+            "power-exponent"])
+    def test_boolean_number_exits_2(self, tmp_path, capsys, doc, location):
+        path = write_spec(tmp_path, doc)
+        assert cli.main(["influence", path, "--all"]) == 2
+        assert "(at %s)" % location in capsys.readouterr().err
+
     def test_incompatible_method_exits_3(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
                                      "exponent": 1})
@@ -242,6 +286,55 @@ class TestLovaszCommand:
         diagnosis = report["extras"]["equal_influence"]
         assert diagnosis["equal"] is False
         assert diagnosis["first_violations"]
+
+
+class TestParserBuiltOnce:
+    def test_repeated_commands_print_the_same_bytes(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv("ORDINFLUENCE_SEED", raising=False)
+        product = write_spec(tmp_path, PRODUCT_DOC, "product.json")
+        mean = write_spec(tmp_path, MEAN_DOC, "mean.json")
+        power = write_spec(tmp_path, {"kind": "power-product", "arity": 3,
+                                      "exponent": "1/2"}, "power.json")
+        runs = [
+            ["influence", product, "--all"],
+            ["influence", product, "-k", "2", "--method", "mc",
+             "--samples", "2000", "--seed", "4", "--format", "json"],
+            ["influence", power, "-k", "1", "--format", "csv"],
+            ["approx", mean, "--format", "csv"],
+            ["approx", mean, "--method", "exact", "--format", "json"],
+            ["approx", product, "--method", "mc", "--samples", "2000",
+             "--format", "json"],
+            ["approx", power, "--method", "closed-form"],
+            ["lovasz", mean, "--mobius", "--symmetric-part",
+             "--diagnose-equal-influence", "--format", "json"],
+            ["lovasz", mean, "--seed", "5"],
+            ["crosscheck", product, "-k", "1", "--samples", "2000",
+             "--seed", "9", "--format", "json"],
+            ["crosscheck", power, "-k", "2", "--samples", "2000",
+             "--estimators", "covariance,derivative"],
+        ]
+
+        def run_all():
+            outputs = []
+            for argv in runs:
+                code = cli.main(argv)
+                outputs.append((code, capsys.readouterr()))
+            return outputs
+
+        first = run_all()
+        assert all(out for _, (out, _) in first)
+        # a failing parse (neither -k nor --all) and --version leave the
+        # shared parser as they found it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["influence", product])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_all() == first
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestEnvironment:

@@ -27,7 +27,7 @@ from ordinfluence.funcspec import (
     SetFunctionSpec,
 )
 from ordinfluence.exact import as_rational
-from ordinfluence.lovasz import SetFunction, mobius, zeta
+from ordinfluence.lovasz import SetFunction, _scaled_numerators, mobius, zeta
 
 
 class TestParsing:
@@ -93,6 +93,53 @@ class TestParsing:
         with pytest.raises(SpecFileError):
             parse_spec_document({"kind": "set-function", "arity": 1,
                                  "values": ["x", "1"]})
+
+    @pytest.mark.parametrize("pool", [
+        (0, 1, -3, 0.5, -0.25, "1/3", "-2/7", "0.1", "2", " 1/3", "3e2"),
+        (0, 2 ** 70, -(2 ** 66) + 1, 0.75, "1/6", "-5/12", "2/3"),
+    ], ids=["int64", "object"])
+    def test_set_function_values_parsed_once_per_distinct_value(self, pool):
+        # no two entries of a pool are equal, so each parses to its own
+        # Fraction, and the spec holds one Fraction object per entry used
+        rng = random.Random(11_2026)
+        for n in (1, 3, 6, 8):
+            values = [rng.choice(pool) for _ in range(1 << n)]
+            v = parse_spec_document({"kind": "set-function", "arity": n,
+                                     "values": values}).set_function
+            assert v == SetFunction.from_values(n, values)
+            assert len({id(x) for x in v.values}) == len(set(values))
+            self._assert_numerators_handed_over(v)
+
+    def test_arithmetic_mean_numerators_handed_over(self):
+        for n in (1, 5, 12):
+            self._assert_numerators_handed_over(
+                resolve_builtin("arithmetic-mean", n).set_function)
+
+    @staticmethod
+    def _assert_numerators_handed_over(v):
+        assert "_numerators" in vars(v)
+        table, scale, peak = v._numerators
+        want_table, want_scale, want_peak = _scaled_numerators(v.values)
+        assert table.dtype == want_table.dtype
+        assert table.tolist() == want_table.tolist()
+        assert (scale, peak) == (want_scale, want_peak)
+
+    @pytest.mark.parametrize("values, location", [
+        (["0", "x", "1", "x"], "values[1]"),
+        ([0, 1, "1/0", "1/0"], "values[2]"),
+        ([0, [1], 1, [1]], "values[1]"),
+        (["1", "1", {"a": 1}, "x"], "values[2]"),
+        ([0, None, 1, None], "values[1]"),
+        ([0, 1, float("nan"), float("nan")], "values[2]"),
+        ([1, 1, 1, float("-inf")], "values[3]"),
+        ([1, 0, True, True], "values[2]"),
+    ])
+    def test_set_function_bad_value_is_named_at_its_first_index(
+            self, values, location):
+        with pytest.raises(SpecFileError) as err:
+            parse_spec_document({"kind": "set-function", "arity": 2,
+                                 "values": values})
+        assert err.value.location == location
 
     def test_file_round_trip(self, tmp_path):
         doc = {"kind": "set-function", "arity": 2,

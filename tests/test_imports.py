@@ -1,5 +1,6 @@
-"""scipy is imported only on the quadrature paths, checked in fresh
-interpreters: a test process has usually loaded it already."""
+"""scipy is imported only on the quadrature paths, and the CLI parser only on
+the first command, checked in fresh interpreters: a test process has usually
+loaded both already."""
 
 import json
 import os
@@ -118,3 +119,17 @@ def test_quad_vec_fallback_loads_scipy_and_matches_exact_form():
         assert len(got) == len(want) == 6
         for value, exact in zip(got, want):
             assert abs(value - float(Fraction(exact))) <= 1e-9 * abs(float(Fraction(exact)))
+
+
+def test_cli_import_builds_no_parser():
+    builds = run_fresh("-c", """
+import contextlib, io, json
+from ordinfluence import cli
+builds = [cli._build_parser.cache_info().misses]
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["influence", "/no/such/spec.json", "--all"]) == 2
+    builds.append(cli._build_parser.cache_info().misses)
+print(json.dumps(builds))
+""")
+    assert builds == [0, 1, 1]
