@@ -52,10 +52,10 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
 
     The flags name what the caller needs; an engine fills more when it costs
     nothing extra.  Exact and closed-form engines always fill the indices
-    and the mean, and compute <f, f> (4^n work for set functions) only for
-    ``norm_sq``.  Monte Carlo makes one pass, keyed derive_seed(seed, 0),
-    that estimates the asked-for quantities from the same samples, with
-    their joint covariance.
+    and the mean, and compute <f, f> (the O(n^2 2^n) chain form for set
+    functions) only for ``norm_sq``.  Monte Carlo makes one pass, keyed
+    derive_seed(seed, 0), that estimates the asked-for quantities from the
+    same samples, with their joint covariance.
     """
     method = resolve_method(spec, method)
     if method == "mc":
@@ -67,18 +67,17 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
 def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
                     samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> Union[Fraction, float, IntegrationEstimate]:
-    """I(f, k) by the chosen engine; Monte-Carlo returns the full estimate,
-    read from the same pass as ``function_moments`` makes for the indices,
-    so it equals rank k of the profile at the same seed."""
+    """I(f, k), rank k of the profile that ``function_moments`` gives at the
+    same seed; an estimated index comes back as the full estimate."""
     method = resolve_method(spec, method)
     if not 1 <= k <= spec.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
-    if method == "mc":
-        m = mc_profile_moments(spec.evaluator(), samples, seed,
-                               second_moments=False)
-        return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],
-                                   samples, seed, "covariance")
-    return spec.moments(norm_sq=False).indices[k - 1]
+    m = function_moments(spec, method, samples, seed, mean=False,
+                         norm_sq=False)
+    if m.index_std_errors is None:
+        return m.indices[k - 1]
+    return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],
+                               samples, seed, "covariance")
 
 
 def influence_profile(spec: FunctionSpec, method: str = "auto",

@@ -2,16 +2,17 @@
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
 documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file or seed variable, 3 incompatible method or kind, or a closed-form branch
-that cannot be decided, 4 tainted Monte-Carlo sample, 5 estimator
-disagreement in crosscheck, 6 quadrature short of its tolerance.
+file or seed variable, 3 incompatible method or kind, a closed-form branch
+that cannot be decided, or a value beyond the float range, 4 tainted
+Monte-Carlo sample, 5 estimator disagreement in crosscheck, 6 quadrature
+short of its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
+import itertools
 import os
 import sys
 
@@ -29,6 +30,7 @@ from .funcspec import SetFunctionSpec, parse_spec_file
 from .lovasz import _value_strings, equal_influence_class, level_averages, \
     symmetric_part
 from .montecarlo import (
+    IntegrationEstimate,
     derive_seed,
     influence_mc_covariance,
     influence_mc_derivative,
@@ -128,24 +130,24 @@ def _report(command, spec, requested, seed) -> ReportDocument:
 def cmd_influence(args) -> ReportDocument:
     spec = parse_spec_file(args.spec)
     method = api.resolve_method(spec, args.method)
+    n = spec.arity
+    if args.all:
+        ranks = range(1, n + 1)
+    elif 1 <= args.k <= n:
+        ranks = (args.k,)
+    else:
+        raise DomainError("rank %d outside [1, %d]" % (args.k, n))
     seed = args.seed
     requested = {"method": method, "quantity": "influence"}
     if method == "mc":
         requested["samples"] = args.samples
     doc = _report("influence", spec, requested, seed)
-    if args.all:
-        moments = api.function_moments(spec, method, args.samples, seed,
-                                       mean=False, norm_sq=False)
-        ses = moments.index_std_errors or (None,) * spec.arity
-        for k, (value, se) in enumerate(zip(moments.indices, ses), start=1):
-            doc.results.append(_result_row(k, value, method, se=se))
-        return doc
-    value = api.influence_value(spec, args.k, method, args.samples, seed)
-    if hasattr(value, "std_error"):
-        doc.results.append(_result_row(args.k, value.value, method,
-                                       se=value.std_error))
-    else:
-        doc.results.append(_result_row(args.k, value, method))
+    moments = api.function_moments(spec, method, args.samples, seed,
+                                   mean=False, norm_sq=False)
+    ses = moments.index_std_errors or (None,) * n
+    for k in ranks:
+        doc.results.append(_result_row(k, moments.indices[k - 1], method,
+                                       se=ses[k - 1]))
     return doc
 
 
@@ -263,28 +265,17 @@ def cmd_crosscheck(args):
         row = _result_row(k, est.value, "mc:" + name, se=est.std_error)
         doc.results.append(row)
 
-    z_scores = {}
     items = list(estimates.items())
     if reference is not None:
-        items.append((strongest, _ExactEstimate(float(reference))))
-    worst = 0.0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            (name_a, a), (name_b, b) = items[i], items[j]
-            combined = math.hypot(a.std_error, b.std_error)
-            z = abs(a.value - b.value) / combined if combined else 0.0
-            z_scores["%s|%s" % (name_a, name_b)] = z
-            worst = max(worst, z)
+        items.append((strongest, IntegrationEstimate(
+            float(reference), 0.0, 0, seed, strongest)))
+    z_scores = {"%s|%s" % (name_a, name_b): a.z_score(b)
+                for (name_a, a), (name_b, b) in itertools.combinations(items, 2)}
+    worst = max(z_scores.values(), default=0.0)
     doc.extras["z_scores"] = z_scores
     doc.extras["max_z"] = worst
     doc.extras["agreement"] = worst <= 3.0
     return doc, (EXIT_OK if worst <= 3.0 else EXIT_DISAGREEMENT)
-
-
-class _ExactEstimate:
-    def __init__(self, value):
-        self.value = value
-        self.std_error = 0.0
 
 
 def main(argv=None) -> int:
@@ -307,6 +298,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_SPEC
     except (ConfigurationError, DomainError, BranchAmbiguityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INCOMPATIBLE
+    except OverflowError as exc:
+        print("error: a value is beyond the float range: %s" % exc,
+              file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except TaintedSampleError as exc:
         print("error: %s" % exc, file=sys.stderr)

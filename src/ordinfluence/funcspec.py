@@ -21,13 +21,12 @@ from . import backends
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
     influence_power_product, multiplicative_indices, variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
-from .exact import OrderStatPolynomial, as_rational, inner_product_exact, \
-    integral, monomial, os_function, plain_indices, plain_integral, \
-    plain_norm_sq, polynomial
+from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
+    plain_indices, plain_integral, plain_norm_sq, polynomial
 from .lovasz import SetFunction, _popcounts, _value_strings, check_arity, \
     level_averages, norm_sq_lovasz
 from .montecarlo import Evaluator
-from .projection import Moments, indices_exact
+from .projection import Moments, moments_exact
 
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 
@@ -81,9 +80,7 @@ class OrderStatPolynomialSpec(FunctionSpec):
         return (EXACT, MC)
 
     def moments(self, norm_sq=True):
-        p = self.poly
-        return Moments(p.arity, "exact", indices_exact(p), integral(p),
-                       inner_product_exact(p, p) if norm_sq else None)
+        return moments_exact(self.poly, norm_sq)
 
     def evaluator(self):
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]

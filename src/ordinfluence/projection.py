@@ -7,9 +7,8 @@ and the coefficient of determination R^2.
 Every engine hands the same primaries, a ``Moments`` record, to one
 assembler (``profile_from_moments``, ``approximation_from_moments``).  The
 fit's slopes are the indices themselves, so its variance, R^2 and residual
-are closed forms in them.  ``profile_exact`` and ``approximation_exact``
-stay as independent exact references that solve a = M^{-1} b with the Gram
-system of the basis.
+are closed forms in them.  The exact helpers on order-statistic
+polynomials take the same route, from ``moments_exact``.
 """
 
 from __future__ import annotations
@@ -123,16 +122,6 @@ class InfluenceProfile:
         return total / (n + 1) - self.mean
 
 
-def profile_exact(f: OrderStatPolynomial) -> InfluenceProfile:
-    """Exact influence profile of a polynomial of order statistics."""
-    n = f.arity
-    indices = tuple(influence_exact(f, k) for k in range(1, n + 1))
-    mean = integral(f)
-    tail = ((n + 1) ** 2 * mean
-            - (n + 1) * (n + 2) * inner_product_exact(f, os_function(n, n)))
-    return InfluenceProfile(n, indices, tail, mean, "exact")
-
-
 @dataclass(frozen=True)
 class ApproximationResult:
     """Best shifted L-statistic approximation of f.
@@ -196,16 +185,6 @@ def tail_coefficient(n: int, indices: Sequence, mean) -> object:
     (1/(n+1)) sum_{k=1}^{n+1} k a_k = <f, 1>."""
     weighted = sum(k * a for k, a in enumerate(indices, start=1))
     return ((n + 1) * mean - weighted) / (n + 1)
-
-
-def r_squared_from_coefficients(n: int, coefficients: Sequence, variance):
-    """R^2 = a^T (M - c c^T) a / sigma^2(f), with c the last column of M."""
-    gram = gram_system(n)
-    c = [row[-1] for row in gram.matrix]
-    quad = sum(coefficients[i] * gram.matrix[i][j] * coefficients[j]
-               for i in range(n + 1) for j in range(n + 1))
-    lin = sum(c[i] * coefficients[i] for i in range(n + 1))
-    return (quad - lin * lin) / variance
 
 
 @dataclass(frozen=True)
@@ -336,30 +315,24 @@ def _r_squared_gradient(m: Moments, r2) -> list:
             + [2 * m.mean * r2 / variance, -r2 / variance])
 
 
+def moments_exact(f: OrderStatPolynomial, norm_sq: bool = True) -> Moments:
+    """Exact Moments of an order-statistic polynomial: I(f, 1..n), the mean
+    and, when ``norm_sq`` is set, <f, f>."""
+    return Moments(f.arity, "exact", indices_exact(f), integral(f),
+                   inner_product_exact(f, f) if norm_sq else None)
+
+
+def profile_exact(f: OrderStatPolynomial) -> InfluenceProfile:
+    """Exact influence profile of a polynomial of order statistics."""
+    return profile_from_moments(moments_exact(f, norm_sq=False))
+
+
 def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:
-    """Best shifted L-statistic approximation of an order-statistic polynomial,
-    solved exactly via a = M^{-1} b."""
-    n = f.arity
-    gram = gram_system(n)
-    b = [inner_product_exact(f, os_function(n, i)) for i in range(1, n + 2)]
-    a = tuple(sum(gram.inverse[i][j] * b[j] for j in range(n + 1))
-              for i in range(n + 1))
-    norm_sq = inner_product_exact(f, f)
-    mean = b[-1]
-    residual = norm_sq - sum(bi * ai for bi, ai in zip(b, a))
-    variance = norm_sq - mean * mean
-    if variance == 0:
-        raise DegenerateVarianceError("R^2 is undefined for a constant function")
-    r2 = r_squared_from_coefficients(n, a, variance)
-    return ApproximationResult(n, a, mean, r2, residual, "exact",
-                               variance=variance)
+    """Best shifted L-statistic approximation of an order-statistic
+    polynomial, in exact rationals."""
+    return approximation_from_moments(moments_exact(f))
 
 
 def normalized_index_exact(f: OrderStatPolynomial, k: int) -> float:
     """Normalized index r(f,k) = I(f,k) / (sigma(f) sqrt(2(n+1)(n+2)))."""
-    n = f.arity
-    variance = inner_product_exact(f, f) - integral(f) ** 2
-    if variance == 0:
-        raise DegenerateVarianceError("r(f,k) is undefined for a constant function")
-    idx = influence_exact(f, k)
-    return float(idx) / (math.sqrt(float(variance)) * math.sqrt(2 * (n + 1) * (n + 2)))
+    return approximation_exact(f).normalized_index(k)

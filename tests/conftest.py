@@ -5,12 +5,22 @@ reproducible; the exact modules consume Fractions only.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ordinfluence import Evaluator, SetFunction, monomial, polynomial
+from ordinfluence import (
+    Evaluator,
+    SetFunction,
+    gram_system,
+    inner_product_exact,
+    integral,
+    monomial,
+    os_function,
+    polynomial,
+)
 
 
 def random_fraction(rng, lo=-4, hi=4, den=6):
@@ -58,6 +68,44 @@ def poly_evaluator(poly):
         return out
 
     return Evaluator(poly.arity, func, name="test-poly")
+
+
+GramFit = namedtuple("GramFit", "coefficients mean r_squared residual_norm_sq")
+
+
+def gram_r_squared(n, coefficients, variance):
+    """R^2 = a^T (M - c c^T) a / sigma^2(f), with M the Gram matrix of
+    (os_1, ..., os_n, 1) and c its last column."""
+    matrix = gram_system(n).matrix
+    c = [row[-1] for row in matrix]
+    quad = sum(coefficients[i] * matrix[i][j] * coefficients[j]
+               for i in range(n + 1) for j in range(n + 1))
+    lin = sum(c[i] * coefficients[i] for i in range(n + 1))
+    return (quad - lin * lin) / variance
+
+
+def gram_solve(f):
+    """Oracle for the best fit of an order-statistic polynomial, by the
+    linear solve a = M^{-1} b with b_i = <f, os_i> and b_{n+1} = <f, 1>,
+    independent of the closed-form assembler."""
+    n = f.arity
+    inverse = gram_system(n).inverse
+    b = [inner_product_exact(f, os_function(n, i)) for i in range(1, n + 2)]
+    a = tuple(sum(inverse[i][j] * b[j] for j in range(n + 1))
+              for i in range(n + 1))
+    norm_sq = inner_product_exact(f, f)
+    mean = b[-1]
+    residual = norm_sq - sum(bi * ai for bi, ai in zip(b, a))
+    return GramFit(a, mean, gram_r_squared(n, a, norm_sq - mean * mean),
+                   residual)
+
+
+def direct_tail(f):
+    """a_{n+1} = (n+1)^2 <f, 1> - (n+1)(n+2) <f, os_n>, the last row of
+    a = M^{-1} b, without the indices."""
+    n = f.arity
+    return ((n + 1) ** 2 * integral(f)
+            - (n + 1) * (n + 2) * inner_product_exact(f, os_function(n, n)))
 
 
 @pytest.fixture

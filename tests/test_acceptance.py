@@ -57,6 +57,7 @@ from ordinfluence.lovasz import (
 from ordinfluence.montecarlo import Evaluator
 
 from conftest import (
+    direct_tail,
     random_orderstat_polynomial,
     random_plain_terms,
     random_set_function,
@@ -312,11 +313,17 @@ def test_criterion_7_property_suites(announce):
         for j in range(1, n + 1):
             ok &= inner_product_exact(residual, os_function(n, j)) == 0
 
-    # mean preservation (200 cases)
+    # mean preservation (200 cases), with the indices <f, g_k> and the tail
+    # taken straight from <f, os_n>; profile_exact must return both
     for _ in range(200):
         n = rnd.randint(1, 5)
         f = random_orderstat_polynomial(rnd, n)
-        ok &= profile_exact(f).mean_preservation_gap() == 0
+        indices = tuple(influence_exact(f, k) for k in range(1, n + 1))
+        tail = direct_tail(f)
+        weighted = sum(k * a for k, a in enumerate(indices, start=1))
+        ok &= (weighted + (n + 1) * tail) / (n + 1) == integral(f)
+        profile = profile_exact(f)
+        ok &= profile.indices == indices and profile.formal_tail == tail
 
     # three-way equal-influence equivalence (200 cases, half constructed
     # to be in the equal-influence class via vanishing higher Moebius sums)

@@ -103,6 +103,30 @@ class TestExitCodes:
         assert cli.main(["influence", str(path), "--all"]) == 2
         assert "(at %s)" % location in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, command", [
+        ({"kind": "set-function", "arity": 1, "values": ["0", "1e400"]},
+         ["influence", "--all"]),
+        ({"kind": "set-function", "arity": 1, "values": ["0", "1e400"]},
+         ["approx"]),
+        # the values are finite floats, but <f, f> is about 1e400
+        ({"kind": "set-function", "arity": 1, "values": ["0", "1e200"]},
+         ["approx"]),
+        ({"kind": "power-product", "arity": 2, "exponent": "1e400"},
+         ["influence", "--all"]),
+        ({"kind": "plain-polynomial", "arity": 1,
+          "terms": [{"coefficient": "1e400", "exponents": {"1": 1}}]},
+         ["influence", "--all"]),
+    ], ids=["value-influence", "value-approx", "norm-approx", "exponent",
+            "coefficient"])
+    def test_float_overflow_exits_3(self, tmp_path, capsys, doc, command):
+        # a rational string such as "1e400" is exact, but too large to
+        # report as a float
+        path = write_spec(tmp_path, doc)
+        assert cli.main([command[0], path] + command[1:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc, location", [
         ({"kind": "builtin", "name": "min", "arity": True}, "arity"),
         ({"kind": "set-function", "arity": True, "values": [0, 1]}, "arity"),
@@ -190,6 +214,24 @@ class TestExitCodes:
         assert code == 5
         # the table is still emitted
         assert "z_scores" in capsys.readouterr().out
+
+    def test_crosscheck_zero_error_disagreement_exits_5(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # a wrong value with no error bar must not pass as agreement with
+        # the exact reference, whose error is zero too
+        path = write_spec(tmp_path, PRODUCT_DOC)
+        from ordinfluence.montecarlo import IntegrationEstimate
+
+        def wrong(f, k, samples, seed):
+            return IntegrationEstimate(5.0, 0.0, samples, seed, "covariance")
+
+        monkeypatch.setattr(cli, "influence_mc_covariance", wrong)
+        code = cli.main(["crosscheck", path, "-k", "1", "--samples", "5000",
+                         "--estimators", "covariance", "--format", "json"])
+        assert code == 5
+        extras = json.loads(capsys.readouterr().out)["extras"]
+        assert extras["max_z"] == float("inf")
+        assert extras["agreement"] is False
 
     def test_unknown_estimator_exits_3(self, tmp_path):
         path = write_spec(tmp_path, PRODUCT_DOC)

@@ -22,10 +22,13 @@ from ordinfluence import (
     exact,
     function_moments,
     function_sigma,
+    influence_exact,
     influence_profile,
     inner_product_exact,
+    integral,
     lovasz,
     normalized_index,
+    normalized_index_exact,
     profile_exact,
     projection,
     resolve_builtin,
@@ -38,11 +41,12 @@ from ordinfluence.projection import (
     _r_squared_gradient,
     approximation_from_moments,
     gram_system,
-    r_squared_from_coefficients,
     tail_coefficient,
 )
 
 from conftest import (
+    gram_r_squared,
+    gram_solve,
     random_orderstat_polynomial,
     random_plain_terms,
     random_set_function,
@@ -135,7 +139,8 @@ class TestAssemblerAgainstOracles:
             moments = spec.moments()
             if isinstance(spec, OrderStatPolynomialSpec):
                 poly = spec.poly
-                assert moments.indices == profile_exact(poly).indices
+                assert moments.indices == tuple(
+                    influence_exact(poly, k) for k in range(1, n + 1))
                 assert moments.norm_sq == inner_product_exact(poly, poly)
             if moments.norm_sq == moments.mean ** 2:
                 continue
@@ -145,11 +150,10 @@ class TestAssemblerAgainstOracles:
             matrix = gram_system(n).matrix
             fit_norm_sq = sum(a[i] * matrix[i][j] * a[j]
                               for i in range(n + 1) for j in range(n + 1))
-            assert got.r_squared == r_squared_from_coefficients(
-                n, a, moments.variance())
+            assert got.r_squared == gram_r_squared(n, a, moments.variance())
             assert got.residual_norm_sq == moments.norm_sq - fit_norm_sq
             if isinstance(spec, OrderStatPolynomialSpec):
-                want = approximation_exact(poly)
+                want = gram_solve(poly)
                 assert got.coefficients == want.coefficients
                 assert got.r_squared == want.r_squared
                 assert got.residual_norm_sq == want.residual_norm_sq
@@ -160,8 +164,8 @@ class TestAssemblerAgainstOracles:
         def r_squared(theta, n):
             idx, mean, norm_sq = theta[:n], theta[n], theta[n + 1]
             coefficients = idx + [tail_coefficient(n, idx, mean)]
-            return float(r_squared_from_coefficients(n, coefficients,
-                                                     norm_sq - mean * mean))
+            return float(gram_r_squared(n, coefficients,
+                                        norm_sq - mean * mean))
 
         for _ in range(10):
             n = rng.randint(1, 8)
@@ -181,11 +185,17 @@ class TestAssemblerAgainstOracles:
             assert _r_squared_gradient(m, r2) == pytest.approx(
                 numeric, rel=1e-6, abs=1e-8)
 
-    def test_fit_builds_no_gram_system(self, monkeypatch):
+    def test_fit_builds_no_gram_system(self, monkeypatch, rng):
+        poly = random_orderstat_polynomial(rng, 3)
+        while inner_product_exact(poly, poly) == integral(poly) ** 2:
+            poly = random_orderstat_polynomial(rng, 3)
         calls = _count_calls(monkeypatch, projection, "gram_system")
         spec = resolve_builtin("median", 5)
         best_approximation(spec, "exact")
         best_approximation(spec, "mc", samples=4000, seed=1)
+        approximation_exact(poly)
+        profile_exact(poly)
+        normalized_index_exact(poly, 2)
         assert not calls
 
     def test_profile_tail_is_mean_preserving(self, rng):

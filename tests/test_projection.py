@@ -21,9 +21,9 @@ from ordinfluence import (
     polynomial,
     profile_exact,
 )
-from ordinfluence.projection import tail_coefficient
+from ordinfluence.projection import InfluenceProfile, tail_coefficient
 
-from conftest import random_orderstat_polynomial
+from conftest import direct_tail, gram_solve, random_orderstat_polynomial
 
 
 class TestGramSystem:
@@ -116,11 +116,15 @@ class TestInfluence:
                 assert influence_exact(f + 7, k) == influence_exact(f, k)
 
     def test_profile_mean_preservation(self):
+        # (1/(n+1)) sum_k k a_k = <f, 1> with a_k = <f, g_k> and the tail
+        # taken straight from <f, os_n>, not from the identity itself
         rnd = random.Random(41)
         for _ in range(20):
             n = rnd.randint(1, 4)
             f = random_orderstat_polynomial(rnd, n)
-            profile = profile_exact(f)
+            profile = InfluenceProfile(
+                n, tuple(influence_exact(f, k) for k in range(1, n + 1)),
+                direct_tail(f), integral(f), "exact")
             assert profile.mean_preservation_gap() == 0
 
     def test_tail_coefficient_matches_direct_formula(self):
@@ -130,7 +134,7 @@ class TestInfluence:
             f = random_orderstat_polynomial(rnd, n)
             profile = profile_exact(f)
             assert (tail_coefficient(n, profile.indices, profile.mean)
-                    == profile.formal_tail)
+                    == direct_tail(f))
 
 
 class TestApproximation:
@@ -144,9 +148,11 @@ class TestApproximation:
                 continue
             approx = approximation_exact(f)
             profile = profile_exact(f)
-            assert approx.coefficients[:-1] == profile.indices
-            assert approx.coefficients[-1] == profile.formal_tail
-            assert approx.mean == profile.mean
+            want = gram_solve(f)
+            assert approx.coefficients == want.coefficients
+            assert profile.indices == want.coefficients[:-1]
+            assert profile.formal_tail == want.coefficients[-1]
+            assert approx.mean == profile.mean == want.mean
 
     def test_residual_orthogonality(self):
         # <f - f_L, os_j> = 0 for every basis element, exactly
