@@ -25,7 +25,7 @@ from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
 from .lovasz import SetFunction, _popcounts, _value_strings, check_arity, \
     level_averages, norm_sq_lovasz
-from .montecarlo import Evaluator
+from .montecarlo import Evaluator, sorted_columns
 from .projection import Moments, moments_exact
 
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
@@ -87,12 +87,12 @@ class OrderStatPolynomialSpec(FunctionSpec):
         constant = float(self.poly.constant)
 
         def func(x):
-            xs = np.sort(x, axis=1)
+            xs = sorted_columns(x)
             out = np.full(len(x), constant)
             for coeff, exps in terms:
                 part = np.full(len(x), coeff)
                 for slot, exp in exps:
-                    part *= xs[:, slot - 1] ** exp
+                    part *= xs[slot - 1] ** exp
                 out += part
             return out
 
@@ -256,10 +256,7 @@ class PowerProductSpec(FunctionSpec):
 
         def derivative(x, k):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            order = np.argsort(x, axis=1, kind="stable")
-            col = order[:, k - 1]
-            mid = x[np.arange(len(x)), col]
-            return c * func(x) / mid
+            return c * func(x) / sorted_columns(x)[k - 1]
 
         return Evaluator(n, func, derivative,
                          name=self.builtin_name or self.kind)

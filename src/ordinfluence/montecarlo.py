@@ -8,10 +8,20 @@ quadrature serves as an independent oracle.
 
 All estimators draw from a counter-based Philox stream keyed by the seed, so
 results are bit-reproducible for a fixed (seed, samples, estimator) triple.
+
+Every estimator reads order statistics of the sampled points, and sorts each
+batch once, with ``sorted_columns`` (an evaluator that sorts its points
+sorts again).  Up to NETWORK_MAX_ARITY coordinates that runs Batcher's
+odd-even merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
+np.minimum / np.maximum over whole columns, which beats numpy's per-row
+sort; above the crossover it calls np.sort.  The values are the same either
+way.  Where the column of a rank is needed, not only its value, the
+estimator takes a stable argsort instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,10 +33,22 @@ from .projection import Moments
 
 BATCH = 1 << 16
 # mc_profile_moments keeps a draw buffer and a moment buffer of PASS_BATCH
-# rows, 2.4 MB together at arity 8, beside the evaluator's temporaries.  On a
+# rows, 2.4 MB together at arity 8, and sorted_columns' (n+1)-row column
+# copy of a batch, 1.2 MB more, beside the evaluator's temporaries.  On a
 # 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the
 # same time at 1 << 12 to 1 << 14 rows and 10-20% longer from 1 << 15 up
 PASS_BATCH = 1 << 14
+# Crossover between Batcher's network and np.sort, measured on that machine
+# as medians of 15 sorts of 16384 random rows, in three rounds: n = 8
+# 0.33-0.47 ms against 0.90-1.12 ms for np.sort(x, axis=1); n = 12 0.80-1.03
+# against 0.99-1.23; n = 13 and 14 within noise of np.sort; n = 15
+# 1.21-1.40 against 1.07-1.32; n = 16 2.08-2.37 against 0.81-1.34
+NETWORK_MAX_ARITY = 12
+# The network runs over this many points at a time, so that the n+1 rows of
+# a tile, 1.7 MB at n = 12, stay in L2.  On batches of 65536 rows at n = 8,
+# whole-batch rows took 3.1 ms, tiles of 1 << 14 points 1.8 ms, and tiles
+# of 1 << 11 to 1 << 13 points 1.9-3.0 ms
+NETWORK_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,13 +140,75 @@ def _batches(samples: int, size: int = BATCH):
 # Order-statistic helpers on sample batches
 # ---------------------------------------------------------------------------
 
+def _merge_exchange(n: int) -> list:
+    """Comparators (i, j), i < j, of Batcher's merge exchange sort on n wires
+    (Knuth, TAOCP vol. 3, Algorithm 5.2.2M), in an order that sorts."""
+    pairs = []
+    if n < 2:
+        return pairs
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _network(n: int) -> tuple:
+    """Batcher's comparators as moves between the rows of an (n+1)-row
+    buffer: each (a, b, out) writes min(a, b) to the free row ``out`` and
+    max(a, b) to b, after which row a is free.  The rows are labelled so
+    that wire i ends in row i; returns (moves, the row free at the start)."""
+    wire = list(range(n))
+    free = n
+    moves = []
+    for i, j in _merge_exchange(n):
+        moves.append((wire[i], wire[j], free))
+        wire[i], free = free, wire[i]
+    label = {row: i for i, row in enumerate(wire)}
+    label[free] = n
+    return tuple((label[a], label[b], label[c]) for a, b, c in moves), label[n]
+
+
+def sorted_columns(x: np.ndarray) -> np.ndarray:
+    """The rows of an (m, n) batch sorted, as an (n, m) array in new memory
+    whose row i holds each point's (i+1)-th smallest coordinate.
+
+    Up to NETWORK_MAX_ARITY the columns run through Batcher's network as
+    np.minimum / np.maximum over contiguous rows, NETWORK_TILE points at a
+    time; above it the result is np.sort(x, axis=1).T.  Either way the
+    values are those of np.sort for rows without NaN.
+    """
+    m, n = x.shape
+    if n > NETWORK_MAX_ARITY:
+        return np.sort(x, axis=1).T
+    moves, free = _network(n)
+    columns = np.empty((n + 1, m))
+    for lo in range(0, m, NETWORK_TILE):
+        tile = columns[:, lo:lo + NETWORK_TILE]
+        points = x[lo:lo + NETWORK_TILE]
+        tile[:free] = points[:, :free].T
+        tile[free + 1:] = points[:, free:].T
+        rows = list(tile)
+        for a, b, out in moves:
+            np.minimum(rows[a], rows[b], out=rows[out])
+            np.maximum(rows[a], rows[b], out=rows[b])
+    return columns[:n]
+
+
 def _sorted_neighbours(x: np.ndarray, k: int):
     """(x_{(k-1)}, x_{(k)}, x_{(k+1)}) per row, with 0/1 boundary ranks."""
     n = x.shape[1]
-    xs = np.sort(x, axis=1)
-    mid = xs[:, k - 1]
-    down = xs[:, k - 2] if k >= 2 else np.zeros(len(x))
-    up = xs[:, k] if k < n else np.ones(len(x))
+    xs = sorted_columns(x)
+    mid = xs[k - 1]
+    down = xs[k - 2] if k >= 2 else np.zeros(len(x))
+    up = xs[k] if k < n else np.ones(len(x))
     return down, mid, up
 
 
@@ -137,8 +221,10 @@ def g_kernel_values(x: np.ndarray, k: int) -> np.ndarray:
 
 def h_density_values(x: np.ndarray, k: int) -> np.ndarray:
     """h_k(x) = (n+1)(n+2)(x_{(k+1)} - x_{(k)})(x_{(k)} - x_{(k-1)})."""
-    n = x.shape[1]
-    down, mid, up = _sorted_neighbours(x, k)
+    return _h_density(x.shape[1], *_sorted_neighbours(x, k))
+
+
+def _h_density(n: int, down, mid, up) -> np.ndarray:
     return (n + 1) * (n + 2) * (up - mid) * (mid - down)
 
 
@@ -189,9 +275,9 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
     rng = _rng(seed)
     acc = _Accumulator()
     for m in _batches(samples):
-        x = _draw_untied(rng, m, f.arity, k)
-        contrib = h_density_values(x, k) * np.asarray(f.derivative(x, k),
-                                                      dtype=float)
+        x, neighbours = _draw_untied(rng, m, f.arity, k)
+        contrib = _h_density(f.arity, *neighbours) * np.asarray(
+            f.derivative(x, k), dtype=float)
         _check_finite(contrib, x)
         acc.add(contrib)
     return acc.finish(seed, "derivative")
@@ -223,7 +309,7 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
         col = order[:, k - 1]
         rows = np.arange(m)
         mid = x[rows, col]
-        up = np.sort(x, axis=1)[:, k] if k < n else np.ones(m)
+        up = x[rows, order[:, k]] if k < n else np.ones(m)
         gap = up - mid
         h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
         shifted = x.copy()
@@ -249,15 +335,16 @@ def _check_rank(f: Evaluator, k: int, samples: int):
         raise DomainError("need at least 2 samples")
 
 
-def _draw_untied(rng, m: int, n: int, k: int) -> np.ndarray:
+def _draw_untied(rng, m: int, n: int, k: int):
     """Uniform points whose k-th smallest coordinate is strictly between its
-    sorted neighbours (so the moving coordinate is unambiguous)."""
+    sorted neighbours (so the moving coordinate is unambiguous), and those
+    neighbours, as (x, (down, mid, up)) with _sorted_neighbours' layout."""
     x = rng.random((m, n))
     for _ in range(64):
-        down, mid, up = _sorted_neighbours(x, k)
+        down, mid, up = neighbours = _sorted_neighbours(x, k)
         tied = (mid == up) | ((mid == down) & (k >= 2))
         if not tied.any():
-            return x
+            return x, neighbours
         x[tied] = rng.random((int(tied.sum()), n))
     raise TaintedSampleError("could not draw tie-free samples")
 
@@ -321,8 +408,12 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
         v = f(x)
         _check_finite(v, x)
         if indices:
-            # a sorted copy: the evaluator may have returned a view of x
-            np.multiply(np.sort(x, axis=1), v[:, None], out=z[:, 1:n + 1])
+            # sorted_columns copies, and the evaluator may have returned a
+            # view of x; scaling the contiguous columns before one
+            # transposing copy beats writing into the strided columns of z
+            xs = sorted_columns(x)
+            xs *= v
+            z[:, 1:n + 1] = xs.T
         z[:, ranks + 1] = v
         if second_moments:
             np.multiply(v, v, out=z[:, ranks + 2])

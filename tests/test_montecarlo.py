@@ -20,20 +20,37 @@ from ordinfluence import (
     mc_inner_product,
     tensor_quadrature,
 )
+from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
 from ordinfluence.montecarlo import (
+    NETWORK_MAX_ARITY,
+    NETWORK_TILE,
     PASS_BATCH,
+    _draw_untied,
     _rng,
     derive_seed,
     g_kernel_values,
     h_density_values,
     mc_profile_moments,
+    sorted_columns,
 )
 from ordinfluence.projection import (
     approximation_from_moments,
     profile_from_moments,
 )
 
-from conftest import poly_evaluator
+from conftest import (
+    poly_evaluator,
+    random_orderstat_polynomial,
+    reference_covariance,
+    reference_derivative,
+    reference_diffquotient,
+    reference_neighbours,
+    reference_profile_moments,
+)
+
+# Both sides of the sorted_columns crossover, and the arities of the
+# reference-equality tests
+ARITIES = sorted({1, 2, 3, 8, NETWORK_MAX_ARITY, NETWORK_MAX_ARITY + 1})
 
 
 def product_evaluator():
@@ -60,6 +77,111 @@ class TestKernelsOnSamples:
         # n=2, k=2: os_3 = 1
         assert g_kernel_values(x, 2)[0] == pytest.approx(-12 * (1 - 1.4 + 0.3))
         assert h_density_values(x, 1)[0] == pytest.approx(12 * 0.4 * 0.3)
+
+
+def weighted_squares_evaluator(n):
+    """sum_i i x_i^2 with its derivative along the k-th smallest coordinate,
+    which reads the column index from a stable argsort."""
+    weights = np.arange(1.0, n + 1.0)
+
+    def derivative(x, k):
+        col = np.argsort(x, axis=1, kind="stable")[:, k - 1]
+        return 2.0 * weights[col] * x[np.arange(len(x)), col]
+    return Evaluator(n, lambda x: (x * x) @ weights, derivative,
+                     name="weighted squares")
+
+
+class TestSortedColumns:
+    @pytest.mark.parametrize("n", range(1, NETWORK_MAX_ARITY + 3))
+    def test_equals_row_sort(self, n):
+        # random rows over more than one tile, rows with many ties and signed
+        # zeros, and a single row
+        gen = np.random.default_rng(n)
+        ties = gen.integers(-1, 2, (500, n)) * 0.5
+        ties[gen.random((500, n)) < 0.2] = -0.0
+        for x in (gen.random((NETWORK_TILE + 3, n)), ties, gen.random((1, n))):
+            got = sorted_columns(x)
+            assert got.shape == (n, len(x))
+            assert np.array_equal(got, np.sort(x, axis=1).T)
+            assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("n", range(1, NETWORK_MAX_ARITY + 1))
+    def test_zero_one_principle(self, n):
+        # a comparator network that sorts every 0-1 row sorts every row
+        codes = np.arange(1 << n)[:, None]
+        x = ((codes >> np.arange(n)) & 1).astype(float)
+        got = sorted_columns(x)
+        assert np.all(np.diff(got, axis=0) >= 0)
+        assert np.array_equal(got.sum(axis=0), x.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [3, NETWORK_MAX_ARITY + 1])
+    def test_evaluators_match_row_sort(self, n, rng):
+        x = np.random.default_rng(n).random((5000, n))
+        poly = random_orderstat_polynomial(rng, n)
+        assert np.array_equal(OrderStatPolynomialSpec(poly).evaluator()(x),
+                              poly_evaluator(poly)(x))
+        ev = PowerProductSpec(n, "2/3").evaluator()
+        for k in (1, n):
+            col = np.argsort(x, axis=1, kind="stable")[:, k - 1]
+            expected = 2.0 / 3.0 * ev(x) / x[np.arange(len(x)), col]
+            assert np.array_equal(ev.derivative(x, k), expected)
+
+
+class TestSortedReferences:
+    """Every estimator equals its one-sort-per-use reference under ==."""
+
+    @pytest.mark.parametrize("samples", [5000, 16384, 16385])
+    @pytest.mark.parametrize("n", ARITIES)
+    def test_profile_moments(self, n, samples):
+        ev = weighted_squares_evaluator(n)
+        for indices, second_moments in ((True, True), (True, False),
+                                        (False, True)):
+            assert (mc_profile_moments(ev, samples, 3, indices, second_moments)
+                    == reference_profile_moments(ev, samples, 3, indices,
+                                                 second_moments))
+
+    @pytest.mark.parametrize("samples", [5000, 16384, 16385])
+    @pytest.mark.parametrize("n", ARITIES)
+    def test_estimators(self, n, samples):
+        ev = weighted_squares_evaluator(n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            assert (influence_mc_covariance(ev, k, samples, 5)
+                    == reference_covariance(ev, k, samples, 5))
+            assert (influence_mc_derivative(ev, k, samples, 6)
+                    == reference_derivative(ev, k, samples, 6))
+            for variant in ("uniform-y", "triangular-y"):
+                assert (influence_mc_diffquotient(ev, k, samples, 7, variant)
+                        == reference_diffquotient(ev, k, samples, 7, variant))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_draw_untied_resamples_ties(self, k):
+        # the first draw ties at rank k in a third of the rows; no tied row
+        # survives, and the neighbours returned are those of the final x
+        n, m = 4, 300
+        first = np.random.default_rng(k).random((m, n))
+        tied_rows = np.arange(0, m, 3)
+        xs = np.sort(first[tied_rows], axis=1)
+        xs[:, k - 1] = xs[:, k] if k < n else xs[:, k - 2]
+        first[tied_rows] = xs
+        fresh = np.random.default_rng(100 + k)
+
+        class Scripted:
+            def __init__(self):
+                self.calls = 0
+
+            def random(self, shape):
+                self.calls += 1
+                return first.copy() if self.calls == 1 else fresh.random(shape)
+
+        scripted = Scripted()
+        x, neighbours = _draw_untied(scripted, m, n, k)
+        assert scripted.calls >= 2
+        down, mid, up = reference_neighbours(x, k)
+        assert not np.any((mid == up) | ((mid == down) & (k >= 2)))
+        for got, expected in zip(neighbours, (down, mid, up)):
+            assert np.array_equal(got, expected)
+        changed = np.any(x != first, axis=1)
+        assert np.array_equal(np.flatnonzero(changed), tied_rows)
 
 
 class TestReproducibility:
