@@ -28,7 +28,7 @@ from .errors import (
 )
 from .funcspec import SetFunctionSpec, parse_spec_file
 from .lovasz import _value_strings, equal_influence_class, level_averages, \
-    symmetric_part
+    mobius, symmetric_part
 from .montecarlo import (
     IntegrationEstimate,
     derive_seed,
@@ -202,7 +202,7 @@ def cmd_lovasz(args) -> ReportDocument:
         doc.results.append(_result_row(k, value, "exact"))
     doc.extras["mean"] = format_value(levels.mean())
     if args.mobius:
-        doc.extras["mobius"] = _value_strings(levels.mobius)
+        doc.extras["mobius"] = _value_strings(mobius(v))
     if args.symmetric_part:
         part = symmetric_part(v, levels)
         doc.extras["symmetric_part"] = {

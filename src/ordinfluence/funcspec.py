@@ -171,7 +171,7 @@ class SetFunctionSpec(FunctionSpec):
         levels = level_averages(v)
         return Moments(v.arity, "exact", levels.influence_profile(),
                        levels.mean(),
-                       norm_sq_lovasz(v, levels) if norm_sq else None)
+                       norm_sq_lovasz(v) if norm_sq else None)
 
     def evaluator(self):
         values = np.array([float(v) for v in self.set_function.values])

@@ -10,8 +10,11 @@ The transforms run on integer tables: the values scaled to their least common
 denominator D, built once per table object and kept on it, and copied for
 each use as int64 when a bound on every intermediate shows it cannot overflow
 and as Python ints in an object array otherwise.
+The profile and the mean need only the level averages vbar(s), one pass of
+sums per cardinality over v's table; mbar(s) follows by binomial inversion.
 Zeta and Moebius are butterfly passes over a (2,)*n view of the table, one
-axis per element; results leave as exact Fractions.
+axis per element, run only when a transform is asked for; results leave as
+exact Fractions.
 """
 
 from __future__ import annotations
@@ -208,13 +211,12 @@ def zeta(m: MobiusRepresentation) -> SetFunction:
 
 @dataclass(frozen=True)
 class LevelAverages:
-    """Averages over subsets of each cardinality: vbar(s) and mbar(s),
-    s=0..n, and the Moebius transform they were taken from."""
+    """Averages over subsets of each cardinality: vbar(s) of v and mbar(s) of
+    its Moebius transform, s=0..n."""
 
     arity: int
     vbar: Tuple[Fraction, ...]
     mbar: Tuple[Fraction, ...]
-    mobius: MobiusRepresentation
 
     def influence_profile(self) -> Tuple[Fraction, ...]:
         """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n."""
@@ -223,26 +225,25 @@ class LevelAverages:
                      for k in range(1, n + 1))
 
     def mean(self) -> Fraction:
-        """Integral of the extension, sum_S m(S) / (|S| + 1), summed level by
-        level as sum_s C(n, s) mbar(s) / (s + 1)."""
-        return sum((comb(self.arity, s) * m / (s + 1)
-                    for s, m in enumerate(self.mbar)), Fraction(0))
+        """Integral of the extension, sum_s vbar(s) / (n + 1): each of the n+1
+        chain levels has Dirichlet spacing mean 1 / (n + 1)."""
+        return sum(self.vbar, Fraction(0)) / (self.arity + 1)
 
 
 def level_averages(v: SetFunction) -> LevelAverages:
-    """Level averages of v and of its one Moebius transform.  Both come from
-    the Moebius level sums: each T of size t lies in C(n-t, s-t) sets of
-    size s, so sum_{|S|=s} v(S) = sum_t C(n-t, s-t) sum_{|T|=t} m(T)."""
+    """vbar and mbar from one pass of level sums over v's integer table, with
+    no Moebius transform: each T of size t lies in C(n-t, s-t) sets of size
+    s, so sum_{|S|=s} m(S) = sum_t (-1)^(s-t) C(n-t, s-t) sum_{|T|=t} v(T)."""
     n = v.arity
-    m = mobius(v)
-    # m keeps the table mobius butterflied; a level holds at most 2^n sets
-    table, scale = _integer_table(m, _INT64_MAX >> n)
-    msum = _level_sums(table, _popcounts(n))
-    vsum = [sum(comb(n - t, s - t) * msum[t] for t in range(s + 1))
+    # a level holds at most 2^n sets
+    table, scale = _integer_table(v, _INT64_MAX >> n)
+    vsum = _level_sums(table, _popcounts(n))
+    msum = [sum((-1) ** (s - t) * comb(n - t, s - t) * vsum[t]
+                for t in range(s + 1))
             for s in range(n + 1)]
     vbar = tuple(Fraction(vsum[s], comb(n, s) * scale) for s in range(n + 1))
     mbar = tuple(Fraction(msum[s], comb(n, s) * scale) for s in range(n + 1))
-    return LevelAverages(n, vbar, mbar, m)
+    return LevelAverages(n, vbar, mbar)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +439,11 @@ def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
 
 
 def mean_lovasz(v: SetFunction) -> Fraction:
-    """Exact integral of the extension: sum_S m(S) / (|S| + 1)."""
+    """Exact integral of the extension: sum_s vbar(s) / (n + 1)."""
     return level_averages(v).mean()
 
 
-def norm_sq_lovasz(v: SetFunction,
-                   levels: Optional[LevelAverages] = None) -> Fraction:
+def norm_sq_lovasz(v: SetFunction) -> Fraction:
     """Exact <f, f> of the extension in chain form, O(n^2 2^n).
 
     On the simplex of an ordering, f = sum_{i=1}^{n+1} v(A_i) (y_i - y_{i-1})
@@ -454,9 +454,7 @@ def norm_sq_lovasz(v: SetFunction,
 
     P(a, b) the average of v(A) v(B) over nested B subset A, |A| = a, |B| = b.
     One ranked zeta transform z_b(A) = sum_{B subset A, |B| = b} v(B) per b
-    gives sum_{|A|=a} v(A) z_b(A) = C(n,a) C(a,b) P(a,b).  The chain form needs
-    no Moebius transform, so ``levels`` is accepted for callers that hold
-    them and not used."""
+    gives sum_{|A|=a} v(A) z_b(A) = C(n,a) C(a,b) P(a,b)."""
     n = v.arity
     # |v(A) z_b(A)| <= C(a,b) peak^2, and sum_{|A|=a} C(a,b) = C(n,a) C(a,b)
     # <= 3^n, so every partial sum stays within peak^2 3^n

@@ -1,8 +1,11 @@
 """Report documents emitted by the CLI: table, JSON and CSV renderings.
 
-JSON output is lossless: ``ReportDocument.from_json(doc.to_json())`` equals
-``doc``.  Exact values are carried both as a rational string and a decimal
-accurate to at least 15 significant digits.
+JSON output is strict (RFC 8259) and lossless for finite values:
+``ReportDocument.from_json(doc.to_json())`` equals ``doc`` except that a
+non-finite float value, such as the infinite z-score of a disagreement with
+zero standard error, is written as ``null``, as ``JSON.stringify`` writes it.
+Exact values are carried both as a rational string and a decimal accurate to
+at least 15 significant digits.
 """
 
 from __future__ import annotations
@@ -24,30 +27,22 @@ def format_value(value) -> dict:
     return {"value": float(value), "rational": None}
 
 
-def _float_json(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _key_json(key) -> str:
     if not isinstance(key, str):
         if not (key is None or isinstance(key, (int, float))):
             raise TypeError("keys must be str, int, float, bool or None, "
                             "not %s" % type(key).__name__)
-        key = _to_json(key, "")
+        # as json.dumps writes a key: a NaN key is the string "NaN"
+        key = json.dumps(key)
     return encode_basestring_ascii(key)
 
 
 def _to_json(value, indent: str) -> str:
     """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True)``
-    lays it out, nested at ``indent``.  The json module writes that layout
-    with its pure-Python encoder; here every string goes through its C
-    string encoder, a whole list of strings at once."""
+    lays it out, nested at ``indent``, except that a non-finite float value is
+    ``null``.  The json module writes that layout with its pure-Python
+    encoder; here every string goes through its C string encoder, a whole
+    list of strings at once."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -59,7 +54,7 @@ def _to_json(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_json(value)
+        return float.__repr__(value) if math.isfinite(value) else "null"
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

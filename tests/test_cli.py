@@ -24,6 +24,10 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
 PRODUCT_DOC = {"kind": "orderstat-polynomial", "arity": 2,
                "terms": [{"coefficient": 1, "exponents": {"1": 1, "2": 1}}]}
 MEAN_DOC = {"kind": "set-function", "arity": 3,
@@ -226,11 +230,15 @@ class TestExitCodes:
             return IntegrationEstimate(5.0, 0.0, samples, seed, "covariance")
 
         monkeypatch.setattr(cli, "influence_mc_covariance", wrong)
-        code = cli.main(["crosscheck", path, "-k", "1", "--samples", "5000",
-                         "--estimators", "covariance", "--format", "json"])
-        assert code == 5
-        extras = json.loads(capsys.readouterr().out)["extras"]
-        assert extras["max_z"] == float("inf")
+        argv = ["crosscheck", path, "-k", "1", "--samples", "5000",
+                "--estimators", "covariance"]
+        assert cli.main(argv) == 5
+        assert "max_z: inf" in capsys.readouterr().out
+        assert cli.main(argv + ["--format", "json"]) == 5
+        # the infinite z-score is written as null, never as a bare Infinity
+        extras = json.loads(capsys.readouterr().out,
+                            parse_constant=_reject_constant)["extras"]
+        assert extras["max_z"] is None
         assert extras["agreement"] is False
 
     def test_unknown_estimator_exits_3(self, tmp_path):

@@ -161,12 +161,18 @@ class TestTransforms:
 
 
 class TestIntegerTables:
-    def test_mobius_and_levels_match_fraction_loops(self):
-        for v in chain_form_cases():
+    def test_mobius_and_levels_match_fraction_loops(self, table_dtypes):
+        # the scaled cases put the level sums on Python ints
+        for v in chain_form_cases() + scaled_cases(2 ** 60 + Fraction(1, 7)):
+            m = reference_mobius(v)
             vbar, mbar = reference_level_averages(v)
             levels = lovasz.level_averages(v)
-            assert levels.mobius.values == reference_mobius(v)
+            assert mobius(v).values == m
             assert (levels.vbar, levels.mbar) == (vbar, mbar)
+            assert levels.mean() == sum(
+                (c / (bin(mask).count("1") + 1) for mask, c in enumerate(m)),
+                Fraction(0))
+        assert set(table_dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
     @pytest.mark.parametrize("factor, dtype", [(1, np.int64),
                                                (2 ** 60 + Fraction(1, 7), object)])

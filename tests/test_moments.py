@@ -267,28 +267,33 @@ class TestEachPrimaryOnce:
         self.run(tmp_path, self.SETFN, "approx")
         assert len(calls) == 1
 
-    def test_set_function_approx_takes_one_mobius(self, tmp_path, monkeypatch, capsys):
+    def test_set_function_approx_takes_no_mobius(self, tmp_path, monkeypatch, capsys):
+        # the profile and the mean come from the level sums of v itself
         calls = _count_calls(monkeypatch, lovasz, "mobius")
         self.run(tmp_path, self.SETFN, "approx")
-        assert len(calls) == 1
+        assert not calls
 
     def test_set_function_approx_scales_values_once(self, tmp_path, monkeypatch,
                                                     capsys):
         # one integer table from the Fractions, shared by the spec echo, the
-        # Moebius transform, its level sums and the norm
+        # level sums and the norm
         builds = _count_calls(monkeypatch, lovasz, "_scaled_numerators")
         self.run(tmp_path, self.SETFN, "approx")
         assert len(builds) == 1
 
-    def test_set_function_influence_takes_one_mobius(self, tmp_path, monkeypatch, capsys):
+    def test_set_function_influence_takes_no_mobius(self, tmp_path, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, lovasz, "mobius")
         norms = _count_calls(monkeypatch, lovasz, "norm_sq_lovasz")
         self.run(tmp_path, self.SETFN, "influence", "--all")
-        assert len(calls) == 1 and not norms
+        assert not calls and not norms
 
     def test_lovasz_diagnostics_take_one_mobius(self, tmp_path, monkeypatch, capsys):
         calls = _count_calls(monkeypatch, lovasz, "mobius")
         self.run(tmp_path, self.SETFN, "lovasz", "--mobius", "--symmetric-part",
+                 "--diagnose-equal-influence")
+        assert len(calls) == 1
+        # without --mobius the diagnostics read only the level averages
+        self.run(tmp_path, self.SETFN, "lovasz", "--symmetric-part",
                  "--diagnose-equal-influence")
         assert len(calls) == 1
 
