@@ -158,11 +158,6 @@ class MultiplicativeSpec:
     def symmetric(cls, factor: UnaryFactor, arity: int) -> "MultiplicativeSpec":
         return cls(arity, (factor,) * arity)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return all(f is self.factors[0] or f == self.factors[0]
-                   for f in self.factors)
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (m, n) array of points."""
         x = np.asarray(x, dtype=float)

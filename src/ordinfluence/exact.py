@@ -71,10 +71,6 @@ class OrderStatMonomial:
                 raise DomainError("slots must be strictly ascending")
             prev = slot
 
-    @property
-    def exponent_map(self) -> dict:
-        return dict(self.exponents)
-
     def evaluate(self, x: Sequence):
         xs = sorted(x)
         value = self.coefficient

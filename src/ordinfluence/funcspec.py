@@ -13,18 +13,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
 
-from . import backends
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
     influence_power_product, multiplicative_indices, variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
-from .lovasz import SetFunction, _popcounts, _value_strings, check_arity, \
-    level_averages, norm_sq_lovasz
+from .lovasz import SetFunction, _levels, _value_strings, check_arity, \
+    level_averages, lovasz_eval_batch, lovasz_slope_batch, norm_sq_lovasz
 from .montecarlo import Evaluator, sorted_columns
 from .projection import Moments, moments_exact
 
@@ -175,14 +175,8 @@ class SetFunctionSpec(FunctionSpec):
 
     def evaluator(self):
         values = np.array([float(v) for v in self.set_function.values])
-
-        def func(x):
-            return backends.lovasz_eval_batch(values, np.asarray(x, dtype=float))
-
-        def derivative(x, k):
-            return backends.lovasz_slope_batch(values, np.asarray(x, dtype=float), k)
-
-        return Evaluator(self.arity, func, derivative,
+        return Evaluator(self.arity, partial(lovasz_eval_batch, values),
+                         partial(lovasz_slope_batch, values),
                          name=self.builtin_name or self.kind)
 
     def payload(self):
@@ -301,7 +295,7 @@ def _conjunctive_threshold(x):
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
     levels = [Fraction(size, n) for size in range(n + 1)]
-    return SetFunction.from_codes(n, levels, _popcounts(n))
+    return SetFunction.from_codes(n, levels, _levels(n)[0])
 
 
 BUILTIN_NAMES = ("variance", "arithmetic-mean", "geometric-mean", "product",

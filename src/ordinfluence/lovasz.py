@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, factorial, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exact import as_rational
+from .montecarlo import NETWORK_MAX_ARITY, sorted_columns
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
 # CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
@@ -156,18 +157,22 @@ def _butterfly(table: np.ndarray, n: int, sign: int) -> None:
             upper -= lower
 
 
-def _popcounts(n: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple:
+    """The popcount of each bitmask of 2^[n], the bitmasks sorted stably by
+    popcount, and where each level s = 0..n starts among them.  Shared by
+    every caller, so never written to."""
     counts = np.zeros(1 << n, dtype=np.intp)
     for i in range(n):
         counts[1 << i:2 << i] = counts[:1 << i] + 1
-    return counts
-
-
-def _level_sums(table: np.ndarray, counts: np.ndarray) -> list:
-    """Sums of ``table`` over the subsets of each cardinality s = 0..n (last
-    axis indexed by bitmask, ``counts`` its popcounts), as Python ints."""
     order = np.argsort(counts, kind="stable")
-    starts = np.searchsorted(counts[order], np.arange(int(counts[-1]) + 1))
+    return counts, order, np.searchsorted(counts[order], np.arange(n + 1))
+
+
+def _level_sums(table: np.ndarray, n: int) -> list:
+    """Sums of ``table`` over the subsets of each cardinality s = 0..n (last
+    axis indexed by the bitmasks of 2^[n]), as Python ints."""
+    _, order, starts = _levels(n)
     return np.add.reduceat(table[..., order], starts, axis=-1).tolist()
 
 
@@ -237,7 +242,7 @@ def level_averages(v: SetFunction) -> LevelAverages:
     n = v.arity
     # a level holds at most 2^n sets
     table, scale = _integer_table(v, _INT64_MAX >> n)
-    vsum = _level_sums(table, _popcounts(n))
+    vsum = _level_sums(table, n)
     msum = [sum((-1) ** (s - t) * comb(n - t, s - t) * vsum[t]
                 for t in range(s + 1))
             for s in range(n + 1)]
@@ -293,6 +298,46 @@ def directional_slope(v: SetFunction, x: Sequence, k: int) -> float:
         upper |= 1 << i
     lower = upper ^ (1 << order[k - 1])
     return float(v.values[upper]) - float(v.values[lower])
+
+
+def _upper_masks(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """For each row t of the (r, m) array ``levels``, the bitmask of
+    {j : x_j >= t} at each of the m points of x, in the narrowest unsigned
+    dtype that holds n bits."""
+    dtype = np.min_scalar_type((1 << x.shape[1]) - 1)
+    masks = np.zeros(levels.shape, dtype)
+    for j, column in enumerate(np.ascontiguousarray(x.T)):
+        masks += (column >= levels) * dtype.type(1 << j)
+    return masks
+
+
+def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The extension of the float table ``values`` at each row of x:
+    f(x) = v(emptyset) + sum_i x_(i) (v(U_i) - v(U_{i+1})), the upper sets
+    U_i = {j : x_j >= x_(i)} and U_{n+1} = emptyset.  A tied group shares
+    one U_i, so its terms telescope to the stable sort's value."""
+    n = x.shape[1]
+    xs = sorted_columns(x)
+    if n > NETWORK_MAX_ARITY:
+        # n^2 column compares lose to one argsort here; its tails differ
+        # from U_i only inside tied groups, so it need not be stable
+        dtype = np.min_scalar_type((1 << n) - 1)
+        bits = np.left_shift(dtype.type(1), np.argsort(x, axis=1).astype(dtype))
+        masks = np.cumsum(bits[:, ::-1], axis=1, dtype=dtype)[:, ::-1].T
+    else:
+        masks = _upper_masks(x, xs)
+    terms = values[masks]
+    terms[:-1] -= terms[1:]
+    terms[-1] -= values[0]
+    terms *= xs
+    return values[0] + terms.sum(axis=0)
+
+
+def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Slope along the k-th smallest coordinate, v(U_k) - v(U_{k+1}) per row,
+    which on untied rows is the pointwise ``directional_slope``."""
+    upper = values[_upper_masks(x, sorted_columns(x)[k - 1:k + 1])]
+    return upper[0] - (upper[1] if k < x.shape[1] else values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +504,13 @@ def norm_sq_lovasz(v: SetFunction) -> Fraction:
     # |v(A) z_b(A)| <= C(a,b) peak^2, and sum_{|A|=a} C(a,b) = C(n,a) C(a,b)
     # <= 3^n, so every partial sum stays within peak^2 3^n
     table, scale = _integer_table(v, isqrt(_INT64_MAX // 3 ** n))
-    counts = _popcounts(n)
+    counts = _levels(n)[0]
     # row b starts as v on the sets of size b; the zeta transform makes it z_b
     ranked = np.zeros((n + 1, 1 << n), dtype=table.dtype)
     ranked[counts, np.arange(1 << n)] = table
     _butterfly(ranked, n, 1)
     ranked *= table
-    pairs = _level_sums(ranked, counts)
+    pairs = _level_sums(ranked, n)
     # 1 / (C(n,a) C(a,b)) = (n-a)! (a-b)! b! / n!
     fact = [factorial(i) for i in range(n + 3)]
     total = sum(pairs[b][a] * fact[n - a] * fact[a - b] * fact[b]

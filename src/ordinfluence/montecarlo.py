@@ -15,8 +15,7 @@ sorts again).  Up to NETWORK_MAX_ARITY coordinates that runs Batcher's
 odd-even merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
 np.minimum / np.maximum over whole columns, which beats numpy's per-row
 sort; above the crossover it calls np.sort.  The values are the same either
-way.  Where the column of a rank is needed, not only its value, the
-estimator takes a stable argsort instead.
+way.
 """
 
 from __future__ import annotations
@@ -305,16 +304,11 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     for m in _batches(samples):
         x = rng.random((m, n))
         u = rng.random(m)
-        order = np.argsort(x, axis=1, kind="stable")
-        col = order[:, k - 1]
-        rows = np.arange(m)
-        mid = x[rows, col]
-        up = x[rows, order[:, k]] if k < n else np.ones(m)
-        gap = up - mid
+        xs = sorted_columns(x)
+        mid = xs[k - 1]
+        gap = (xs[k] if k < n else np.ones(m)) - mid
         h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
-        shifted = x.copy()
-        shifted[rows, col] = mid + h
-        increment = f(shifted) - f(x)
+        increment = f(_shift_rank(x, mid, gap, mid + h)) - f(x)
         if variant == "uniform-y":
             contrib = scale * gap * increment
         else:
@@ -326,6 +320,20 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
         _check_finite(contrib, x)
         acc.add(contrib)
     return acc.finish(seed, "diff-quotient", variant)
+
+
+def _shift_rank(x: np.ndarray, mid: np.ndarray, gap: np.ndarray,
+                moved: np.ndarray) -> np.ndarray:
+    """x with its rank-k value ``mid`` set to ``moved`` where the gap above
+    it is positive: rank k then ends its tie group, so the column a stable
+    sort puts there is the last one equal to ``mid``."""
+    shifted = x.copy()
+    pending = gap > 0.0
+    for column, target in zip(x.T[::-1], shifted.T[::-1]):
+        hit = (column == mid) & pending
+        np.copyto(target, moved, where=hit)
+        pending ^= hit
+    return shifted
 
 
 def _check_rank(f: Evaluator, k: int, samples: int):

@@ -334,5 +334,6 @@ def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:
 
 
 def normalized_index_exact(f: OrderStatPolynomial, k: int) -> float:
-    """Normalized index r(f,k) = I(f,k) / (sigma(f) sqrt(2(n+1)(n+2)))."""
+    """r(f,k) = I(f,k) / (sigma(f) sqrt(2(n+1)(n+2))) from a whole fit; for
+    all ranks take ``approximation_exact(f).normalized_index(k)`` of one."""
     return approximation_exact(f).normalized_index(k)

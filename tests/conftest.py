@@ -178,6 +178,15 @@ def reference_derivative(f, k, samples, seed):
     return acc.finish(seed, "derivative")
 
 
+def reference_shift(x, k, h):
+    """x with the column a stable argsort puts at rank k moved up by h."""
+    rows = np.arange(len(x))
+    col = np.argsort(x, axis=1, kind="stable")[:, k - 1]
+    shifted = x.copy()
+    shifted[rows, col] = x[rows, col] + h
+    return shifted
+
+
 def reference_diffquotient(f, k, samples, seed, variant):
     _check_rank(f, k, samples)
     n = f.arity
@@ -187,16 +196,11 @@ def reference_diffquotient(f, k, samples, seed, variant):
     for m in _batches(samples):
         x = rng.random((m, n))
         u = rng.random(m)
-        order = np.argsort(x, axis=1, kind="stable")
-        col = order[:, k - 1]
-        rows = np.arange(m)
-        mid = x[rows, col]
+        mid = np.sort(x, axis=1)[:, k - 1]
         up = np.sort(x, axis=1)[:, k] if k < n else np.ones(m)
         gap = up - mid
         h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
-        shifted = x.copy()
-        shifted[rows, col] = mid + h
-        increment = f(shifted) - f(x)
+        increment = f(reference_shift(x, k, h)) - f(x)
         if variant == "uniform-y":
             contrib = scale * gap * increment
         else:

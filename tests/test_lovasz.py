@@ -270,6 +270,66 @@ class TestEvaluation:
             assert directional_slope(v, x, k) == pytest.approx(slope, abs=1e-5)
 
 
+def tied_rows(n, m, seed):
+    """Seeded points of [0,1]^n, most with ties: a third on a grid of four
+    levels, a third with a random coordinate copied onto another, the rest
+    untied, and the two vertices 0 and 1."""
+    gen = np.random.default_rng(seed)
+    x = gen.random((m, n))
+    x[::3] = np.floor(x[::3] * 4) / 4
+    rows = np.arange(1, m, 3)
+    source, target = gen.integers(n, size=(2, len(rows)))
+    x[rows, target] = x[rows, source]
+    x[0], x[-1] = 0.0, 1.0
+    return x
+
+
+class TestBatchEvaluation:
+    """The batch evaluator and slope against the pointwise references."""
+
+    def test_eval_matches_reference(self, rng):
+        for _ in range(6):
+            n = rng.randint(1, 6)
+            v = random_set_function(rng, n, zero_grounded=False)
+            values = np.array([float(t) for t in v.values])
+            x = np.random.default_rng(1).random((64, n))
+            got = lovasz.lovasz_eval_batch(values, x)
+            want = np.array([eval_lovasz(v, row) for row in x])
+            assert np.allclose(got, want, atol=1e-12)
+
+    def test_slope_matches_reference(self, rng):
+        for _ in range(6):
+            n = rng.randint(2, 5)
+            v = random_set_function(rng, n)
+            values = np.array([float(t) for t in v.values])
+            x = np.random.default_rng(2).random((32, n))
+            k = rng.randint(1, n)
+            got = lovasz.lovasz_slope_batch(values, x, k)
+            want = np.array([directional_slope(v, row, k) for row in x])
+            assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", list(range(1, 15)) + [16])
+    def test_eval_matches_pointwise_on_tied_rows(self, n):
+        # column compares up to NETWORK_MAX_ARITY, argsort tails above it
+        v = random_set_function(random.Random(n), n, zero_grounded=False)
+        values = np.array([float(t) for t in v.values])
+        x = tied_rows(n, 48, n)
+        got = lovasz.lovasz_eval_batch(values, x)
+        want = np.array([eval_lovasz(v, row) for row in x])
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 13, 16])
+    def test_slope_matches_pointwise_on_untied_rows(self, n):
+        v = random_set_function(random.Random(n), n, zero_grounded=False)
+        values = np.array([float(t) for t in v.values])
+        x = np.random.default_rng(n).random((48, n))
+        assert all(len(set(row)) == n for row in x.tolist())
+        for k in range(1, n + 1):
+            got = lovasz.lovasz_slope_batch(values, x, k)
+            want = [directional_slope(v, row, k) for row in x]
+            assert np.array_equal(got, want)
+
+
 class TestInfluence:
     def test_both_formulas_used(self, rng):
         # influence_lovasz asserts agreement of the level-average and
@@ -416,7 +476,7 @@ class TestSymmetricPartAndMoments:
     def test_mean_against_quadrature(self, rng):
         import numpy as np
         from ordinfluence import Evaluator, tensor_quadrature
-        from ordinfluence.backends import lovasz_eval_batch
+        from ordinfluence.lovasz import lovasz_eval_batch
         for _ in range(8):
             n = rng.randint(1, 3)
             v = random_set_function(rng, n, zero_grounded=False)
@@ -438,7 +498,7 @@ class TestSymmetricPartAndMoments:
     def test_norm_sq_mc_cross_check(self, rng):
         import numpy as np
         from ordinfluence import Evaluator
-        from ordinfluence.backends import lovasz_eval_batch
+        from ordinfluence.lovasz import lovasz_eval_batch
         from ordinfluence.montecarlo import mc_profile_moments
         v = random_set_function(rng, 3, zero_grounded=False)
         values = np.array([float(t) for t in v.values])

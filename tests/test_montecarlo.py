@@ -5,6 +5,8 @@ Statistical assertions use the 3-standard-error rule with frozen seeds, so
 the suite is deterministic.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ordinfluence import (
     DomainError,
     Evaluator,
     TaintedSampleError,
+    cli,
     influence_exact,
     influence_mc_covariance,
     influence_mc_derivative,
@@ -27,6 +30,7 @@ from ordinfluence.montecarlo import (
     PASS_BATCH,
     _draw_untied,
     _rng,
+    _shift_rank,
     derive_seed,
     g_kernel_values,
     h_density_values,
@@ -46,6 +50,7 @@ from conftest import (
     reference_diffquotient,
     reference_neighbours,
     reference_profile_moments,
+    reference_shift,
 )
 
 # Both sides of the sorted_columns crossover, and the arities of the
@@ -152,6 +157,51 @@ class TestSortedReferences:
             for variant in ("uniform-y", "triangular-y"):
                 assert (influence_mc_diffquotient(ev, k, samples, 7, variant)
                         == reference_diffquotient(ev, k, samples, 7, variant))
+
+    @pytest.mark.parametrize("n", ARITIES)
+    def test_shift_moves_the_argsort_column(self, n):
+        # half the rows on a grid of three levels, so that rank k ties with
+        # its neighbours below and above (zero gaps); the other half untied
+        gen = np.random.default_rng(n)
+        x = np.floor(gen.random((600, n)) * 3) / 3
+        x[::2] = gen.random((300, n))
+        u = gen.random(600)
+        tied_below = zero_gap = 0
+        for k in range(1, n + 1):
+            xs = sorted_columns(x)
+            mid = xs[k - 1]
+            gap = (xs[k] if k < n else np.ones(len(x))) - mid
+            h = gap * u
+            assert np.array_equal(_shift_rank(x, mid, gap, mid + h),
+                                  reference_shift(x, k, h))
+            zero_gap += int(np.sum(gap == 0.0))
+            if k >= 2:
+                tied_below += int(np.sum((gap > 0.0) & (xs[k - 2] == mid)))
+        assert n == 1 or (zero_gap and tied_below)
+
+    @pytest.mark.parametrize("doc, estimators", [
+        ({"kind": "power-product", "arity": 4, "exponent": "2/3"},
+         "covariance,derivative,diff-quotient-uniform,diff-quotient-triangular"),
+        ({"kind": "builtin", "name": "conjunctive-example-6.1", "arity": 2},
+         "covariance,diff-quotient-uniform,diff-quotient-triangular"),
+    ], ids=["power-product-n4", "conjunctive-example-6.1"])
+    def test_crosscheck_json_equals_argsort_oracle(self, doc, estimators,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        outputs = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(cli, "influence_mc_diffquotient",
+                                    reference_diffquotient)
+            for k in range(1, doc["arity"] + 1):
+                cli.main(["crosscheck", str(path), "-k", str(k), "--samples",
+                          "20000", "--seed", "5", "--estimators", estimators,
+                          "--format", "json"])
+                outputs.append(capsys.readouterr().out)
+        half = len(outputs) // 2
+        assert outputs[:half] == outputs[half:]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_draw_untied_resamples_ties(self, k):
