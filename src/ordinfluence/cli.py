@@ -48,8 +48,18 @@ EXIT_QUADRATURE = 6
 
 SEED_ENV_VAR = "ORDINFLUENCE_SEED"
 
-ESTIMATOR_NAMES = ("covariance", "derivative", "diff-quotient-uniform",
-                   "diff-quotient-triangular")
+# crosscheck's estimators, each called as (evaluator, k, samples, seed); the
+# lambdas look the estimator up in this module when called, so that a test
+# can replace it here
+ESTIMATORS = {
+    "covariance": lambda *args: influence_mc_covariance(*args),
+    "derivative": lambda *args: influence_mc_derivative(*args),
+    "diff-quotient-uniform":
+        lambda *args: influence_mc_diffquotient(*args, "uniform-y"),
+    "diff-quotient-triangular":
+        lambda *args: influence_mc_diffquotient(*args, "triangular-y"),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
 def _default_seed() -> int:
@@ -228,30 +238,17 @@ def cmd_crosscheck(args):
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
     names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     for name in names:
-        if name not in ESTIMATOR_NAMES:
+        if name not in ESTIMATORS:
             raise ConfigurationError("unknown estimator %r (known: %s)"
                                      % (name, ", ".join(ESTIMATOR_NAMES)))
+    if not names or len(set(names)) < len(names):
+        raise ConfigurationError("--estimators needs one or more distinct "
+                                 "names, got %r" % args.estimators)
     evaluator = spec.evaluator()
     seed = args.seed
-    estimates = {}
-    for i, name in enumerate(names):
-        sub_seed = derive_seed(seed, 1000 + i)
-        if name == "covariance":
-            estimates[name] = influence_mc_covariance(
-                evaluator, k, args.samples, sub_seed)
-        elif name == "derivative":
-            if evaluator.derivative is None:
-                raise ConfigurationError(
-                    "the derivative estimator needs a function class with a "
-                    "directional-derivative map")
-            estimates[name] = influence_mc_derivative(
-                evaluator, k, args.samples, sub_seed)
-        elif name == "diff-quotient-uniform":
-            estimates[name] = influence_mc_diffquotient(
-                evaluator, k, args.samples, sub_seed, "uniform-y")
-        else:
-            estimates[name] = influence_mc_diffquotient(
-                evaluator, k, args.samples, sub_seed, "triangular-y")
+    estimates = {name: ESTIMATORS[name](evaluator, k, args.samples,
+                                        derive_seed(seed, 1000 + i))
+                 for i, name in enumerate(names)}
 
     doc = _report("crosscheck", spec,
                   {"k": k, "samples": args.samples,

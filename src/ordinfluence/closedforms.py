@@ -57,12 +57,12 @@ def _checked(value, err: float, tol: float):
 
 
 def _quad(func: Callable[[float], float], tol: float = QUAD_TOL,
-          epsabs: Optional[float] = None) -> float:
-    """int_0^1 func to the relative tolerance ``tol`` and the absolute one
-    ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy only,
-    for integrals far below ``tol``."""
+          epsabs: Optional[float] = None, upper: float = 1.0) -> float:
+    """int_0^upper func to the relative tolerance ``tol`` and the absolute
+    one ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy
+    only, for integrals far below ``tol``."""
     epsabs = tol if epsabs is None else epsabs
-    value, err = _module.integrate.quad(func, 0.0, 1.0, epsabs=epsabs,
+    value, err = _module.integrate.quad(func, 0.0, upper, epsabs=epsabs,
                                         epsrel=tol, limit=200)
     return _checked(value, err, epsabs)
 
@@ -120,9 +120,7 @@ class UnaryFactor:
             return self.antiderivative(y)
         if y == 0.0:
             return 0.0
-        value, _ = _module.integrate.quad(self.phi, 0.0, y, epsabs=QUAD_TOL,
-                                          epsrel=QUAD_TOL, limit=200)
-        return value
+        return _quad(self.phi, upper=y)
 
     def phi_one(self):
         """Phi(1), exact when available."""

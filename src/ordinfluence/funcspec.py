@@ -23,8 +23,9 @@ from .closedforms import MultiplicativeSpec, UnaryFactor, \
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
-from .lovasz import SetFunction, _levels, _value_strings, check_arity, \
-    level_averages, lovasz_eval_batch, lovasz_slope_batch, norm_sq_lovasz
+from .lovasz import SetFunction, _float_values, _levels, _value_strings, \
+    check_arity, level_averages, lovasz_eval_batch, lovasz_slope_batch, \
+    norm_sq_lovasz
 from .montecarlo import Evaluator, sorted_columns
 from .projection import Moments, moments_exact
 
@@ -65,6 +66,20 @@ def _rational_str(value) -> str:
     return str(as_rational(value))
 
 
+def _monomial_sum(columns: np.ndarray, terms: list,
+                  constant: float) -> np.ndarray:
+    """constant + sum of coeff * prod columns[i-1] ** exp over the terms
+    (coeff, ((i, exp), ...)), where row i-1 of the (n, m) ``columns`` holds
+    the i-th variable or order statistic of each of m points."""
+    out = np.full(columns.shape[1], constant)
+    for coeff, exps in terms:
+        part = np.full(columns.shape[1], coeff)
+        for i, exp in exps:
+            part *= columns[i - 1] ** exp
+        out += part
+    return out
+
+
 @dataclass
 class OrderStatPolynomialSpec(FunctionSpec):
     poly: OrderStatPolynomial
@@ -85,18 +100,9 @@ class OrderStatPolynomialSpec(FunctionSpec):
     def evaluator(self):
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
         constant = float(self.poly.constant)
-
-        def func(x):
-            xs = sorted_columns(x)
-            out = np.full(len(x), constant)
-            for coeff, exps in terms:
-                part = np.full(len(x), coeff)
-                for slot, exp in exps:
-                    part *= xs[slot - 1] ** exp
-                out += part
-            return out
-
-        return Evaluator(self.arity, func, name=self.builtin_name or self.kind)
+        return Evaluator(self.arity, lambda x: _monomial_sum(
+            sorted_columns(x), terms, constant),
+            name=self.builtin_name or self.kind)
 
     def payload(self):
         return {
@@ -131,17 +137,8 @@ class PlainPolynomialSpec(FunctionSpec):
         terms = [(float(c), [(int(v), int(e)) for v, e in exps.items()])
                  for c, exps in self.terms]
         constant = float(self.constant)
-
-        def func(x):
-            out = np.full(len(x), constant)
-            for coeff, exps in terms:
-                part = np.full(len(x), coeff)
-                for var, exp in exps:
-                    part *= x[:, var - 1] ** exp
-                out += part
-            return out
-
-        return Evaluator(self.arity, func, name=self.builtin_name or self.kind)
+        return Evaluator(self.arity, lambda x: _monomial_sum(
+            x.T, terms, constant), name=self.builtin_name or self.kind)
 
     def payload(self):
         return {
@@ -174,7 +171,7 @@ class SetFunctionSpec(FunctionSpec):
                        norm_sq_lovasz(v) if norm_sq else None)
 
     def evaluator(self):
-        values = np.array([float(v) for v in self.set_function.values])
+        values = _float_values(self.set_function)
         return Evaluator(self.arity, partial(lovasz_eval_batch, values),
                          partial(lovasz_slope_batch, values),
                          name=self.builtin_name or self.kind)

@@ -176,20 +176,30 @@ def _level_sums(table: np.ndarray, n: int) -> list:
     return np.add.reduceat(table[..., order], starts, axis=-1).tolist()
 
 
-def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
-    """``table / scale`` as Fractions, built once per distinct numerator
-    (the transform of a table of small numerators repeats most values)."""
+def _by_numerator(table: np.ndarray, convert) -> list:
+    """``convert(p)`` for every numerator p of ``table``, called once per
+    distinct numerator (a table of small numerators repeats most values)."""
     ints = table.tolist()
-    built = {x: Fraction(x, scale) for x in set(ints)}
-    return tuple(map(built.__getitem__, ints))
+    built = {p: convert(p) for p in set(ints)}
+    return list(map(built.__getitem__, ints))
+
+
+def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
+    """``table / scale`` as Fractions."""
+    return tuple(_by_numerator(table, lambda p: Fraction(p, scale)))
 
 
 def _value_strings(x: _DenseTable) -> list:
-    """``str`` of every value of ``x``, formatted once per distinct numerator."""
+    """``str`` of every value of ``x``."""
     table, scale, _ = x._numerators
-    ints = table.tolist()
-    text = {p: str(Fraction(p, scale)) for p in set(ints)}
-    return list(map(text.__getitem__, ints))
+    return _by_numerator(table, lambda p: str(Fraction(p, scale)))
+
+
+def _float_values(x: _DenseTable) -> np.ndarray:
+    """The values of ``x`` as floats.  Each is p / D in int true division,
+    which rounds correctly, so it equals float(Fraction(p, D))."""
+    table, scale, _ = x._numerators
+    return np.array(_by_numerator(table, lambda p: p / scale))
 
 
 # ---------------------------------------------------------------------------

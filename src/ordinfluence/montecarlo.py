@@ -27,27 +27,29 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .closedforms import _box_integral
 from .errors import ConfigurationError, DomainError, TaintedSampleError
 from .projection import Moments
 
-BATCH = 1 << 16
-# mc_profile_moments keeps a draw buffer and a moment buffer of PASS_BATCH
-# rows, 2.4 MB together at arity 8, and sorted_columns' (n+1)-row column
-# copy of a batch, 1.2 MB more, beside the evaluator's temporaries.  On a
-# 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the
-# same time at 1 << 12 to 1 << 14 rows and 10-20% longer from 1 << 15 up
-PASS_BATCH = 1 << 14
+# Rows handled as one block: the draw batch of every estimator and of
+# mc_profile_moments, and the tile over which sorted_columns runs the network.
+# A pass keeps a draw buffer and a moment buffer of BATCH rows, 2.4 MB
+# together at arity 8, and sorted_columns' (n+1)-row column copy, 1.2 MB
+# more (1.7 MB at n = 12), beside the evaluator's temporaries.  On a 2-CPU
+# Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the same
+# time at 1 << 12 to 1 << 14 rows and 10-20% longer from 1 << 15 up; the
+# network on 65536 rows at n = 8 took 3.1 ms as one block, 1.8 ms in blocks
+# of 1 << 14 and 1.9-3.0 ms in blocks of 1 << 11 to 1 << 13; the single-rank
+# estimators at 1e5 samples took up to 40% less time than in blocks of
+# 1 << 16 (covariance, power-product n = 4: 7.1 ms against 11.2 ms), and
+# none took more beyond noise
+BATCH = 1 << 14
 # Crossover between Batcher's network and np.sort, measured on that machine
 # as medians of 15 sorts of 16384 random rows, in three rounds: n = 8
 # 0.33-0.47 ms against 0.90-1.12 ms for np.sort(x, axis=1); n = 12 0.80-1.03
 # against 0.99-1.23; n = 13 and 14 within noise of np.sort; n = 15
 # 1.21-1.40 against 1.07-1.32; n = 16 2.08-2.37 against 0.81-1.34
 NETWORK_MAX_ARITY = 12
-# The network runs over this many points at a time, so that the n+1 rows of
-# a tile, 1.7 MB at n = 12, stay in L2.  On batches of 65536 rows at n = 8,
-# whole-batch rows took 3.1 ms, tiles of 1 << 14 points 1.8 ms, and tiles
-# of 1 << 11 to 1 << 13 points 1.9-3.0 ms
-NETWORK_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,11 @@ class _Accumulator:
                                    estimator, variant)
 
 
-def _batches(samples: int, size: int = BATCH):
+def _batches(samples: int):
     remaining = samples
     while remaining > 0:
-        yield min(remaining, size)
-        remaining -= size
+        yield min(remaining, BATCH)
+        remaining -= BATCH
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +182,18 @@ def sorted_columns(x: np.ndarray) -> np.ndarray:
     whose row i holds each point's (i+1)-th smallest coordinate.
 
     Up to NETWORK_MAX_ARITY the columns run through Batcher's network as
-    np.minimum / np.maximum over contiguous rows, NETWORK_TILE points at a
-    time; above it the result is np.sort(x, axis=1).T.  Either way the
-    values are those of np.sort for rows without NaN.
+    np.minimum / np.maximum over contiguous rows, BATCH points at a time;
+    above it the result is np.sort(x, axis=1).T.  Either way the values are
+    those of np.sort for rows without NaN.
     """
     m, n = x.shape
     if n > NETWORK_MAX_ARITY:
         return np.sort(x, axis=1).T
     moves, free = _network(n)
     columns = np.empty((n + 1, m))
-    for lo in range(0, m, NETWORK_TILE):
-        tile = columns[:, lo:lo + NETWORK_TILE]
-        points = x[lo:lo + NETWORK_TILE]
+    for lo in range(0, m, BATCH):
+        tile = columns[:, lo:lo + BATCH]
+        points = x[lo:lo + BATCH]
         tile[:free] = points[:, :free].T
         tile[free + 1:] = points[:, free:].T
         rows = list(tile)
@@ -404,13 +406,13 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
     moment_map = _moment_map(n, indices, second_moments)
     width = moment_map.shape[1]
     rng = _rng(derive_seed(seed, 0))
-    rows = min(samples, PASS_BATCH)
+    rows = min(samples, BATCH)
     draws = np.empty((rows, n))
     moments = np.empty((rows, width))
     moments[:, 0] = 1.0
     shift = None
     total_cross = np.zeros((width, width))
-    for m in _batches(samples, PASS_BATCH):
+    for m in _batches(samples):
         x, z = draws[:m], moments[:m]
         rng.random(out=x)
         v = f(x)
@@ -466,13 +468,4 @@ def tensor_quadrature(f: Evaluator, nodes_per_axis: int) -> float:
         raise ConfigurationError("tensor quadrature is limited to arity <= 4")
     if nodes_per_axis < 2:
         raise DomainError("need at least 2 nodes per axis")
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_axis)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    grids = np.meshgrid(*([nodes] * f.arity), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    values = f(points)
-    w = weights
-    for _ in range(f.arity - 1):
-        w = np.multiply.outer(w, weights)
-    return float(np.dot(values, w.ravel()))
+    return _box_integral(f, [(0.0, 1.0)] * f.arity, nodes_per_axis)

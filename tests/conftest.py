@@ -23,7 +23,7 @@ from ordinfluence import (
 )
 from ordinfluence.errors import DomainError, TaintedSampleError
 from ordinfluence.montecarlo import (
-    PASS_BATCH,
+    BATCH,
     _Accumulator,
     _batches,
     _check_finite,
@@ -223,13 +223,13 @@ def reference_profile_moments(f, samples, seed, indices=True,
     moment_map = _moment_map(n, indices, second_moments)
     width = moment_map.shape[1]
     rng = _rng(derive_seed(seed, 0))
-    rows = min(samples, PASS_BATCH)
+    rows = min(samples, BATCH)
     draws = np.empty((rows, n))
     moments = np.empty((rows, width))
     moments[:, 0] = 1.0
     shift = None
     total_cross = np.zeros((width, width))
-    for m in _batches(samples, PASS_BATCH):
+    for m in _batches(samples):
         x, z = draws[:m], moments[:m]
         rng.random(out=x)
         v = f(x)

@@ -246,6 +246,17 @@ class TestExitCodes:
         assert cli.main(["crosscheck", path, "-k", "1",
                          "--estimators", "bootstrap"]) == 3
 
+    @pytest.mark.parametrize("estimators", ["covariance,covariance", ","],
+                             ids=["repeated", "empty"])
+    def test_repeated_or_no_estimator_exits_3(self, tmp_path, capsys,
+                                              estimators):
+        path = write_spec(tmp_path, PRODUCT_DOC)
+        assert cli.main(["crosscheck", path, "-k", "1", "--samples", "2000",
+                         "--estimators", estimators]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_degenerate_variance_warns_exit_0(self, tmp_path, capsys):
         doc = {"kind": "orderstat-polynomial", "arity": 2, "constant": "2",
                "terms": []}

@@ -186,6 +186,17 @@ class TestMultiplicative:
         with pytest.raises(BranchAmbiguityError):
             influence_symmetric_multiplicative(factor, 2, 1)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_antiderivative_error_estimate_is_checked(self):
+        # quad gives Phi(0.7) = 0.69485 with an error estimate of 8.4e-3 and
+        # Phi(1) = 0.99625, where the true values are 0.70003 and 0.99997
+        rough = UnaryFactor.from_callable(lambda t: math.cos(3e4 * t) + 1.0)
+        for value in (lambda: rough.antiderivative_value(0.7), rough.phi_one,
+                      MultiplicativeSpec.symmetric(rough, 2).mean):
+            with pytest.raises(QuadratureError) as err:
+                value()
+            assert err.value.achieved_tolerance > 1e-3
+
     def test_mean_and_norm(self):
         spec = MultiplicativeSpec.symmetric(UnaryFactor.power(1), 2)
         assert spec.mean() == pytest.approx(0.25, abs=1e-12)

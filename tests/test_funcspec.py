@@ -202,6 +202,30 @@ class TestBuiltins:
             assert SetFunctionSpec(v).payload() == {
                 "values": [str(as_rational(x)) for x in v.values]}
 
+    def test_set_function_float_table(self):
+        # one p / D per distinct numerator gives float(v) of every value, for
+        # int64 tables and for numerators past int64 (an object table)
+        rng = random.Random(17_2026)
+        cases = [resolve_builtin("arithmetic-mean", n).set_function
+                 for n in (1, 4, 10)]
+        for n in (1, 3, 6, 8):
+            cases.append(SetFunction(n, tuple(
+                Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                for _ in range(1 << n))))
+        cases.append(SetFunction(2, (0, Fraction(1, 2), 0.1, 3)))
+        cases.append(SetFunction(3, tuple(Fraction(2 ** 70 + i, 3 + i % 2)
+                                          for i in range(8))))
+        cases.append(SetFunction(4, tuple(
+            Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.randint(1, 2 ** 40))
+            for _ in range(16))))
+        cases.append(zeta(mobius(cases[4])))
+        assert {v._numerators[0].dtype for v in cases} == {
+            np.dtype(np.int64), np.dtype(object)}
+        for v in cases:
+            table = SetFunctionSpec(v).evaluator().func.args[0]
+            assert table.dtype == np.float64
+            assert np.array_equal(table, np.array([float(x) for x in v.values]))
+
     def test_geometric_mean_is_power_product(self):
         spec = resolve_builtin("geometric-mean", 3)
         assert isinstance(spec, PowerProductSpec)

@@ -25,9 +25,8 @@ from ordinfluence import (
 )
 from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
 from ordinfluence.montecarlo import (
+    BATCH,
     NETWORK_MAX_ARITY,
-    NETWORK_TILE,
-    PASS_BATCH,
     _draw_untied,
     _rng,
     _shift_rank,
@@ -104,7 +103,7 @@ class TestSortedColumns:
         gen = np.random.default_rng(n)
         ties = gen.integers(-1, 2, (500, n)) * 0.5
         ties[gen.random((500, n)) < 0.2] = -0.0
-        for x in (gen.random((NETWORK_TILE + 3, n)), ties, gen.random((1, n))):
+        for x in (gen.random((BATCH + 3, n)), ties, gen.random((1, n))):
             got = sorted_columns(x)
             assert got.shape == (n, len(x))
             assert np.array_equal(got, np.sort(x, axis=1).T)
@@ -251,7 +250,8 @@ class TestReproducibility:
     def test_batch_boundary_consistency(self):
         # sample counts straddling the internal batch size stay finite/sane
         ev = product_evaluator()
-        for m in (2, 100, (1 << 16) - 1, (1 << 16) + 1):
+        for m in (2, 100, BATCH - 1, BATCH + 1,
+                  (1 << 16) - 1, (1 << 16) + 1):
             est = influence_mc_covariance(ev, 1, m, 5)
             assert np.isfinite(est.value) and est.samples == m
 
@@ -343,7 +343,7 @@ class TestOnePass:
         # the pass reads the stream row by row whatever its batch size, and
         # its kernels equal the reference g_k on the same rows
         ev = Evaluator(3, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
-        samples = PASS_BATCH + 3
+        samples = BATCH + 3
         est = mc_profile_moments(ev, samples, 8)
         x = _rng(derive_seed(8, 0)).random((samples, 3))
         v = ev(x)
@@ -384,7 +384,7 @@ class TestOnePass:
         # f returns a view of the draw buffer: the pass must sort a copy, so
         # that v still reads the unsorted first coordinate
         ev = Evaluator(3, lambda x: x[:, 0])
-        samples = PASS_BATCH + 3
+        samples = BATCH + 3
         est = mc_profile_moments(ev, samples, 12)
         x = _rng(derive_seed(12, 0)).random((samples, 3))
         v = x[:, 0]
@@ -397,7 +397,7 @@ class TestOnePass:
     @pytest.mark.parametrize("indices, second_moments",
                              [(False, True), (True, False)])
     def test_partial_moments(self, indices, second_moments):
-        n, samples = 3, PASS_BATCH + 3
+        n, samples = 3, BATCH + 3
         ev = Evaluator(n, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
         est = mc_profile_moments(ev, samples, 8, indices, second_moments)
         x = _rng(derive_seed(8, 0)).random((samples, n))
@@ -432,10 +432,10 @@ class TestOnePass:
                 v[5] = 1e200
             calls.append(len(x))
             return v
-        samples = 2 * PASS_BATCH
+        samples = 2 * BATCH
         with pytest.raises(TaintedSampleError) as err:
             mc_profile_moments(Evaluator(3, func), samples, 4)
-        row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * PASS_BATCH + 5]
+        row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * BATCH + 5]
         assert not np.all(np.diff(row) >= 0)
         assert np.array_equal(err.value.point, row)
 
