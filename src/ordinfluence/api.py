@@ -46,21 +46,20 @@ def resolve_method(spec: FunctionSpec, method: str = "auto") -> str:
 
 def function_moments(spec: FunctionSpec, method: str = "auto",
                      samples: int = DEFAULT_SAMPLES, seed: int = 0, *,
-                     indices: bool = True, mean: bool = True,
-                     norm_sq: bool = True) -> Moments:
+                     indices: bool = True, norm_sq: bool = True) -> Moments:
     """The primaries of f by the chosen engine.
 
     The flags name what the caller needs; an engine fills more when it costs
     nothing extra.  Exact and closed-form engines always fill the indices
     and the mean, and compute <f, f> (the O(n^2 2^n) chain form for set
     functions) only for ``norm_sq``.  Monte Carlo makes one pass, keyed
-    derive_seed(seed, 0), that estimates the asked-for quantities from the
-    same samples, with their joint covariance.
+    derive_seed(seed, 0), that estimates the mean and the asked-for
+    quantities from the same samples, with their joint covariance.
     """
     method = resolve_method(spec, method)
     if method == "mc":
         return mc_profile_moments(spec.evaluator(), samples, seed, indices,
-                                  mean or norm_sq)
+                                  norm_sq)
     return spec.moments(norm_sq)
 
 
@@ -72,8 +71,7 @@ def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
     method = resolve_method(spec, method)
     if not 1 <= k <= spec.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
-    m = function_moments(spec, method, samples, seed, mean=False,
-                         norm_sq=False)
+    m = function_moments(spec, method, samples, seed, norm_sq=False)
     if m.index_std_errors is None:
         return m.indices[k - 1]
     return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],

@@ -83,12 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=True):
+    def common(p, with_method=True, with_samples=True):
         p.add_argument("spec", help="path to a JSON function spec")
         if with_method:
             p.add_argument("--method", default="auto",
                            choices=("auto", "exact", "closed-form", "mc"))
-        p.add_argument("--samples", type=int, default=api.DEFAULT_SAMPLES)
+        if with_samples:
+            p.add_argument("--samples", type=int,
+                           default=api.DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $%s or 0)" % SEED_ENV_VAR)
         p.add_argument("--format", default="table",
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_approx)
 
     p_lov = sub.add_parser("lovasz", help="set-function diagnostics")
-    common(p_lov, with_method=False)
+    common(p_lov, with_method=False, with_samples=False)
     p_lov.add_argument("--diagnose-equal-influence", action="store_true")
     p_lov.add_argument("--mobius", action="store_true")
     p_lov.add_argument("--symmetric-part", action="store_true")
@@ -153,7 +155,7 @@ def cmd_influence(args) -> ReportDocument:
         requested["samples"] = args.samples
     doc = _report("influence", spec, requested, seed)
     moments = api.function_moments(spec, method, args.samples, seed,
-                                   mean=False, norm_sq=False)
+                                   norm_sq=False)
     ses = moments.index_std_errors or (None,) * n
     for k in ranks:
         doc.results.append(_result_row(k, moments.indices[k - 1], method,
@@ -196,6 +198,10 @@ def cmd_approx(args) -> ReportDocument:
     if approx.r_squared_std_error is not None:
         doc.extras["r_squared_se"] = approx.r_squared_std_error
     doc.extras["residual_norm_sq"] = format_value(approx.residual_norm_sq)
+    if approx.r_squared_std_error is not None and approx.r_squared > 1:
+        doc.warnings.append("r-squared-above-one: estimated R^2 = %.6g (se "
+                            "%.2g) exceeds 1, its upper bound"
+                            % (approx.r_squared, approx.r_squared_std_error))
     return doc
 
 

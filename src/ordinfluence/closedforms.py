@@ -164,7 +164,8 @@ class MultiplicativeSpec:
             if factor.is_symbolic:
                 out *= x[:, i] ** float(factor.exponent)
             else:
-                out *= np.array([factor.phi_value(t) for t in x[:, i]])
+                out *= np.fromiter(map(factor.phi, x[:, i].tolist()), float,
+                                   len(x))
         return out
 
     def mean(self) -> float:

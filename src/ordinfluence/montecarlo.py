@@ -33,7 +33,7 @@ from .projection import Moments
 
 # Rows handled as one block: the draw batch of every estimator and of
 # mc_profile_moments, and the tile over which sorted_columns runs the network.
-# A pass keeps a draw buffer and a moment buffer of BATCH rows, 2.4 MB
+# A pass keeps a draw buffer and a moment buffer of BATCH points, 2.3 MB
 # together at arity 8, and sorted_columns' (n+1)-row column copy, 1.2 MB
 # more (1.7 MB at n = 12), beside the evaluator's temporaries.  On a 2-CPU
 # Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the same
@@ -101,10 +101,8 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _check_finite(values: np.ndarray, points: np.ndarray):
-    bad = ~np.isfinite(values)
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
+def _check_finite(columns: np.ndarray, points: np.ndarray):
+    bad = ~np.isfinite(columns).all(axis=0)
     if bad.any():
         idx = int(np.argmax(bad))
         raise TaintedSampleError(
@@ -112,22 +110,48 @@ def _check_finite(values: np.ndarray, points: np.ndarray):
 
 
 class _Accumulator:
+    """Means of per-point Monte-Carlo quantities, with their covariance.
+
+    Takes (w, m) blocks, w quantities at each of m points (a 1-D block is
+    one quantity), with the points.  Sums of the blocks and of their outer
+    products are taken about the first block's means, so that the
+    covariance does not cancel against large means (Chan, Golub & LeVeque
+    1983).  A non-finite entry raises TaintedSampleError at its point.
+    """
+
     def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
+        self.count, self.shift, self.sums, self.cross = 0, None, 0.0, 0.0
 
-    def add(self, contributions: np.ndarray):
-        self.count += len(contributions)
-        self.total += float(contributions.sum())
-        self.total_sq += float(np.square(contributions).sum())
+    def add(self, block: np.ndarray, points: np.ndarray):
+        """Accumulate ``block``, which is shifted in place."""
+        z = block.reshape(-1, block.shape[-1])
+        if self.shift is None:
+            # trace a non-finite mean to its point before the shift spreads it
+            self.shift = z.mean(axis=1, keepdims=True)
+            if not np.isfinite(self.shift).all():
+                _check_finite(z, points)
+        z -= self.shift
+        cross = z @ z.T
+        if not np.isfinite(cross).all():
+            _check_finite(z, points)
+        self.count += z.shape[1]
+        self.sums += z.sum(axis=1)
+        self.cross += cross
 
-    def finish(self, seed: int, estimator: str, variant=None) -> IntegrationEstimate:
+    def finish(self, linear_map: np.ndarray):
+        """(L mean, its covariance) for L = ``linear_map`` and the means."""
         m = self.count
-        mean = self.total / m
-        var = max(self.total_sq - m * mean * mean, 0.0) / (m - 1)
-        return IntegrationEstimate(mean, math.sqrt(var / m), m, seed,
-                                   estimator, variant)
+        offset = linear_map @ self.sums / m
+        covariance = ((linear_map @ self.cross @ linear_map.T
+                       - m * np.outer(offset, offset)) / ((m - 1) * m))
+        return linear_map @ self.shift[:, 0] + offset, covariance
+
+    def estimate(self, seed: int, estimator: str,
+                 variant=None) -> IntegrationEstimate:
+        """The one quantity's mean as an IntegrationEstimate."""
+        (value,), ((variance,),) = self.finish(np.eye(1))
+        return IntegrationEstimate(float(value), math.sqrt(max(variance, 0.0)),
+                                   self.count, seed, estimator, variant)
 
 
 def _batches(samples: int):
@@ -245,9 +269,8 @@ def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
     for m in _batches(samples):
         x = rng.random((m, f.arity))
         contrib = f(x) * g(x)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "raw-inner-product")
+        acc.add(contrib, x)
+    return acc.estimate(seed, "raw-inner-product")
 
 
 def influence_mc_covariance(f: Evaluator, k: int, samples: int,
@@ -259,9 +282,8 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
     for m in _batches(samples):
         x = rng.random((m, f.arity))
         contrib = f(x) * g_kernel_values(x, k)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "covariance")
+        acc.add(contrib, x)
+    return acc.estimate(seed, "covariance")
 
 
 def influence_mc_derivative(f: Evaluator, k: int, samples: int,
@@ -279,9 +301,8 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
         x, neighbours = _draw_untied(rng, m, f.arity, k)
         contrib = _h_density(f.arity, *neighbours) * np.asarray(
             f.derivative(x, k), dtype=float)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "derivative")
+        acc.add(contrib, x)
+    return acc.estimate(seed, "derivative")
 
 
 def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
@@ -319,9 +340,8 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
                                     0.0)
             contrib = quotient * scale * gap * gap / 2.0
         contrib = np.where(gap > 0.0, contrib, 0.0)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "diff-quotient", variant)
+        acc.add(contrib, x)
+    return acc.estimate(seed, "diff-quotient", variant)
 
 
 def _shift_rank(x: np.ndarray, mid: np.ndarray, gap: np.ndarray,
@@ -359,101 +379,74 @@ def _draw_untied(rng, m: int, n: int, k: int):
     raise TaintedSampleError("could not draw tie-free samples")
 
 
-def _moment_map(n: int, indices: bool, second_moments: bool) -> np.ndarray:
-    """The map L from a row's sorted moments z to its contributions.
+def _moment_map(n: int, indices: bool, norm_sq: bool) -> np.ndarray:
+    """The map L from a point's sorted moments z to its contributions.
 
-    z is (1, v x_(1), ..., v x_(n), v, v^2) with v = f(x), the order
-    statistics present when ``indices`` is set and v^2 when
-    ``second_moments`` is.  Rows of L are the -(n+1)(n+2)-scaled second
-    differences of v x_(0..n+1), with x_(0) = 0 and x_(n+1) = 1 (so the last
-    one reads the column v), then v and v^2.  The constant column maps to
-    nothing: it only makes row 0 of z^T z the column sums.
+    z is (v x_(1), ..., v x_(n), v, v^2) with v = f(x), the order
+    statistics present when ``indices`` is set and v^2 when ``norm_sq`` is.
+    Rows of L are the -(n+1)(n+2)-scaled second differences of
+    v x_(0..n+1), with x_(0) = 0 and x_(n+1) = 1 (so the last one reads the
+    column v), then the identity on v and v^2.
     """
     ranks = n if indices else 0
-    moment_map = np.zeros((ranks + 2 * second_moments,
-                           ranks + 2 + second_moments))
+    moment_map = np.eye(ranks + 1 + norm_sq)
     scale = -(n + 1) * (n + 2)
     rank = np.arange(ranks)
-    moment_map[rank[1:], rank[1:]] = scale
-    moment_map[rank, rank + 1] = -2 * scale
-    moment_map[rank, rank + 2] = scale
-    if second_moments:
-        moment_map[ranks:, ranks + 1:] = np.eye(2)
+    moment_map[rank[1:], rank[:-1]] = scale
+    moment_map[rank, rank] = -2 * scale
+    moment_map[rank, rank + 1] = scale
     return moment_map
 
 
 def mc_profile_moments(f: Evaluator, samples: int, seed: int,
-                       indices: bool = True,
-                       second_moments: bool = True) -> Moments:
+                       indices: bool = True, norm_sq: bool = True) -> Moments:
     """Monte-Carlo Moments of any evaluator from one pass over the stream
     keyed derive_seed(seed, 0).
 
-    Each row becomes its sorted moments z (see ``_moment_map``) and each
-    batch adds one product z^T z.  Every estimate is linear in z, so the
-    second differences that give g_1..g_n are applied once, to the sums,
-    after the pass.
+    Each point becomes its sorted moments z (see ``_moment_map``), one
+    column of the block that ``_Accumulator`` sums with its outer products.
+    Every estimate is linear in z, so the second differences that give
+    g_1..g_n are applied once, to the sums, after the pass.
 
-    The indices are estimated when ``indices`` is set, the mean and <f, f>
-    when ``second_moments`` is; their standard errors and joint covariance
+    The mean is always estimated, the indices when ``indices`` is set and
+    <f, f> when ``norm_sq`` is; their standard errors and joint covariance
     come from the same samples.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
-    if not (indices or second_moments):
-        raise DomainError("nothing to estimate")
     n = f.arity
     ranks = n if indices else 0
-    moment_map = _moment_map(n, indices, second_moments)
-    width = moment_map.shape[1]
     rng = _rng(derive_seed(seed, 0))
     rows = min(samples, BATCH)
     draws = np.empty((rows, n))
-    moments = np.empty((rows, width))
-    moments[:, 0] = 1.0
-    shift = None
-    total_cross = np.zeros((width, width))
+    moments = np.empty((ranks + 1 + norm_sq, rows))
+    acc = _Accumulator()
     for m in _batches(samples):
-        x, z = draws[:m], moments[:m]
+        x, z = draws[:m], moments[:, :m]
         rng.random(out=x)
         v = f(x)
-        _check_finite(v, x)
         if indices:
-            # sorted_columns copies, and the evaluator may have returned a
-            # view of x; scaling the contiguous columns before one
-            # transposing copy beats writing into the strided columns of z
-            xs = sorted_columns(x)
-            xs *= v
-            z[:, 1:n + 1] = xs.T
-        z[:, ranks + 1] = v
-        if second_moments:
-            np.multiply(v, v, out=z[:, ranks + 2])
-        if shift is None:
-            # accumulate about the first batch's means, so that the
-            # covariance does not cancel against large means; a non-finite
-            # mean is traced to its row before the shift spreads it to all
-            shift = z.mean(axis=0)
-            shift[0] = 0.0
-            if not np.isfinite(shift).all():
-                _check_finite(z, x)
-        z -= shift
-        cross = z.T @ z
-        if not np.isfinite(cross).all():
-            _check_finite(z, x)
-        total_cross += cross
-    offset = moment_map @ total_cross[0] / samples
-    values = (moment_map @ shift + offset).tolist()
-    covariance = ((moment_map @ total_cross @ moment_map.T
-                   - samples * np.outer(offset, offset))
-                  / ((samples - 1) * samples))
+            np.multiply(sorted_columns(x), v, out=z[:n])
+        z[ranks] = v
+        if norm_sq:
+            np.multiply(v, v, out=z[ranks + 1])
+        acc.add(z, x)
+    return _estimated_moments(acc, n, indices, norm_sq, seed)
+
+
+def _estimated_moments(acc: _Accumulator, n: int, indices: bool,
+                       norm_sq: bool, seed: int) -> Moments:
+    """Moments from an accumulator of ``_moment_map``'s sorted moments."""
+    values, covariance = acc.finish(_moment_map(n, indices, norm_sq))
+    values = values.tolist()
     ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist()
     fields = {}
+    if norm_sq:
+        fields.update(norm_sq=values.pop(), norm_sq_std_error=ses.pop())
+    fields.update(mean=values.pop(), mean_std_error=ses.pop())
     if indices:
-        fields.update(indices=tuple(values[:n]),
-                      index_std_errors=tuple(ses[:n]))
-    if second_moments:
-        fields.update(mean=values[-2], mean_std_error=ses[-2],
-                      norm_sq=values[-1], norm_sq_std_error=ses[-1])
-    return Moments(n, "monte-carlo", samples=samples, seed=seed,
+        fields.update(indices=tuple(values), index_std_errors=tuple(ses))
+    return Moments(n, "monte-carlo", samples=acc.count, seed=seed,
                    covariance=tuple(map(tuple, covariance.tolist())), **fields)
 
 

@@ -23,16 +23,13 @@ from ordinfluence import (
 )
 from ordinfluence.errors import DomainError, TaintedSampleError
 from ordinfluence.montecarlo import (
-    BATCH,
     _Accumulator,
     _batches,
-    _check_finite,
     _check_rank,
-    _moment_map,
+    _estimated_moments,
     _rng,
     derive_seed,
 )
-from ordinfluence.projection import Moments
 
 
 def random_fraction(rng, lo=-4, hi=4, den=6):
@@ -142,10 +139,8 @@ def reference_covariance(f, k, samples, seed):
     for m in _batches(samples):
         x = rng.random((m, n))
         down, mid, up = reference_neighbours(x, k)
-        contrib = f(x) * (-(n + 1) * (n + 2) * (up - 2.0 * mid + down))
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "covariance")
+        acc.add(f(x) * (-(n + 1) * (n + 2) * (up - 2.0 * mid + down)), x)
+    return acc.estimate(seed, "covariance")
 
 
 def reference_h_density(x, k):
@@ -171,11 +166,9 @@ def reference_derivative(f, k, samples, seed):
     acc = _Accumulator()
     for m in _batches(samples):
         x = reference_draw_untied(rng, m, f.arity, k)
-        contrib = reference_h_density(x, k) * np.asarray(f.derivative(x, k),
-                                                         dtype=float)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "derivative")
+        acc.add(reference_h_density(x, k)
+                * np.asarray(f.derivative(x, k), dtype=float), x)
+    return acc.estimate(seed, "derivative")
 
 
 def reference_shift(x, k, h):
@@ -208,62 +201,25 @@ def reference_diffquotient(f, k, samples, seed, variant):
                 quotient = np.where(h > 0.0, increment / np.where(h > 0.0, h, 1.0),
                                     0.0)
             contrib = quotient * scale * gap * gap / 2.0
-        contrib = np.where(gap > 0.0, contrib, 0.0)
-        _check_finite(contrib, x)
-        acc.add(contrib)
-    return acc.finish(seed, "diff-quotient", variant)
+        acc.add(np.where(gap > 0.0, contrib, 0.0), x)
+    return acc.estimate(seed, "diff-quotient", variant)
 
 
-def reference_profile_moments(f, samples, seed, indices=True,
-                              second_moments=True):
+def reference_profile_moments(f, samples, seed, indices=True, norm_sq=True):
     if samples < 2:
         raise DomainError("need at least 2 samples")
     n = f.arity
-    ranks = n if indices else 0
-    moment_map = _moment_map(n, indices, second_moments)
-    width = moment_map.shape[1]
     rng = _rng(derive_seed(seed, 0))
-    rows = min(samples, BATCH)
-    draws = np.empty((rows, n))
-    moments = np.empty((rows, width))
-    moments[:, 0] = 1.0
-    shift = None
-    total_cross = np.zeros((width, width))
+    acc = _Accumulator()
     for m in _batches(samples):
-        x, z = draws[:m], moments[:m]
-        rng.random(out=x)
+        x = rng.random((m, n))
         v = f(x)
-        _check_finite(v, x)
-        if indices:
-            np.multiply(np.sort(x, axis=1), v[:, None], out=z[:, 1:n + 1])
-        z[:, ranks + 1] = v
-        if second_moments:
-            np.multiply(v, v, out=z[:, ranks + 2])
-        if shift is None:
-            shift = z.mean(axis=0)
-            shift[0] = 0.0
-            if not np.isfinite(shift).all():
-                _check_finite(z, x)
-        z -= shift
-        cross = z.T @ z
-        if not np.isfinite(cross).all():
-            _check_finite(z, x)
-        total_cross += cross
-    offset = moment_map @ total_cross[0] / samples
-    values = (moment_map @ shift + offset).tolist()
-    covariance = ((moment_map @ total_cross @ moment_map.T
-                   - samples * np.outer(offset, offset))
-                  / ((samples - 1) * samples))
-    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist()
-    fields = {}
-    if indices:
-        fields.update(indices=tuple(values[:n]),
-                      index_std_errors=tuple(ses[:n]))
-    if second_moments:
-        fields.update(mean=values[-2], mean_std_error=ses[-2],
-                      norm_sq=values[-1], norm_sq_std_error=ses[-1])
-    return Moments(n, "monte-carlo", samples=samples, seed=seed,
-                   covariance=tuple(map(tuple, covariance.tolist())), **fields)
+        columns = list((np.sort(x, axis=1) * v[:, None]).T) if indices else []
+        columns.append(v)
+        if norm_sq:
+            columns.append(v * v)
+        acc.add(np.array(columns), x)
+    return _estimated_moments(acc, n, indices, norm_sq, seed)
 
 
 @pytest.fixture

@@ -264,6 +264,19 @@ class TestExitCodes:
         assert cli.main(["approx", path]) == 0
         assert "degenerate" in capsys.readouterr().out
 
+    def test_estimated_r_squared_above_one_warns(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "builtin", "arity": 10,
+                                     "name": "arithmetic-mean"})
+        assert cli.main(["approx", path, "--method", "mc", "--samples",
+                         "100000", "--seed", "1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        r2 = doc["extras"]["r_squared"]["value"]
+        se = doc["extras"]["r_squared_se"]
+        assert r2 > 1
+        assert doc["warnings"] == ["r-squared-above-one: estimated R^2 = "
+                                   "%.6g (se %.2g) exceeds 1, its upper "
+                                   "bound" % (r2, se)]
+
 
 class TestFormats:
     def test_json_round_trip(self, tmp_path, capsys):
@@ -347,6 +360,13 @@ class TestLovaszCommand:
         diagnosis = report["extras"]["equal_influence"]
         assert diagnosis["equal"] is False
         assert diagnosis["first_violations"]
+
+    def test_no_samples_flag(self, tmp_path, capsys):
+        path = write_spec(tmp_path, MEAN_DOC)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lovasz", path, "--samples", "5"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestParserBuiltOnce:

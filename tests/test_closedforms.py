@@ -101,7 +101,7 @@ class TestPowerProduct:
         assert power_product_ratio(1 / n, n) == pytest.approx(
             closed[-1] / closed[0], rel=1e-9)
         mc = function_moments(resolve_builtin("geometric-mean", n), "mc",
-                              20_000, 5, mean=False, norm_sq=False)
+                              20_000, 5, norm_sq=False)
         # the lowest, a middle and the highest rank, fixed in advance: over
         # all 200 ranks some |z| > 3 is expected by chance
         for k in (1, n // 2, n):
@@ -201,6 +201,14 @@ class TestMultiplicative:
         spec = MultiplicativeSpec.symmetric(UnaryFactor.power(1), 2)
         assert spec.mean() == pytest.approx(0.25, abs=1e-12)
         assert spec.norm_sq() == pytest.approx(1 / 9, abs=1e-12)
+
+    def test_callable_factor_evaluates_as_per_point_loop(self):
+        spec = MultiplicativeSpec(2, (UnaryFactor.from_callable(math.sqrt),
+                                      UnaryFactor.power(2)))
+        x = np.random.default_rng(3).random((1000, 2))
+        expected = (np.array([math.sqrt(t) for t in x[:, 0]])
+                    * x[:, 1] ** 2.0)
+        assert np.array_equal(spec.evaluate(x), expected)
 
 
 def subset_expansion(spec, k):

@@ -27,6 +27,7 @@ from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
 from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
+    _Accumulator,
     _draw_untied,
     _rng,
     _shift_rank,
@@ -138,11 +139,11 @@ class TestSortedReferences:
     @pytest.mark.parametrize("n", ARITIES)
     def test_profile_moments(self, n, samples):
         ev = weighted_squares_evaluator(n)
-        for indices, second_moments in ((True, True), (True, False),
-                                        (False, True)):
-            assert (mc_profile_moments(ev, samples, 3, indices, second_moments)
+        for indices, norm_sq in ((True, True), (True, False), (False, True),
+                                 (False, False)):
+            assert (mc_profile_moments(ev, samples, 3, indices, norm_sq)
                     == reference_profile_moments(ev, samples, 3, indices,
-                                                 second_moments))
+                                                 norm_sq))
 
     @pytest.mark.parametrize("samples", [5000, 16384, 16385])
     @pytest.mark.parametrize("n", ARITIES)
@@ -331,6 +332,25 @@ class TestMomentsAndInnerProducts:
         # <x1 x2, x1 + x2> = 2 * (1/3 * 1/2) = 1/3
         assert abs(est.value - 1 / 3) <= 3 * est.std_error
 
+    def test_inner_product_std_error_at_large_mean(self):
+        # <1e8 + x1, 1>: a sum of squares less m mean^2 cancels to 0 here
+        f = Evaluator(2, lambda x: 1e8 + x[:, 0])
+        one = Evaluator(2, lambda x: np.ones(len(x)))
+        est = mc_inner_product(f, one, 100_000, 3)
+        assert est.std_error == pytest.approx(np.sqrt(1 / 12 / 1e5), rel=0.01)
+
+    def test_accumulator_std_error_at_large_mean(self):
+        # two blocks, the second summed about the first one's mean
+        values = 1e8 + np.random.default_rng(2).random(BATCH + 3)
+        acc = _Accumulator()
+        for lo in (0, BATCH):
+            block = values[lo:lo + BATCH]
+            acc.add(block.copy(), np.zeros((len(block), 1)))
+        est = acc.estimate(0, "offset")
+        assert est.value == pytest.approx(np.mean(values), rel=1e-14)
+        assert est.std_error == pytest.approx(
+            np.std(values, ddof=1) / np.sqrt(len(values)), rel=1e-9)
+
     def test_tainted_sample(self):
         bad = Evaluator(2, lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0))
         with pytest.raises(TaintedSampleError) as err:
@@ -394,19 +414,19 @@ class TestOnePass:
         assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
         assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
 
-    @pytest.mark.parametrize("indices, second_moments",
+    @pytest.mark.parametrize("indices, norm_sq",
                              [(False, True), (True, False)])
-    def test_partial_moments(self, indices, second_moments):
+    def test_partial_moments(self, indices, norm_sq):
         n, samples = 3, BATCH + 3
         ev = Evaluator(n, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
-        est = mc_profile_moments(ev, samples, 8, indices, second_moments)
+        est = mc_profile_moments(ev, samples, 8, indices, norm_sq)
         x = _rng(derive_seed(8, 0)).random((samples, n))
         v = ev(x)
         if indices:
-            columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)]
-            assert est.mean is None and est.norm_sq is None
-            values = est.indices
-            ses = est.index_std_errors
+            columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)] + [v]
+            assert est.norm_sq is None
+            values = est.indices + (est.mean,)
+            ses = est.index_std_errors + (est.mean_std_error,)
         else:
             columns = [v, v * v]
             assert est.indices is None
