@@ -27,8 +27,8 @@ from .errors import (
     TaintedSampleError,
 )
 from .funcspec import SetFunctionSpec, parse_spec_file
-from .lovasz import _value_strings, equal_influence_class, level_averages, \
-    mobius, symmetric_part
+from .lovasz import equal_influence_class, level_averages, mobius, \
+    symmetric_part
 from .montecarlo import (
     IntegrationEstimate,
     derive_seed,
@@ -218,7 +218,7 @@ def cmd_lovasz(args) -> ReportDocument:
         doc.results.append(_result_row(k, value, "exact"))
     doc.extras["mean"] = format_value(levels.mean())
     if args.mobius:
-        doc.extras["mobius"] = _value_strings(mobius(v))
+        doc.extras["mobius"] = mobius(v).strings()
     if args.symmetric_part:
         part = symmetric_part(v, levels)
         doc.extras["symmetric_part"] = {

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Tuple
@@ -105,11 +106,6 @@ class UnaryFactor:
     @property
     def is_symbolic(self) -> bool:
         return self.exponent is not None
-
-    def phi_value(self, y: float) -> float:
-        if self.is_symbolic:
-            return float(y) ** float(self.exponent)
-        return self.phi(y)
 
     def antiderivative_value(self, y: float) -> float:
         """Phi(y) = int_0^y phi(t) dt."""
@@ -341,14 +337,10 @@ def variance_plain_terms(n: int):
 # Subset-box integrals and the alternative index formulas
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _gl_nodes(m: int):
-    if m not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(m)
-        _GL_CACHE[m] = (nodes, weights)
-    return _GL_CACHE[m]
+    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never written to."""
+    return np.polynomial.legendre.leggauss(m)
 
 
 def _box_integral(func, intervals, nodes_per_axis: int) -> float:

@@ -23,9 +23,8 @@ from .closedforms import MultiplicativeSpec, UnaryFactor, \
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
-from .lovasz import SetFunction, _float_values, _levels, _value_strings, \
-    check_arity, level_averages, lovasz_eval_batch, lovasz_slope_batch, \
-    norm_sq_lovasz
+from .lovasz import SetFunction, _levels, check_arity, level_averages, \
+    lovasz_eval_batch, lovasz_slope_batch, norm_sq_lovasz
 from .montecarlo import Evaluator, sorted_columns
 from .projection import Moments, moments_exact
 
@@ -171,13 +170,13 @@ class SetFunctionSpec(FunctionSpec):
                        norm_sq_lovasz(v) if norm_sq else None)
 
     def evaluator(self):
-        values = _float_values(self.set_function)
+        values = self.set_function.floats()
         return Evaluator(self.arity, partial(lovasz_eval_batch, values),
                          partial(lovasz_slope_batch, values),
                          name=self.builtin_name or self.kind)
 
     def payload(self):
-        return {"values": _value_strings(self.set_function)}
+        return {"values": self.set_function.strings()}
 
 
 @dataclass

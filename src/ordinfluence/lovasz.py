@@ -6,15 +6,15 @@ the unique extension that is affine on every simplex of ordered coordinates
 and interpolates v at the cube's vertices; its influence profile has an exact
 closed form in terms of the level averages of v (or of its Moebius transform).
 
-The transforms run on integer tables: the values scaled to their least common
-denominator D, built once per table object and kept on it, and copied for
-each use as int64 when a bound on every intermediate shows it cannot overflow
-and as Python ints in an object array otherwise.
+A table object holds only its values times their least common denominator D,
+as integers, and builds Fractions, strings and floats from them on request.
+Each computation copies that table, as int64 when a bound on every
+intermediate shows it cannot overflow and as Python ints otherwise.
 The profile and the mean need only the level averages vbar(s), one pass of
 sums per cardinality over v's table; mbar(s) follows by binomial inversion.
 Zeta and Moebius are butterfly passes over a (2,)*n view of the table, one
-axis per element, run only when a transform is asked for; results leave as
-exact Fractions.
+axis per element, run only when a transform is asked for; each hands its
+integer table to the object it returns.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, isqrt, lcm
+from numbers import Integral
+from operator import truediv
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,60 +46,96 @@ def check_arity(n: int):
         raise DomainError("arity %d outside [1, %d]" % (n, MAX_ARITY))
 
 
-@dataclass(frozen=True)
 class _DenseTable:
-    """2^n exact rationals in bitmask order."""
+    """2^n exact rationals in bitmask order, held only as ``numerators``, a
+    read-only integer table (int64, or Python ints in an object array when a
+    value does not fit), over their least common ``denominator``.  The table
+    is canonical, so two objects are equal exactly when their values are."""
 
-    arity: int
-    values: Tuple[Fraction, ...]
+    def __new__(cls, arity: int, values: Sequence):
+        return cls._from_table(arity, *_scaled_numerators(values))
 
-    def __post_init__(self):
-        check_arity(self.arity)
-        if len(self.values) != 1 << self.arity:
+    @classmethod
+    def _from_table(cls, arity: int, table: np.ndarray, denominator: int,
+                    peak: int):
+        """The object holding ``table``, not a copy, over ``denominator``,
+        already their least common one; ``peak`` is the largest |numerator|."""
+        check_arity(arity)
+        if len(table) != 1 << arity:
             raise DomainError("expected %d values, got %d"
-                              % (1 << self.arity, len(self.values)))
+                              % (1 << arity, len(table)))
+        if peak <= _INT64_MAX:
+            table = table.astype(np.int64, copy=False)
+        table.flags.writeable = False
+        x = object.__new__(cls)
+        x.arity, x.numerators, x.denominator, x._peak = (arity, table,
+                                                         denominator, peak)
+        return x
 
     @cached_property
-    def _numerators(self) -> Tuple[np.ndarray, int, int]:
-        """(table, D, peak): the values times their least common denominator
-        D, and the largest magnitude among them.  Built from the Fractions at
-        most once per object; a transform hands its result the table it
-        computed.  Shared, so read it through ``_integer_table``, which
-        copies, before changing it."""
-        return _scaled_numerators(self.values)
+    def values(self) -> Tuple[Fraction, ...]:
+        """The values as Fractions, built on first use."""
+        return tuple(self._by_numerator(Fraction))
+
+    def strings(self) -> list:
+        """``str`` of every value."""
+        return self._by_numerator(lambda p, d: str(Fraction(p, d)))
+
+    def floats(self) -> np.ndarray:
+        """The values as floats.  Each is p / D in int true division, which
+        rounds correctly, so it equals float(Fraction(p, D))."""
+        return np.array(self._by_numerator(truediv))
+
+    def _by_numerator(self, convert) -> list:
+        """``convert(p, D)`` for every numerator p, called once per distinct
+        numerator (a table of small numerators repeats most values)."""
+        ints = self.numerators.tolist()
+        built = {p: convert(p, self.denominator) for p in set(ints)}
+        return list(map(built.__getitem__, ints))
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.denominator == other.denominator
+                and np.array_equal(self.numerators, other.numerators))
+
+    def __hash__(self):
+        return hash((self.denominator, *self.numerators.tolist()))
+
+    def __reduce__(self):
+        return self._from_table, (self.arity, self.numerators,
+                                  self.denominator, self._peak)
 
 
-@dataclass(frozen=True)
 class SetFunction(_DenseTable):
-    """v: 2^[n] -> Q as a dense tuple of 2^n exact rationals in bitmask order."""
+    """v: 2^[n] -> Q as a dense table of 2^n exact rationals in bitmask order."""
 
     @classmethod
     def from_values(cls, arity: int, values: Sequence) -> "SetFunction":
-        return cls(arity, tuple(as_rational(v) for v in values))
+        return cls(arity, [as_rational(v) for v in values])
 
     @classmethod
     def from_codes(cls, arity: int, distinct: Sequence[Fraction],
                    codes: Sequence[int]) -> "SetFunction":
         """v(S) = distinct[codes[S]], where ``codes`` uses every value of
-        ``distinct``: the table shares one Fraction per distinct value, and
-        its integer numerators are scaled from the distinct values alone."""
-        codes = np.asarray(codes, dtype=np.intp)
-        v = cls(arity, tuple(map(distinct.__getitem__, codes.tolist())))
+        ``distinct``: the integer numerators are scaled from the distinct
+        values alone."""
         table, scale, peak = _scaled_numerators(distinct)
-        v.__dict__["_numerators"] = (table[codes], scale, peak)
-        return v
+        return cls._from_table(arity, table[np.asarray(codes, dtype=np.intp)],
+                               scale, peak)
 
     def value(self, subset) -> Fraction:
         """Value at a subset given as a bitmask or an iterable of elements of [n]."""
-        if isinstance(subset, int):
-            return self.values[subset]
-        mask = 0
-        for i in subset:
-            mask |= 1 << (i - 1)
-        return self.values[mask]
+        n = self.arity
+        if not isinstance(subset, Integral):
+            elements = set(subset)
+            if not elements <= set(range(1, n + 1)):
+                raise DomainError("subset not contained in [1, %d]" % n)
+            subset = sum(1 << (i - 1) for i in elements)
+        if not 0 <= subset < 1 << n:
+            raise DomainError("bitmask %d outside [0, 2^%d)" % (subset, n))
+        return Fraction(int(self.numerators[subset]), self.denominator)
 
 
-@dataclass(frozen=True)
 class MobiusRepresentation(_DenseTable):
     """m: 2^[n] -> Q, the Moebius transform of a set function."""
 
@@ -117,7 +155,7 @@ def _scaled_numerators(values: Sequence[Fraction]
     pairs = [x.as_integer_ratio() for x in values]
     scale = lcm(*{d for _, d in pairs})
     ints = [p * (scale // d) for p, d in pairs]
-    peak = max(map(abs, ints))
+    peak = max(map(abs, ints), default=0)
     dtype = np.int64 if peak <= _INT64_MAX else object
     return np.array(ints, dtype=dtype), scale, peak
 
@@ -127,17 +165,8 @@ def _integer_table(x: _DenseTable, limit: int) -> Tuple[np.ndarray, int]:
     copy is int64 when no numerator exceeds ``limit`` in magnitude (the
     caller's bound for its own intermediates to fit), else Python ints in an
     object array."""
-    table, scale, peak = x._numerators
-    return table.astype(np.int64 if peak <= limit else object), scale
-
-
-def _with_numerators(x: _DenseTable, table: np.ndarray,
-                     scale: int) -> _DenseTable:
-    """``x`` holding ``table`` / ``scale``, its values, as its numerators;
-    ``scale`` stays their least common denominator because the transforms are
-    integer matrices with integer inverses."""
-    x.__dict__["_numerators"] = (table, scale, int(np.abs(table).max()))
-    return x
+    return (x.numerators.astype(np.int64 if x._peak <= limit else object),
+            x.denominator)
 
 
 def _butterfly(table: np.ndarray, n: int, sign: int) -> None:
@@ -176,52 +205,27 @@ def _level_sums(table: np.ndarray, n: int) -> list:
     return np.add.reduceat(table[..., order], starts, axis=-1).tolist()
 
 
-def _by_numerator(table: np.ndarray, convert) -> list:
-    """``convert(p)`` for every numerator p of ``table``, called once per
-    distinct numerator (a table of small numerators repeats most values)."""
-    ints = table.tolist()
-    built = {p: convert(p) for p in set(ints)}
-    return list(map(built.__getitem__, ints))
-
-
-def _fractions(table: np.ndarray, scale: int) -> Tuple[Fraction, ...]:
-    """``table / scale`` as Fractions."""
-    return tuple(_by_numerator(table, lambda p: Fraction(p, scale)))
-
-
-def _value_strings(x: _DenseTable) -> list:
-    """``str`` of every value of ``x``."""
-    table, scale, _ = x._numerators
-    return _by_numerator(table, lambda p: str(Fraction(p, scale)))
-
-
-def _float_values(x: _DenseTable) -> np.ndarray:
-    """The values of ``x`` as floats.  Each is p / D in int true division,
-    which rounds correctly, so it equals float(Fraction(p, D))."""
-    table, scale, _ = x._numerators
-    return np.array(_by_numerator(table, lambda p: p / scale))
-
-
 # ---------------------------------------------------------------------------
 # Transforms and level averages
 # ---------------------------------------------------------------------------
 
+def _transform(x: _DenseTable, sign: int, result: type) -> _DenseTable:
+    """``x`` through the butterfly, as a ``result``; D stays the least common
+    denominator, as both transforms are integer with integer inverses."""
+    n = x.arity
+    table, scale = _integer_table(x, _INT64_MAX >> n)
+    _butterfly(table, n, sign)
+    return result._from_table(n, table, scale, int(np.abs(table).max()))
+
+
 def mobius(v: SetFunction) -> MobiusRepresentation:
     """Moebius transform m(S) = sum_{T subset S} (-1)^{|S|-|T|} v(T)."""
-    n = v.arity
-    table, scale = _integer_table(v, _INT64_MAX >> n)
-    _butterfly(table, n, -1)
-    return _with_numerators(MobiusRepresentation(n, _fractions(table, scale)),
-                            table, scale)
+    return _transform(v, -1, MobiusRepresentation)
 
 
 def zeta(m: MobiusRepresentation) -> SetFunction:
     """Zeta transform v(S) = sum_{T subset S} m(T); inverse of mobius()."""
-    n = m.arity
-    table, scale = _integer_table(m, _INT64_MAX >> n)
-    _butterfly(table, n, 1)
-    return _with_numerators(SetFunction(n, _fractions(table, scale)),
-                            table, scale)
+    return _transform(m, 1, SetFunction)
 
 
 @dataclass(frozen=True)
@@ -286,14 +290,9 @@ def eval_lovasz_mobius(v: SetFunction, x: Sequence) -> float:
     """Evaluate via the Moebius form sum_S m(S) min_{i in S} x_i; agrees with
     eval_lovasz and is used as its cross-check."""
     n = v.arity
-    m = mobius(v)
-    total = float(m.values[0])
-    for mask in range(1, 1 << n):
-        coeff = float(m.values[mask])
-        if coeff == 0.0:
-            continue
-        total += coeff * min(x[i] for i in range(n) if mask >> i & 1)
-    return total
+    coeffs = mobius(v).floats().tolist()
+    return sum((c * min(x[i] for i in range(n) if mask >> i & 1)
+                for mask, c in enumerate(coeffs) if mask and c), coeffs[0])
 
 
 def directional_slope(v: SetFunction, x: Sequence, k: int) -> float:
@@ -406,9 +405,8 @@ def os_subset_set_function(n: int, subset, j: int) -> SetFunction:
 
 def dual_set_function(v: SetFunction) -> SetFunction:
     """Vertex set function of the dual extension: v^d(S) = 1 - v([n] \\ S)."""
-    n = v.arity
-    full = (1 << n) - 1
-    return SetFunction(n, tuple(1 - v.values[full ^ mask] for mask in range(1 << n)))
+    # [n] \ S is the bitmask 2^n - 1 - S: the table read backwards
+    return SetFunction(v.arity, [1 - x for x in reversed(v.values)])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
     v(emptyset) + sum_i I(f,i) os_i; ``levels`` are the level averages of
     v when already taken."""
     profile = (levels or level_averages(v)).influence_profile()
-    return ShiftedLStatistic(v.arity, v.values[0], profile)
+    return ShiftedLStatistic(v.arity, v.value(0), profile)
 
 
 def mean_lovasz(v: SetFunction) -> Fraction:

@@ -98,7 +98,9 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """The Philox stream keyed on ``seed`` modulo 2^64, as ``derive_seed``."""
+    key = np.uint64(int(seed) & (2 ** 64 - 1))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_finite(columns: np.ndarray, points: np.ndarray):

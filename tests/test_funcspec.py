@@ -19,6 +19,7 @@ from ordinfluence import (
     resolve_builtin,
     resolve_method,
 )
+from ordinfluence import funcspec
 from ordinfluence.funcspec import (
     MultiplicativeFunctionSpec,
     OrderStatPolynomialSpec,
@@ -98,16 +99,27 @@ class TestParsing:
         (0, 1, -3, 0.5, -0.25, "1/3", "-2/7", "0.1", "2", " 1/3", "3e2"),
         (0, 2 ** 70, -(2 ** 66) + 1, 0.75, "1/6", "-5/12", "2/3"),
     ], ids=["int64", "object"])
-    def test_set_function_values_parsed_once_per_distinct_value(self, pool):
-        # no two entries of a pool are equal, so each parses to its own
-        # Fraction, and the spec holds one Fraction object per entry used
+    def test_set_function_values_parsed_once_per_distinct_value(
+            self, pool, monkeypatch):
+        # each distinct JSON value is parsed once, and the values hold one
+        # Fraction object per distinct rational (" 1/3" and "1/3" share one)
+        parsed = []
+        original = funcspec._parse_rational
+
+        def recorded(value, location):
+            parsed.append(value)
+            return original(value, location)
+
+        monkeypatch.setattr(funcspec, "_parse_rational", recorded)
         rng = random.Random(11_2026)
         for n in (1, 3, 6, 8):
             values = [rng.choice(pool) for _ in range(1 << n)]
+            parsed.clear()
             v = parse_spec_document({"kind": "set-function", "arity": n,
                                      "values": values}).set_function
             assert v == SetFunction.from_values(n, values)
-            assert len({id(x) for x in v.values}) == len(set(values))
+            assert len(parsed) == len(set(values))
+            assert len({id(x) for x in v.values}) == len(set(v.values))
             self._assert_numerators_handed_over(v)
 
     def test_arithmetic_mean_numerators_handed_over(self):
@@ -117,8 +129,7 @@ class TestParsing:
 
     @staticmethod
     def _assert_numerators_handed_over(v):
-        assert "_numerators" in vars(v)
-        table, scale, peak = v._numerators
+        table, scale, peak = v.numerators, v.denominator, v._peak
         want_table, want_scale, want_peak = _scaled_numerators(v.values)
         assert table.dtype == want_table.dtype
         assert table.tolist() == want_table.tolist()
@@ -219,7 +230,7 @@ class TestBuiltins:
             Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.randint(1, 2 ** 40))
             for _ in range(16))))
         cases.append(zeta(mobius(cases[4])))
-        assert {v._numerators[0].dtype for v in cases} == {
+        assert {v.numerators.dtype for v in cases} == {
             np.dtype(np.int64), np.dtype(object)}
         for v in cases:
             table = SetFunctionSpec(v).evaluator().func.args[0]

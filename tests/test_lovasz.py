@@ -1,5 +1,6 @@
 """Set functions, Moebius machinery, and Lovasz-extension influence."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,6 +23,7 @@ from ordinfluence import (
     mobius,
     norm_sq_lovasz,
     os_function,
+    parse_spec_document,
     polynomial,
     symmetric_part,
     zeta,
@@ -158,6 +160,61 @@ class TestTransforms:
     def test_wrong_length(self):
         with pytest.raises(DomainError):
             SetFunction(2, (Fraction(0), Fraction(1)))
+
+
+class TestTableObject:
+    def test_value_reads_the_table(self):
+        v = SetFunction(2, (0, Fraction(1, 3), 2, Fraction(-7, 2)))
+        assert [v.value(mask) for mask in range(4)] == list(v.values)
+        assert (v.value([]), v.value([2]), v.value((2, 1))) == (
+            0, 2, Fraction(-7, 2))
+
+    @pytest.mark.parametrize("subset", [-1, [0], [3], 7],
+                             ids=["mask-negative", "element-0", "element-3",
+                                  "mask-past-full"])
+    def test_value_outside_the_ground_set(self, subset):
+        with pytest.raises(DomainError):
+            SetFunction(2, (0, 1, 2, 3)).value(subset)
+
+    def test_numerators_are_read_only(self):
+        for v in (SetFunction(2, (0, 1, 2, 3)),
+                  SetFunction(1, (Fraction(2 ** 70, 3), 1))):
+            for table in (v.numerators, mobius(v).numerators):
+                with pytest.raises(ValueError):
+                    table[0] = 5
+
+    @pytest.mark.parametrize("factor, dtype", [
+        (Fraction(1, 7), np.int64),
+        # the transforms run on object tables, zeta's result fits in int64
+        (2 ** 57, np.int64),
+        (2 ** 70 + Fraction(1, 7), object),
+    ], ids=["int64", "int64-through-object", "object"])
+    def test_equality_and_hash_across_constructions(self, factor, dtype):
+        rng = random.Random(19_2026)
+        for n in (1, 3, 6):
+            values = [rng.randint(-30, 30) * factor for _ in range(1 << n)]
+            v = SetFunction(n, tuple(values))
+            built = [v, SetFunction.from_values(n, map(str, values)),
+                     parse_spec_document({"kind": "set-function", "arity": n,
+                                          "values": list(map(str, values))}
+                                         ).set_function,
+                     zeta(mobius(v)), pickle.loads(pickle.dumps(v))]
+            for w in built:
+                assert w.numerators.dtype == np.dtype(dtype)
+                assert w == v and hash(w) == hash(v)
+            values[-1] += 1
+            assert SetFunction(n, tuple(values)) != v
+        assert mobius(v) != SetFunction(n, mobius(v).values)
+
+    def test_tables_build_no_fraction(self, monkeypatch):
+        v = SetFunction(3, tuple(Fraction(i, 3) for i in range(8)))
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(lovasz, "Fraction", no_fraction)
+        zeta(mobius(v))
+        SetFunction.from_codes(3, [Fraction(1, 2), Fraction(1, 3)], [0, 1] * 4)
 
 
 class TestIntegerTables:

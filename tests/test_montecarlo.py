@@ -248,6 +248,14 @@ class TestReproducibility:
         assert a.value != b.value
         assert a.z_score(b) <= 3.0
 
+    def test_seed_taken_modulo_2_to_the_64(self):
+        # as derive_seed keys its streams
+        ev = product_evaluator()
+        for seed, key in ((-1, 2 ** 64 - 1), (2 ** 64, 0)):
+            a = influence_mc_covariance(ev, 1, 1000, seed)
+            b = influence_mc_covariance(ev, 1, 1000, key)
+            assert (a.value, a.std_error) == (b.value, b.std_error)
+
     def test_batch_boundary_consistency(self):
         # sample counts straddling the internal batch size stay finite/sane
         ev = product_evaluator()
