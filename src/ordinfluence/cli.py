@@ -36,7 +36,7 @@ from .montecarlo import (
     influence_mc_derivative,
     influence_mc_diffquotient,
 )
-from .projection import approximation_from_moments, profile_from_moments
+from .projection import approximation_from_moments
 from .report import ReportDocument, format_value
 
 EXIT_OK = 0
@@ -154,8 +154,7 @@ def cmd_influence(args) -> ReportDocument:
     if method == "mc":
         requested["samples"] = args.samples
     doc = _report("influence", spec, requested, seed)
-    moments = api.function_moments(spec, method, args.samples, seed,
-                                   norm_sq=False)
+    moments = api.influence_profile(spec, method, args.samples, seed)
     ses = moments.index_std_errors or (None,) * n
     for k in ranks:
         doc.results.append(_result_row(k, moments.indices[k - 1], method,
@@ -173,27 +172,25 @@ def cmd_approx(args) -> ReportDocument:
     doc = _report("approx", spec, requested, seed)
     n = spec.arity
     moments = api.function_moments(spec, method, args.samples, seed)
+    ses = moments.index_std_errors or (None,) * n
+    doc.extras["a_tail"] = format_value(moments.formal_tail())
+    doc.extras["mean"] = format_value(moments.mean)
+    if moments.covariance is not None:
+        doc.extras["a_tail_se"] = moments.tail_std_error()
+        doc.extras["mean_se"] = moments.mean_std_error
     try:
         approx = approximation_from_moments(moments)
     except DegenerateVarianceError:
-        profile = profile_from_moments(moments)
+        approx = None
         doc.warnings.append("degenerate-variance: R^2 and r(f,k) undefined "
                             "for a constant function")
-        for k in range(1, n + 1):
-            se = profile.std_errors[k - 1] if profile.std_errors else None
-            doc.results.append(_result_row(k, profile.indices[k - 1],
-                                           profile.method, se))
-        doc.extras["mean"] = format_value(profile.mean)
-        doc.extras["a_tail"] = format_value(profile.formal_tail)
-        return doc
-    ses = approx.coefficient_std_errors
     for k in range(1, n + 1):
-        row = _result_row(k, approx.coefficients[k - 1], approx.method,
-                          ses[k - 1] if ses else None)
-        row["normalized"] = approx.normalized_index(k)
+        row = _result_row(k, moments.indices[k - 1], method, ses[k - 1])
+        if approx is not None:
+            row["normalized"] = approx.normalized_index(k)
         doc.results.append(row)
-    doc.extras["a_tail"] = format_value(approx.coefficients[-1])
-    doc.extras["mean"] = format_value(approx.mean)
+    if approx is None:
+        return doc
     doc.extras["r_squared"] = format_value(approx.r_squared)
     if approx.r_squared_std_error is not None:
         doc.extras["r_squared_se"] = approx.r_squared_std_error

@@ -214,14 +214,6 @@ def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
     return tuple(((n + 1) * (n + 2) * (sums[:-1] - sums[1:])).tolist())
 
 
-def influence_multiplicative(spec: MultiplicativeSpec, k: int) -> float:
-    """I(f, k) of a product of unary factors; see ``multiplicative_indices``,
-    which gives all ranks at the cost of one."""
-    if not 1 <= k <= spec.arity:
-        raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
-    return multiplicative_indices(spec)[k - 1]
-
-
 def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> float:
     """Influence index of f(x) = prod_i phi(x_i).
 

@@ -368,10 +368,6 @@ def influence_lovasz(v: SetFunction, k: int) -> Fraction:
     return by_levels
 
 
-def influence_profile_lovasz(v: SetFunction) -> Tuple[Fraction, ...]:
-    return level_averages(v).influence_profile()
-
-
 def influence_os_subset(n: int, subset, j: int, k: int) -> Fraction:
     """Influence index of the j-th order statistic of the variables in a
     subset S: C(k-1, j-1) C(n-k, |S|-j) / C(n, |S|) when 0 <= k-j <= n-|S|,
@@ -489,11 +485,6 @@ def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
     v when already taken."""
     profile = (levels or level_averages(v)).influence_profile()
     return ShiftedLStatistic(v.arity, v.value(0), profile)
-
-
-def mean_lovasz(v: SetFunction) -> Fraction:
-    """Exact integral of the extension: sum_s vbar(s) / (n + 1)."""
-    return level_averages(v).mean()
 
 
 def norm_sq_lovasz(v: SetFunction) -> Fraction:

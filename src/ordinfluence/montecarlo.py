@@ -57,9 +57,10 @@ class Evaluator:
     """A total, deterministic map from points of [0,1]^n to reals.
 
     ``func`` takes an (m, n) float array and returns (m,) values.  The
-    optional ``derivative`` takes (points, k) and returns the derivative in
-    the direction of the k-th smallest coordinate on the open simplexes of
-    strictly ordered points.
+    optional ``derivative`` takes (points, k) and returns the (m,)
+    derivatives in the direction of the k-th smallest coordinate on the
+    open simplexes of strictly ordered points.  Any other shape of either
+    result raises DomainError.
     """
 
     arity: int
@@ -68,7 +69,8 @@ class Evaluator:
     name: str = "evaluator"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _per_point(self.func(x), len(x), self.name)
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,17 @@ def _rng(seed: int) -> np.random.Generator:
     """The Philox stream keyed on ``seed`` modulo 2^64, as ``derive_seed``."""
     key = np.uint64(int(seed) & (2 ** 64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _per_point(values, m: int, source: str) -> np.ndarray:
+    """``values`` as an (m,) float array, one value per point; DomainError
+    naming any other shape, which numpy would otherwise broadcast or reject
+    with a message about operands."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (m,):
+        raise DomainError("%s returned an array of shape %s for %d points; "
+                          "expected shape (%d,)" % (source, values.shape, m, m))
+    return values
 
 
 def _check_finite(columns: np.ndarray, points: np.ndarray):
@@ -301,8 +314,8 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
     acc = _Accumulator()
     for m in _batches(samples):
         x, neighbours = _draw_untied(rng, m, f.arity, k)
-        contrib = _h_density(f.arity, *neighbours) * np.asarray(
-            f.derivative(x, k), dtype=float)
+        contrib = _h_density(f.arity, *neighbours) * _per_point(
+            f.derivative(x, k), m, "the derivative map of %s" % f.name)
         acc.add(contrib, x)
     return acc.estimate(seed, "derivative")
 
@@ -381,19 +394,17 @@ def _draw_untied(rng, m: int, n: int, k: int):
     raise TaintedSampleError("could not draw tie-free samples")
 
 
-def _moment_map(n: int, indices: bool, norm_sq: bool) -> np.ndarray:
+def _moment_map(n: int, norm_sq: bool) -> np.ndarray:
     """The map L from a point's sorted moments z to its contributions.
 
-    z is (v x_(1), ..., v x_(n), v, v^2) with v = f(x), the order
-    statistics present when ``indices`` is set and v^2 when ``norm_sq`` is.
-    Rows of L are the -(n+1)(n+2)-scaled second differences of
-    v x_(0..n+1), with x_(0) = 0 and x_(n+1) = 1 (so the last one reads the
-    column v), then the identity on v and v^2.
+    z is (v x_(1), ..., v x_(n), v, v^2) with v = f(x), v^2 present when
+    ``norm_sq`` is set.  Rows of L are the -(n+1)(n+2)-scaled second
+    differences of v x_(0..n+1), with x_(0) = 0 and x_(n+1) = 1 (so the
+    last one reads the column v), then the identity on v and v^2.
     """
-    ranks = n if indices else 0
-    moment_map = np.eye(ranks + 1 + norm_sq)
+    moment_map = np.eye(n + 1 + norm_sq)
     scale = -(n + 1) * (n + 2)
-    rank = np.arange(ranks)
+    rank = np.arange(n)
     moment_map[rank[1:], rank[:-1]] = scale
     moment_map[rank, rank] = -2 * scale
     moment_map[rank, rank + 1] = scale
@@ -401,7 +412,7 @@ def _moment_map(n: int, indices: bool, norm_sq: bool) -> np.ndarray:
 
 
 def mc_profile_moments(f: Evaluator, samples: int, seed: int,
-                       indices: bool = True, norm_sq: bool = True) -> Moments:
+                       norm_sq: bool = True) -> Moments:
     """Monte-Carlo Moments of any evaluator from one pass over the stream
     keyed derive_seed(seed, 0).
 
@@ -410,46 +421,40 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
     Every estimate is linear in z, so the second differences that give
     g_1..g_n are applied once, to the sums, after the pass.
 
-    The mean is always estimated, the indices when ``indices`` is set and
-    <f, f> when ``norm_sq`` is; their standard errors and joint covariance
-    come from the same samples.
+    The indices and the mean are always estimated, and <f, f> when
+    ``norm_sq`` is set; their standard errors and joint covariance come
+    from the same samples.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
     n = f.arity
-    ranks = n if indices else 0
     rng = _rng(derive_seed(seed, 0))
     rows = min(samples, BATCH)
     draws = np.empty((rows, n))
-    moments = np.empty((ranks + 1 + norm_sq, rows))
+    moments = np.empty((n + 1 + norm_sq, rows))
     acc = _Accumulator()
     for m in _batches(samples):
         x, z = draws[:m], moments[:, :m]
         rng.random(out=x)
         v = f(x)
-        if indices:
-            np.multiply(sorted_columns(x), v, out=z[:n])
-        z[ranks] = v
+        np.multiply(sorted_columns(x), v, out=z[:n])
+        z[n] = v
         if norm_sq:
-            np.multiply(v, v, out=z[ranks + 1])
+            np.multiply(v, v, out=z[n + 1])
         acc.add(z, x)
-    return _estimated_moments(acc, n, indices, norm_sq, seed)
+    return _estimated_moments(acc, n, norm_sq, seed)
 
 
-def _estimated_moments(acc: _Accumulator, n: int, indices: bool,
-                       norm_sq: bool, seed: int) -> Moments:
+def _estimated_moments(acc: _Accumulator, n: int, norm_sq: bool,
+                       seed: int) -> Moments:
     """Moments from an accumulator of ``_moment_map``'s sorted moments."""
-    values, covariance = acc.finish(_moment_map(n, indices, norm_sq))
-    values = values.tolist()
-    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist()
-    fields = {}
-    if norm_sq:
-        fields.update(norm_sq=values.pop(), norm_sq_std_error=ses.pop())
-    fields.update(mean=values.pop(), mean_std_error=ses.pop())
-    if indices:
-        fields.update(indices=tuple(values), index_std_errors=tuple(ses))
-    return Moments(n, "monte-carlo", samples=acc.count, seed=seed,
-                   covariance=tuple(map(tuple, covariance.tolist())), **fields)
+    values, covariance = acc.finish(_moment_map(n, norm_sq))
+    # a None past the mean stands for <f, f> when it was not estimated
+    values = values.tolist() + [None]
+    ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist() + [None]
+    return Moments(n, "mc", tuple(values[:n]), values[n], values[n + 1],
+                   tuple(ses[:n]), ses[n], ses[n + 1], samples=acc.count,
+                   seed=seed, covariance=tuple(map(tuple, covariance.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ the best shifted L-statistic approximation of f, the normalized index r(f,k)
 and the coefficient of determination R^2.
 
 Every engine hands the same primaries, a ``Moments`` record, to one
-assembler (``profile_from_moments``, ``approximation_from_moments``).  The
-fit's slopes are the indices themselves, so its variance, R^2 and residual
-are closed forms in them.  The exact helpers on order-statistic
-polynomials take the same route, from ``moments_exact``.
+assembler, ``approximation_from_moments``.  ``Moments`` is also the
+influence profile: the indices, the mean and, from them, the formal tail
+a_{n+1}.  The fit's slopes are the indices themselves, so its variance,
+R^2 and residual are closed forms in them.  An order-statistic polynomial
+takes the same route, from ``moments_exact``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def h_density(n: int, k: int) -> OrderStatPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Influence index, profiles and approximations
+# Influence index and approximations
 # ---------------------------------------------------------------------------
 
 def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
@@ -95,31 +96,6 @@ def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
     if not 1 <= k <= f.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, f.arity))
     return inner_product_exact(f, g_basis(f.arity, k))
-
-
-@dataclass(frozen=True)
-class InfluenceProfile:
-    """All indices I(f, 1..n), the formal tail coefficient a_{n+1}, and the
-    mean of f.  Exact methods carry rationals; Monte-Carlo carries floats with
-    per-entry standard errors."""
-
-    arity: int
-    indices: tuple
-    formal_tail: object
-    mean: object
-    method: str
-    std_errors: Optional[tuple] = None
-    tail_std_error: Optional[float] = None
-    mean_std_error: Optional[float] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-
-    def mean_preservation_gap(self):
-        """(1/(n+1)) sum_{k=1}^{n+1} k a_k - <f,1>; zero for exact methods."""
-        n = self.arity
-        total = sum(k * a for k, a in enumerate(self.indices, start=1))
-        total += (n + 1) * self.formal_tail
-        return total / (n + 1) - self.mean
 
 
 @dataclass(frozen=True)
@@ -180,29 +156,23 @@ class ApproximationResult:
         return value
 
 
-def tail_coefficient(n: int, indices: Sequence, mean) -> object:
-    """a_{n+1} from the mean-preservation identity
-    (1/(n+1)) sum_{k=1}^{n+1} k a_k = <f, 1>."""
-    weighted = sum(k * a for k, a in enumerate(indices, start=1))
-    return ((n + 1) * mean - weighted) / (n + 1)
-
-
 @dataclass(frozen=True)
 class Moments:
     """The primaries that fix the best shifted L-statistic fit of f: the
-    indices I(f, 1..n), the mean <f, 1> and <f, f>.
+    indices I(f, 1..n), the mean <f, 1> and <f, f>.  With the formal tail
+    they are the influence profile.
 
     Exact engines carry rationals and closed forms floats; Monte Carlo also
     fills the standard errors and ``covariance``, the joint covariance
     matrix of the estimates in the order (I(f,1), ..., I(f,n), mean,
-    <f,f>), restricted to those estimated.  A quantity the caller did not
-    ask for, and that its engine could not give for free, is None.
+    <f,f>), restricted to those estimated.  <f, f> is None when the caller
+    did not ask for it and its engine could not give it for free.
     """
 
     arity: int
     method: str
-    indices: Optional[tuple] = None
-    mean: object = None
+    indices: tuple
+    mean: object
     norm_sq: object = None
     index_std_errors: Optional[tuple] = None
     mean_std_error: Optional[float] = None
@@ -221,11 +191,18 @@ class Moments:
                 "constant function")
         return variance
 
+    def formal_tail(self):
+        """a_{n+1} from the mean-preservation identity
+        (1/(n+1)) sum_{k=1}^{n+1} k a_k = <f, 1>, with a_k = I(f,k)."""
+        n = self.arity
+        weighted = sum(k * a for k, a in enumerate(self.indices, start=1))
+        return ((n + 1) * self.mean - weighted) / (n + 1)
+
     def tail_std_error(self) -> Optional[float]:
         """Standard error of a_{n+1} = mean - sum_k k I(f,k) / (n+1), from
-        the joint covariance of the indices and the mean."""
-        if (self.covariance is None or self.indices is None
-                or self.mean is None):
+        the joint covariance of the indices and the mean; None when the
+        moments are not estimated."""
+        if self.covariance is None:
             return None
         n = self.arity
         return _joint_std_error(self.covariance,
@@ -255,15 +232,6 @@ def indices_exact(f: OrderStatPolynomial) -> tuple:
                  for k in range(1, n + 1))
 
 
-def profile_from_moments(m: Moments) -> InfluenceProfile:
-    """The influence profile, with the tail from mean preservation."""
-    return InfluenceProfile(
-        m.arity, m.indices, tail_coefficient(m.arity, m.indices, m.mean),
-        m.mean, m.method, std_errors=m.index_std_errors,
-        tail_std_error=m.tail_std_error(), mean_std_error=m.mean_std_error,
-        samples=m.samples, seed=m.seed)
-
-
 def approximation_from_moments(m: Moments) -> ApproximationResult:
     """Assemble the best approximation from the indices, the mean and
     <f, f>: coefficients, residual, R^2 and, for estimated moments, their
@@ -277,7 +245,7 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
     """
     n = m.arity
     variance = m.variance()
-    tail = tail_coefficient(n, m.indices, m.mean)
+    tail = m.formal_tail()
     tails = _tail_sums(m.indices)
     total = sum(tails)
     fit_variance = (((n + 1) * sum(a * a for a in tails) - total * total)
@@ -320,20 +288,3 @@ def moments_exact(f: OrderStatPolynomial, norm_sq: bool = True) -> Moments:
     and, when ``norm_sq`` is set, <f, f>."""
     return Moments(f.arity, "exact", indices_exact(f), integral(f),
                    inner_product_exact(f, f) if norm_sq else None)
-
-
-def profile_exact(f: OrderStatPolynomial) -> InfluenceProfile:
-    """Exact influence profile of a polynomial of order statistics."""
-    return profile_from_moments(moments_exact(f, norm_sq=False))
-
-
-def approximation_exact(f: OrderStatPolynomial) -> ApproximationResult:
-    """Best shifted L-statistic approximation of an order-statistic
-    polynomial, in exact rationals."""
-    return approximation_from_moments(moments_exact(f))
-
-
-def normalized_index_exact(f: OrderStatPolynomial, k: int) -> float:
-    """r(f,k) = I(f,k) / (sigma(f) sqrt(2(n+1)(n+2))) from a whole fit; for
-    all ranks take ``approximation_exact(f).normalized_index(k)`` of one."""
-    return approximation_exact(f).normalized_index(k)

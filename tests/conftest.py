@@ -205,7 +205,7 @@ def reference_diffquotient(f, k, samples, seed, variant):
     return acc.estimate(seed, "diff-quotient", variant)
 
 
-def reference_profile_moments(f, samples, seed, indices=True, norm_sq=True):
+def reference_profile_moments(f, samples, seed, norm_sq=True):
     if samples < 2:
         raise DomainError("need at least 2 samples")
     n = f.arity
@@ -214,12 +214,12 @@ def reference_profile_moments(f, samples, seed, indices=True, norm_sq=True):
     for m in _batches(samples):
         x = rng.random((m, n))
         v = f(x)
-        columns = list((np.sort(x, axis=1) * v[:, None]).T) if indices else []
+        columns = list((np.sort(x, axis=1) * v[:, None]).T)
         columns.append(v)
         if norm_sq:
             columns.append(v * v)
         acc.add(np.array(columns), x)
-    return _estimated_moments(acc, n, indices, norm_sq, seed)
+    return _estimated_moments(acc, n, norm_sq, seed)
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from ordinfluence import (
-    approximation_exact,
+    OrderStatPolynomialSpec,
+    best_approximation,
     dualize,
     equal_influence_class,
     g_basis,
@@ -25,17 +26,15 @@ from ordinfluence import (
     influence_mc_covariance,
     influence_mc_derivative,
     influence_mc_diffquotient,
-    influence_multiplicative,
     influence_power_product,
+    influence_profile,
     influence_via_alternative,
     inner_product_exact,
     integral,
     monomial,
-    normalized_index_exact,
     os_function,
     polynomial,
     power_product_ratio,
-    profile_exact,
     resolve_builtin,
     symmetrize,
     variance_profile,
@@ -43,6 +42,7 @@ from ordinfluence import (
 from ordinfluence.closedforms import (
     MultiplicativeSpec,
     UnaryFactor,
+    multiplicative_indices,
     variance_plain_terms,
 )
 from ordinfluence.exact import expand_min_max, expand_subset_sum
@@ -51,7 +51,7 @@ from ordinfluence.lovasz import (
     dual_set_function,
     influence_lovasz,
     influence_os_subset,
-    influence_profile_lovasz,
+    level_averages,
     zeta,
 )
 from ordinfluence.montecarlo import Evaluator
@@ -122,7 +122,8 @@ def test_criterion_2_exact_constants(announce):
     # variance profile
     for n in range(2, 6):
         closed = variance_profile(n)
-        approx = approximation_exact(symmetrize(n, variance_plain_terms(n)))
+        approx = best_approximation(OrderStatPolynomialSpec(
+            symmetrize(n, variance_plain_terms(n))))
         ok &= approx.coefficients[:-1] == closed.indices
         ok &= approx.coefficients[-1] == closed.intercept
 
@@ -229,8 +230,7 @@ def test_criterion_6_alternative_formulas(announce):
         MultiplicativeSpec.symmetric(UnaryFactor.power(2), 4),
     ]
     for spec in specs:
-        for k in range(1, spec.arity + 1):
-            reference = influence_multiplicative(spec, k)
+        for k, reference in enumerate(multiplicative_indices(spec), start=1):
             for formula in ("dfsg5", "dfsg6", "dfsg7"):
                 got = influence_via_alternative(spec, k, formula)
                 worst = max(worst, abs(got - reference))
@@ -290,8 +290,8 @@ def test_criterion_7_property_suites(announce):
     for _ in range(100):
         n = rnd.randint(1, 5)
         v = random_set_function(rnd, n)
-        profile = influence_profile_lovasz(v)
-        dual_profile = influence_profile_lovasz(dual_set_function(v))
+        profile = level_averages(v).influence_profile()
+        dual_profile = level_averages(dual_set_function(v)).influence_profile()
         ok &= dual_profile == tuple(reversed(profile))
 
     # orthogonality of the residual (200 cases)
@@ -302,7 +302,7 @@ def test_criterion_7_property_suites(announce):
         if inner_product_exact(f, f) - integral(f) ** 2 == 0:
             continue
         count += 1
-        approx = approximation_exact(f)
+        approx = best_approximation(OrderStatPolynomialSpec(f))
         f_l = polynomial(
             n,
             [monomial(n, {k: 1}, a)
@@ -314,7 +314,7 @@ def test_criterion_7_property_suites(announce):
             ok &= inner_product_exact(residual, os_function(n, j)) == 0
 
     # mean preservation (200 cases), with the indices <f, g_k> and the tail
-    # taken straight from <f, os_n>; profile_exact must return both
+    # taken straight from <f, os_n>; the exact profile must return both
     for _ in range(200):
         n = rnd.randint(1, 5)
         f = random_orderstat_polynomial(rnd, n)
@@ -322,8 +322,8 @@ def test_criterion_7_property_suites(announce):
         tail = direct_tail(f)
         weighted = sum(k * a for k, a in enumerate(indices, start=1))
         ok &= (weighted + (n + 1) * tail) / (n + 1) == integral(f)
-        profile = profile_exact(f)
-        ok &= profile.indices == indices and profile.formal_tail == tail
+        profile = influence_profile(OrderStatPolynomialSpec(f))
+        ok &= profile.indices == indices and profile.formal_tail() == tail
 
     # three-way equal-influence equivalence (200 cases, half constructed
     # to be in the equal-influence class via vanishing higher Moebius sums)
@@ -431,14 +431,15 @@ def test_criterion_8_r_squared_and_normalized_index(announce):
         if inner_product_exact(f, f) - integral(f) ** 2 == 0:
             continue
         cases += 1
-        approx = approximation_exact(f)
+        approx = best_approximation(OrderStatPolynomialSpec(f))
         ok &= 0 <= approx.r_squared <= 1
         a = Fraction(rnd.randint(1, 12), 4)  # positive scale
         b = Fraction(rnd.randint(-8, 8), 4)
         g = a * f + b
+        fit_g = best_approximation(OrderStatPolynomialSpec(g))
         for k in range(1, n + 1):
-            ok &= abs(normalized_index_exact(g, k)
-                      - normalized_index_exact(f, k)) < 1e-12
+            ok &= abs(fit_g.normalized_index(k)
+                      - approx.normalized_index(k)) < 1e-12
 
     # members of V_L have R^2 = 1 exactly
     for _ in range(50):
@@ -450,7 +451,7 @@ def test_criterion_8_r_squared_and_normalized_index(announce):
             Fraction(rnd.randint(-4, 4), 2))
         if inner_product_exact(f, f) - integral(f) ** 2 == 0:
             continue
-        approx = approximation_exact(f)
+        approx = best_approximation(OrderStatPolynomialSpec(f))
         ok &= approx.r_squared == 1
         ok &= approx.residual_norm_sq == 0
 

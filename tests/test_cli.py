@@ -10,11 +10,13 @@ from ordinfluence import (
     BranchAmbiguityError,
     Evaluator,
     QuadratureError,
+    api,
     cli,
     funcspec,
     lovasz,
 )
 from ordinfluence.funcspec import RawEvaluatorSpec
+from ordinfluence.projection import approximation_from_moments
 from ordinfluence.report import ReportDocument
 
 
@@ -32,6 +34,7 @@ PRODUCT_DOC = {"kind": "orderstat-polynomial", "arity": 2,
                "terms": [{"coefficient": 1, "exponents": {"1": 1, "2": 1}}]}
 MEAN_DOC = {"kind": "set-function", "arity": 3,
             "values": ["0", "1/3", "1/3", "2/3", "1/3", "2/3", "2/3", "1"]}
+POWER_DOC = {"kind": "power-product", "arity": 3, "exponent": "1/2"}
 
 
 class TestExitCodes:
@@ -337,6 +340,63 @@ class TestFormats:
         assert doc["seed"] == 17
         assert doc["requested"]["samples"] == 5000
         assert doc["results"][0]["se"] > 0
+
+
+class TestEstimatedReports:
+    @pytest.mark.parametrize("command", [["influence", "--all"], ["approx"]],
+                             ids=["influence", "approx"])
+    @pytest.mark.parametrize("spec_doc, method", [
+        (MEAN_DOC, "exact"), (MEAN_DOC, "mc"),
+        (POWER_DOC, "closed-form"), (POWER_DOC, "mc"),
+    ], ids=["set-function-exact", "set-function-mc", "power-product-closed-form",
+            "power-product-mc"])
+    def test_rows_carry_the_requested_method(self, tmp_path, capsys, spec_doc,
+                                             method, command):
+        path = write_spec(tmp_path, spec_doc)
+        assert cli.main([command[0], path, *command[1:], "--method", method,
+                         "--samples", "2000", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["requested"]["method"] == method
+        assert [row["method"] for row in doc["results"]] == [method] * 3
+
+    def test_mc_approx_reports_tail_and_mean_std_errors(self, tmp_path, capsys):
+        path = write_spec(tmp_path, PRODUCT_DOC)
+        assert cli.main(["approx", path, "--method", "mc", "--samples", "20000",
+                         "--seed", "3", "--format", "json"]) == 0
+        extras = json.loads(capsys.readouterr().out)["extras"]
+        moments = api.function_moments(funcspec.parse_spec_file(path), "mc",
+                                       20000, 3)
+        fit = approximation_from_moments(moments)
+        assert extras["a_tail_se"] == fit.coefficient_std_errors[-1] > 0
+        assert extras["mean_se"] == moments.mean_std_error > 0
+        # x_(1) x_(2): a_3 = 1/4 - (1 * 4/5 + 2 * 1/5) / 3 = -3/20
+        for key, want in (("a_tail", -3 / 20), ("mean", 1 / 4)):
+            assert (abs(extras[key]["value"] - want)
+                    <= 3 * extras[key + "_se"])
+
+    @pytest.mark.parametrize("spec_doc, method", [
+        (PRODUCT_DOC, "exact"), (POWER_DOC, "closed-form"),
+    ])
+    def test_exact_approx_reports_no_std_errors(self, tmp_path, capsys,
+                                                spec_doc, method):
+        path = write_spec(tmp_path, spec_doc)
+        assert cli.main(["approx", path, "--method", method,
+                         "--format", "json"]) == 0
+        extras = json.loads(capsys.readouterr().out)["extras"]
+        assert not {"a_tail_se", "mean_se", "r_squared_se"} & set(extras)
+
+    def test_degenerate_mc_approx_keeps_tail_and_mean_std_errors(
+            self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "orderstat-polynomial",
+                                     "arity": 2, "constant": "2", "terms": []})
+        assert cli.main(["approx", path, "--method", "mc", "--samples", "2000",
+                         "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["warnings"][0].startswith("degenerate-variance")
+        assert doc["extras"]["mean_se"] == 0.0
+        assert doc["extras"]["a_tail_se"] > 0
+        assert "r_squared" not in doc["extras"]
+        assert [row["method"] for row in doc["results"]] == ["mc", "mc"]
 
 
 class TestLovaszCommand:

@@ -17,7 +17,6 @@ from ordinfluence import (
     QuadratureError,
     UnaryFactor,
     influence_exact,
-    influence_multiplicative,
     influence_power_product,
     influence_symmetric_multiplicative,
     influence_via_alternative,
@@ -27,13 +26,19 @@ from ordinfluence import (
     symmetrize,
     variance_profile,
 )
-from ordinfluence import cli, exact, function_moments, resolve_builtin
+from ordinfluence import (
+    OrderStatPolynomialSpec,
+    best_approximation,
+    cli,
+    exact,
+    function_moments,
+    resolve_builtin,
+)
 from ordinfluence.closedforms import (
     multiplicative_indices,
     subset_box_integral,
     variance_plain_terms,
 )
-from ordinfluence.projection import approximation_exact
 
 
 class TestPowerProduct:
@@ -122,7 +127,7 @@ class TestMultiplicative:
                 spec = MultiplicativeSpec.symmetric(UnaryFactor.power(c), n)
                 for k in range(1, n + 1):
                     expected = influence_power_product(float(c), n, k)
-                    assert influence_multiplicative(spec, k) == pytest.approx(
+                    assert multiplicative_indices(spec)[k - 1] == pytest.approx(
                         expected, rel=1e-9)
                     assert influence_symmetric_multiplicative(
                         UnaryFactor.power(c), n, k) == pytest.approx(
@@ -131,8 +136,7 @@ class TestMultiplicative:
     def test_mixed_identity_and_constant_factor(self):
         # phi_1(t) = t, phi_2(t) = 1 gives f(x) = x_1, whose profile is (1/2, 1/2)
         spec = MultiplicativeSpec(2, (UnaryFactor.power(1), UnaryFactor.power(0)))
-        assert influence_multiplicative(spec, 1) == pytest.approx(0.5, abs=1e-9)
-        assert influence_multiplicative(spec, 2) == pytest.approx(0.5, abs=1e-9)
+        assert multiplicative_indices(spec) == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_beta_density_branch_normalized(self):
         # the Phi(1) != 0 integrand integrates the derivative of a beta
@@ -153,7 +157,7 @@ class TestMultiplicative:
             for k in range(1, n + 1):
                 assert influence_symmetric_multiplicative(
                     factor, n, k) == pytest.approx(
-                    influence_multiplicative(spec, k), rel=1e-8, abs=1e-10)
+                    multiplicative_indices(spec)[k - 1], rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("n", [3, 20, 168, 200])
     def test_phi_one_zero_branch_at_large_arity(self, n):
@@ -313,7 +317,7 @@ class TestVariance:
         for n in range(2, 6):
             closed = variance_profile(n)
             poly = symmetrize(n, variance_plain_terms(n))
-            approx = approximation_exact(poly)
+            approx = best_approximation(OrderStatPolynomialSpec(poly))
             assert approx.coefficients[:-1] == closed.indices
             assert approx.coefficients[-1] == closed.intercept
             assert closed.gini_consistent
@@ -343,7 +347,7 @@ class TestAlternativeFormulas:
         for spec in cases:
             n = spec.arity
             for k in range(1, n + 1):
-                reference = influence_multiplicative(spec, k)
+                reference = multiplicative_indices(spec)[k - 1]
                 assert influence_via_alternative(spec, k, formula) == \
                     pytest.approx(reference, abs=1e-7)
 

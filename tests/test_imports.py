@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,3 +134,16 @@ for _ in range(2):
 print(json.dumps(builds))
 """)
     assert builds == [0, 1, 1]
+
+
+def test_all_names_the_public_bindings():
+    # every public name the package binds, submodules aside, is exported,
+    # and every exported name is bound
+    bound = {name for name, value in vars(ordinfluence).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert len(set(ordinfluence.__all__)) == len(ordinfluence.__all__)
+    assert set(ordinfluence.__all__) == bound | {"__version__"}
+    namespace = {}
+    exec("from ordinfluence import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ordinfluence.__all__)

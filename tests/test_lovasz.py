@@ -16,10 +16,8 @@ from ordinfluence import (
     eval_lovasz,
     influence_exact,
     influence_lovasz,
-    influence_profile_lovasz,
     inner_product_exact,
     integral,
-    mean_lovasz,
     mobius,
     norm_sq_lovasz,
     os_function,
@@ -34,6 +32,7 @@ from ordinfluence.lovasz import (
     dual_set_function,
     eval_lovasz_mobius,
     influence_os_subset,
+    level_averages,
     os_subset_set_function,
 )
 
@@ -401,14 +400,15 @@ class TestInfluence:
         for n in range(1, 7):
             v = SetFunction(n, tuple(Fraction(bin(s).count("1"), n)
                                      for s in range(1 << n)))
-            assert influence_profile_lovasz(v) == (Fraction(1, n),) * n
+            assert level_averages(v).influence_profile() == (Fraction(1, n),) * n
 
     def test_min_capacity(self):
         n = 3
         full = (1 << n) - 1
         v = SetFunction(n, tuple(Fraction(1 if mask == full else 0)
                                  for mask in range(1 << n)))
-        assert influence_profile_lovasz(v) == (Fraction(1), Fraction(0), Fraction(0))
+        assert level_averages(v).influence_profile() == (
+            Fraction(1), Fraction(0), Fraction(0))
 
     def test_cross_module_consistency(self, rng):
         # the extension of a symmetric v is an order-stat polynomial; both
@@ -428,7 +428,7 @@ class TestInfluence:
                 polynomial(n))
             for k in range(1, n + 1):
                 assert influence_lovasz(v, k) == influence_exact(poly, k)
-            assert mean_lovasz(v) == integral(poly)
+            assert level_averages(v).mean() == integral(poly)
             assert norm_sq_lovasz(v) == inner_product_exact(poly, poly)
 
     def test_relabel_invariance(self, rng):
@@ -445,15 +445,16 @@ class TestInfluence:
                         src |= 1 << perm[i]
                 relabeled.append(v.values[src])
             w = SetFunction(n, tuple(relabeled))
-            assert influence_profile_lovasz(w) == influence_profile_lovasz(v)
+            assert (level_averages(w).influence_profile()
+                    == level_averages(v).influence_profile())
 
     def test_duality(self, rng):
         for _ in range(20):
             n = rng.randint(1, 5)
             v = random_set_function(rng, n)
             vd = dual_set_function(v)
-            profile = influence_profile_lovasz(v)
-            dual_profile = influence_profile_lovasz(vd)
+            profile = level_averages(v).influence_profile()
+            dual_profile = level_averages(vd).influence_profile()
             for k in range(1, n + 1):
                 assert dual_profile[k - 1] == profile[n - k]
 
@@ -540,17 +541,17 @@ class TestSymmetricPartAndMoments:
             values = np.array([float(t) for t in v.values])
             ev = Evaluator(n, lambda x, values=values: lovasz_eval_batch(values, x))
             oracle = tensor_quadrature(ev, 48)
-            assert float(mean_lovasz(v)) == pytest.approx(oracle, abs=1e-3)
+            assert float(level_averages(v).mean()) == pytest.approx(oracle, abs=1e-3)
 
     def test_norm_sq_known_cases(self):
         # min(x1, x2): <f,f> = 1/6; extension of v(S)=1 iff S={1,2}
         v = SetFunction(2, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
         assert norm_sq_lovasz(v) == Fraction(1, 6)
-        assert mean_lovasz(v) == Fraction(1, 3)
+        assert level_averages(v).mean() == Fraction(1, 3)
         # max(x1, x2): <f,f> = 1/2
         w = SetFunction(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
         assert norm_sq_lovasz(w) == Fraction(1, 2)
-        assert mean_lovasz(w) == Fraction(2, 3)
+        assert level_averages(w).mean() == Fraction(2, 3)
 
     def test_norm_sq_mc_cross_check(self, rng):
         import numpy as np

@@ -15,21 +15,16 @@ from ordinfluence import (
     RawEvaluatorSpec,
     SetFunctionSpec,
     UnaryFactor,
-    approximation_exact,
     best_approximation,
     cli,
     closedforms,
     exact,
     function_moments,
-    function_sigma,
     influence_exact,
     influence_profile,
     inner_product_exact,
     integral,
     lovasz,
-    normalized_index,
-    normalized_index_exact,
-    profile_exact,
     projection,
     resolve_builtin,
     tensor_quadrature,
@@ -41,7 +36,7 @@ from ordinfluence.projection import (
     _r_squared_gradient,
     approximation_from_moments,
     gram_system,
-    tail_coefficient,
+    moments_exact,
 )
 
 from conftest import (
@@ -72,7 +67,7 @@ class TestPlainPolynomials:
         assert approx.r_squared == Fraction(1, 2)
         assert approx.mean == Fraction(1, 2)
         assert approx.variance == Fraction(1, 12)
-        assert function_sigma(X1, "exact") == pytest.approx(math.sqrt(1 / 12))
+        assert approx.sigma == pytest.approx(math.sqrt(1 / 12))
 
     def test_x1_cli_report(self, tmp_path, capsys):
         path = tmp_path / "x1.json"
@@ -157,13 +152,13 @@ class TestAssemblerAgainstOracles:
                 assert got.coefficients == want.coefficients
                 assert got.r_squared == want.r_squared
                 assert got.residual_norm_sq == want.residual_norm_sq
-                assert got.normalized_index(1) == normalized_index(spec, 1,
-                                                                   "exact")
+                assert got.normalized_index(1) == approximation_from_moments(
+                    moments_exact(poly)).normalized_index(1)
 
     def test_r_squared_gradient_matches_central_differences(self, rng):
         def r_squared(theta, n):
             idx, mean, norm_sq = theta[:n], theta[n], theta[n + 1]
-            coefficients = idx + [tail_coefficient(n, idx, mean)]
+            coefficients = idx + [Moments(n, "mc", idx, mean).formal_tail()]
             return float(gram_r_squared(n, coefficients,
                                         norm_sq - mean * mean))
 
@@ -193,17 +188,20 @@ class TestAssemblerAgainstOracles:
         spec = resolve_builtin("median", 5)
         best_approximation(spec, "exact")
         best_approximation(spec, "mc", samples=4000, seed=1)
-        approximation_exact(poly)
-        profile_exact(poly)
-        normalized_index_exact(poly, 2)
+        approximation_from_moments(moments_exact(poly)).normalized_index(2)
+        best_approximation(OrderStatPolynomialSpec(poly))
+        influence_profile(OrderStatPolynomialSpec(poly))
         assert not calls
 
     def test_profile_tail_is_mean_preserving(self, rng):
         for _ in range(10):
             v = random_set_function(rng, rng.randint(1, 4), zero_grounded=False)
             profile = influence_profile(SetFunctionSpec(v), "exact")
-            assert profile.mean_preservation_gap() == 0
-            assert profile.formal_tail == v.values[0]
+            n = v.arity
+            weighted = sum(k * a for k, a in enumerate(profile.indices, 1))
+            assert ((weighted + (n + 1) * profile.formal_tail()) / (n + 1)
+                    == profile.mean)
+            assert profile.formal_tail() == v.values[0]
 
 
 def _count_calls(monkeypatch, module, name):

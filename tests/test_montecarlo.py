@@ -6,6 +6,7 @@ the suite is deterministic.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,10 +38,7 @@ from ordinfluence.montecarlo import (
     mc_profile_moments,
     sorted_columns,
 )
-from ordinfluence.projection import (
-    approximation_from_moments,
-    profile_from_moments,
-)
+from ordinfluence.projection import approximation_from_moments
 
 from conftest import (
     poly_evaluator,
@@ -139,11 +137,9 @@ class TestSortedReferences:
     @pytest.mark.parametrize("n", ARITIES)
     def test_profile_moments(self, n, samples):
         ev = weighted_squares_evaluator(n)
-        for indices, norm_sq in ((True, True), (True, False), (False, True),
-                                 (False, False)):
-            assert (mc_profile_moments(ev, samples, 3, indices, norm_sq)
-                    == reference_profile_moments(ev, samples, 3, indices,
-                                                 norm_sq))
+        for norm_sq in (True, False):
+            assert (mc_profile_moments(ev, samples, 3, norm_sq)
+                    == reference_profile_moments(ev, samples, 3, norm_sq))
 
     @pytest.mark.parametrize("samples", [5000, 16384, 16385])
     @pytest.mark.parametrize("n", ARITIES)
@@ -329,9 +325,8 @@ class TestMomentsAndInnerProducts:
         assert abs(moments.norm_sq - 1 / 9) <= 3 * moments.norm_sq_std_error
         # tail: a_3 = 9<f,1> - 12<f, os_2>; <x1 x2 max> = 2/5 via moment formula
         exact_tail = 9 * 0.25 - 12 * (1 / 5)
-        profile = profile_from_moments(moments)
-        assert abs(profile.formal_tail - exact_tail) <= \
-            3 * profile.tail_std_error
+        assert abs(moments.formal_tail() - exact_tail) <= \
+            3 * moments.tail_std_error()
 
     def test_inner_product(self):
         f = product_evaluator()
@@ -373,6 +368,7 @@ class TestOnePass:
         ev = Evaluator(3, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
         samples = BATCH + 3
         est = mc_profile_moments(ev, samples, 8)
+        assert est.method == "mc"
         x = _rng(derive_seed(8, 0)).random((samples, 3))
         v = ev(x)
         for k, got in enumerate(est.indices, start=1):
@@ -382,9 +378,8 @@ class TestOnePass:
         assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
         # (n+1)^2 f - (n+1)(n+2) f x_(n) at n = 3
         tail = 16 * v - 20 * v * x.max(axis=1)
-        profile = profile_from_moments(est)
-        assert profile.formal_tail == pytest.approx(np.mean(tail), rel=1e-12)
-        assert profile.tail_std_error == pytest.approx(
+        assert est.formal_tail() == pytest.approx(np.mean(tail), rel=1e-12)
+        assert est.tail_std_error() == pytest.approx(
             np.std(tail, ddof=1) / np.sqrt(samples), rel=1e-9)
         assert est.covariance[0][1] == pytest.approx(
             np.cov(v * g_kernel_values(x, 1), v * g_kernel_values(x, 2))[0, 1]
@@ -422,24 +417,22 @@ class TestOnePass:
         assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
         assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
 
-    @pytest.mark.parametrize("indices, norm_sq",
-                             [(False, True), (True, False)])
-    def test_partial_moments(self, indices, norm_sq):
+    @pytest.mark.parametrize("norm_sq", [True, False])
+    def test_partial_moments(self, norm_sq):
         n, samples = 3, BATCH + 3
         ev = Evaluator(n, lambda x: x[:, 0] * np.exp(x[:, 1]) - x[:, 2])
-        est = mc_profile_moments(ev, samples, 8, indices, norm_sq)
+        est = mc_profile_moments(ev, samples, 8, norm_sq)
         x = _rng(derive_seed(8, 0)).random((samples, n))
         v = ev(x)
-        if indices:
-            columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)] + [v]
-            assert est.norm_sq is None
-            values = est.indices + (est.mean,)
-            ses = est.index_std_errors + (est.mean_std_error,)
+        columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)] + [v]
+        values = est.indices + (est.mean,)
+        ses = est.index_std_errors + (est.mean_std_error,)
+        if norm_sq:
+            columns.append(v * v)
+            values += (est.norm_sq,)
+            ses += (est.norm_sq_std_error,)
         else:
-            columns = [v, v * v]
-            assert est.indices is None
-            values = (est.mean, est.norm_sq)
-            ses = (est.mean_std_error, est.norm_sq_std_error)
+            assert est.norm_sq is None and est.norm_sq_std_error is None
         covariance = np.cov(np.array(columns)) / samples
         assert np.shape(est.covariance) == covariance.shape
         assert np.allclose(est.covariance, covariance, rtol=1e-9, atol=0.0)
@@ -487,6 +480,29 @@ class TestValidation:
     def test_minimum_samples(self):
         with pytest.raises(DomainError):
             influence_mc_covariance(product_evaluator(), 1, 1, 0)
+
+    @pytest.mark.parametrize("reshape, shape", [
+        (lambda v: v[:, None], "(1000, 1)"), (lambda v: v.sum(), "()"),
+    ], ids=["column", "scalar"])
+    def test_evaluator_output_shape(self, reshape, shape):
+        ev = Evaluator(2, lambda x: reshape(x[:, 0]), name="misshapen")
+        message = (r"misshapen returned an array of shape %s for 1000 points"
+                   % re.escape(shape))
+        with pytest.raises(DomainError, match=message):
+            mc_profile_moments(ev, 1000, 0)
+        with pytest.raises(DomainError, match=message):
+            influence_mc_covariance(ev, 1, 1000, 0)
+
+    @pytest.mark.parametrize("reshape, shape", [
+        (lambda v: v[:, None], "(1000, 1)"), (lambda v: v.sum(), "()"),
+    ], ids=["column", "scalar"])
+    def test_derivative_output_shape(self, reshape, shape):
+        ev = Evaluator(2, lambda x: x[:, 0],
+                       lambda x, k: reshape(np.ones(len(x))), name="misshapen")
+        with pytest.raises(DomainError, match=(
+                r"the derivative map of misshapen returned an array of shape "
+                r"%s for 1000 points" % re.escape(shape))):
+            influence_mc_derivative(ev, 1, 1000, 0)
 
     def test_bad_variant(self):
         with pytest.raises(DomainError):

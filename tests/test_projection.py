@@ -8,7 +8,6 @@ import pytest
 from ordinfluence import (
     DegenerateVarianceError,
     DomainError,
-    approximation_exact,
     g_basis,
     gram_system,
     h_density,
@@ -16,12 +15,14 @@ from ordinfluence import (
     inner_product_exact,
     integral,
     monomial,
-    normalized_index_exact,
     os_function,
     polynomial,
-    profile_exact,
 )
-from ordinfluence.projection import InfluenceProfile, tail_coefficient
+from ordinfluence.projection import (
+    Moments,
+    approximation_from_moments,
+    moments_exact,
+)
 
 from conftest import direct_tail, gram_solve, random_orderstat_polynomial
 
@@ -122,19 +123,17 @@ class TestInfluence:
         for _ in range(20):
             n = rnd.randint(1, 4)
             f = random_orderstat_polynomial(rnd, n)
-            profile = InfluenceProfile(
-                n, tuple(influence_exact(f, k) for k in range(1, n + 1)),
-                direct_tail(f), integral(f), "exact")
-            assert profile.mean_preservation_gap() == 0
+            profile = Moments(
+                n, "exact", tuple(influence_exact(f, k) for k in range(1, n + 1)),
+                integral(f))
+            assert profile.formal_tail() == direct_tail(f)
 
     def test_tail_coefficient_matches_direct_formula(self):
         rnd = random.Random(43)
         for _ in range(20):
             n = rnd.randint(1, 4)
             f = random_orderstat_polynomial(rnd, n)
-            profile = profile_exact(f)
-            assert (tail_coefficient(n, profile.indices, profile.mean)
-                    == direct_tail(f))
+            assert moments_exact(f, norm_sq=False).formal_tail() == direct_tail(f)
 
 
 class TestApproximation:
@@ -146,12 +145,12 @@ class TestApproximation:
             variance = inner_product_exact(f, f) - integral(f) ** 2
             if variance == 0:
                 continue
-            approx = approximation_exact(f)
-            profile = profile_exact(f)
+            approx = approximation_from_moments(moments_exact(f))
+            profile = moments_exact(f, norm_sq=False)
             want = gram_solve(f)
             assert approx.coefficients == want.coefficients
             assert profile.indices == want.coefficients[:-1]
-            assert profile.formal_tail == want.coefficients[-1]
+            assert profile.formal_tail() == want.coefficients[-1]
             assert approx.mean == profile.mean == want.mean
 
     def test_residual_orthogonality(self):
@@ -162,7 +161,7 @@ class TestApproximation:
             f = random_orderstat_polynomial(rnd, n)
             if inner_product_exact(f, f) - integral(f) ** 2 == 0:
                 continue
-            approx = approximation_exact(f)
+            approx = approximation_from_moments(moments_exact(f))
             f_l = polynomial(
                 n,
                 [monomial(n, {k: 1}, a)
@@ -180,7 +179,7 @@ class TestApproximation:
             f = random_orderstat_polynomial(rnd, n)
             if inner_product_exact(f, f) - integral(f) ** 2 == 0:
                 continue
-            approx = approximation_exact(f)
+            approx = approximation_from_moments(moments_exact(f))
             assert 0 <= approx.r_squared <= 1
             assert approx.residual_norm_sq >= 0
 
@@ -195,13 +194,13 @@ class TestApproximation:
                 Fraction(rnd.randint(-4, 4), 2))
             if inner_product_exact(f, f) - integral(f) ** 2 == 0:
                 continue
-            approx = approximation_exact(f)
+            approx = approximation_from_moments(moments_exact(f))
             assert approx.r_squared == 1
             assert approx.residual_norm_sq == 0
 
     def test_constant_function_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
-            approximation_exact(polynomial(3, constant=2))
+            approximation_from_moments(moments_exact(polynomial(3, constant=2)))
 
     def test_recentered_form_agrees(self):
         rnd = random.Random(67)
@@ -210,7 +209,7 @@ class TestApproximation:
             f = random_orderstat_polynomial(rnd, n)
             if inner_product_exact(f, f) - integral(f) ** 2 == 0:
                 continue
-            approx = approximation_exact(f)
+            approx = approximation_from_moments(moments_exact(f))
             x = [Fraction(rnd.randint(0, 8), 8) for _ in range(n)]
             assert approx.evaluate_basis(x) == approx.evaluate_recentered(x)
 
@@ -224,10 +223,13 @@ class TestNormalizedIndex:
             if inner_product_exact(f, f) - integral(f) ** 2 == 0:
                 continue
             g = 3 * f + Fraction(5, 2)
+            fit_f = approximation_from_moments(moments_exact(f))
+            fit_g = approximation_from_moments(moments_exact(g))
             for k in range(1, n + 1):
-                assert normalized_index_exact(g, k) == pytest.approx(
-                    normalized_index_exact(f, k), abs=1e-12)
+                assert fit_g.normalized_index(k) == pytest.approx(
+                    fit_f.normalized_index(k), abs=1e-12)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
-            normalized_index_exact(polynomial(2, constant=1), 1)
+            approximation_from_moments(
+                moments_exact(polynomial(2, constant=1))).normalized_index(1)
