@@ -242,7 +242,12 @@ class PowerProductSpec(FunctionSpec):
         n = self.arity
 
         def func(x):
-            return np.prod(x, axis=1) ** c
+            # np.prod(x, axis=1), one column at a time: the same products in
+            # the same order, without a reduce along the short axis
+            p = x[:, 0].copy()
+            for i in range(1, n):
+                p *= x[:, i]
+            return p ** c
 
         def derivative(x, k):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}

@@ -31,12 +31,16 @@ import numpy as np
 
 from .errors import DomainError
 from .exact import as_rational
-from .montecarlo import NETWORK_MAX_ARITY, sorted_columns
+from .montecarlo import BATCH, NETWORK_MAX_ARITY, sorted_columns
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
 # CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
 # arity 20 2.2 s and 0.44 GB, of which the chain-form norm is about 1.4 s.
 MAX_ARITY = 20
+# Rows of a Monte-Carlo batch that lovasz_eval_batch evaluates at once: its
+# upper-set masks, gathered terms and sorted columns take n + 1 rows of
+# floats per point, which at BATCH rows would be the largest arrays of a pass
+EVAL_TILE = BATCH >> 2
 
 
 def check_arity(n: int):
@@ -324,22 +328,29 @@ def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The extension of the float table ``values`` at each row of x:
     f(x) = v(emptyset) + sum_i x_(i) (v(U_i) - v(U_{i+1})), the upper sets
     U_i = {j : x_j >= x_(i)} and U_{n+1} = emptyset.  A tied group shares
-    one U_i, so its terms telescope to the stable sort's value."""
-    n = x.shape[1]
-    xs = sorted_columns(x)
-    if n > NETWORK_MAX_ARITY:
-        # n^2 column compares lose to one argsort here; its tails differ
-        # from U_i only inside tied groups, so it need not be stable
-        dtype = np.min_scalar_type((1 << n) - 1)
-        bits = np.left_shift(dtype.type(1), np.argsort(x, axis=1).astype(dtype))
-        masks = np.cumsum(bits[:, ::-1], axis=1, dtype=dtype)[:, ::-1].T
-    else:
-        masks = _upper_masks(x, xs)
-    terms = values[masks]
-    terms[:-1] -= terms[1:]
-    terms[-1] -= values[0]
-    terms *= xs
-    return values[0] + terms.sum(axis=0)
+    one U_i, so its terms telescope to the stable sort's value.  Rows are
+    independent, and are taken EVAL_TILE at a time to bound the (n, m)
+    temporaries."""
+    m, n = x.shape
+    out = np.empty(m)
+    for lo in range(0, m, EVAL_TILE):
+        tile = x[lo:lo + EVAL_TILE]
+        xs = sorted_columns(tile)
+        if n > NETWORK_MAX_ARITY:
+            # n^2 column compares lose to one argsort here; its tails differ
+            # from U_i only inside tied groups, so it need not be stable
+            dtype = np.min_scalar_type((1 << n) - 1)
+            bits = np.left_shift(dtype.type(1),
+                                 np.argsort(tile, axis=1).astype(dtype))
+            masks = np.cumsum(bits[:, ::-1], axis=1, dtype=dtype)[:, ::-1].T
+        else:
+            masks = _upper_masks(tile, xs)
+        terms = values[masks]
+        terms[:-1] -= terms[1:]
+        terms[-1] -= values[0]
+        terms *= xs
+        out[lo:lo + EVAL_TILE] = values[0] + terms.sum(axis=0)
+    return out
 
 
 def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:

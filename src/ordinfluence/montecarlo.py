@@ -9,10 +9,17 @@ quadrature serves as an independent oracle.
 All estimators draw from a counter-based Philox stream keyed by the seed, so
 results are bit-reproducible for a fixed (seed, samples, estimator) triple.
 
+Every loop draws its batches through ``_drawn_ahead``: on more than one CPU
+a helper thread draws batch i + 1 into the other of two caller-owned blocks
+while the caller sorts, evaluates and accumulates batch i.  Only the helper
+touches the generator, one batch after another, so the stream is read in
+the same order as by an inline loop, which runs instead on a single batch
+or a one-CPU affinity mask; every output is the same either way.
+
 Every estimator reads order statistics of the sampled points, and sorts each
-batch once, with ``sorted_columns`` (an evaluator that sorts its points
-sorts again).  Up to NETWORK_MAX_ARITY coordinates that runs Batcher's
-odd-even merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
+batch once, into a block it owns (an evaluator that sorts its points sorts
+again).  Up to NETWORK_MAX_ARITY coordinates that runs Batcher's odd-even
+merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
 np.minimum / np.maximum over whole columns, which beats numpy's per-row
 sort; above the crossover it calls np.sort.  The values are the same either
 way.
@@ -22,6 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,9 +43,11 @@ from .projection import Moments
 
 # Rows handled as one block: the draw batch of every estimator and of
 # mc_profile_moments, and the tile over which sorted_columns runs the network.
-# A pass keeps a draw buffer and a moment buffer of BATCH points, 2.3 MB
-# together at arity 8, and sorted_columns' (n+1)-row column copy, 1.2 MB
-# more (1.7 MB at n = 12), beside the evaluator's temporaries.  On a 2-CPU
+# A pass keeps two draw blocks of BATCH points (the helper thread fills one
+# while the caller reads the other) and a moment block that the batch is
+# sorted into, 3.4 MB together at arity 8, beside the evaluator's
+# temporaries; the single-rank estimators keep a sort block in place of the
+# moment block (two, one per draw block, for the derivative).  On a 2-CPU
 # Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the same
 # time at 1 << 12 to 1 << 14 rows and 10-20% longer from 1 << 15 up; the
 # network on 65536 rows at n = 8 took 3.1 ms as one block, 1.8 ms in blocks
@@ -176,6 +188,80 @@ def _batches(samples: int):
         remaining -= BATCH
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drawn_ahead(draw, samples: int):
+    """Yield ``draw(i, m)`` for the i-th batch of m rows, in order.
+
+    One helper thread makes batch i + 1 while the caller uses batch i, and
+    starts on it only once the caller asks for batch i, so ``draw`` may
+    write batch i + 2 over batch i.  Only the helper calls ``draw``, one
+    batch after another.  A single batch, or a process allowed one CPU,
+    is drawn inline instead.  An exception in ``draw`` is raised in the
+    caller; closing the generator, or an exception at its ``yield``, stops
+    the helper and joins it.
+    """
+    sizes = list(enumerate(_batches(samples)))
+    if len(sizes) == 1 or _cpus() == 1:
+        for i, m in sizes:
+            yield draw(i, m)
+        return
+    made = []  # the batch just drawn, or the exception that stopped draw
+    drawn = threading.Semaphore(0)
+    wanted = threading.Semaphore(1)
+    stopped = threading.Event()
+
+    def helper():
+        for i, m in sizes:
+            wanted.acquire()
+            if stopped.is_set():
+                return
+            try:
+                made.append(draw(i, m))
+            except BaseException as error:  # raised again in the caller
+                made.append(error)
+                return
+            finally:
+                drawn.release()
+
+    thread = threading.Thread(target=helper, name="ordinfluence-draw")
+    thread.start()
+    try:
+        for _ in sizes:
+            drawn.acquire()
+            batch = made.pop()
+            if isinstance(batch, BaseException):
+                raise batch
+            wanted.release()
+            yield batch
+    finally:
+        stopped.set()
+        wanted.release()
+        thread.join()
+
+
+def _uniform_draws(rng, samples: int, *shapes):
+    """A ``draw`` for ``_drawn_ahead`` that fills, one after another, the
+    first m rows of the (i % 2)-th of two blocks per shape (up to BATCH
+    rows of ``shape`` each, allocated here, in the caller's thread) with
+    uniform draws from ``rng``, and returns them as a tuple."""
+    rows = min(samples, BATCH)
+    blocks = [np.empty((2, rows) + shape) for shape in shapes]
+
+    def draw(i, m):
+        batch = tuple(block[i % 2, :m] for block in blocks)
+        for part in batch:
+            rng.random(out=part)
+        return batch
+
+    return draw
+
+
 # ---------------------------------------------------------------------------
 # Order-statistic helpers on sample batches
 # ---------------------------------------------------------------------------
@@ -228,40 +314,51 @@ def sorted_columns(x: np.ndarray) -> np.ndarray:
     m, n = x.shape
     if n > NETWORK_MAX_ARITY:
         return np.sort(x, axis=1).T
+    return _sort_into(x, np.empty((n + 1, m)))
+
+
+def _sort_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sorted_columns(x)`` written to the first n rows of ``out``, a
+    block of at least n+1 rows and m columns whose row n the network uses
+    as scratch.  Above NETWORK_MAX_ARITY, where np.sort allocates its
+    result anyway, that result, and ``out`` is left alone."""
+    m, n = x.shape
+    if n > NETWORK_MAX_ARITY:
+        return np.sort(x, axis=1).T
     moves, free = _network(n)
-    columns = np.empty((n + 1, m))
     for lo in range(0, m, BATCH):
-        tile = columns[:, lo:lo + BATCH]
+        tile = out[:n + 1, lo:lo + BATCH]
         points = x[lo:lo + BATCH]
         tile[:free] = points[:, :free].T
         tile[free + 1:] = points[:, free:].T
         rows = list(tile)
-        for a, b, out in moves:
-            np.minimum(rows[a], rows[b], out=rows[out])
+        for a, b, row in moves:
+            np.minimum(rows[a], rows[b], out=rows[row])
             np.maximum(rows[a], rows[b], out=rows[b])
-    return columns[:n]
+    return out[:n]
 
 
-def _sorted_neighbours(x: np.ndarray, k: int):
-    """(x_{(k-1)}, x_{(k)}, x_{(k+1)}) per row, with 0/1 boundary ranks."""
-    n = x.shape[1]
-    xs = sorted_columns(x)
-    mid = xs[k - 1]
-    down = xs[k - 2] if k >= 2 else np.zeros(len(x))
-    up = xs[k] if k < n else np.ones(len(x))
-    return down, mid, up
+def _neighbours(xs: np.ndarray, k: int):
+    """(x_{(k-1)}, x_{(k)}, x_{(k+1)}) per point of the sorted columns xs,
+    with the boundary ranks 0 and 1 as read-only broadcasts."""
+    n, m = xs.shape
+    down = xs[k - 2] if k >= 2 else np.broadcast_to(0.0, m)
+    up = xs[k] if k < n else np.broadcast_to(1.0, m)
+    return down, xs[k - 1], up
 
 
 def g_kernel_values(x: np.ndarray, k: int) -> np.ndarray:
     """g_k(x) = -(n+1)(n+2)(x_{(k+1)} - 2 x_{(k)} + x_{(k-1)})."""
-    n = x.shape[1]
-    down, mid, up = _sorted_neighbours(x, k)
-    return -(n + 1) * (n + 2) * (up - 2.0 * mid + down)
+    return _g_kernel(x.shape[1], *_neighbours(sorted_columns(x), k))
 
 
 def h_density_values(x: np.ndarray, k: int) -> np.ndarray:
     """h_k(x) = (n+1)(n+2)(x_{(k+1)} - x_{(k)})(x_{(k)} - x_{(k-1)})."""
-    return _h_density(x.shape[1], *_sorted_neighbours(x, k))
+    return _h_density(x.shape[1], *_neighbours(sorted_columns(x), k))
+
+
+def _g_kernel(n: int, down, mid, up) -> np.ndarray:
+    return -(n + 1) * (n + 2) * (up - 2.0 * mid + down)
 
 
 def _h_density(n: int, down, mid, up) -> np.ndarray:
@@ -279,12 +376,11 @@ def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
         raise DomainError("need at least 2 samples")
     if f.arity != g.arity:
         raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
-    rng = _rng(seed)
     acc = _Accumulator()
-    for m in _batches(samples):
-        x = rng.random((m, f.arity))
-        contrib = f(x) * g(x)
-        acc.add(contrib, x)
+    draw = _uniform_draws(_rng(seed), samples, (f.arity,))
+    with closing(_drawn_ahead(draw, samples)) as batches:
+        for (x,) in batches:
+            acc.add(f(x) * g(x), x)
     return acc.estimate(seed, "raw-inner-product")
 
 
@@ -292,12 +388,14 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
                             seed: int) -> IntegrationEstimate:
     """I(f,k) as the average of f(x) g_k(x) under uniform sampling."""
     _check_rank(f, k, samples)
-    rng = _rng(seed)
+    n = f.arity
+    columns = np.empty((n + 1, min(samples, BATCH)))
     acc = _Accumulator()
-    for m in _batches(samples):
-        x = rng.random((m, f.arity))
-        contrib = f(x) * g_kernel_values(x, k)
-        acc.add(contrib, x)
+    draw = _uniform_draws(_rng(seed), samples, (n,))
+    with closing(_drawn_ahead(draw, samples)) as batches:
+        for (x,) in batches:
+            xs = _sort_into(x, columns[:, :len(x)])
+            acc.add(f(x) * _g_kernel(n, *_neighbours(xs, k)), x)
     return acc.estimate(seed, "covariance")
 
 
@@ -310,13 +408,21 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
         raise ConfigurationError("estimator needs an evaluator with a "
                                  "directional-derivative map")
     _check_rank(f, k, samples)
+    n = f.arity
     rng = _rng(seed)
+    uniform = _uniform_draws(rng, samples, (n,))
+    columns = np.empty((2, n + 1, min(samples, BATCH)))
+
+    def draw(i, m):
+        (x,) = uniform(i, m)
+        return _draw_untied(rng, x, k, columns[i % 2, :, :m])
+
     acc = _Accumulator()
-    for m in _batches(samples):
-        x, neighbours = _draw_untied(rng, m, f.arity, k)
-        contrib = _h_density(f.arity, *neighbours) * _per_point(
-            f.derivative(x, k), m, "the derivative map of %s" % f.name)
-        acc.add(contrib, x)
+    with closing(_drawn_ahead(draw, samples)) as batches:
+        for x, neighbours in batches:
+            contrib = _h_density(n, *neighbours) * _per_point(
+                f.derivative(x, k), len(x), "the derivative map of %s" % f.name)
+            acc.add(contrib, x)
     return acc.estimate(seed, "derivative")
 
 
@@ -337,25 +443,25 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     _check_rank(f, k, samples)
     n = f.arity
     scale = (n + 1) * (n + 2)
-    rng = _rng(seed)
+    columns = np.empty((n + 1, min(samples, BATCH)))
     acc = _Accumulator()
-    for m in _batches(samples):
-        x = rng.random((m, n))
-        u = rng.random(m)
-        xs = sorted_columns(x)
-        mid = xs[k - 1]
-        gap = (xs[k] if k < n else np.ones(m)) - mid
-        h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
-        increment = f(_shift_rank(x, mid, gap, mid + h)) - f(x)
-        if variant == "uniform-y":
-            contrib = scale * gap * increment
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quotient = np.where(h > 0.0, increment / np.where(h > 0.0, h, 1.0),
-                                    0.0)
-            contrib = quotient * scale * gap * gap / 2.0
-        contrib = np.where(gap > 0.0, contrib, 0.0)
-        acc.add(contrib, x)
+    draw = _uniform_draws(_rng(seed), samples, (n,), ())
+    with closing(_drawn_ahead(draw, samples)) as batches:
+        for x, u in batches:
+            m = len(x)
+            xs = _sort_into(x, columns[:, :m])
+            mid = xs[k - 1]
+            gap = (xs[k] if k < n else np.ones(m)) - mid
+            h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
+            increment = f(_shift_rank(x, mid, gap, mid + h)) - f(x)
+            if variant == "uniform-y":
+                contrib = scale * gap * increment
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    quotient = np.where(h > 0.0,
+                                        increment / np.where(h > 0.0, h, 1.0), 0.0)
+                contrib = quotient * scale * gap * gap / 2.0
+            acc.add(np.where(gap > 0.0, contrib, 0.0), x)
     return acc.estimate(seed, "diff-quotient", variant)
 
 
@@ -380,13 +486,15 @@ def _check_rank(f: Evaluator, k: int, samples: int):
         raise DomainError("need at least 2 samples")
 
 
-def _draw_untied(rng, m: int, n: int, k: int):
-    """Uniform points whose k-th smallest coordinate is strictly between its
-    sorted neighbours (so the moving coordinate is unambiguous), and those
-    neighbours, as (x, (down, mid, up)) with _sorted_neighbours' layout."""
-    x = rng.random((m, n))
+def _draw_untied(rng, x: np.ndarray, k: int, columns: np.ndarray):
+    """The uniform points x, each drawn again from ``rng`` while its k-th
+    smallest coordinate ties a sorted neighbour (so that the moving
+    coordinate is unambiguous), and those neighbours, as
+    (x, (down, mid, up)) with _neighbours' layout.  x is redrawn in place
+    and sorted into the (n+1, m) block ``columns``."""
+    n = x.shape[1]
     for _ in range(64):
-        down, mid, up = neighbours = _sorted_neighbours(x, k)
+        down, mid, up = neighbours = _neighbours(_sort_into(x, columns), k)
         tied = (mid == up) | ((mid == down) & (k >= 2))
         if not tied.any():
             return x, neighbours
@@ -428,20 +536,19 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
     if samples < 2:
         raise DomainError("need at least 2 samples")
     n = f.arity
-    rng = _rng(derive_seed(seed, 0))
-    rows = min(samples, BATCH)
-    draws = np.empty((rows, n))
-    moments = np.empty((n + 1 + norm_sq, rows))
+    moments = np.empty((n + 1 + norm_sq, min(samples, BATCH)))
     acc = _Accumulator()
-    for m in _batches(samples):
-        x, z = draws[:m], moments[:, :m]
-        rng.random(out=x)
-        v = f(x)
-        np.multiply(sorted_columns(x), v, out=z[:n])
-        z[n] = v
-        if norm_sq:
-            np.multiply(v, v, out=z[n + 1])
-        acc.add(z, x)
+    draw = _uniform_draws(_rng(derive_seed(seed, 0)), samples, (n,))
+    with closing(_drawn_ahead(draw, samples)) as batches:
+        for (x,) in batches:
+            z = moments[:, :len(x)]
+            v = f(x)
+            # the sort leaves row n as scratch, which v then fills
+            np.multiply(_sort_into(x, z), v, out=z[:n])
+            z[n] = v
+            if norm_sq:
+                np.multiply(v, v, out=z[n + 1])
+            acc.add(z, x)
     return _estimated_moments(acc, n, norm_sq, seed)
 
 

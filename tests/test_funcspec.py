@@ -242,6 +242,19 @@ class TestBuiltins:
         assert isinstance(spec, PowerProductSpec)
         assert spec.exponent == Fraction(1, 3)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_power_product_evaluator_equals_np_prod(self, n):
+        # the column loop multiplies in np.prod's order, so values are ==
+        x = np.random.default_rng(n).random((1000, n))
+        for exponent in ("2/3", "1/%d" % n):
+            c = float(Fraction(exponent))
+            evaluator = PowerProductSpec(n, exponent).evaluator()
+            assert np.array_equal(evaluator(x), np.prod(x, axis=1) ** c)
+            for k in (1, n):
+                assert np.array_equal(
+                    evaluator.derivative(x, k),
+                    c * np.prod(x, axis=1) ** c / np.sort(x, axis=1)[:, k - 1])
+
     def test_min_max_median(self):
         assert influence_value(resolve_builtin("min", 3), 1, "exact") == 1
         assert influence_value(resolve_builtin("max", 3), 3, "exact") == 1

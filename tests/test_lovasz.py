@@ -374,6 +374,19 @@ class TestBatchEvaluation:
         want = np.array([eval_lovasz(v, row) for row in x])
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_eval_rows_independent_of_their_tile(self, n):
+        # a batch of several tiles, evaluated whole, in small pieces and
+        # with its rows reversed, gives the same values under ==
+        v = random_set_function(random.Random(n), n, zero_grounded=False)
+        values = np.array([float(t) for t in v.values])
+        x = tied_rows(n, 2 * lovasz.EVAL_TILE + 7, n)
+        got = lovasz.lovasz_eval_batch(values, x)
+        pieces = [lovasz.lovasz_eval_batch(values, x[lo:lo + 1000])
+                  for lo in range(0, len(x), 1000)]
+        assert np.array_equal(got, np.concatenate(pieces))
+        assert np.array_equal(got, lovasz.lovasz_eval_batch(values, x[::-1])[::-1])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 13, 16])
     def test_slope_matches_pointwise_on_untied_rows(self, n):
         v = random_set_function(random.Random(n), n, zero_grounded=False)

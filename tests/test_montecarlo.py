@@ -7,6 +7,8 @@ the suite is deterministic.
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,12 +26,14 @@ from ordinfluence import (
     mc_inner_product,
     tensor_quadrature,
 )
+from ordinfluence import montecarlo
 from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
 from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
     _Accumulator,
     _draw_untied,
+    _drawn_ahead,
     _rng,
     _shift_rank,
     derive_seed,
@@ -133,7 +137,7 @@ class TestSortedColumns:
 class TestSortedReferences:
     """Every estimator equals its one-sort-per-use reference under ==."""
 
-    @pytest.mark.parametrize("samples", [5000, 16384, 16385])
+    @pytest.mark.parametrize("samples", [5000, 16384, 16385, 3 * BATCH + 5])
     @pytest.mark.parametrize("n", ARITIES)
     def test_profile_moments(self, n, samples):
         ev = weighted_squares_evaluator(n)
@@ -141,7 +145,7 @@ class TestSortedReferences:
             assert (mc_profile_moments(ev, samples, 3, norm_sq)
                     == reference_profile_moments(ev, samples, 3, norm_sq))
 
-    @pytest.mark.parametrize("samples", [5000, 16384, 16385])
+    @pytest.mark.parametrize("samples", [5000, 16384, 16385, 3 * BATCH + 5])
     @pytest.mark.parametrize("n", ARITIES)
     def test_estimators(self, n, samples):
         ev = weighted_squares_evaluator(n)
@@ -153,6 +157,21 @@ class TestSortedReferences:
             for variant in ("uniform-y", "triangular-y"):
                 assert (influence_mc_diffquotient(ev, k, samples, 7, variant)
                         == reference_diffquotient(ev, k, samples, 7, variant))
+
+    @pytest.mark.parametrize("n", ARITIES)
+    def test_inline_equals_threaded(self, n, monkeypatch):
+        # one CPU draws inline, two on the helper thread: the same stream
+        ev = weighted_squares_evaluator(n)
+        samples, k = 3 * BATCH + 5, (n + 1) // 2
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            runs.append((mc_profile_moments(ev, samples, 3),
+                         influence_mc_covariance(ev, k, samples, 5),
+                         influence_mc_derivative(ev, k, samples, 6),
+                         influence_mc_diffquotient(ev, k, samples, 7),
+                         mc_inner_product(ev, ev, samples, 8)))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("n", ARITIES)
     def test_shift_moves_the_argsort_column(self, n):
@@ -220,7 +239,8 @@ class TestSortedReferences:
                 return first.copy() if self.calls == 1 else fresh.random(shape)
 
         scripted = Scripted()
-        x, neighbours = _draw_untied(scripted, m, n, k)
+        x, neighbours = _draw_untied(scripted, scripted.random((m, n)), k,
+                                     np.empty((n + 1, m)))
         assert scripted.calls >= 2
         down, mid, up = reference_neighbours(x, k)
         assert not np.any((mid == up) | ((mid == down) & (k >= 2)))
@@ -459,6 +479,99 @@ class TestOnePass:
         row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * BATCH + 5]
         assert not np.all(np.diff(row) >= 0)
         assert np.array_equal(err.value.point, row)
+
+
+class TestDrawnAhead:
+    """The helper thread: order, blocks, errors and shutdown."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        threads = threading.active_count()
+        yield
+        assert threading.active_count() == threads
+
+    def test_batches_in_order_and_close_joins(self):
+        calls = []
+
+        def draw(i, m):
+            calls.append((i, m))
+            return i
+        batches = _drawn_ahead(draw, 5 * BATCH + 1)
+        assert [next(batches), next(batches)] == [0, 1]
+        batches.close()
+        # batch i + 1 is drawn only once batch i is asked for
+        assert calls in ([(0, BATCH), (1, BATCH)],
+                         [(0, BATCH), (1, BATCH), (2, BATCH)])
+        assert list(_drawn_ahead(lambda i, m: (i, m), 2 * BATCH + 1)) == [
+            (0, BATCH), (1, BATCH), (2, 1)]
+
+    def test_block_kept_until_the_next_batch_is_asked_for(self):
+        # more callers than CPUs, switching threads every microsecond: the
+        # block of batch i holds i for as long as the caller works on it
+        def caller(failures):
+            blocks = np.zeros((2, 8))
+
+            def draw(i, m):
+                blocks[i % 2] = i
+                return blocks[i % 2]
+            for i, block in enumerate(_drawn_ahead(draw, 200 * BATCH)):
+                for _ in range(5):
+                    if not (block == i).all():
+                        failures.append(i)
+
+        failures = []
+        callers = [threading.Thread(target=caller, args=(failures,))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert failures == []
+
+    @pytest.mark.parametrize("estimate, stream", [
+        (lambda f, samples: mc_profile_moments(f, samples, 4), derive_seed(4, 0)),
+        (lambda f, samples: influence_mc_covariance(f, 2, samples, 4), 4),
+    ], ids=["pass", "covariance"])
+    def test_non_finite_value_in_a_later_batch_names_its_point(self, estimate,
+                                                               stream):
+        calls, row = [], 7
+
+        def func(x):
+            v = x.sum(axis=1)
+            if len(calls) == 3:
+                v[row] = np.nan
+            calls.append(len(x))
+            return v
+        samples = 5 * BATCH
+        with pytest.raises(TaintedSampleError) as err:
+            estimate(Evaluator(3, func), samples)
+        assert len(calls) == 4
+        drawn = _rng(stream).random((samples, 3))
+        assert np.array_equal(err.value.point, drawn[3 * BATCH + row])
+
+    def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch):
+        class AlwaysTied:
+            def random(self, shape=None, out=None):
+                if out is None:
+                    return np.full(shape, 0.5)
+                out.fill(0.5)
+                return out
+
+        monkeypatch.setattr(montecarlo, "_rng", lambda seed: AlwaysTied())
+        with pytest.raises(TaintedSampleError) as err:
+            influence_mc_derivative(weighted_squares_evaluator(3), 2,
+                                    3 * BATCH + 5, 1)
+        assert type(err.value) is TaintedSampleError
+        assert str(err.value) == "could not draw tie-free samples"
+        assert err.value.point is None
+        assert "helper" in [entry.name for entry in err.traceback]
 
 
 class TestTensorQuadrature:
