@@ -7,7 +7,13 @@ r(f, k) together with the quality-of-fit R^2.  Engines: an exact rational
 kernel over order-statistic polynomials and set-function (Lovasz) extensions,
 analytic closed forms for multiplicative functions, and seeded Monte-Carlo
 estimators for black boxes.
+
+The names from ``lovasz`` and ``montecarlo``, which load numpy, are imported
+on first access, so that ``import ordinfluence`` and the exact polynomial
+paths never load numpy.
 """
+
+import importlib
 
 from .api import (
     DEFAULT_SAMPLES,
@@ -52,26 +58,6 @@ from .funcspec import (
     parse_spec_file,
     resolve_builtin,
 )
-from .lovasz import (
-    SetFunction,
-    equal_influence_class,
-    eval_lovasz,
-    influence_lovasz,
-    mobius,
-    norm_sq_lovasz,
-    symmetric_part,
-    zeta,
-)
-from .montecarlo import (
-    Evaluator,
-    IntegrationEstimate,
-    derive_seed,
-    influence_mc_covariance,
-    influence_mc_derivative,
-    influence_mc_diffquotient,
-    mc_inner_product,
-    tensor_quadrature,
-)
 from .projection import (
     ApproximationResult,
     Moments,
@@ -91,6 +77,33 @@ from .closedforms import (
 )
 
 __version__ = "0.1.0"
+
+# {name: its module} for the names imported on first access
+_LAZY = {
+    **dict.fromkeys(("SetFunction", "equal_influence_class", "eval_lovasz",
+                     "influence_lovasz", "mobius", "norm_sq_lovasz",
+                     "symmetric_part", "zeta"), "lovasz"),
+    **dict.fromkeys(("Evaluator", "IntegrationEstimate", "derive_seed",
+                     "influence_mc_covariance", "influence_mc_derivative",
+                     "influence_mc_diffquotient", "mc_inner_product",
+                     "tensor_quadrature"), "montecarlo"),
+}
+
+
+def __getattr__(name):
+    """A name of ``_LAZY``, imported on first access (PEP 562) and then bound
+    here like an eager import."""
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

@@ -13,12 +13,14 @@ standard errors.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import ConfigurationError, DomainError
 from .funcspec import FunctionSpec
-from .montecarlo import IntegrationEstimate, mc_profile_moments
 from .projection import ApproximationResult, Moments, approximation_from_moments
+
+if TYPE_CHECKING:
+    from .montecarlo import IntegrationEstimate
 
 METHOD_PREFERENCE = ("exact", "closed-form", "mc")
 DEFAULT_SAMPLES = 100_000
@@ -51,6 +53,7 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
     """
     method = resolve_method(spec, method)
     if method == "mc":
+        from .montecarlo import mc_profile_moments
         return mc_profile_moments(spec.evaluator(), samples, seed, norm_sq)
     return spec.moments(norm_sq)
 
@@ -66,6 +69,7 @@ def influence_value(spec: FunctionSpec, k: int, method: str = "auto",
     m = influence_profile(spec, method, samples, seed)
     if m.index_std_errors is None:
         return m.indices[k - 1]
+    from .montecarlo import IntegrationEstimate
     return IntegrationEstimate(m.indices[k - 1], m.index_std_errors[k - 1],
                                samples, seed, "covariance")
 

@@ -27,15 +27,6 @@ from .errors import (
     TaintedSampleError,
 )
 from .funcspec import SetFunctionSpec, parse_spec_file
-from .lovasz import equal_influence_class, level_averages, mobius, \
-    symmetric_part
-from .montecarlo import (
-    IntegrationEstimate,
-    derive_seed,
-    influence_mc_covariance,
-    influence_mc_derivative,
-    influence_mc_diffquotient,
-)
 from .projection import approximation_from_moments
 from .report import ReportDocument, format_value
 
@@ -51,15 +42,28 @@ SEED_ENV_VAR = "ORDINFLUENCE_SEED"
 # crosscheck's estimators, each called as (evaluator, k, samples, seed); the
 # lambdas look the estimator up in this module when called, so that a test
 # can replace it here
+_module = sys.modules[__name__]
 ESTIMATORS = {
-    "covariance": lambda *args: influence_mc_covariance(*args),
-    "derivative": lambda *args: influence_mc_derivative(*args),
+    "covariance": lambda *args: _module.influence_mc_covariance(*args),
+    "derivative": lambda *args: _module.influence_mc_derivative(*args),
     "diff-quotient-uniform":
-        lambda *args: influence_mc_diffquotient(*args, "uniform-y"),
+        lambda *args: _module.influence_mc_diffquotient(*args, "uniform-y"),
     "diff-quotient-triangular":
-        lambda *args: influence_mc_diffquotient(*args, "triangular-y"),
+        lambda *args: _module.influence_mc_diffquotient(*args, "triangular-y"),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
+
+
+def __getattr__(name):
+    """An estimator of montecarlo, which loads numpy, imported on first
+    access (PEP 562) and then bound here like an eager import."""
+    if name not in ("influence_mc_covariance", "influence_mc_derivative",
+                    "influence_mc_diffquotient"):
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from . import montecarlo
+    globals()[name] = getattr(montecarlo, name)
+    return globals()[name]
 
 
 def _default_seed() -> int:
@@ -207,6 +211,8 @@ def cmd_lovasz(args) -> ReportDocument:
     if not isinstance(spec, SetFunctionSpec):
         raise ConfigurationError("the lovasz command needs a set-function "
                                  "spec, got kind %r" % spec.kind)
+    from .lovasz import equal_influence_class, level_averages, mobius, \
+        symmetric_part
     doc = _report("lovasz", spec, {"quantity": "set-function diagnostics"},
                   args.seed)
     v = spec.set_function
@@ -235,6 +241,7 @@ def cmd_lovasz(args) -> ReportDocument:
 
 
 def cmd_crosscheck(args):
+    from .montecarlo import IntegrationEstimate, derive_seed
     spec = parse_spec_file(args.spec)
     k = args.k
     if not 1 <= k <= spec.arity:

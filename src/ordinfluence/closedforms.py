@@ -7,6 +7,7 @@ statistic inside the integrand.
 
 Only the quadrature paths need ``scipy.integrate``; it is imported on their
 first use, since loading it takes longer than any exact or closed-form command.
+numpy, too, is imported only on the numeric paths.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import (
     BranchAmbiguityError,
@@ -29,6 +28,9 @@ from .errors import (
     QuadratureError,
 )
 from .exact import as_rational, product_indices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUAD_TOL = 1e-10
 PHI_ONE_AMBIGUITY = 1e-12
@@ -51,6 +53,7 @@ def __getattr__(name):
 def _checked(value, err: float, tol: float):
     """``value`` if the error estimate ``err`` meets the tolerance; for a
     vector of integrals, relative to its largest entry."""
+    import numpy as np
     if err > max(tol, 1e-8 * float(np.max(np.abs(value)))) * 10:
         raise QuadratureError("quadrature error %.3e above tolerance %.1e"
                               % (err, tol), achieved_tolerance=err)
@@ -154,6 +157,7 @@ class MultiplicativeSpec:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (m, n) array of points."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         out = np.ones(x.shape[0])
         for i, factor in enumerate(self.factors):
@@ -196,6 +200,7 @@ def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
                          product_indices([f.exponent for f in factors]))
         except ConfigurationError:
             pass  # too many distinct exponent sums for the exact form
+    import numpy as np
     n = spec.arity
     full = [float(f.phi_one()) for f in factors]
 
@@ -332,11 +337,13 @@ def variance_plain_terms(n: int):
 @lru_cache(maxsize=None)
 def _gl_nodes(m: int):
     """Gauss-Legendre nodes and weights on [-1, 1]; shared, never written to."""
+    import numpy as np
     return np.polynomial.legendre.leggauss(m)
 
 
 def _box_integral(func, intervals, nodes_per_axis: int) -> float:
     """Tensor Gauss-Legendre integral of func over a product of intervals."""
+    import numpy as np
     nodes, weights = _gl_nodes(nodes_per_axis)
     axes = []
     axis_weights = []

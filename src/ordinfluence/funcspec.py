@@ -10,25 +10,38 @@ element i of [n].
 
 from __future__ import annotations
 
+import importlib
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
     influence_power_product, multiplicative_indices, variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
-from .lovasz import SetFunction, _levels, check_arity, level_averages, \
-    lovasz_eval_batch, lovasz_slope_batch, norm_sq_lovasz
-from .montecarlo import Evaluator, sorted_columns
 from .projection import Moments, moments_exact
 
+if TYPE_CHECKING:
+    import numpy as np
+    from .lovasz import SetFunction
+    from .montecarlo import Evaluator
+
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """``lovasz`` and ``montecarlo``, which load numpy, imported on first
+    access as ``_module.lovasz`` (PEP 562) and then bound here."""
+    if name not in ("lovasz", "montecarlo"):
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    globals()[name] = importlib.import_module("." + name, __package__)
+    return globals()[name]
 
 
 class FunctionSpec:
@@ -70,6 +83,7 @@ def _monomial_sum(columns: np.ndarray, terms: list,
     """constant + sum of coeff * prod columns[i-1] ** exp over the terms
     (coeff, ((i, exp), ...)), where row i-1 of the (n, m) ``columns`` holds
     the i-th variable or order statistic of each of m points."""
+    import numpy as np
     out = np.full(columns.shape[1], constant)
     for coeff, exps in terms:
         part = np.full(columns.shape[1], coeff)
@@ -99,8 +113,9 @@ class OrderStatPolynomialSpec(FunctionSpec):
     def evaluator(self):
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
         constant = float(self.poly.constant)
-        return Evaluator(self.arity, lambda x: _monomial_sum(
-            sorted_columns(x), terms, constant),
+        mc = _module.montecarlo
+        return mc.Evaluator(self.arity, lambda x: _monomial_sum(
+            mc.sorted_columns(x), terms, constant),
             name=self.builtin_name or self.kind)
 
     def payload(self):
@@ -136,8 +151,9 @@ class PlainPolynomialSpec(FunctionSpec):
         terms = [(float(c), [(int(v), int(e)) for v, e in exps.items()])
                  for c, exps in self.terms]
         constant = float(self.constant)
-        return Evaluator(self.arity, lambda x: _monomial_sum(
-            x.T, terms, constant), name=self.builtin_name or self.kind)
+        return _module.montecarlo.Evaluator(
+            self.arity, lambda x: _monomial_sum(x.T, terms, constant),
+            name=self.builtin_name or self.kind)
 
     def payload(self):
         return {
@@ -163,17 +179,18 @@ class SetFunctionSpec(FunctionSpec):
         return (EXACT, MC)
 
     def moments(self, norm_sq=True):
-        v = self.set_function
-        levels = level_averages(v)
+        v, lovasz = self.set_function, _module.lovasz
+        levels = lovasz.level_averages(v)
         return Moments(v.arity, "exact", levels.influence_profile(),
                        levels.mean(),
-                       norm_sq_lovasz(v) if norm_sq else None)
+                       lovasz.norm_sq_lovasz(v) if norm_sq else None)
 
     def evaluator(self):
-        values = self.set_function.floats()
-        return Evaluator(self.arity, partial(lovasz_eval_batch, values),
-                         partial(lovasz_slope_batch, values),
-                         name=self.builtin_name or self.kind)
+        values, lovasz = self.set_function.floats(), _module.lovasz
+        return _module.montecarlo.Evaluator(
+            self.arity, partial(lovasz.lovasz_eval_batch, values),
+            partial(lovasz.lovasz_slope_batch, values),
+            name=self.builtin_name or self.kind)
 
     def payload(self):
         return {"values": self.set_function.strings()}
@@ -200,9 +217,8 @@ class MultiplicativeFunctionSpec(FunctionSpec):
                        spec.norm_sq() if norm_sq else None)
 
     def evaluator(self):
-        spec = self.spec
-        return Evaluator(self.arity, spec.evaluate,
-                         name=self.builtin_name or self.kind)
+        return _module.montecarlo.Evaluator(self.arity, self.spec.evaluate,
+                                            name=self.builtin_name or self.kind)
 
     def payload(self):
         factors = []
@@ -240,6 +256,7 @@ class PowerProductSpec(FunctionSpec):
     def evaluator(self):
         c = float(self.exponent)
         n = self.arity
+        mc = _module.montecarlo
 
         def func(x):
             # np.prod(x, axis=1), one column at a time: the same products in
@@ -251,10 +268,10 @@ class PowerProductSpec(FunctionSpec):
 
         def derivative(x, k):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            return c * func(x) / sorted_columns(x)[k - 1]
+            return c * func(x) / mc.sorted_columns(x)[k - 1]
 
-        return Evaluator(n, func, derivative,
-                         name=self.builtin_name or self.kind)
+        return mc.Evaluator(n, func, derivative,
+                            name=self.builtin_name or self.kind)
 
     def payload(self):
         return {"exponent": _rational_str(self.exponent)}
@@ -289,6 +306,7 @@ class RawEvaluatorSpec(FunctionSpec):
 
 def _conjunctive_threshold(x):
     # 0 below the 3/4 threshold on the largest input, else min capped at 1/4
+    import numpy as np
     x = np.asarray(x, dtype=float)
     return np.where(np.maximum(x[:, 0], x[:, 1]) < 0.75, 0.0,
                     np.minimum(np.minimum(x[:, 0], x[:, 1]), 0.25))
@@ -296,7 +314,8 @@ def _conjunctive_threshold(x):
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
     levels = [Fraction(size, n) for size in range(n + 1)]
-    return SetFunction.from_codes(n, levels, _levels(n)[0])
+    lovasz = _module.lovasz
+    return lovasz.SetFunction.from_codes(n, levels, lovasz._levels(n)[0])
 
 
 BUILTIN_NAMES = ("variance", "arithmetic-mean", "geometric-mean", "product",
@@ -313,7 +332,7 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
         return PlainPolynomialSpec(n, variance_plain_terms(n),
                                    builtin_name=name)
     if name == "arithmetic-mean":
-        check_arity(n)
+        _module.lovasz.check_arity(n)
         return SetFunctionSpec(_arithmetic_mean_set_function(n),
                                builtin_name=name)
     if name == "geometric-mean":
@@ -335,8 +354,8 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
     if name in ("conjunctive-example-6.1", "conjunctive-threshold"):
         if n != 2:
             raise DomainError("the conjunctive threshold builtin is binary")
-        return RawEvaluatorSpec(Evaluator(2, _conjunctive_threshold,
-                                          name=name), builtin_name=name)
+        return RawEvaluatorSpec(_module.montecarlo.Evaluator(
+            2, _conjunctive_threshold, name=name), builtin_name=name)
     raise SpecFileError("unknown builtin %r; known: %s"
                         % (name, ", ".join(BUILTIN_NAMES)), location="name")
 
@@ -377,7 +396,7 @@ def _parse_set_function(arity: int, values: list) -> SetFunction:
             distinct.append(_parse_rational(value, "values[%d]" % i))
             code = seen[value] = len(distinct) - 1
         codes.append(code)
-    return SetFunction.from_codes(arity, distinct, codes)
+    return _module.lovasz.SetFunction.from_codes(arity, distinct, codes)
 
 
 def _parse_terms(raw, arity: int, location: str, slot_bound: int):
@@ -401,6 +420,8 @@ def _parse_terms(raw, arity: int, location: str, slot_bound: int):
             if not 1 <= idx <= slot_bound:
                 raise SpecFileError("index %d outside [1, %d]"
                                     % (idx, slot_bound), loc)
+            if idx in exps:  # keys such as "1" and "01"
+                raise SpecFileError("index %d named twice" % idx, loc)
             if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
                 raise SpecFileError("exponent must be a positive integer", loc)
             exps[idx] = exp
@@ -428,7 +449,7 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         return PlainPolynomialSpec(arity, terms, constant)
     if kind == "set-function":
         try:
-            check_arity(arity)
+            _module.lovasz.check_arity(arity)
         except DomainError as exc:
             raise SpecFileError(str(exc), "arity")
         values = _require(doc, "values", "values")

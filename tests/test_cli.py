@@ -73,6 +73,19 @@ class TestExitCodes:
         assert cli.main(["influence", str(path), "-k", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["plain-polynomial",
+                                      "orderstat-polynomial"])
+    def test_index_named_twice_exits_2(self, tmp_path, capsys, kind):
+        # "1" and "01" name the same variable or slot; keeping either
+        # exponent would silently drop the other
+        doc = {"kind": kind, "arity": 2,
+               "terms": [{"coefficient": 1, "exponents": {"2": 1}},
+                         {"coefficient": 1, "exponents": {"1": 1, "01": 2}}]}
+        assert cli.main(["approx", write_spec(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: index 1 named twice (at terms[1])\n"
+
     def test_oversized_set_function_arity_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "set-function", "arity": 20000,
                                      "values": []})

@@ -1,6 +1,7 @@
-"""scipy is imported only on the quadrature paths, and the CLI parser only on
+"""scipy is imported only on the quadrature paths, numpy with ``lovasz`` and
+``montecarlo`` only off the exact polynomial paths, and the CLI parser only on
 the first command, checked in fresh interpreters: a test process has usually
-loaded both already."""
+loaded all of them already."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 import types
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import ordinfluence
 
@@ -26,6 +29,21 @@ for name, argv in json.loads(sys.argv[1]):
     loaded[name] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
+
+# The modules that load numpy, none of which an exact polynomial command needs.
+NUMPY_MODULES = ("numpy", "ordinfluence.lovasz", "ordinfluence.montecarlo")
+
+# Like CLI_RUNS, but records which of NUMPY_MODULES were loaded after each run.
+NUMPY_RUNS = """
+import contextlib, io, json, sys
+from ordinfluence import cli
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[name] = [m for m in %r if m in sys.modules]
+print(json.dumps(loaded))
+""" % (NUMPY_MODULES,)
 
 # The quad_vec fallback of multiplicative_indices, reached by a callable
 # factor and by a symbolic product above a lowered PRODUCT_FORM_LIMIT, next
@@ -138,7 +156,9 @@ print(json.dumps(builds))
 
 def test_all_names_the_public_bindings():
     # every public name the package binds, submodules aside, is exported,
-    # and every exported name is bound
+    # and every exported name is bound; a lazy name is bound once touched
+    for name in ordinfluence.__all__:
+        getattr(ordinfluence, name)
     bound = {name for name, value in vars(ordinfluence).items()
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
@@ -147,3 +167,100 @@ def test_all_names_the_public_bindings():
     namespace = {}
     exec("from ordinfluence import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ordinfluence.__all__)
+
+
+def test_package_import_leaves_numpy_out():
+    loaded = run_fresh("-c", """
+import json, sys
+import ordinfluence
+package = [m for m in %r if m in sys.modules]
+import ordinfluence.cli
+print(json.dumps([package, [m for m in %r if m in sys.modules]]))
+""" % (NUMPY_MODULES, NUMPY_MODULES))
+    assert loaded == [[], []]
+
+
+def test_exact_polynomial_commands_leave_numpy_out(tmp_path):
+    plain = write_spec(tmp_path, "plain", {
+        "kind": "plain-polynomial", "arity": 3, "constant": "1/3",
+        "terms": [{"coefficient": "3/2", "exponents": {"2": 1}},
+                  {"coefficient": "-1", "exponents": {"3": 2, "1": 1}}]})
+    orderstat = write_spec(tmp_path, "orderstat", {
+        "kind": "orderstat-polynomial", "arity": 4, "constant": "-1/2",
+        "terms": [{"coefficient": "2/3", "exponents": {"1": 2, "4": 1}},
+                  {"coefficient": "5", "exponents": {"3": 3}}]})
+    specs = [("plain", plain), ("orderstat", orderstat)]
+    for name, n in (("min", 5), ("median", 20), ("variance", 9),
+                    ("product", 6)):
+        specs.append((name, write_spec(tmp_path, name, {
+            "kind": "builtin", "name": name, "arity": n})))
+    exact_runs = []
+    for name, path in specs:
+        exact_runs.append((name + "-influence",
+                           ["influence", path, "--all", "--method", "exact"]))
+        exact_runs.append((name + "-approx",
+                           ["approx", path, "--method", "exact"]))
+    setfn = write_spec(tmp_path, "setfn", {
+        "kind": "set-function", "arity": 3,
+        "values": [str(Fraction(i * 7 % 11, 5)) for i in range(8)]})
+    power = write_spec(tmp_path, "power", {
+        "kind": "power-product", "arity": 4, "exponent": "2/3"})
+    # then, in the same process, each other path loads what it needs
+    later_runs = [
+        ("setfn-approx", ["approx", setfn, "--method", "exact"]),
+        ("lovasz", ["lovasz", setfn, "--mobius"]),
+        ("power-product-approx", ["approx", power, "--method", "closed-form"]),
+        ("mc-approx", ["approx", plain, "--method", "mc", "--samples", "2000",
+                       "--seed", "1"]),
+    ]
+    runs = exact_runs + later_runs
+    loaded = run_fresh("-c", NUMPY_RUNS, json.dumps(
+        [(name, argv + ["--format", "json"]) for name, argv in runs]))
+    assert loaded == {**{name: [] for name, _ in exact_runs},
+                      **{name: list(NUMPY_MODULES) for name, _ in later_runs}}
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    out = run_fresh("-c", """
+import json, sys
+import ordinfluence
+listed = set(ordinfluence.__all__) <= set(dir(ordinfluence))
+lazy = sorted(set(ordinfluence.__all__) - set(vars(ordinfluence)))
+same, bound = [], []
+for name in lazy:
+    value = getattr(ordinfluence, name)
+    module = sys.modules[value.__module__]
+    same.append([value.__module__, getattr(module, name) is value])
+    bound.append(vars(ordinfluence)[name] is value)
+print(json.dumps({"listed": listed, "lazy": lazy, "same": same,
+                  "bound": all(bound),
+                  "unknown": hasattr(ordinfluence, "no_such_name")}))
+""")
+    lazy_modules = {"ordinfluence.lovasz", "ordinfluence.montecarlo"}
+    assert out["listed"] and out["bound"] and not out["unknown"]
+    assert {"mobius", "SetFunction", "Evaluator", "derive_seed"} <= set(out["lazy"])
+    assert all(module in lazy_modules and same for module, same in out["same"])
+    # every exported name that those modules define is lazy
+    for name in ordinfluence.__all__:
+        value = getattr(ordinfluence, name)
+        if getattr(value, "__module__", None) in lazy_modules:
+            assert name in out["lazy"], name
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--version"],
+                                  ["influence", "/no/such/spec.json", "--all"]],
+                         ids=["version", "bad-spec-path"])
+def test_python_m_ordinfluence_runs_the_cli(argv):
+    package = run_module("ordinfluence", *argv)
+    assert package == run_module("ordinfluence.cli", *argv)
+    assert package[0] == (0 if argv == ["--version"] else 2)
+    assert package[1] + package[2]
