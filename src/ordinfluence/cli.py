@@ -39,31 +39,16 @@ EXIT_QUADRATURE = 6
 
 SEED_ENV_VAR = "ORDINFLUENCE_SEED"
 
-# crosscheck's estimators, each called as (evaluator, k, samples, seed); the
-# lambdas look the estimator up in this module when called, so that a test
-# can replace it here
-_module = sys.modules[__name__]
+# crosscheck's estimators: the montecarlo function that each name calls as
+# (evaluator, k, samples, seed, *extra), with its extra arguments
 ESTIMATORS = {
-    "covariance": lambda *args: _module.influence_mc_covariance(*args),
-    "derivative": lambda *args: _module.influence_mc_derivative(*args),
-    "diff-quotient-uniform":
-        lambda *args: _module.influence_mc_diffquotient(*args, "uniform-y"),
+    "covariance": ("influence_mc_covariance", ()),
+    "derivative": ("influence_mc_derivative", ()),
+    "diff-quotient-uniform": ("influence_mc_diffquotient", ("uniform-y",)),
     "diff-quotient-triangular":
-        lambda *args: _module.influence_mc_diffquotient(*args, "triangular-y"),
+        ("influence_mc_diffquotient", ("triangular-y",)),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
-
-
-def __getattr__(name):
-    """An estimator of montecarlo, which loads numpy, imported on first
-    access (PEP 562) and then bound here like an eager import."""
-    if name not in ("influence_mc_covariance", "influence_mc_derivative",
-                    "influence_mc_diffquotient"):
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from . import montecarlo
-    globals()[name] = getattr(montecarlo, name)
-    return globals()[name]
 
 
 def _default_seed() -> int:
@@ -241,7 +226,7 @@ def cmd_lovasz(args) -> ReportDocument:
 
 
 def cmd_crosscheck(args):
-    from .montecarlo import IntegrationEstimate, derive_seed
+    from . import montecarlo
     spec = parse_spec_file(args.spec)
     k = args.k
     if not 1 <= k <= spec.arity:
@@ -256,9 +241,12 @@ def cmd_crosscheck(args):
                                  "names, got %r" % args.estimators)
     evaluator = spec.evaluator()
     seed = args.seed
-    estimates = {name: ESTIMATORS[name](evaluator, k, args.samples,
-                                        derive_seed(seed, 1000 + i))
-                 for i, name in enumerate(names)}
+    estimates = {}
+    for i, name in enumerate(names):
+        function, extra = ESTIMATORS[name]
+        estimates[name] = getattr(montecarlo, function)(
+            evaluator, k, args.samples, montecarlo.derive_seed(seed, 1000 + i),
+            *extra)
 
     doc = _report("crosscheck", spec,
                   {"k": k, "samples": args.samples,
@@ -274,7 +262,7 @@ def cmd_crosscheck(args):
 
     items = list(estimates.items())
     if reference is not None:
-        items.append((strongest, IntegrationEstimate(
+        items.append((strongest, montecarlo.IntegrationEstimate(
             float(reference), 0.0, 0, seed, strongest)))
     z_scores = {"%s|%s" % (name_a, name_b): a.z_score(b)
                 for (name_a, a), (name_b, b) in itertools.combinations(items, 2)}

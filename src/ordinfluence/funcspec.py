@@ -10,9 +10,7 @@ element i of [n].
 
 from __future__ import annotations
 
-import importlib
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -31,17 +29,6 @@ if TYPE_CHECKING:
     from .montecarlo import Evaluator
 
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
-_module = sys.modules[__name__]
-
-
-def __getattr__(name):
-    """``lovasz`` and ``montecarlo``, which load numpy, imported on first
-    access as ``_module.lovasz`` (PEP 562) and then bound here."""
-    if name not in ("lovasz", "montecarlo"):
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    globals()[name] = importlib.import_module("." + name, __package__)
-    return globals()[name]
 
 
 class FunctionSpec:
@@ -111,11 +98,11 @@ class OrderStatPolynomialSpec(FunctionSpec):
         return moments_exact(self.poly, norm_sq)
 
     def evaluator(self):
+        from . import montecarlo
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
         constant = float(self.poly.constant)
-        mc = _module.montecarlo
-        return mc.Evaluator(self.arity, lambda x: _monomial_sum(
-            mc.sorted_columns(x), terms, constant),
+        return montecarlo.Evaluator(self.arity, lambda x: _monomial_sum(
+            montecarlo.sorted_columns(x), terms, constant),
             name=self.builtin_name or self.kind)
 
     def payload(self):
@@ -148,10 +135,11 @@ class PlainPolynomialSpec(FunctionSpec):
                        if norm_sq else None)
 
     def evaluator(self):
+        from . import montecarlo
         terms = [(float(c), [(int(v), int(e)) for v, e in exps.items()])
                  for c, exps in self.terms]
         constant = float(self.constant)
-        return _module.montecarlo.Evaluator(
+        return montecarlo.Evaluator(
             self.arity, lambda x: _monomial_sum(x.T, terms, constant),
             name=self.builtin_name or self.kind)
 
@@ -179,15 +167,17 @@ class SetFunctionSpec(FunctionSpec):
         return (EXACT, MC)
 
     def moments(self, norm_sq=True):
-        v, lovasz = self.set_function, _module.lovasz
+        from . import lovasz
+        v = self.set_function
         levels = lovasz.level_averages(v)
         return Moments(v.arity, "exact", levels.influence_profile(),
                        levels.mean(),
                        lovasz.norm_sq_lovasz(v) if norm_sq else None)
 
     def evaluator(self):
-        values, lovasz = self.set_function.floats(), _module.lovasz
-        return _module.montecarlo.Evaluator(
+        from . import lovasz, montecarlo
+        values = self.set_function.floats()
+        return montecarlo.Evaluator(
             self.arity, partial(lovasz.lovasz_eval_batch, values),
             partial(lovasz.lovasz_slope_batch, values),
             name=self.builtin_name or self.kind)
@@ -217,8 +207,9 @@ class MultiplicativeFunctionSpec(FunctionSpec):
                        spec.norm_sq() if norm_sq else None)
 
     def evaluator(self):
-        return _module.montecarlo.Evaluator(self.arity, self.spec.evaluate,
-                                            name=self.builtin_name or self.kind)
+        from . import montecarlo
+        return montecarlo.Evaluator(self.arity, self.spec.evaluate,
+                                    name=self.builtin_name or self.kind)
 
     def payload(self):
         factors = []
@@ -254,9 +245,9 @@ class PowerProductSpec(FunctionSpec):
                        (1.0 / (2.0 * c + 1.0)) ** n if norm_sq else None)
 
     def evaluator(self):
+        from . import montecarlo
         c = float(self.exponent)
         n = self.arity
-        mc = _module.montecarlo
 
         def func(x):
             # np.prod(x, axis=1), one column at a time: the same products in
@@ -268,10 +259,10 @@ class PowerProductSpec(FunctionSpec):
 
         def derivative(x, k):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            return c * func(x) / mc.sorted_columns(x)[k - 1]
+            return c * func(x) / montecarlo.sorted_columns(x)[k - 1]
 
-        return mc.Evaluator(n, func, derivative,
-                            name=self.builtin_name or self.kind)
+        return montecarlo.Evaluator(n, func, derivative,
+                                    name=self.builtin_name or self.kind)
 
     def payload(self):
         return {"exponent": _rational_str(self.exponent)}
@@ -313,8 +304,8 @@ def _conjunctive_threshold(x):
 
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
+    from . import lovasz
     levels = [Fraction(size, n) for size in range(n + 1)]
-    lovasz = _module.lovasz
     return lovasz.SetFunction.from_codes(n, levels, lovasz._levels(n)[0])
 
 
@@ -332,7 +323,8 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
         return PlainPolynomialSpec(n, variance_plain_terms(n),
                                    builtin_name=name)
     if name == "arithmetic-mean":
-        _module.lovasz.check_arity(n)
+        from . import lovasz
+        lovasz.check_arity(n)
         return SetFunctionSpec(_arithmetic_mean_set_function(n),
                                builtin_name=name)
     if name == "geometric-mean":
@@ -354,7 +346,8 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
     if name in ("conjunctive-example-6.1", "conjunctive-threshold"):
         if n != 2:
             raise DomainError("the conjunctive threshold builtin is binary")
-        return RawEvaluatorSpec(_module.montecarlo.Evaluator(
+        from . import montecarlo
+        return RawEvaluatorSpec(montecarlo.Evaluator(
             2, _conjunctive_threshold, name=name), builtin_name=name)
     raise SpecFileError("unknown builtin %r; known: %s"
                         % (name, ", ".join(BUILTIN_NAMES)), location="name")
@@ -396,7 +389,8 @@ def _parse_set_function(arity: int, values: list) -> SetFunction:
             distinct.append(_parse_rational(value, "values[%d]" % i))
             code = seen[value] = len(distinct) - 1
         codes.append(code)
-    return _module.lovasz.SetFunction.from_codes(arity, distinct, codes)
+    from . import lovasz
+    return lovasz.SetFunction.from_codes(arity, distinct, codes)
 
 
 def _parse_terms(raw, arity: int, location: str, slot_bound: int):
@@ -448,8 +442,9 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         constant = _parse_rational(doc.get("constant", 0), "constant")
         return PlainPolynomialSpec(arity, terms, constant)
     if kind == "set-function":
+        from . import lovasz
         try:
-            _module.lovasz.check_arity(arity)
+            lovasz.check_arity(arity)
         except DomainError as exc:
             raise SpecFileError(str(exc), "arity")
         values = _require(doc, "values", "values")
@@ -486,15 +481,29 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
     raise SpecFileError("unknown kind %r" % (kind,), "kind")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key named twice, of
+    which json would keep the last value, raises SpecFileError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecFileError("key %r named twice" % key)
+        doc[key] = value
+    return doc
+
+
 def parse_spec_file(path: str) -> FunctionSpec:
     """Load a function spec from a JSON file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SpecFileError("cannot read %s: %s" % (path, exc), path)
     except UnicodeDecodeError as exc:
         raise SpecFileError("not UTF-8 text: %s" % exc, path)
     except json.JSONDecodeError as exc:
         raise SpecFileError("invalid JSON: %s" % exc, "%s:%d" % (path, exc.lineno))
+    except (RecursionError, ValueError) as exc:
+        # a key named twice, too deep a nesting or too long an integer
+        raise SpecFileError("invalid JSON: %s" % exc, path)
     return parse_spec_document(doc)

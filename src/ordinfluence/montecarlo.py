@@ -10,11 +10,12 @@ All estimators draw from a counter-based Philox stream keyed by the seed, so
 results are bit-reproducible for a fixed (seed, samples, estimator) triple.
 
 Every loop draws its batches through ``_drawn_ahead``: on more than one CPU
-a helper thread draws batch i + 1 into the other of two caller-owned blocks
-while the caller sorts, evaluates and accumulates batch i.  Only the helper
-touches the generator, one batch after another, so the stream is read in
-the same order as by an inline loop, which runs instead on a single batch
-or a one-CPU affinity mask; every output is the same either way.
+the one worker of a thread-pool executor draws batch i + 1 into the other of
+two caller-owned blocks while the caller sorts, evaluates and accumulates
+batch i.  Only the worker touches the generator, one batch after another, so
+the stream is read in the same order as by an inline loop, which runs
+instead on a single batch or a one-CPU affinity mask; every output is the
+same either way.
 
 Every estimator reads order statistics of the sampled points, and sorts each
 batch once, into a block it owns (an evaluator that sorts its points sorts
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,7 +43,7 @@ from .projection import Moments
 
 # Rows handled as one block: the draw batch of every estimator and of
 # mc_profile_moments, and the tile over which sorted_columns runs the network.
-# A pass keeps two draw blocks of BATCH points (the helper thread fills one
+# A pass keeps two draw blocks of BATCH points (the draw worker fills one
 # while the caller reads the other) and a moment block that the batch is
 # sorted into, 3.4 MB together at arity 8, beside the evaluator's
 # temporaries; the single-rank estimators keep a sort block in place of the
@@ -198,51 +198,27 @@ def _cpus() -> int:
 def _drawn_ahead(draw, samples: int):
     """Yield ``draw(i, m)`` for the i-th batch of m rows, in order.
 
-    One helper thread makes batch i + 1 while the caller uses batch i, and
-    starts on it only once the caller asks for batch i, so ``draw`` may
-    write batch i + 2 over batch i.  Only the helper calls ``draw``, one
+    A one-worker executor makes batch i + 1 while the caller uses batch i,
+    and is handed it only once the caller asks for batch i, so ``draw`` may
+    write batch i + 2 over batch i.  Only the worker calls ``draw``, one
     batch after another.  A single batch, or a process allowed one CPU,
     is drawn inline instead.  An exception in ``draw`` is raised in the
-    caller; closing the generator, or an exception at its ``yield``, stops
-    the helper and joins it.
+    caller; closing the generator, or an exception at its ``yield``, waits
+    for the batch being drawn and shuts the worker down.
     """
     sizes = list(enumerate(_batches(samples)))
     if len(sizes) == 1 or _cpus() == 1:
         for i, m in sizes:
             yield draw(i, m)
         return
-    made = []  # the batch just drawn, or the exception that stopped draw
-    drawn = threading.Semaphore(0)
-    wanted = threading.Semaphore(1)
-    stopped = threading.Event()
-
-    def helper():
-        for i, m in sizes:
-            wanted.acquire()
-            if stopped.is_set():
-                return
-            try:
-                made.append(draw(i, m))
-            except BaseException as error:  # raised again in the caller
-                made.append(error)
-                return
-            finally:
-                drawn.release()
-
-    thread = threading.Thread(target=helper, name="ordinfluence-draw")
-    thread.start()
-    try:
-        for _ in sizes:
-            drawn.acquire()
-            batch = made.pop()
-            if isinstance(batch, BaseException):
-                raise batch
-            wanted.release()
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, "ordinfluence-draw") as worker:
+        ahead = worker.submit(draw, *sizes[0])
+        for i, m in sizes[1:]:
+            batch = ahead.result()
+            ahead = worker.submit(draw, i, m)
             yield batch
-    finally:
-        stopped.set()
-        wanted.release()
-        thread.join()
+        yield ahead.result()
 
 
 def _uniform_draws(rng, samples: int, *shapes):

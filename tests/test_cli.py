@@ -14,6 +14,7 @@ from ordinfluence import (
     cli,
     funcspec,
     lovasz,
+    montecarlo,
 )
 from ordinfluence.funcspec import RawEvaluatorSpec
 from ordinfluence.projection import approximation_from_moments
@@ -85,6 +86,27 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: index 1 named twice (at terms[1])\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "builtin", "name": "min", "arity": 2, "arity": 3}',
+         "key 'arity' named twice"),
+        ('{"kind": "plain-polynomial", "arity": 2, "terms": [{"coefficient": '
+         '1, "exponents": {"1": 1, "1": 2}}]}', "key '1' named twice"),
+        ("[" * 100000, "recursion depth"),
+        ('{"kind": "builtin", "name": "min", "arity": 1%s}' % ("0" * 4999),
+         "digits"),
+    ], ids=["duplicate-arity", "duplicate-exponent", "deep-nesting",
+            "long-integer"])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, text, message):
+        # json.load keeps the last of two equal keys, and raises
+        # RecursionError or a plain ValueError on the last two
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert cli.main(["influence", str(path), "--all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and message in err
+        assert err.count("\n") == 1
 
     def test_oversized_set_function_arity_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "set-function", "arity": 20000,
@@ -227,7 +249,7 @@ class TestExitCodes:
         def biased(f, k, samples, seed):
             return IntegrationEstimate(5.0, 1e-6, samples, seed, "covariance")
 
-        monkeypatch.setattr(cli, "influence_mc_covariance", biased)
+        monkeypatch.setattr(montecarlo, "influence_mc_covariance", biased)
         code = cli.main(["crosscheck", path, "-k", "1", "--samples", "5000",
                          "--estimators",
                          "covariance,diff-quotient-triangular"])
@@ -245,7 +267,7 @@ class TestExitCodes:
         def wrong(f, k, samples, seed):
             return IntegrationEstimate(5.0, 0.0, samples, seed, "covariance")
 
-        monkeypatch.setattr(cli, "influence_mc_covariance", wrong)
+        monkeypatch.setattr(montecarlo, "influence_mc_covariance", wrong)
         argv = ["crosscheck", path, "-k", "1", "--samples", "5000",
                 "--estimators", "covariance"]
         assert cli.main(argv) == 5

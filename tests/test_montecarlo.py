@@ -6,6 +6,7 @@ the suite is deterministic.
 """
 
 import json
+import os
 import re
 import sys
 import threading
@@ -208,7 +209,7 @@ class TestSortedReferences:
         outputs = []
         for oracle in (False, True):
             if oracle:
-                monkeypatch.setattr(cli, "influence_mc_diffquotient",
+                monkeypatch.setattr(montecarlo, "influence_mc_diffquotient",
                                     reference_diffquotient)
             for k in range(1, doc["arity"] + 1):
                 cli.main(["crosscheck", str(path), "-k", str(k), "--samples",
@@ -571,7 +572,13 @@ class TestDrawnAhead:
         assert type(err.value) is TaintedSampleError
         assert str(err.value) == "could not draw tie-free samples"
         assert err.value.point is None
-        assert "helper" in [entry.name for entry in err.traceback]
+        # raised on the worker: a _draw_untied frame below a frame of the
+        # executor's worker thread
+        frames = [(str(entry.path), entry.name) for entry in err.traceback]
+        worker = [path.endswith(os.path.join("concurrent", "futures",
+                                              "thread.py"))
+                  for path, _ in frames].index(True)
+        assert "_draw_untied" in [name for _, name in frames[worker + 1:]]
 
 
 class TestTensorQuadrature:
