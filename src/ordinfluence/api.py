@@ -16,22 +16,19 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .errors import ConfigurationError, DomainError
-from .funcspec import FunctionSpec
+from .funcspec import CLOSED_FORM, EXACT, MC, FunctionSpec
 from .projection import ApproximationResult, Moments, approximation_from_moments
 
 if TYPE_CHECKING:
     from .montecarlo import IntegrationEstimate
 
-METHOD_PREFERENCE = ("exact", "closed-form", "mc")
+METHOD_PREFERENCE = (EXACT, CLOSED_FORM, MC)
 DEFAULT_SAMPLES = 100_000
 
 
 def resolve_method(spec: FunctionSpec, method: str = "auto") -> str:
     if method == "auto":
-        for candidate in METHOD_PREFERENCE:
-            if candidate in spec.methods:
-                return candidate
-        raise ConfigurationError("spec supports no methods")  # pragma: no cover
+        return spec.methods[0]
     if method not in METHOD_PREFERENCE:
         raise ConfigurationError("unknown method %r" % (method,))
     if method not in spec.methods:
@@ -52,7 +49,7 @@ def function_moments(spec: FunctionSpec, method: str = "auto",
     from the same samples, with their joint covariance.
     """
     method = resolve_method(spec, method)
-    if method == "mc":
+    if method == MC:
         from .montecarlo import mc_profile_moments
         return mc_profile_moments(spec.evaluator(), samples, seed, norm_sq)
     return spec.moments(norm_sq)

@@ -26,7 +26,7 @@ from .errors import (
     SpecFileError,
     TaintedSampleError,
 )
-from .funcspec import SetFunctionSpec, parse_spec_file
+from .funcspec import EXACT, MC, SetFunctionSpec, parse_spec_file
 from .projection import approximation_from_moments
 from .report import ReportDocument, format_value
 
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a JSON function spec")
         if with_method:
             p.add_argument("--method", default="auto",
-                           choices=("auto", "exact", "closed-form", "mc"))
+                           choices=("auto",) + api.METHOD_PREFERENCE)
         if with_samples:
             p.add_argument("--samples", type=int,
                            default=api.DEFAULT_SAMPLES)
@@ -140,7 +140,7 @@ def cmd_influence(args) -> ReportDocument:
         raise DomainError("rank %d outside [1, %d]" % (args.k, n))
     seed = args.seed
     requested = {"method": method, "quantity": "influence"}
-    if method == "mc":
+    if method == MC:
         requested["samples"] = args.samples
     doc = _report("influence", spec, requested, seed)
     moments = api.influence_profile(spec, method, args.samples, seed)
@@ -156,7 +156,7 @@ def cmd_approx(args) -> ReportDocument:
     method = api.resolve_method(spec, args.method)
     seed = args.seed
     requested = {"method": method, "quantity": "approximation"}
-    if method == "mc":
+    if method == MC:
         requested["samples"] = args.samples
     doc = _report("approx", spec, requested, seed)
     n = spec.arity
@@ -203,7 +203,7 @@ def cmd_lovasz(args) -> ReportDocument:
     v = spec.set_function
     levels = level_averages(v)
     for k, value in enumerate(levels.influence_profile(), start=1):
-        doc.results.append(_result_row(k, value, "exact"))
+        doc.results.append(_result_row(k, value, EXACT))
     doc.extras["mean"] = format_value(levels.mean())
     if args.mobius:
         doc.extras["mobius"] = mobius(v).strings()
@@ -253,7 +253,7 @@ def cmd_crosscheck(args):
                    "estimators": ",".join(names)}, seed)
     reference = None
     strongest = api.resolve_method(spec, "auto")
-    if strongest != "mc":
+    if strongest != MC:
         reference = api.influence_value(spec, k, strongest)
         doc.results.append(_result_row(k, reference, strongest, se=0.0))
     for name, est in estimates.items():

@@ -108,6 +108,32 @@ class TestExitCodes:
         assert err.startswith("error: invalid JSON: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "builtin", "name": "min", "arity": 10 ** 12},
+         "arity exceeds 1000 (at arity)"),
+        ({"kind": "builtin", "name": "variance", "arity": 10 ** 12},
+         "arity exceeds 1000 (at arity)"),
+        ({"kind": "plain-polynomial", "arity": 10 ** 12,
+          "terms": [{"coefficient": 1, "exponents": {"1": 1}}]},
+         "arity exceeds 1000 (at arity)"),
+        ({"kind": "orderstat-polynomial", "arity": 10 ** 12,
+          "terms": [{"coefficient": 1, "exponents": {"1": 1}}]},
+         "arity exceeds 1000 (at arity)"),
+        ({"kind": "power-product", "arity": 10 ** 12, "exponent": "1/2"},
+         "arity exceeds 1000 (at arity)"),
+        ({"kind": "orderstat-polynomial", "arity": 3,
+          "terms": [{"coefficient": 1, "exponents": {"1": 10 ** 9}}]},
+         "exponent exceeds 1000 (at terms[0])"),
+    ], ids=["min", "variance", "plain-polynomial", "orderstat-polynomial",
+            "power-product", "orderstat-exponent"])
+    def test_oversized_arity_or_exponent_exits_2(self, tmp_path, capsys,
+                                                 doc, message):
+        # refused at parse time: each of these ran out of time or memory
+        assert cli.main(["approx", write_spec(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s\n" % message
+
     def test_oversized_set_function_arity_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "set-function", "arity": 20000,
                                      "values": []})

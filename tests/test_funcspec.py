@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from ordinfluence import (
 )
 from ordinfluence import funcspec
 from ordinfluence.funcspec import (
+    FunctionSpec,
     MultiplicativeFunctionSpec,
     OrderStatPolynomialSpec,
+    PlainPolynomialSpec,
     PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
@@ -264,6 +267,19 @@ class TestBuiltins:
         assert influence_value(med_even, 2, "exact") == Fraction(1, 2)
         assert influence_value(med_even, 3, "exact") == Fraction(1, 2)
 
+    def test_size_bound_is_inclusive(self):
+        doc = {"kind": "power-product", "arity": funcspec.MAX_SIZE,
+               "exponent": "1/2"}
+        assert parse_spec_document(doc).arity == funcspec.MAX_SIZE
+        doc = {"kind": "orderstat-polynomial", "arity": 2,
+               "terms": [{"coefficient": 1,
+                          "exponents": {"2": funcspec.MAX_SIZE}}]}
+        assert parse_spec_document(doc).poly.terms[0].exponents \
+            == ((2, funcspec.MAX_SIZE),)
+        doc = {"kind": "plain-polynomial", "arity": 2,
+               "terms": [{"coefficient": 1, "exponents": {"2": 10 ** 9}}]}
+        assert parse_spec_document(doc).terms == [(1, {2: 10 ** 9})]
+
     def test_product(self):
         spec = resolve_builtin("product", 2)
         assert influence_value(spec, 1, "exact") == Fraction(4, 5)
@@ -322,3 +338,113 @@ class TestMethodResolution:
             assert "mc" in spec.methods
             est = influence_value(spec, 1, "mc", samples=5000, seed=1)
             assert np.isfinite(est.value)
+
+
+EXACT_MC, CLOSED_MC = ("exact", "mc"), ("closed-form", "mc")
+# (doc, class, methods, evaluator name, describe() less kind and arity)
+DECLARATIONS = {
+    "orderstat-polynomial": (
+        {"kind": "orderstat-polynomial", "arity": 2, "terms": [
+            {"coefficient": 1, "exponents": {"1": 1, "2": 1}}]},
+        OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial",
+        {"constant": "0", "terms": [
+            {"coefficient": "1", "exponents": {"1": 1, "2": 1}}]}),
+    "plain-polynomial": (
+        {"kind": "plain-polynomial", "arity": 2, "constant": "1/3", "terms": [
+            {"coefficient": "1/2", "exponents": {"1": 2}}]},
+        PlainPolynomialSpec, EXACT_MC, "plain-polynomial",
+        {"constant": "1/3", "terms": [
+            {"coefficient": "1/2", "exponents": {"1": 2}}]}),
+    "set-function": (
+        {"kind": "set-function", "arity": 1, "values": [0, "1/2"]},
+        SetFunctionSpec, EXACT_MC, "set-function", {"values": ["0", "1/2"]}),
+    "multiplicative": (
+        {"kind": "multiplicative", "arity": 2,
+         "factors": [{"exponent": 1}, {"exponent": "2/3"}]},
+        MultiplicativeFunctionSpec, CLOSED_MC, "multiplicative",
+        {"factors": [{"exponent": "1"}, {"exponent": "2/3"}]}),
+    "power-product": (
+        {"kind": "power-product", "arity": 3, "exponent": "1/3"},
+        PowerProductSpec, CLOSED_MC, "power-product", {"exponent": "1/3"}),
+    "variance": (
+        None, PlainPolynomialSpec, EXACT_MC, "variance",
+        {"constant": "0", "terms": [
+            {"coefficient": "1/4", "exponents": {"1": 2}},
+            {"coefficient": "1/4", "exponents": {"2": 2}},
+            {"coefficient": "-1/2", "exponents": {"1": 1, "2": 1}}],
+         "builtin": "variance"}),
+    "arithmetic-mean": (
+        None, SetFunctionSpec, EXACT_MC, "arithmetic-mean",
+        {"values": ["0", "1/2", "1/2", "1"], "builtin": "arithmetic-mean"}),
+    "geometric-mean": (
+        None, PowerProductSpec, CLOSED_MC, "geometric-mean",
+        {"exponent": "1/2", "builtin": "geometric-mean"}),
+    "product": (
+        None, PlainPolynomialSpec, EXACT_MC, "product",
+        {"constant": "0", "terms": [
+            {"coefficient": "1", "exponents": {"1": 1, "2": 1}}],
+         "builtin": "product"}),
+    "min": (
+        None, OrderStatPolynomialSpec, EXACT_MC, "min",
+        {"constant": "0", "terms": [
+            {"coefficient": "1", "exponents": {"1": 1}}], "builtin": "min"}),
+    "max": (
+        None, OrderStatPolynomialSpec, EXACT_MC, "max",
+        {"constant": "0", "terms": [
+            {"coefficient": "1", "exponents": {"2": 1}}], "builtin": "max"}),
+    "median": (
+        None, OrderStatPolynomialSpec, EXACT_MC, "median",
+        {"constant": "0", "terms": [
+            {"coefficient": "1/2", "exponents": {"1": 1}},
+            {"coefficient": "1/2", "exponents": {"2": 1}}],
+         "builtin": "median"}),
+    "conjunctive-example-6.1": (
+        None, RawEvaluatorSpec, ("mc",), "conjunctive-example-6.1",
+        {"name": "conjunctive-example-6.1",
+         "builtin": "conjunctive-example-6.1"}),
+}
+
+
+class TestDeclarations:
+    """Each kind, and each builtin at arity 2, states its engine once: the
+    methods, the label of its moments and the evaluator follow from it."""
+
+    def test_every_kind_and_builtin_is_pinned(self):
+        def subclasses(cls):
+            return [c for sub in cls.__subclasses__()
+                    for c in [sub] + subclasses(sub)]
+        kinds = {cls for _, cls, *_ in DECLARATIONS.values()}
+        assert kinds == set(subclasses(FunctionSpec)) - {self.Bare}
+        assert set(BUILTIN_NAMES) <= set(DECLARATIONS)
+
+    @pytest.mark.parametrize("name", list(DECLARATIONS))
+    def test_declaration(self, name):
+        doc, cls, methods, evaluator_name, payload = DECLARATIONS[name]
+        if doc is None:
+            doc = {"kind": "builtin", "name": name, "arity": 2}
+        spec = parse_spec_document(doc)
+        assert type(spec) is cls
+        assert spec.methods == methods
+        assert resolve_method(spec) == methods[0]
+        if cls.engine is None:
+            with pytest.raises(ConfigurationError):
+                spec.moments(False)
+        else:
+            assert spec.moments(False).method == cls.engine == methods[0]
+        assert spec.evaluator().name == evaluator_name
+        assert spec.describe() == {"kind": cls.kind, "arity": doc["arity"],
+                                   **payload}
+
+    @dataclass
+    class Bare(FunctionSpec):
+        arity: int
+        kind = "bare"
+
+    def test_kind_without_engine_is_mc_only(self):
+        spec = self.Bare(3, builtin_name="bare")
+        assert spec.methods == ("mc",)
+        assert resolve_method(spec) == "mc"
+        with pytest.raises(ConfigurationError, match="bare functions"):
+            spec.moments()
+        with pytest.raises(TypeError):
+            self.Bare(3, "bare")  # builtin_name is keyword-only
