@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import ConfigurationError, DomainError
@@ -188,6 +188,18 @@ def os_function(arity: int, k: int) -> OrderStatPolynomial:
 # Moments and inner products
 # ---------------------------------------------------------------------------
 
+def _weight(exponents: Sequence[Tuple[int, int]], running: int = 0) -> int:
+    """The integer prod_j (k_j - 1 + c_1+...+c_j)! / (k_j - 1 + c_1+...+c_{j-1})!
+    of ``moment``, for (slot, exponent) pairs in ascending slot order and
+    ``running`` more degrees on the slots below them.  A slot may repeat:
+    the rising factorials chain, so x_(k)^a x_(k)^b weighs as x_(k)^(a+b)."""
+    weight = 1
+    for slot, exp in exponents:
+        running += exp
+        weight *= perm(slot - 1 + running, exp)
+    return weight
+
+
 def moment(n: int, term: OrderStatMonomial) -> Fraction:
     """Exact integral over [0,1]^n of a monomial in order statistics.
 
@@ -199,13 +211,8 @@ def moment(n: int, term: OrderStatMonomial) -> Fraction:
     if term.arity != n:
         raise DomainError("monomial arity %d != %d" % (term.arity, n))
     total = sum(c for _, c in term.exponents)
-    value = Fraction(factorial(n), factorial(n + total))
-    running = 0
-    for slot, exp in term.exponents:
-        value *= Fraction(factorial(slot - 1 + running + exp),
-                          factorial(slot - 1 + running))
-        running += exp
-    return term.coefficient * value
+    return term.coefficient * Fraction(_weight(term.exponents),
+                                       perm(n + total, total))
 
 
 def integral(f: OrderStatPolynomial) -> Fraction:
@@ -218,6 +225,61 @@ def inner_product_exact(f: OrderStatPolynomial, g: OrderStatPolynomial) -> Fract
     if f.arity != g.arity:
         raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
     return integral(f * g)
+
+
+def _scaled_terms(f: OrderStatPolynomial) -> Tuple[int, list]:
+    """(Q, [(a, exponents, degree), ...]): the nonzero terms of f, its
+    constant as the empty monomial, with integer coefficients a over their
+    common denominator Q."""
+    terms = [(f.constant, ())] + [(t.coefficient, t.exponents) for t in f.terms]
+    q = lcm(*(c.denominator for c, _ in terms))
+    return q, [(c.numerator * (q // c.denominator), exps, sum(e for _, e in exps))
+               for c, exps in terms if c]
+
+
+def rank_inner_products(f: OrderStatPolynomial) -> Tuple[list, int]:
+    """b_i = <f, x_(i)> for i = 0, ..., n+1, with x_(0) = 0 and x_(n+1) = 1
+    (so b_{n+1} is the integral of f), as integer numerators over one
+    denominator, without forming f * x_(i).
+
+    A term of total degree t adds its coefficient times n!/(n+t+1)! times
+    W(e + x_(i)), W the integer weight of ``moment``.  With j the number of
+    the term's slots at or below i and C_j their exponent sum, that weight
+    is W(first j slots) (i + C_j) W(other slots, C_j + 1 degrees below).
+    So between two of its slots a term is linear in i, also at i = 0 and
+    i = n+1."""
+    n = f.arity
+    q, terms = _scaled_terms(f)
+    top = max((t for _, _, t in terms), default=0) + 1
+    b = [0] * (n + 2)
+    for a, exps, degree in terms:
+        a *= perm(n + top, top - degree - 1)  # n!/(n+degree+1)! over n!/(n+top)!
+        bounds = [0] + [slot for slot, _ in exps] + [n + 2]
+        for j in range(len(exps) + 1):
+            c = sum(e for _, e in exps[:j])
+            step = a * _weight(exps[:j]) * _weight(exps[j:], c + 1)
+            for i in range(bounds[j], bounds[j + 1]):
+                b[i] += step * (i + c)
+    return b, q * perm(n + top, top)
+
+
+def orderstat_norm_sq(f: OrderStatPolynomial) -> Fraction:
+    """Exact <f, f> of an order-statistic polynomial without forming f * f:
+    each unordered pair of terms is visited once, an off-diagonal pair
+    counting twice, and the integer weight of its merged exponents is summed
+    per total degree t.  With the coefficients over one denominator Q,
+    <f, f> = sum_t S_t n!/(n+t)! / Q^2, one Fraction."""
+    n = f.arity
+    q, terms = _scaled_terms(f)
+    sums = {}
+    for i, (a, e, s) in enumerate(terms):
+        sums[2 * s] = sums.get(2 * s, 0) + a * a * _weight(sorted(e + e))
+        a *= 2
+        for b, g, t in terms[i + 1:]:
+            sums[s + t] = sums.get(s + t, 0) + a * b * _weight(sorted(e + g))
+    top = max(sums, default=0)
+    return Fraction(sum(v * perm(n + top, top - t) for t, v in sums.items()),
+                    q * q * perm(n + top, top))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +346,16 @@ def product_indices(exponents: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     product form above ``PRODUCT_FORM_LIMIT`` terms raises
     ``ConfigurationError`` before it is built.
     """
+    differences, scale = _product_form(exponents)
+    return tuple(scale * d for d in differences)
+
+
+def _product_form(exponents: Sequence[RationalLike]) -> Tuple[list, Fraction]:
+    """The product form of ``product_indices`` in integers: the differences
+    sums[k-1] - sums[k], k = 1..n, and the one scale that turns them into
+    I(f, k).  With p_i = (c_i + 1) D, the scale
+    (n+1)(n+2) D / L * prod_i 1/(c_i+1) is (n+1)(n+2) D^{n+1} / (L prod_i p_i),
+    L the common denominator of the integrals."""
     cs = [as_rational(c) for c in exponents]
     n = len(cs)
     if n < 1:
@@ -314,10 +386,9 @@ def product_indices(exponents: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     # int_0^1 r_j dy = D * sum_q coeff * (L / (q+D)) / L over one common L
     common = lcm(*(q + den for rj in r for q in rj))
     sums = [sum(a * (common // (q + den)) for q, a in rj.items()) for rj in r]
-    scale = Fraction((n + 1) * (n + 2) * den, common)
-    for c in cs:
-        scale /= c + 1
-    return tuple(scale * (sums[k - 1] - sums[k]) for k in range(1, n + 1))
+    scale = Fraction((n + 1) * (n + 2) * den ** (n + 1),
+                     common * prod(p ** m for p, m in groups.items()))
+    return [sums[k - 1] - sums[k] for k in range(1, n + 1)], scale
 
 
 def plain_indices(arity: int,
@@ -326,8 +397,9 @@ def plain_indices(arity: int,
     """Exact I(f, 1..n) of a plain-variable polynomial without symmetrizing
     it.  The index is linear in f and blind to which variables carry which
     exponents, so the terms are grouped by their sorted exponent list and
-    ``product_indices`` runs once per group with a nonzero coefficient sum.
-    Constants have index 0."""
+    the product form is built once per group with a nonzero coefficient sum.
+    Each group's integer differences enter one sum over a common
+    denominator.  Constants have index 0."""
     n = arity
     shapes = {}
     for coeff, exps in plain_terms:
@@ -338,12 +410,17 @@ def plain_indices(arity: int,
         if len(shape) > n:
             raise DomainError("monomial uses more variables than the arity")
         shapes[shape] = shapes.get(shape, Fraction(0)) + as_rational(coeff)
-    total = [Fraction(0)] * n
+    parts = []
     for shape, coeff in shapes.items():
         if shape and coeff:
-            part = product_indices(shape + (0,) * (n - len(shape)))
-            total = [t + coeff * v for t, v in zip(total, part)]
-    return tuple(total)
+            differences, scale = _product_form(shape + (0,) * (n - len(shape)))
+            parts.append((coeff * scale, differences))
+    common = lcm(*(r.denominator for r, _ in parts))
+    total = [0] * n
+    for r, differences in parts:
+        weight = r.numerator * (common // r.denominator)
+        total = [t + weight * d for t, d in zip(total, differences)]
+    return tuple(Fraction(t, common) for t in total)
 
 
 def plain_integral(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],

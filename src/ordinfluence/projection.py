@@ -24,8 +24,9 @@ from .errors import DegenerateVarianceError, DomainError
 from .exact import (
     OrderStatPolynomial,
     inner_product_exact,
-    integral,
+    orderstat_norm_sq,
     os_function,
+    rank_inner_products,
 )
 
 
@@ -98,6 +99,9 @@ def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
     return inner_product_exact(f, g_basis(f.arity, k))
 
 
+_SMALLEST_NORMAL = 2.0 ** -1022  # sys.float_info.min
+
+
 @dataclass(frozen=True)
 class ApproximationResult:
     """Best shifted L-statistic approximation of f.
@@ -129,12 +133,20 @@ class ApproximationResult:
         return math.sqrt(float(self.variance))
 
     def normalized_index(self, k: int) -> float:
-        """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2)))."""
+        """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2))).  An exact
+        variance below the normal float range takes r^2 as one integer
+        quotient, rounded once, before its signed square root: sigma(f)
+        then underflows, but |r(f, k)| <= 1."""
         n = self.arity
         if not 1 <= k <= n:
             raise DomainError("rank %d outside [1, %d]" % (k, n))
-        return (float(self.coefficients[k - 1])
-                / (self.sigma * math.sqrt(2 * (n + 1) * (n + 2))))
+        index, v = self.coefficients[k - 1], self.variance
+        if isinstance(v, Fraction) and float(v) < _SMALLEST_NORMAL:
+            r = math.sqrt(index.numerator ** 2 * v.denominator
+                          / (index.denominator ** 2 * v.numerator
+                             * 2 * (n + 1) * (n + 2)))
+            return r if index >= 0 else -r
+        return float(index) / (self.sigma * math.sqrt(2 * (n + 1) * (n + 2)))
 
     @property
     def intercept(self):
@@ -222,14 +234,9 @@ def _joint_std_error(covariance, gradient: Sequence[float]) -> float:
 def indices_exact(f: OrderStatPolynomial) -> tuple:
     """I(f, 1..n) from b_i = <f, os_i> by the second difference
     I(f,k) = -(n+1)(n+2)(b_{k+1} - 2 b_k + b_{k-1}), with b_0 = 0 and
-    b_{n+1} = <f, 1>: one product with a single order statistic per rank,
-    where influence_exact multiplies by the three-term kernel g_k."""
-    n = f.arity
-    b = ([Fraction(0)]
-         + [inner_product_exact(f, os_function(n, i)) for i in range(1, n + 1)]
-         + [integral(f)])
-    return tuple(-(n + 1) * (n + 2) * (b[k + 1] - 2 * b[k] + b[k - 1])
-                 for k in range(1, n + 1))
+    b_{n+1} = <f, 1>; see ``moments_exact``.  influence_exact multiplies
+    by the kernel g_k instead."""
+    return moments_exact(f, norm_sq=False).indices
 
 
 def approximation_from_moments(m: Moments) -> ApproximationResult:
@@ -285,6 +292,14 @@ def _r_squared_gradient(m: Moments, r2) -> list:
 
 def moments_exact(f: OrderStatPolynomial, norm_sq: bool = True) -> Moments:
     """Exact Moments of an order-statistic polynomial: I(f, 1..n), the mean
-    and, when ``norm_sq`` is set, <f, f>."""
-    return Moments(f.arity, "exact", indices_exact(f), integral(f),
-                   inner_product_exact(f, f) if norm_sq else None)
+    b_{n+1} and, when ``norm_sq`` is set, <f, f>.  No polynomial is formed:
+    the indices are second differences of the integer numerators that
+    ``exact.rank_inner_products`` gives over one denominator, and <f, f>
+    comes from ``exact.orderstat_norm_sq``."""
+    n = f.arity
+    b, denominator = rank_inner_products(f)
+    scale = -(n + 1) * (n + 2)
+    indices = tuple(Fraction(scale * (b[k + 1] - 2 * b[k] + b[k - 1]), denominator)
+                    for k in range(1, n + 1))
+    return Moments(n, "exact", indices, Fraction(b[-1], denominator),
+                   orderstat_norm_sq(f) if norm_sq else None)

@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, output formats, and report round trips."""
 
 import json
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +329,23 @@ class TestExitCodes:
         path = write_spec(tmp_path, doc)
         assert cli.main(["approx", path]) == 0
         assert "degenerate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_variance_below_the_float_range_keeps_normalized_finite(
+            self, tmp_path, capsys, sign):
+        # sigma(x_(1)^400) at n = 400 is below 1e-308, while |r(f, k)| <= 1
+        doc = {"kind": "orderstat-polynomial", "arity": 400,
+               "terms": [{"coefficient": sign, "exponents": {"1": 400}}]}
+        path = write_spec(tmp_path, doc)
+        assert cli.main(["approx", path, "--method", "exact",
+                         "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert len(rows) == 400
+        for row in rows:
+            r = row["normalized"]
+            assert math.isfinite(r) and abs(r) <= 1, row
+            assert r == 0 or (r > 0) == (Fraction(row["rational"]) > 0), row
+        assert rows[0]["normalized"] * sign > 0
 
     def test_estimated_r_squared_above_one_warns(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "builtin", "arity": 10,

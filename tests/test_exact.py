@@ -17,6 +17,7 @@ from ordinfluence import (
     DomainError,
     dualize,
     exact,
+    influence_exact,
     influence_power_product,
     inner_product_exact,
     integral,
@@ -31,12 +32,14 @@ from ordinfluence.exact import (
     eval_order_stat,
     expand_min_max,
     expand_subset_sum,
+    orderstat_norm_sq,
     plain_indices,
     plain_integral,
     plain_norm_sq,
     product_indices,
+    rank_inner_products,
 )
-from ordinfluence.projection import indices_exact
+from ordinfluence.projection import indices_exact, moments_exact
 
 from conftest import poly_evaluator, random_orderstat_polynomial
 
@@ -110,6 +113,44 @@ class TestMoment:
     def test_coefficient_scales(self):
         t = monomial(3, {2: 1}, Fraction(5, 7))
         assert moment(3, t) == Fraction(5, 7) * Fraction(2, 4)
+
+
+class TestIntegerMoments:
+    """The integer sums behind the exact moments against the polynomial
+    products they replace, as equal Fractions."""
+
+    @staticmethod
+    def random_polynomials(count):
+        rnd = random.Random(53)
+        polys = [polynomial(3), polynomial(4, constant=Fraction(5, 3)),
+                 polynomial(1, [monomial(1, {1: 5}, Fraction(-2, 7))])]
+        while len(polys) < count:
+            n = rnd.randint(1, 12)
+            terms = []
+            for _ in range(rnd.randint(0, 4)):
+                slots = set(rnd.sample(range(1, n + 1), rnd.randint(1, min(n, 3))))
+                if rnd.random() < 0.3:
+                    slots.add(n)
+                terms.append(monomial(n, {s: rnd.randint(1, 5) for s in slots},
+                                      Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))))
+            polys.append(polynomial(n, terms, Fraction(rnd.randint(-3, 3),
+                                                       rnd.randint(1, 4))))
+        return polys
+
+    def test_against_polynomial_products(self):
+        for f in self.random_polynomials(220):
+            n = f.arity
+            b, denominator = rank_inner_products(f)
+            assert len(b) == n + 2
+            for i in range(n + 2):  # os_0 = 0 and os_{n+1} = 1
+                assert (Fraction(b[i], denominator)
+                        == inner_product_exact(f, os_function(n, i)))
+            assert orderstat_norm_sq(f) == inner_product_exact(f, f)
+            m = moments_exact(f)
+            assert m.mean == integral(f)
+            assert m.norm_sq == inner_product_exact(f, f)
+            assert m.indices == tuple(influence_exact(f, k)
+                                      for k in range(1, n + 1))
 
 
 class TestPolynomialAlgebra:
@@ -279,9 +320,10 @@ class TestProductForm:
         for _ in range(36):
             n = rnd.randint(1, 7)
             terms = self.random_plain(rnd, n)
-            constant = Fraction(rnd.randint(-3, 3), 2)
-            assert plain_indices(n, terms) == indices_exact(
-                symmetrize(n, terms, constant))
+            sym = symmetrize(n, terms, Fraction(rnd.randint(-3, 3), 2))
+            # and the kernel product <Sym f, g_k>, which forms polynomials
+            assert plain_indices(n, terms) == indices_exact(sym) == tuple(
+                influence_exact(sym, k) for k in range(1, n + 1))
 
     def test_constant_and_cancelled_shapes_have_index_zero(self):
         terms = [(3, {}), (Fraction(1, 2), {1: 1, 2: 2}),

@@ -254,6 +254,9 @@ class TestEachPrimaryOnce:
     PLAIN = {"kind": "plain-polynomial", "arity": 4, "constant": "1/3",
              "terms": [{"coefficient": "3/2", "exponents": {"2": 1}},
                        {"coefficient": "-1", "exponents": {"3": 2, "1": 1}}]}
+    ORDERSTAT = {"kind": "orderstat-polynomial", "arity": 5, "constant": "2/7",
+                 "terms": [{"coefficient": "1/2", "exponents": {"5": 3}},
+                           {"coefficient": "-4/3", "exponents": {"2": 1, "4": 2}}]}
 
     def run(self, tmp_path, doc, *argv):
         path = tmp_path / "spec.json"
@@ -298,16 +301,32 @@ class TestEachPrimaryOnce:
     def test_plain_influence_takes_one_product_form_per_shape(
             self, tmp_path, monkeypatch, capsys):
         sym = _count_calls(monkeypatch, exact, "symmetrize")
-        calls = _count_calls(monkeypatch, exact, "product_indices")
+        calls = _count_calls(monkeypatch, exact, "_product_form")
         self.run(tmp_path, self.PLAIN, "influence", "--all")
         assert len(calls) == 2 and not sym  # shapes (1,) and (2, 1)
 
     def test_variance_approx_takes_two_product_forms(self, monkeypatch):
         sym = _count_calls(monkeypatch, exact, "symmetrize")
-        calls = _count_calls(monkeypatch, exact, "product_indices")
+        calls = _count_calls(monkeypatch, exact, "_product_form")
         for n in (3, 12):
             resolve_builtin("variance", n).moments()
         assert len(calls) == 4 and not sym
+
+    def test_orderstat_approx_takes_no_polynomial_product(
+            self, tmp_path, monkeypatch, capsys):
+        # the indices, the mean and <f, f> are integer sums over the terms
+        calls = []
+        original = exact.OrderStatPolynomial.__mul__
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(exact.OrderStatPolynomial, name, counted)
+        self.run(tmp_path, self.ORDERSTAT, "approx")
+        self.run(tmp_path, self.ORDERSTAT, "influence", "--all")
+        assert not calls
 
     def test_multiplicative_builds_one_recurrence(self, monkeypatch):
         calls = _count_calls(monkeypatch, exact, "product_indices")
