@@ -1,11 +1,9 @@
 """Exact rational kernel for polynomials of order statistics.
 
-Everything here is computed with arbitrary-precision rationals: evaluation of
-order statistics, the closed-form moment of a product of order-statistic
-powers over the unit cube, inner products, symmetrization of plain-variable
-polynomials, the influence indices of products of powers (product form),
-dualization, and the combinatorial expansions relating subset order
-statistics to the order statistics of the full variable set.
+Everything here is computed with arbitrary-precision rationals: the
+closed-form moment of a product of order-statistic powers over the unit cube,
+inner products, symmetrization of plain-variable polynomials, the influence
+indices of products of powers (product form), and dualization.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -27,23 +25,6 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
-
-
-# ---------------------------------------------------------------------------
-# Order-statistic evaluation
-# ---------------------------------------------------------------------------
-
-def eval_order_stat(x: Sequence, k: int):
-    """k-th smallest coordinate of x, with the conventions rank 0 -> 0 and
-    rank n+1 -> 1.  Ties are handled by multiset (sorting) semantics."""
-    n = len(x)
-    if not 0 <= k <= n + 1:
-        raise DomainError("rank %d outside [0, %d]" % (k, n + 1))
-    if k == 0:
-        return 0
-    if k == n + 1:
-        return 1
-    return sorted(x)[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -496,56 +477,3 @@ def dualize(f: OrderStatPolynomial) -> OrderStatPolynomial:
     """Dual function f^d(x) = 1 - f(1 - x), in canonical form."""
     return 1 - _reflect(f)
 
-
-# ---------------------------------------------------------------------------
-# Subset order-statistic expansions
-# ---------------------------------------------------------------------------
-
-def expand_subset_sum(n: int, s: int, k: int) -> Tuple[int, ...]:
-    """Coefficients (over x_{1:n}, ..., x_{n:n}) of the sum of the k-th order
-    statistic over all subsets of size s:
-
-        sum_{|S|=s} x_{k:S} = sum_j C(j-1, k-1) C(n-j, s-k) x_{j:n}.
-    """
-    if not 1 <= k <= s <= n:
-        raise DomainError("need 1 <= k <= s <= n, got k=%d s=%d n=%d" % (k, s, n))
-    return tuple(comb(j - 1, k - 1) * comb(n - j, s - k) for j in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class SignedSubsetCombination:
-    """A signed combination sum coeff * x_{rank:S} of subset order statistics."""
-
-    arity: int
-    terms: Tuple[Tuple[frozenset, int, Fraction], ...]
-
-    def evaluate(self, x: Sequence):
-        value = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in x) else 0.0
-        for subset, rank, coeff in self.terms:
-            vals = sorted(x[i - 1] for i in subset)
-            value = value + coeff * vals[rank - 1]
-        return value
-
-
-def expand_min_max(n: int, k: int, mode: str) -> SignedSubsetCombination:
-    """Express x_{k:n} through subset maxima ('via-max') or minima ('via-min').
-
-    via-max: x_{k:n} = sum_{|S| >= k} (-1)^{|S|-k} C(|S|-1, k-1) max_S
-    via-min: x_{k:n} = sum_{|S| >= n-k+1} (-1)^{|S|-n+k-1} C(|S|-1, n-k) min_S
-    """
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    terms = []
-    if mode == "via-max":
-        for size in range(k, n + 1):
-            coeff = Fraction((-1) ** (size - k) * comb(size - 1, k - 1))
-            for subset in combinations(range(1, n + 1), size):
-                terms.append((frozenset(subset), size, coeff))
-    elif mode == "via-min":
-        for size in range(n - k + 1, n + 1):
-            coeff = Fraction((-1) ** (size - n + k - 1) * comb(size - 1, n - k))
-            for subset in combinations(range(1, n + 1), size):
-                terms.append((frozenset(subset), 1, coeff))
-    else:
-        raise DomainError("mode must be 'via-max' or 'via-min', got %r" % (mode,))
-    return SignedSubsetCombination(n, tuple(terms))

@@ -290,29 +290,6 @@ def eval_lovasz(v: SetFunction, x: Sequence) -> float:
     return value
 
 
-def eval_lovasz_mobius(v: SetFunction, x: Sequence) -> float:
-    """Evaluate via the Moebius form sum_S m(S) min_{i in S} x_i; agrees with
-    eval_lovasz and is used as its cross-check."""
-    n = v.arity
-    coeffs = mobius(v).floats().tolist()
-    return sum((c * min(x[i] for i in range(n) if mask >> i & 1)
-                for mask, c in enumerate(coeffs) if mask and c), coeffs[0])
-
-
-def directional_slope(v: SetFunction, x: Sequence, k: int) -> float:
-    """Slope of the extension along the k-th smallest coordinate at x,
-    i.e. v({pi(k),...,pi(n)}) - v({pi(k+1),...,pi(n)})."""
-    n = v.arity
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    order = sorted(range(n), key=lambda i: x[i])
-    upper = 0
-    for i in order[k - 1:]:
-        upper |= 1 << i
-    lower = upper ^ (1 << order[k - 1])
-    return float(v.values[upper]) - float(v.values[lower])
-
-
 def _upper_masks(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """For each row t of the (r, m) array ``levels``, the bitmask of
     {j : x_j >= t} at each of the m points of x, in the narrowest unsigned
@@ -354,8 +331,9 @@ def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Slope along the k-th smallest coordinate, v(U_k) - v(U_{k+1}) per row,
-    which on untied rows is the pointwise ``directional_slope``."""
+    """Slope along the k-th smallest coordinate, v(U_k) - v(U_{k+1}) per row:
+    on untied rows, v({pi(k),...,pi(n)}) - v({pi(k+1),...,pi(n)}) with pi
+    sorting the row ascending."""
     upper = values[_upper_masks(x, sorted_columns(x)[k - 1:k + 1])]
     return upper[0] - (upper[1] if k < x.shape[1] else values[0])
 
@@ -366,54 +344,12 @@ def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 def influence_lovasz(v: SetFunction, k: int) -> Fraction:
     """Exact influence index of the extension of v on its k-th smallest
-    variable: vbar(n-k+1) - vbar(n-k), cross-checked against the equivalent
-    Moebius-average form sum_s C(n-k, s-1) mbar(s)."""
+    variable: vbar(n-k+1) - vbar(n-k)."""
     n = v.arity
     if not 1 <= k <= n:
         raise DomainError("rank %d outside [1, %d]" % (k, n))
-    lv = level_averages(v)
-    by_levels = lv.vbar[n - k + 1] - lv.vbar[n - k]
-    by_mobius = sum((comb(n - k, s - 1) * lv.mbar[s]
-                     for s in range(1, n - k + 2)), Fraction(0))
-    assert by_levels == by_mobius
-    return by_levels
-
-
-def influence_os_subset(n: int, subset, j: int, k: int) -> Fraction:
-    """Influence index of the j-th order statistic of the variables in a
-    subset S: C(k-1, j-1) C(n-k, |S|-j) / C(n, |S|) when 0 <= k-j <= n-|S|,
-    and 0 otherwise."""
-    s = len(set(subset))
-    if s == 0:
-        raise DomainError("subset must be nonempty")
-    if not all(1 <= i <= n for i in subset):
-        raise DomainError("subset not contained in [1, %d]" % n)
-    if not 1 <= j <= s:
-        raise DomainError("rank %d outside [1, %d]" % (j, s))
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    if not 0 <= k - j <= n - s:
-        return Fraction(0)
-    return Fraction(comb(k - 1, j - 1) * comb(n - k, s - j), comb(n, s))
-
-
-def os_subset_set_function(n: int, subset, j: int) -> SetFunction:
-    """Vertex set function of the j-th order statistic of the variables in a
-    subset: at a 0/1 vertex T the statistic is 1 iff at most j-1 of the
-    subset's coordinates vanish, i.e. at least |S|-j+1 of them lie in T."""
-    members = [i - 1 for i in set(subset)]
-    threshold = len(members) - j + 1
-    values = []
-    for mask in range(1 << n):
-        count = sum(1 for i in members if mask >> i & 1)
-        values.append(Fraction(1) if count >= threshold else Fraction(0))
-    return SetFunction(n, tuple(values))
-
-
-def dual_set_function(v: SetFunction) -> SetFunction:
-    """Vertex set function of the dual extension: v^d(S) = 1 - v([n] \\ S)."""
-    # [n] \ S is the bitmask 2^n - 1 - S: the table read backwards
-    return SetFunction(v.arity, [1 - x for x in reversed(v.values)])
+    vbar = level_averages(v).vbar
+    return vbar[n - k + 1] - vbar[n - k]
 
 
 # ---------------------------------------------------------------------------

@@ -288,8 +288,6 @@ def sorted_columns(x: np.ndarray) -> np.ndarray:
     those of np.sort for rows without NaN.
     """
     m, n = x.shape
-    if n > NETWORK_MAX_ARITY:
-        return np.sort(x, axis=1).T
     return _sort_into(x, np.empty((n + 1, m)))
 
 
@@ -321,16 +319,6 @@ def _neighbours(xs: np.ndarray, k: int):
     down = xs[k - 2] if k >= 2 else np.broadcast_to(0.0, m)
     up = xs[k] if k < n else np.broadcast_to(1.0, m)
     return down, xs[k - 1], up
-
-
-def g_kernel_values(x: np.ndarray, k: int) -> np.ndarray:
-    """g_k(x) = -(n+1)(n+2)(x_{(k+1)} - 2 x_{(k)} + x_{(k-1)})."""
-    return _g_kernel(x.shape[1], *_neighbours(sorted_columns(x), k))
-
-
-def h_density_values(x: np.ndarray, k: int) -> np.ndarray:
-    """h_k(x) = (n+1)(n+2)(x_{(k+1)} - x_{(k)})(x_{(k)} - x_{(k-1)})."""
-    return _h_density(x.shape[1], *_neighbours(sorted_columns(x), k))
 
 
 def _g_kernel(n: int, down, mid, up) -> np.ndarray:

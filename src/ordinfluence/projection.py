@@ -231,14 +231,6 @@ def _joint_std_error(covariance, gradient: Sequence[float]) -> float:
     return math.sqrt(max(variance, 0.0))
 
 
-def indices_exact(f: OrderStatPolynomial) -> tuple:
-    """I(f, 1..n) from b_i = <f, os_i> by the second difference
-    I(f,k) = -(n+1)(n+2)(b_{k+1} - 2 b_k + b_{k-1}), with b_0 = 0 and
-    b_{n+1} = <f, 1>; see ``moments_exact``.  influence_exact multiplies
-    by the kernel g_k instead."""
-    return moments_exact(f, norm_sq=False).indices
-
-
 def approximation_from_moments(m: Moments) -> ApproximationResult:
     """Assemble the best approximation from the indices, the mean and
     <f, f>: coefficients, residual, R^2 and, for estimated moments, their

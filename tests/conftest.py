@@ -138,9 +138,14 @@ def reference_covariance(f, k, samples, seed):
     acc = _Accumulator()
     for m in _batches(samples):
         x = rng.random((m, n))
-        down, mid, up = reference_neighbours(x, k)
-        acc.add(f(x) * (-(n + 1) * (n + 2) * (up - 2.0 * mid + down)), x)
+        acc.add(f(x) * reference_g_kernel(x, k), x)
     return acc.estimate(seed, "covariance")
+
+
+def reference_g_kernel(x, k):
+    n = x.shape[1]
+    down, mid, up = reference_neighbours(x, k)
+    return -(n + 1) * (n + 2) * (up - 2.0 * mid + down)
 
 
 def reference_h_density(x, k):

@@ -45,15 +45,8 @@ from ordinfluence.closedforms import (
     multiplicative_indices,
     variance_plain_terms,
 )
-from ordinfluence.exact import expand_min_max, expand_subset_sum
 from ordinfluence.funcspec import SetFunctionSpec
-from ordinfluence.lovasz import (
-    dual_set_function,
-    influence_lovasz,
-    influence_os_subset,
-    level_averages,
-    zeta,
-)
+from ordinfluence.lovasz import influence_lovasz, level_averages, zeta
 from ordinfluence.montecarlo import Evaluator
 
 from conftest import (
@@ -61,6 +54,13 @@ from conftest import (
     random_orderstat_polynomial,
     random_plain_terms,
     random_set_function,
+)
+from reference import (
+    dual_set_function,
+    expand_min_max,
+    expand_subset_sum,
+    influence_os_subset,
+    os_subset_set_function,
 )
 
 
@@ -383,7 +383,6 @@ def test_criterion_7_property_suites(announce):
         subset = tuple(sorted(rnd.sample(range(1, n + 1), size)))
         j = rnd.randint(1, size)
         k = rnd.randint(1, n)
-        from ordinfluence.lovasz import os_subset_set_function
         v = os_subset_set_function(n, subset, j)
         ok &= influence_lovasz(v, k) == influence_os_subset(n, subset, j, k)
         cases += 1

@@ -29,9 +29,6 @@ from ordinfluence import (
     tensor_quadrature,
 )
 from ordinfluence.exact import (
-    eval_order_stat,
-    expand_min_max,
-    expand_subset_sum,
     orderstat_norm_sq,
     plain_indices,
     plain_integral,
@@ -39,26 +36,28 @@ from ordinfluence.exact import (
     product_indices,
     rank_inner_products,
 )
-from ordinfluence.projection import indices_exact, moments_exact
+from ordinfluence.projection import moments_exact
 
 from conftest import poly_evaluator, random_orderstat_polynomial
+from reference import expand_min_max, expand_subset_sum
 
 
 class TestEvalOrderStat:
+    # x_(k) at a point through os_function, ranks 0 and n+1 included
     def test_middle_rank(self):
-        assert eval_order_stat((0.3, 0.1, 0.7), 2) == 0.3
+        assert os_function(3, 2).evaluate((0.3, 0.1, 0.7)) == 0.3
 
     def test_ties(self):
-        assert eval_order_stat((0.5, 0.5), 1) == 0.5
-        assert eval_order_stat((0.5, 0.5), 2) == 0.5
+        assert os_function(2, 1).evaluate((0.5, 0.5)) == 0.5
+        assert os_function(2, 2).evaluate((0.5, 0.5)) == 0.5
 
     def test_boundary_ranks(self):
-        assert eval_order_stat((0.2, 0.9), 0) == 0
-        assert eval_order_stat((0.2, 0.9), 3) == 1
+        assert os_function(2, 0).evaluate((0.2, 0.9)) == 0
+        assert os_function(2, 3).evaluate((0.2, 0.9)) == 1
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            eval_order_stat((0.2, 0.9), 4)
+            os_function(2, 4).evaluate((0.2, 0.9))
 
 
 class TestMoment:
@@ -322,7 +321,8 @@ class TestProductForm:
             terms = self.random_plain(rnd, n)
             sym = symmetrize(n, terms, Fraction(rnd.randint(-3, 3), 2))
             # and the kernel product <Sym f, g_k>, which forms polynomials
-            assert plain_indices(n, terms) == indices_exact(sym) == tuple(
+            assert plain_indices(n, terms) == moments_exact(
+                sym, norm_sq=False).indices == tuple(
                 influence_exact(sym, k) for k in range(1, n + 1))
 
     def test_constant_and_cancelled_shapes_have_index_zero(self):
@@ -341,7 +341,8 @@ class TestProductForm:
     def test_mixed_exponents_match_symmetrize(self):
         # x_1^3 x_2 x_4^2 at n = 5, with the unused variables at exponent 0
         sym = symmetrize(5, [(1, {1: 3, 2: 1, 4: 2})])
-        assert product_indices([3, 1, 0, 2, 0]) == indices_exact(sym)
+        assert product_indices([3, 1, 0, 2, 0]) == moments_exact(
+            sym, norm_sq=False).indices
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
 """scipy is imported only on the quadrature paths, numpy with ``lovasz`` and
 ``montecarlo`` only off the exact polynomial paths, and the CLI parser only on
 the first command, checked in fresh interpreters: a test process has usually
-loaded all of them already."""
+loaded all of them already.  The package defines nothing that only tests
+reach."""
 
+import ast
 import json
 import os
 import subprocess
@@ -264,3 +266,34 @@ def test_python_m_ordinfluence_runs_the_cli(argv):
     assert package == run_module("ordinfluence.cli", *argv)
     assert package[0] == (0 if argv == ["--version"] else 2)
     assert package[1] + package[2]
+
+
+def _names_used(node):
+    """Every name, attribute, imported name and identifier-like string
+    constant under ``node``: ``cli.ESTIMATORS`` names estimators by string."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
+
+
+def test_every_src_definition_has_a_package_caller():
+    # a top-level function or class that no package code names outside its
+    # own body, and that __all__ does not export, is test-only code
+    used, defined = set(ordinfluence.__all__), []
+    for path in sorted(Path(ordinfluence.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = set(_names_used(node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append("%s.%s" % (path.stem, node.name))
+                names.discard(node.name)
+            used |= names
+    used |= {"__getattr__", "__dir__"}  # module hooks, called by Python
+    unused = [name for name in defined if name.rpartition(".")[2] not in used]
+    assert not unused, unused

@@ -27,16 +27,17 @@ from ordinfluence import (
     zeta,
 )
 from ordinfluence import lovasz
-from ordinfluence.lovasz import (
+from ordinfluence.lovasz import level_averages
+
+from conftest import random_set_function
+from reference import (
     directional_slope,
     dual_set_function,
     eval_lovasz_mobius,
+    expand_subset_sum,
     influence_os_subset,
-    level_averages,
     os_subset_set_function,
 )
-
-from conftest import random_set_function
 
 
 def _min_min_moment(a, b, c):
@@ -401,13 +402,15 @@ class TestBatchEvaluation:
 
 class TestInfluence:
     def test_both_formulas_used(self, rng):
-        # influence_lovasz asserts agreement of the level-average and
-        # Moebius forms internally; exercise it broadly
+        # the level form vbar(n-k+1) - vbar(n-k) that influence_lovasz
+        # returns equals the Moebius-average form sum_s C(n-k, s-1) mbar(s)
         for _ in range(30):
             n = rng.randint(1, 6)
             v = random_set_function(rng, n)
+            mbar = level_averages(v).mbar
             for k in range(1, n + 1):
-                influence_lovasz(v, k)
+                assert influence_lovasz(v, k) == sum(
+                    comb(n - k, s - 1) * mbar[s] for s in range(1, n - k + 2))
 
     def test_arithmetic_mean(self):
         for n in range(1, 7):
@@ -491,7 +494,6 @@ class TestSubsetOrderStatistics:
             for size in range(1, n + 1):
                 for j in range(1, size + 1):
                     subset = tuple(range(1, size + 1))
-                    from ordinfluence.exact import expand_subset_sum
                     coeffs = expand_subset_sum(n, size, j)
                     sym = sum(
                         (Fraction(c, comb(n, size)) * os_function(n, slot)

@@ -35,11 +35,12 @@ from ordinfluence.montecarlo import (
     _Accumulator,
     _draw_untied,
     _drawn_ahead,
+    _g_kernel,
+    _h_density,
+    _neighbours,
     _rng,
     _shift_rank,
     derive_seed,
-    g_kernel_values,
-    h_density_values,
     mc_profile_moments,
     sorted_columns,
 )
@@ -51,6 +52,7 @@ from conftest import (
     reference_covariance,
     reference_derivative,
     reference_diffquotient,
+    reference_g_kernel,
     reference_neighbours,
     reference_profile_moments,
     reference_shift,
@@ -72,19 +74,27 @@ def single_coordinate_evaluator(n):
     return Evaluator(n, lambda x: x[:, 0], derivative, name="x1")
 
 
+def kernels(x, k):
+    """(g_k, h_k) at the rows of x, as the estimators compute them."""
+    n, neighbours = x.shape[1], _neighbours(sorted_columns(x), k)
+    return _g_kernel(n, *neighbours), _h_density(n, *neighbours)
+
+
 class TestKernelsOnSamples:
     def test_g_kernel_matches_definition(self):
         x = np.array([[0.1, 0.6, 0.4], [0.9, 0.2, 0.5]])
         # n=3: g_2 = -20 (x_(3) - 2 x_(2) + x_(1))
-        got = g_kernel_values(x, 2)
+        got, _ = kernels(x, 2)
         assert got[0] == pytest.approx(-20 * (0.6 - 0.8 + 0.1))
         assert got[1] == pytest.approx(-20 * (0.9 - 1.0 + 0.2))
 
     def test_boundary_ranks_use_conventions(self):
         x = np.array([[0.3, 0.7]])
         # n=2, k=2: os_3 = 1
-        assert g_kernel_values(x, 2)[0] == pytest.approx(-12 * (1 - 1.4 + 0.3))
-        assert h_density_values(x, 1)[0] == pytest.approx(12 * 0.4 * 0.3)
+        g, _ = kernels(x, 2)
+        _, h = kernels(x, 1)
+        assert g[0] == pytest.approx(-12 * (1 - 1.4 + 0.3))
+        assert h[0] == pytest.approx(12 * 0.4 * 0.3)
 
 
 def weighted_squares_evaluator(n):
@@ -394,7 +404,7 @@ class TestOnePass:
         v = ev(x)
         for k, got in enumerate(est.indices, start=1):
             assert got == pytest.approx(
-                np.mean(v * g_kernel_values(x, k)), rel=1e-12, abs=1e-12)
+                np.mean(v * reference_g_kernel(x, k)), rel=1e-12, abs=1e-12)
         assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
         assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
         # (n+1)^2 f - (n+1)(n+2) f x_(n) at n = 3
@@ -403,7 +413,8 @@ class TestOnePass:
         assert est.tail_std_error() == pytest.approx(
             np.std(tail, ddof=1) / np.sqrt(samples), rel=1e-9)
         assert est.covariance[0][1] == pytest.approx(
-            np.cov(v * g_kernel_values(x, 1), v * g_kernel_values(x, 2))[0, 1]
+            np.cov(v * reference_g_kernel(x, 1),
+                   v * reference_g_kernel(x, 2))[0, 1]
             / samples, rel=1e-9)
 
     @pytest.mark.parametrize("ev", [
@@ -434,7 +445,7 @@ class TestOnePass:
         v = x[:, 0]
         for k, got in enumerate(est.indices, start=1):
             assert got == pytest.approx(
-                np.mean(v * g_kernel_values(x, k)), rel=1e-12, abs=1e-12)
+                np.mean(v * reference_g_kernel(x, k)), rel=1e-12, abs=1e-12)
         assert est.mean == pytest.approx(np.mean(v), rel=1e-12)
         assert est.norm_sq == pytest.approx(np.mean(v * v), rel=1e-12)
 
@@ -445,7 +456,7 @@ class TestOnePass:
         est = mc_profile_moments(ev, samples, 8, norm_sq)
         x = _rng(derive_seed(8, 0)).random((samples, n))
         v = ev(x)
-        columns = [v * g_kernel_values(x, k) for k in range(1, n + 1)] + [v]
+        columns = [v * reference_g_kernel(x, k) for k in range(1, n + 1)] + [v]
         values = est.indices + (est.mean,)
         ses = est.index_std_errors + (est.mean_std_error,)
         if norm_sq:
