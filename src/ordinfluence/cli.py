@@ -26,7 +26,8 @@ from .errors import (
     SpecFileError,
     TaintedSampleError,
 )
-from .funcspec import EXACT, MC, SetFunctionSpec, parse_spec_file
+from .funcspec import EXACT, MC, SetFunctionSpec, load_spec_document, \
+    parse_spec_document
 from .projection import approximation_from_moments
 from .report import ReportDocument, format_value
 
@@ -122,14 +123,21 @@ def _result_row(k, value, method, se=None) -> dict:
     return row
 
 
-def _report(command, spec, requested, seed) -> ReportDocument:
-    return ReportDocument(command=command, spec=spec.describe(),
+def _load(path: str):
+    """The spec file's document, which the report echoes as given, and the
+    function it declares."""
+    document = load_spec_document(path)
+    return document, parse_spec_document(document)
+
+
+def _report(command, document, requested, seed) -> ReportDocument:
+    return ReportDocument(command=command, spec=document,
                           requested=requested, results=[], seed=seed,
                           version=__version__)
 
 
 def cmd_influence(args) -> ReportDocument:
-    spec = parse_spec_file(args.spec)
+    document, spec = _load(args.spec)
     method = api.resolve_method(spec, args.method)
     n = spec.arity
     if args.all:
@@ -142,7 +150,7 @@ def cmd_influence(args) -> ReportDocument:
     requested = {"method": method, "quantity": "influence"}
     if method == MC:
         requested["samples"] = args.samples
-    doc = _report("influence", spec, requested, seed)
+    doc = _report("influence", document, requested, seed)
     moments = api.influence_profile(spec, method, args.samples, seed)
     ses = moments.index_std_errors or (None,) * n
     for k in ranks:
@@ -152,13 +160,13 @@ def cmd_influence(args) -> ReportDocument:
 
 
 def cmd_approx(args) -> ReportDocument:
-    spec = parse_spec_file(args.spec)
+    document, spec = _load(args.spec)
     method = api.resolve_method(spec, args.method)
     seed = args.seed
     requested = {"method": method, "quantity": "approximation"}
     if method == MC:
         requested["samples"] = args.samples
-    doc = _report("approx", spec, requested, seed)
+    doc = _report("approx", document, requested, seed)
     n = spec.arity
     moments = api.function_moments(spec, method, args.samples, seed)
     ses = moments.index_std_errors or (None,) * n
@@ -192,13 +200,13 @@ def cmd_approx(args) -> ReportDocument:
 
 
 def cmd_lovasz(args) -> ReportDocument:
-    spec = parse_spec_file(args.spec)
+    document, spec = _load(args.spec)
     if not isinstance(spec, SetFunctionSpec):
         raise ConfigurationError("the lovasz command needs a set-function "
                                  "spec, got kind %r" % spec.kind)
     from .lovasz import equal_influence_class, level_averages, mobius, \
         symmetric_part
-    doc = _report("lovasz", spec, {"quantity": "set-function diagnostics"},
+    doc = _report("lovasz", document, {"quantity": "set-function diagnostics"},
                   args.seed)
     v = spec.set_function
     levels = level_averages(v)
@@ -227,7 +235,7 @@ def cmd_lovasz(args) -> ReportDocument:
 
 def cmd_crosscheck(args):
     from . import montecarlo
-    spec = parse_spec_file(args.spec)
+    document, spec = _load(args.spec)
     k = args.k
     if not 1 <= k <= spec.arity:
         raise DomainError("rank %d outside [1, %d]" % (k, spec.arity))
@@ -248,7 +256,7 @@ def cmd_crosscheck(args):
             evaluator, k, args.samples, montecarlo.derive_seed(seed, 1000 + i),
             *extra)
 
-    doc = _report("crosscheck", spec,
+    doc = _report("crosscheck", document,
                   {"k": k, "samples": args.samples,
                    "estimators": ",".join(names)}, seed)
     reference = None

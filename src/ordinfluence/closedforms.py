@@ -175,10 +175,23 @@ class MultiplicativeSpec:
         return out
 
     def norm_sq(self) -> float:
+        """<f, f> = prod_i int_0^1 phi_i^2, which is 0.0 only when some
+        phi_i = 0."""
         out = 1.0
         for factor in self.factors:
-            out *= factor.phi_sq_integral()
-        return out
+            integral = factor.phi_sq_integral()
+            if integral == 0.0:
+                return 0.0
+            out *= integral
+        return positive_norm_sq(out)
+
+
+def positive_norm_sq(value: float) -> float:
+    """``value``, a positive <f, f> taken in floats; OverflowError when it
+    has rounded to 0.0, where it would read as a constant function."""
+    if value == 0.0:
+        raise OverflowError("<f, f> is positive but rounds to 0.0")
+    return value
 
 
 def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
@@ -298,26 +311,17 @@ class VarianceApproximation:
     arity: int
     indices: Tuple[Fraction, ...]
     intercept: Fraction
-    gini_consistent: bool
 
 
 def variance_profile(n: int) -> VarianceApproximation:
     """Exact slopes I(k) = (n+2)(2k-n-1)/(n^2(n+3)) and intercept
-    (1-n^2)/(12n(n+3)); also verifies, by coefficient comparison, the
-    equivalent form (n-1)/(12n(n+3)) (6(n+2)G - (n+1)) in terms of Gini's
-    mean difference G = (2/(n(n-1))) sum (2k-n-1) x_{(k)}."""
+    (1-n^2)/(12n(n+3))."""
     if n < 2:
         raise DomainError("variance statistic needs arity >= 2")
     indices = tuple(Fraction((n + 2) * (2 * k - n - 1), n * n * (n + 3))
                     for k in range(1, n + 1))
     intercept = Fraction(1 - n * n, 12 * n * (n + 3))
-    gini_scale = Fraction(n - 1, 12 * n * (n + 3))
-    gini_slopes = tuple(gini_scale * 6 * (n + 2) * Fraction(2 * (2 * k - n - 1),
-                                                            n * (n - 1))
-                        for k in range(1, n + 1))
-    gini_intercept = gini_scale * -(n + 1)
-    consistent = gini_slopes == indices and gini_intercept == intercept
-    return VarianceApproximation(n, indices, intercept, consistent)
+    return VarianceApproximation(n, indices, intercept)
 
 
 def variance_plain_terms(n: int):

@@ -17,7 +17,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
-    influence_power_product, multiplicative_indices, variance_plain_terms
+    influence_power_product, multiplicative_indices, positive_norm_sq, \
+    variance_plain_terms
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
@@ -43,8 +44,8 @@ MAX_SIZE = 1000
 class FunctionSpec:
     """Base class.  A kind is a dataclass with the class attributes ``kind``
     and ``engine`` (EXACT, CLOSED_FORM, or None when only MC applies), an
-    ``arity``, ``moments`` when it has an engine, ``payload``, and ``_maps``,
-    the MC map of f and optionally its derivative, or its own ``evaluator``."""
+    ``arity``, ``moments`` when it has an engine, and ``_maps``, the MC map
+    of f and optionally its derivative, or its own ``evaluator``."""
 
     kind = "abstract"
     engine = None
@@ -67,20 +68,6 @@ class FunctionSpec:
         from .montecarlo import Evaluator
         return Evaluator(self.arity, *self._maps(),
                          name=self.builtin_name or self.kind)
-
-    def payload(self) -> dict:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        doc = {"kind": self.kind, "arity": self.arity}
-        doc.update(self.payload())
-        if self.builtin_name:
-            doc["builtin"] = self.builtin_name
-        return doc
-
-
-def _rational_str(value) -> str:
-    return str(as_rational(value))
 
 
 def _monomial_sum(columns: np.ndarray, terms: list,
@@ -117,14 +104,6 @@ class OrderStatPolynomialSpec(FunctionSpec):
         constant = float(self.poly.constant)
         return (lambda x: _monomial_sum(sorted_columns(x), terms, constant),)
 
-    def payload(self):
-        return {
-            "constant": _rational_str(self.poly.constant),
-            "terms": [{"coefficient": _rational_str(t.coefficient),
-                       "exponents": {str(slot): exp for slot, exp in t.exponents}}
-                      for t in self.poly.terms],
-        }
-
 
 @dataclass
 class PlainPolynomialSpec(FunctionSpec):
@@ -147,14 +126,6 @@ class PlainPolynomialSpec(FunctionSpec):
                  for c, exps in self.terms]
         constant = float(self.constant)
         return (lambda x: _monomial_sum(x.T, terms, constant),)
-
-    def payload(self):
-        return {
-            "constant": _rational_str(self.constant),
-            "terms": [{"coefficient": _rational_str(c),
-                       "exponents": {str(v): int(e) for v, e in exps.items()}}
-                      for c, exps in self.terms],
-        }
 
 
 @dataclass
@@ -181,9 +152,6 @@ class SetFunctionSpec(FunctionSpec):
         return (partial(lovasz_eval_batch, values),
                 partial(lovasz_slope_batch, values))
 
-    def payload(self):
-        return {"values": self.set_function.strings()}
-
 
 @dataclass
 class MultiplicativeFunctionSpec(FunctionSpec):
@@ -204,15 +172,6 @@ class MultiplicativeFunctionSpec(FunctionSpec):
     def _maps(self):
         return (self.spec.evaluate,)
 
-    def payload(self):
-        factors = []
-        for f in self.spec.factors:
-            if f.is_symbolic:
-                factors.append({"exponent": _rational_str(f.exponent)})
-            else:
-                factors.append({"callable": repr(f.phi)})
-        return {"factors": factors}
-
 
 @dataclass
 class PowerProductSpec(FunctionSpec):
@@ -231,7 +190,8 @@ class PowerProductSpec(FunctionSpec):
         n = self.arity
         indices = tuple(influence_power_product(c, n, k) for k in range(1, n + 1))
         return Moments(n, self.engine, indices, (1.0 / (c + 1.0)) ** n,
-                       (1.0 / (2.0 * c + 1.0)) ** n if norm_sq else None)
+                       positive_norm_sq((1.0 / (2.0 * c + 1.0)) ** n)
+                       if norm_sq else None)
 
     def _maps(self):
         from .montecarlo import sorted_columns
@@ -252,9 +212,6 @@ class PowerProductSpec(FunctionSpec):
 
         return func, derivative
 
-    def payload(self):
-        return {"exponent": _rational_str(self.exponent)}
-
 
 @dataclass
 class RawEvaluatorSpec(FunctionSpec):
@@ -269,9 +226,6 @@ class RawEvaluatorSpec(FunctionSpec):
 
     def evaluator(self):
         return self.raw
-
-    def payload(self):
-        return {"name": self.builtin_name or self.raw.name}
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +294,30 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
 # JSON spec files
 # ---------------------------------------------------------------------------
 
+# The fields each kind reads besides "kind" and "arity".  A spec document
+# holds no other key, so the report's echo of it holds only checked values.
+KIND_FIELDS = {
+    "orderstat-polynomial": ("terms", "constant"),
+    "plain-polynomial": ("terms", "constant"),
+    "set-function": ("values",),
+    "multiplicative": ("factors",),
+    "power-product": ("exponent",),
+    "builtin": ("name",),
+}
+
+
 def _require(doc: dict, key: str, location: str):
     if key not in doc:
         raise SpecFileError("missing required field %r" % key, location)
     return doc[key]
+
+
+def _only(doc: dict, location: str, *fields: str):
+    """Refuse a key of the object ``doc`` that is not one of ``fields``: a
+    misspelled field would otherwise be ignored."""
+    for key in doc:
+        if key not in fields:
+            raise SpecFileError("unknown field %r" % key, location)
 
 
 def _parse_rational(value, location: str) -> Fraction:
@@ -384,6 +358,7 @@ def _parse_terms(raw, location: str, slot_bound: int, max_exponent=None):
         loc = "%s[%d]" % (location, i)
         if not isinstance(term, dict):
             raise SpecFileError("term must be an object", loc)
+        _only(term, loc, "coefficient", "exponents")
         coeff = _parse_rational(_require(term, "coefficient", loc), loc)
         raw_exps = _require(term, "exponents", loc)
         if not isinstance(raw_exps, dict):
@@ -418,6 +393,9 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         raise SpecFileError("arity must be a positive integer", "arity")
     if arity > MAX_SIZE:
         raise SpecFileError("arity exceeds %d" % MAX_SIZE, "arity")
+    if not isinstance(kind, str) or kind not in KIND_FIELDS:
+        raise SpecFileError("unknown kind %r" % (kind,), "kind")
+    _only(doc, "$", "kind", "arity", *KIND_FIELDS[kind])
 
     if kind == "orderstat-polynomial":
         terms = _parse_terms(doc.get("terms", []), "terms", arity, MAX_SIZE)
@@ -447,9 +425,10 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         factors = []
         for i, rf in enumerate(raw_factors):
             loc = "factors[%d]" % i
-            if not isinstance(rf, dict) or "exponent" not in rf:
-                raise SpecFileError("factor must declare an exponent", loc)
-            c = _parse_rational(rf["exponent"], loc)
+            if not isinstance(rf, dict):
+                raise SpecFileError("factor must be an object", loc)
+            _only(rf, loc, "exponent")
+            c = _parse_rational(_require(rf, "exponent", loc), loc)
             if c <= Fraction(-1, 2):
                 raise SpecFileError("factor exponent must exceed -1/2", loc)
             factors.append(UnaryFactor.power(c))
@@ -459,13 +438,11 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         if c <= Fraction(-1, 2):
             raise SpecFileError("exponent must exceed -1/2", "exponent")
         return PowerProductSpec(arity, c)
-    if kind == "builtin":
-        name = _require(doc, "name", "name")
-        try:
-            return resolve_builtin(name, arity)
-        except DomainError as exc:
-            raise SpecFileError(str(exc), "name")
-    raise SpecFileError("unknown kind %r" % (kind,), "kind")
+    name = _require(doc, "name", "name")  # the last kind, "builtin"
+    try:
+        return resolve_builtin(name, arity)
+    except DomainError as exc:
+        raise SpecFileError(str(exc), "name")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -479,8 +456,9 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def parse_spec_file(path: str) -> FunctionSpec:
-    """Load a function spec from a JSON file."""
+def load_spec_document(path: str) -> dict:
+    """The JSON document in the file at ``path``, for
+    ``parse_spec_document``."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
@@ -493,4 +471,9 @@ def parse_spec_file(path: str) -> FunctionSpec:
     except (RecursionError, ValueError) as exc:
         # a key named twice, too deep a nesting or too long an integer
         raise SpecFileError("invalid JSON: %s" % exc, path)
-    return parse_spec_document(doc)
+    return doc
+
+
+def parse_spec_file(path: str) -> FunctionSpec:
+    """Load a function spec from a JSON file."""
+    return parse_spec_document(load_spec_document(path))

@@ -225,6 +225,57 @@ class TestExitCodes:
         assert cli.main(["influence", path, "--all"]) == 2
         assert "(at %s)" % location in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "plain-polynomial", "arity": 1, "constnat": "5", "terms": '
+         '[{"coefficient": 1, "exponents": {"1": 1}}]}',
+         "unknown field 'constnat' (at $)"),
+        ('{"kind": "power-product", "arity": 2, "exponet": 2, "exponent": 1}',
+         "unknown field 'exponet' (at $)"),
+        ('{"kind": "builtin", "name": "min", "arity": 2, "builtin": "min"}',
+         "unknown field 'builtin' (at $)"),
+        ('{"kind": "orderstat-polynomial", "arity": 2, "terms": [{"coefficient"'
+         ': 1, "exponents": {"1": 1}}, {"coeficient": 1, "exponents": {}}]}',
+         "unknown field 'coeficient' (at terms[1])"),
+        ('{"kind": "multiplicative", "arity": 2, "factors": [{"exponent": 1}, '
+         '{"exponent": 1, "callable": "sin"}]}',
+         "unknown field 'callable' (at factors[1])"),
+        # nested deeper than the report's JSON writer could echo
+        ('{"kind": "power-product", "arity": 2, "exponent": 1, "note": %s%s}'
+         % ("[" * 600, "]" * 600), "unknown field 'note' (at $)"),
+    ], ids=["top-level", "misspelled-required", "builtin", "term", "factor",
+            "deep"])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, text, message):
+        # the report echoes the spec document, so it holds no field that
+        # the kind ignores
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        for command in (["influence", "--all"], ["approx"]):
+            assert cli.main([command[0], str(path)] + command[1:]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "power-product", "arity": 400, "exponent": 3},
+        {"kind": "power-product", "arity": 1000, "exponent": 1},
+        {"kind": "multiplicative", "arity": 60,
+         "factors": [{"exponent": 10 ** 6}] * 60},
+    ], ids=["power-product-400", "power-product-1000", "multiplicative"])
+    def test_closed_form_norm_below_the_float_range_exits_3(
+            self, tmp_path, capsys, doc):
+        # <f, f> = 7^-400 rounds to 0.0, but f is not constant; the indices
+        # need no <f, f>
+        path = write_spec(tmp_path, doc)
+        assert cli.main(["approx", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a value is beyond the float range: ")
+        assert err.count("\n") == 1
+        assert cli.main(["influence", path, "--all", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert len(rows) == doc["arity"]
+        assert all(math.isfinite(row["value"]) for row in rows)
+
     def test_incompatible_method_exits_3(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
                                      "exponent": 1})
@@ -242,7 +293,7 @@ class TestExitCodes:
         path = write_spec(tmp_path, PRODUCT_DOC)
         bad = RawEvaluatorSpec(Evaluator(2, lambda x: np.full(len(x), np.nan),
                                          name="nan"))
-        monkeypatch.setattr(cli, "parse_spec_file", lambda _: bad)
+        monkeypatch.setattr(cli, "parse_spec_document", lambda _: bad)
         assert cli.main(["influence", path, "-k", "1", "--method", "mc",
                          "--samples", "1000"]) == 4
 

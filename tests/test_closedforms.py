@@ -320,7 +320,13 @@ class TestVariance:
             approx = best_approximation(OrderStatPolynomialSpec(poly))
             assert approx.coefficients[:-1] == closed.indices
             assert approx.coefficients[-1] == closed.intercept
-            assert closed.gini_consistent
+            # the same fit as (n-1)/(12n(n+3)) (6(n+2)G - (n+1)), with Gini's
+            # mean difference G = (2/(n(n-1))) sum (2k-n-1) x_(k)
+            scale = Fraction(n - 1, 12 * n * (n + 3))
+            assert closed.indices == tuple(
+                scale * 6 * (n + 2) * Fraction(2 * (2 * k - n - 1), n * (n - 1))
+                for k in range(1, n + 1))
+            assert closed.intercept == scale * -(n + 1)
 
     def test_antisymmetric_profile(self):
         for n in range(2, 8):

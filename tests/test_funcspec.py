@@ -20,7 +20,7 @@ from ordinfluence import (
     resolve_builtin,
     resolve_method,
 )
-from ordinfluence import funcspec
+from ordinfluence import cli, funcspec
 from ordinfluence.funcspec import (
     FunctionSpec,
     MultiplicativeFunctionSpec,
@@ -29,6 +29,7 @@ from ordinfluence.funcspec import (
     PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
+    load_spec_document,
 )
 from ordinfluence.exact import as_rational
 from ordinfluence.lovasz import SetFunction, _scaled_numerators, mobius, zeta
@@ -160,8 +161,8 @@ class TestParsing:
                "values": ["0", "1/2", "1/2", "1"]}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        spec = parse_spec_file(str(path))
-        assert spec.describe()["values"] == doc["values"]
+        assert load_spec_document(str(path)) == doc
+        assert parse_spec_file(str(path)) == parse_spec_document(doc)
 
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
@@ -199,8 +200,9 @@ class TestBuiltins:
                 Fraction(bin(mask).count("1"), n) for mask in range(1 << n)))
 
     def test_set_function_payload_formats_every_value(self):
-        # the spec echo equals the per-value strings, also for int and float
-        # values, numerators past int64 and a table a transform handed on
+        # strings(), which lovasz --mobius prints, equals the per-value
+        # strings, also for int and float values, numerators past int64 and
+        # a table a transform handed on
         rng = random.Random(5_2026)
         cases = [resolve_builtin("arithmetic-mean", n).set_function
                  for n in (1, 4, 10)]
@@ -213,8 +215,7 @@ class TestBuiltins:
                                           for i in range(8))))
         cases.append(zeta(mobius(cases[4])))
         for v in cases:
-            assert SetFunctionSpec(v).payload() == {
-                "values": [str(as_rational(x)) for x in v.values]}
+            assert v.strings() == [str(as_rational(x)) for x in v.values]
 
     def test_set_function_float_table(self):
         # one p / D per distinct numerator gives float(v) of every value, for
@@ -341,68 +342,41 @@ class TestMethodResolution:
 
 
 EXACT_MC, CLOSED_MC = ("exact", "mc"), ("closed-form", "mc")
-# (doc, class, methods, evaluator name, describe() less kind and arity)
+# (doc, class, methods, evaluator name); a builtin's doc is None
 DECLARATIONS = {
     "orderstat-polynomial": (
         {"kind": "orderstat-polynomial", "arity": 2, "terms": [
             {"coefficient": 1, "exponents": {"1": 1, "2": 1}}]},
-        OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial",
-        {"constant": "0", "terms": [
-            {"coefficient": "1", "exponents": {"1": 1, "2": 1}}]}),
+        OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial"),
     "plain-polynomial": (
         {"kind": "plain-polynomial", "arity": 2, "constant": "1/3", "terms": [
             {"coefficient": "1/2", "exponents": {"1": 2}}]},
-        PlainPolynomialSpec, EXACT_MC, "plain-polynomial",
-        {"constant": "1/3", "terms": [
-            {"coefficient": "1/2", "exponents": {"1": 2}}]}),
+        PlainPolynomialSpec, EXACT_MC, "plain-polynomial"),
     "set-function": (
         {"kind": "set-function", "arity": 1, "values": [0, "1/2"]},
-        SetFunctionSpec, EXACT_MC, "set-function", {"values": ["0", "1/2"]}),
+        SetFunctionSpec, EXACT_MC, "set-function"),
     "multiplicative": (
         {"kind": "multiplicative", "arity": 2,
          "factors": [{"exponent": 1}, {"exponent": "2/3"}]},
-        MultiplicativeFunctionSpec, CLOSED_MC, "multiplicative",
-        {"factors": [{"exponent": "1"}, {"exponent": "2/3"}]}),
+        MultiplicativeFunctionSpec, CLOSED_MC, "multiplicative"),
     "power-product": (
         {"kind": "power-product", "arity": 3, "exponent": "1/3"},
-        PowerProductSpec, CLOSED_MC, "power-product", {"exponent": "1/3"}),
-    "variance": (
-        None, PlainPolynomialSpec, EXACT_MC, "variance",
-        {"constant": "0", "terms": [
-            {"coefficient": "1/4", "exponents": {"1": 2}},
-            {"coefficient": "1/4", "exponents": {"2": 2}},
-            {"coefficient": "-1/2", "exponents": {"1": 1, "2": 1}}],
-         "builtin": "variance"}),
-    "arithmetic-mean": (
-        None, SetFunctionSpec, EXACT_MC, "arithmetic-mean",
-        {"values": ["0", "1/2", "1/2", "1"], "builtin": "arithmetic-mean"}),
-    "geometric-mean": (
-        None, PowerProductSpec, CLOSED_MC, "geometric-mean",
-        {"exponent": "1/2", "builtin": "geometric-mean"}),
-    "product": (
-        None, PlainPolynomialSpec, EXACT_MC, "product",
-        {"constant": "0", "terms": [
-            {"coefficient": "1", "exponents": {"1": 1, "2": 1}}],
-         "builtin": "product"}),
-    "min": (
-        None, OrderStatPolynomialSpec, EXACT_MC, "min",
-        {"constant": "0", "terms": [
-            {"coefficient": "1", "exponents": {"1": 1}}], "builtin": "min"}),
-    "max": (
-        None, OrderStatPolynomialSpec, EXACT_MC, "max",
-        {"constant": "0", "terms": [
-            {"coefficient": "1", "exponents": {"2": 1}}], "builtin": "max"}),
-    "median": (
-        None, OrderStatPolynomialSpec, EXACT_MC, "median",
-        {"constant": "0", "terms": [
-            {"coefficient": "1/2", "exponents": {"1": 1}},
-            {"coefficient": "1/2", "exponents": {"2": 1}}],
-         "builtin": "median"}),
+        PowerProductSpec, CLOSED_MC, "power-product"),
+    "variance": (None, PlainPolynomialSpec, EXACT_MC, "variance"),
+    "arithmetic-mean": (None, SetFunctionSpec, EXACT_MC, "arithmetic-mean"),
+    "geometric-mean": (None, PowerProductSpec, CLOSED_MC, "geometric-mean"),
+    "product": (None, PlainPolynomialSpec, EXACT_MC, "product"),
+    "min": (None, OrderStatPolynomialSpec, EXACT_MC, "min"),
+    "max": (None, OrderStatPolynomialSpec, EXACT_MC, "max"),
+    "median": (None, OrderStatPolynomialSpec, EXACT_MC, "median"),
     "conjunctive-example-6.1": (
-        None, RawEvaluatorSpec, ("mc",), "conjunctive-example-6.1",
-        {"name": "conjunctive-example-6.1",
-         "builtin": "conjunctive-example-6.1"}),
+        None, RawEvaluatorSpec, ("mc",), "conjunctive-example-6.1"),
 }
+
+
+def declared_doc(name):
+    doc = DECLARATIONS[name][0]
+    return doc or {"kind": "builtin", "name": name, "arity": 2}
 
 
 class TestDeclarations:
@@ -419,10 +393,8 @@ class TestDeclarations:
 
     @pytest.mark.parametrize("name", list(DECLARATIONS))
     def test_declaration(self, name):
-        doc, cls, methods, evaluator_name, payload = DECLARATIONS[name]
-        if doc is None:
-            doc = {"kind": "builtin", "name": name, "arity": 2}
-        spec = parse_spec_document(doc)
+        _, cls, methods, evaluator_name = DECLARATIONS[name]
+        spec = parse_spec_document(declared_doc(name))
         assert type(spec) is cls
         assert spec.methods == methods
         assert resolve_method(spec) == methods[0]
@@ -432,8 +404,25 @@ class TestDeclarations:
         else:
             assert spec.moments(False).method == cls.engine == methods[0]
         assert spec.evaluator().name == evaluator_name
-        assert spec.describe() == {"kind": cls.kind, "arity": doc["arity"],
-                                   **payload}
+
+    @pytest.mark.parametrize("name", list(DECLARATIONS))
+    def test_report_echoes_the_spec_file(self, name, tmp_path, capsys):
+        # every command that accepts the spec reports the file's document
+        # as written, a builtin by its name
+        doc = declared_doc(name)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        mc = ["--samples", "2000", "--seed", "1"]
+        runs = [["influence", "--all"] + mc, ["approx"] + mc,
+                ["crosscheck", "-k", "1"] + mc]
+        if DECLARATIONS[name][1] is SetFunctionSpec:
+            runs.append(["lovasz", "--mobius"])
+        for argv in runs:
+            code = cli.main([argv[0], str(path)] + argv[1:]
+                            + ["--format", "json"])
+            # crosscheck prints its report also when the estimates disagree
+            assert code in ((0, 5) if argv[0] == "crosscheck" else (0,))
+            assert json.loads(capsys.readouterr().out)["spec"] == doc
 
     @dataclass
     class Bare(FunctionSpec):
