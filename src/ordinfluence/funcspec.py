@@ -441,8 +441,8 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
     name = _require(doc, "name", "name")  # the last kind, "builtin"
     try:
         return resolve_builtin(name, arity)
-    except DomainError as exc:
-        raise SpecFileError(str(exc), "name")
+    except DomainError as exc:  # an arity that the builtin does not take
+        raise SpecFileError(str(exc), "arity")
 
 
 def _unique_keys(pairs: list) -> dict:

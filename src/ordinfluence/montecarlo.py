@@ -10,12 +10,19 @@ All estimators draw from a counter-based Philox stream keyed by the seed, so
 results are bit-reproducible for a fixed (seed, samples, estimator) triple.
 
 Every loop draws its batches through ``_drawn_ahead``: on more than one CPU
-the one worker of a thread-pool executor draws batch i + 1 into the other of
-two caller-owned blocks while the caller sorts, evaluates and accumulates
-batch i.  Only the worker touches the generator, one batch after another, so
-the stream is read in the same order as by an inline loop, which runs
-instead on a single batch or a one-CPU affinity mask; every output is the
-same either way.
+the one worker of a thread-pool executor fills batch i + 1 with uniform
+draws, into the other of two blocks per draw, while the caller sorts,
+evaluates and accumulates batch i.  The worker runs nothing but the
+generator, one batch after another, so the stream is read in the same order
+as by an inline loop, which runs instead on a single batch or a one-CPU
+affinity mask.  Every output is the same either way, save that the cross
+products of the one pass, from about 100 quantities up, go through BLAS,
+whose rounding follows its thread count.
+
+A point where x_{(k)} ties a neighbour, or where the gap above x_{(k)} is
+zero, weighs zero in the derivative and difference-quotient estimators:
+h_k vanishes there, and so does the mass of the gap.  Such points have
+probability zero.
 
 Every estimator reads order statistics of the sampled points, and sorts each
 batch once, into a block it owns (an evaluator that sorts its points sorts
@@ -47,14 +54,13 @@ from .projection import Moments
 # while the caller reads the other) and a moment block that the batch is
 # sorted into, 3.4 MB together at arity 8, beside the evaluator's
 # temporaries; the single-rank estimators keep a sort block in place of the
-# moment block (two, one per draw block, for the derivative).  On a 2-CPU
-# Xeon with 2 MB of L2 per core, a 1e5-sample pass at arity 8 took the same
-# time at 1 << 12 to 1 << 14 rows and 10-20% longer from 1 << 15 up; the
-# network on 65536 rows at n = 8 took 3.1 ms as one block, 1.8 ms in blocks
-# of 1 << 14 and 1.9-3.0 ms in blocks of 1 << 11 to 1 << 13; the single-rank
-# estimators at 1e5 samples took up to 40% less time than in blocks of
-# 1 << 16 (covariance, power-product n = 4: 7.1 ms against 11.2 ms), and
-# none took more beyond noise
+# moment block.  On a 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass
+# at arity 8 took the same time at 1 << 12 to 1 << 14 rows and 10-20% longer
+# from 1 << 15 up; the network on 65536 rows at n = 8 took 3.1 ms as one
+# block, 1.8 ms in blocks of 1 << 14 and 1.9-3.0 ms in blocks of 1 << 11 to
+# 1 << 13; the single-rank estimators at 1e5 samples took up to 40% less
+# time than in blocks of 1 << 16 (covariance, power-product n = 4: 7.1 ms
+# against 11.2 ms), and none took more beyond noise
 BATCH = 1 << 14
 # Crossover between Batcher's network and np.sort, measured on that machine
 # as medians of 15 sorts of 16384 random rows, in three rounds: n = 8
@@ -71,8 +77,9 @@ class Evaluator:
     ``func`` takes an (m, n) float array and returns (m,) values.  The
     optional ``derivative`` takes (points, k) and returns the (m,)
     derivatives in the direction of the k-th smallest coordinate on the
-    open simplexes of strictly ordered points.  Any other shape of either
-    result raises DomainError.
+    open simplexes of strictly ordered points.  It is called on every
+    point, and its value where x_{(k)} ties a neighbour, so that h_k = 0,
+    is not used.  Any other shape of either result raises DomainError.
     """
 
     arity: int
@@ -158,7 +165,9 @@ class _Accumulator:
             if not np.isfinite(self.shift).all():
                 _check_finite(z, points)
         z -= self.shift
-        cross = z @ z.T
+        # OpenBLAS splits one row's long dot product over its threads, so
+        # its rounding would follow the CPU count; einsum sums in one loop
+        cross = np.einsum("ij,kj->ik", z, z) if len(z) == 1 else z @ z.T
         if not np.isfinite(cross).all():
             _check_finite(z, points)
         self.count += z.shape[1]
@@ -195,47 +204,39 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _drawn_ahead(draw, samples: int):
-    """Yield ``draw(i, m)`` for the i-th batch of m rows, in order.
+def _drawn_ahead(rng, samples: int, *shapes):
+    """Yield, for the i-th batch of m rows in turn, a tuple of one block of
+    uniform draws from ``rng`` per shape, each of shape (m,) + shape.
 
-    A one-worker executor makes batch i + 1 while the caller uses batch i,
-    and is handed it only once the caller asks for batch i, so ``draw`` may
-    write batch i + 2 over batch i.  Only the worker calls ``draw``, one
-    batch after another.  A single batch, or a process allowed one CPU,
-    is drawn inline instead.  An exception in ``draw`` is raised in the
-    caller; closing the generator, or an exception at its ``yield``, waits
-    for the batch being drawn and shuts the worker down.
+    The blocks are the first m rows of the (i % 2)-th of two arrays per
+    shape, of up to BATCH rows each, allocated here, in the caller's thread.
+    A one-worker executor fills batch i + 1 while the caller uses batch i,
+    and is handed batch i + 2, which overwrites batch i, only once the
+    caller asks for batch i + 1.  The worker runs nothing but
+    ``rng.random(out=block)``, one block after another, so the stream is
+    read in the same order as by an inline loop, which runs instead on a
+    single batch or a process allowed one CPU.  An exception in ``rng`` is
+    raised in the caller; closing the generator, or an exception at its
+    ``yield``, waits for the batch being drawn and shuts the worker down.
     """
-    sizes = list(enumerate(_batches(samples)))
-    if len(sizes) == 1 or _cpus() == 1:
-        for i, m in sizes:
-            yield draw(i, m)
+    blocks = [np.empty((2, min(samples, BATCH)) + shape) for shape in shapes]
+    batches = (tuple(block[i % 2, :m] for block in blocks)
+               for i, m in enumerate(_batches(samples)))
+    if samples <= BATCH or _cpus() == 1:
+        for batch in batches:
+            yield tuple(rng.random(out=block) for block in batch)
         return
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1, "ordinfluence-draw") as worker:
-        ahead = worker.submit(draw, *sizes[0])
-        for i, m in sizes[1:]:
-            batch = ahead.result()
-            ahead = worker.submit(draw, i, m)
-            yield batch
-        yield ahead.result()
+        def fill(batch):
+            return [worker.submit(rng.random, out=block) for block in batch]
 
-
-def _uniform_draws(rng, samples: int, *shapes):
-    """A ``draw`` for ``_drawn_ahead`` that fills, one after another, the
-    first m rows of the (i % 2)-th of two blocks per shape (up to BATCH
-    rows of ``shape`` each, allocated here, in the caller's thread) with
-    uniform draws from ``rng``, and returns them as a tuple."""
-    rows = min(samples, BATCH)
-    blocks = [np.empty((2, rows) + shape) for shape in shapes]
-
-    def draw(i, m):
-        batch = tuple(block[i % 2, :m] for block in blocks)
-        for part in batch:
-            rng.random(out=part)
-        return batch
-
-    return draw
+        ahead = fill(next(batches))
+        for batch in batches:
+            drawn = tuple(future.result() for future in ahead)
+            ahead = fill(batch)
+            yield drawn
+        yield tuple(future.result() for future in ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,7 @@ def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
     if f.arity != g.arity:
         raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
     acc = _Accumulator()
-    draw = _uniform_draws(_rng(seed), samples, (f.arity,))
-    with closing(_drawn_ahead(draw, samples)) as batches:
+    with closing(_drawn_ahead(_rng(seed), samples, (f.arity,))) as batches:
         for (x,) in batches:
             acc.add(f(x) * g(x), x)
     return acc.estimate(seed, "raw-inner-product")
@@ -355,8 +355,7 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
     n = f.arity
     columns = np.empty((n + 1, min(samples, BATCH)))
     acc = _Accumulator()
-    draw = _uniform_draws(_rng(seed), samples, (n,))
-    with closing(_drawn_ahead(draw, samples)) as batches:
+    with closing(_drawn_ahead(_rng(seed), samples, (n,))) as batches:
         for (x,) in batches:
             xs = _sort_into(x, columns[:, :len(x)])
             acc.add(f(x) * _g_kernel(n, *_neighbours(xs, k)), x)
@@ -366,27 +365,23 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
 def influence_mc_derivative(f: Evaluator, k: int, samples: int,
                             seed: int) -> IntegrationEstimate:
     """I(f,k) as the average of h_k(x) times the derivative of f along the
-    k-th smallest coordinate.  Points with tied relevant coordinates (where
-    the direction is ambiguous) are resampled; they have measure zero."""
+    k-th smallest coordinate.  A point where x_{(k)} ties a neighbour, so
+    that the direction is ambiguous, has h_k = 0 and contributes 0, whatever
+    the derivative map returns there; such points have measure zero."""
     if f.derivative is None:
         raise ConfigurationError("estimator needs an evaluator with a "
                                  "directional-derivative map")
     _check_rank(f, k, samples)
     n = f.arity
-    rng = _rng(seed)
-    uniform = _uniform_draws(rng, samples, (n,))
-    columns = np.empty((2, n + 1, min(samples, BATCH)))
-
-    def draw(i, m):
-        (x,) = uniform(i, m)
-        return _draw_untied(rng, x, k, columns[i % 2, :, :m])
-
+    columns = np.empty((n + 1, min(samples, BATCH)))
     acc = _Accumulator()
-    with closing(_drawn_ahead(draw, samples)) as batches:
-        for x, neighbours in batches:
-            contrib = _h_density(n, *neighbours) * _per_point(
-                f.derivative(x, k), len(x), "the derivative map of %s" % f.name)
-            acc.add(contrib, x)
+    with closing(_drawn_ahead(_rng(seed), samples, (n,))) as batches:
+        for (x,) in batches:
+            m = len(x)
+            h = _h_density(n, *_neighbours(_sort_into(x, columns[:, :m]), k))
+            slope = _per_point(f.derivative(x, k), m,
+                               "the derivative map of %s" % f.name)
+            acc.add(np.multiply(h, slope, out=np.zeros(m), where=h > 0.0), x)
     return acc.estimate(seed, "derivative")
 
 
@@ -409,8 +404,7 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     scale = (n + 1) * (n + 2)
     columns = np.empty((n + 1, min(samples, BATCH)))
     acc = _Accumulator()
-    draw = _uniform_draws(_rng(seed), samples, (n,), ())
-    with closing(_drawn_ahead(draw, samples)) as batches:
+    with closing(_drawn_ahead(_rng(seed), samples, (n,), ())) as batches:
         for x, u in batches:
             m = len(x)
             xs = _sort_into(x, columns[:, :m])
@@ -450,22 +444,6 @@ def _check_rank(f: Evaluator, k: int, samples: int):
         raise DomainError("need at least 2 samples")
 
 
-def _draw_untied(rng, x: np.ndarray, k: int, columns: np.ndarray):
-    """The uniform points x, each drawn again from ``rng`` while its k-th
-    smallest coordinate ties a sorted neighbour (so that the moving
-    coordinate is unambiguous), and those neighbours, as
-    (x, (down, mid, up)) with _neighbours' layout.  x is redrawn in place
-    and sorted into the (n+1, m) block ``columns``."""
-    n = x.shape[1]
-    for _ in range(64):
-        down, mid, up = neighbours = _neighbours(_sort_into(x, columns), k)
-        tied = (mid == up) | ((mid == down) & (k >= 2))
-        if not tied.any():
-            return x, neighbours
-        x[tied] = rng.random((int(tied.sum()), n))
-    raise TaintedSampleError("could not draw tie-free samples")
-
-
 def _moment_map(n: int, norm_sq: bool) -> np.ndarray:
     """The map L from a point's sorted moments z to its contributions.
 
@@ -502,8 +480,8 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
     n = f.arity
     moments = np.empty((n + 1 + norm_sq, min(samples, BATCH)))
     acc = _Accumulator()
-    draw = _uniform_draws(_rng(derive_seed(seed, 0)), samples, (n,))
-    with closing(_drawn_ahead(draw, samples)) as batches:
+    rng = _rng(derive_seed(seed, 0))
+    with closing(_drawn_ahead(rng, samples, (n,))) as batches:
         for (x,) in batches:
             z = moments[:, :len(x)]
             v = f(x)

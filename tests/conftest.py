@@ -21,7 +21,7 @@ from ordinfluence import (
     os_function,
     polynomial,
 )
-from ordinfluence.errors import DomainError, TaintedSampleError
+from ordinfluence.errors import DomainError
 from ordinfluence.montecarlo import (
     _Accumulator,
     _batches,
@@ -154,25 +154,18 @@ def reference_h_density(x, k):
     return (n + 1) * (n + 2) * (up - mid) * (mid - down)
 
 
-def reference_draw_untied(rng, m, n, k):
-    x = rng.random((m, n))
-    for _ in range(64):
-        down, mid, up = reference_neighbours(x, k)
-        tied = (mid == up) | ((mid == down) & (k >= 2))
-        if not tied.any():
-            return x
-        x[tied] = rng.random((int(tied.sum()), n))
-    raise TaintedSampleError("could not draw tie-free samples")
-
-
 def reference_derivative(f, k, samples, seed):
+    """Plain draws; a point whose rank k ties a neighbour has h_k = 0 and
+    contributes 0, whatever the derivative map returns there."""
     _check_rank(f, k, samples)
     rng = _rng(seed)
     acc = _Accumulator()
     for m in _batches(samples):
-        x = reference_draw_untied(rng, m, f.arity, k)
-        acc.add(reference_h_density(x, k)
-                * np.asarray(f.derivative(x, k), dtype=float), x)
+        x = rng.random((m, f.arity))
+        h = reference_h_density(x, k)
+        slope = np.asarray(f.derivative(x, k), dtype=float)
+        with np.errstate(invalid="ignore"):
+            acc.add(np.where(h > 0.0, h * slope, 0.0), x)
     return acc.estimate(seed, "derivative")
 
 

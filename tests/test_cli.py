@@ -55,18 +55,44 @@ class TestExitCodes:
     def test_unreadable_file_exits_2(self):
         assert cli.main(["influence", "/no/such/file.json", "-k", "1"]) == 2
 
-    @pytest.mark.parametrize("content, env_seed", [
-        (json.dumps(PRODUCT_DOC).encode(), "abc"),
+    @pytest.mark.parametrize("content, env_seed, message", [
+        (json.dumps(PRODUCT_DOC).encode(), "abc",
+         "ORDINFLUENCE_SEED must be an integer, got 'abc' "
+         "(at ORDINFLUENCE_SEED)"),
         (json.dumps({"kind": "plain-polynomial", "arity": 2,
                      "terms": [{"coefficient": 1, "exponents": [1]}]}).encode(),
-         None),
+         None, "exponents must be an object (at terms[0])"),
         (json.dumps({"kind": "plain-polynomial", "arity": 2,
-                     "terms": 5}).encode(), None),
-        (b'{"kind": "builtin", "name": "min\xff", "arity": 2}', None),
+                     "terms": 5}).encode(), None,
+         "terms must be a list (at terms)"),
+        (b'{"kind": "builtin", "name": "min\xff", "arity": 2}', None,
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+         "32: invalid start byte (at {path})"),
+        (b"[1]", None, "spec document must be a JSON object (at $)"),
+        (json.dumps({"kind": "plain-polynomial", "arity": 2,
+                     "terms": [5]}).encode(), None,
+         "term must be an object (at terms[0])"),
+        (json.dumps({"kind": "plain-polynomial", "arity": 2, "terms": [
+            {"coefficient": 1, "exponents": {"x": 1}}]}).encode(), None,
+         "bad index 'x' (at terms[0])"),
+        (json.dumps({"kind": "orderstat-polynomial", "arity": 2, "terms": [
+            {"coefficient": 1, "exponents": {"3": 1}}]}).encode(), None,
+         "index 3 outside [1, 2] (at terms[0])"),
+        (json.dumps({"kind": "multiplicative", "arity": 2,
+                     "factors": [{"exponent": 1}]}).encode(), None,
+         "multiplicative payload needs exactly 2 factors (at factors)"),
+        (json.dumps({"kind": "multiplicative", "arity": 2,
+                     "factors": [{"exponent": 1}, 2]}).encode(), None,
+         "factor must be an object (at factors[1])"),
+        (json.dumps({"kind": "multiplicative", "arity": 2, "factors": [
+            {"exponent": 1}, {"exponent": "-1/2"}]}).encode(), None,
+         "factor exponent must exceed -1/2 (at factors[1])"),
     ], ids=["seed-variable", "exponents-not-object", "terms-not-list",
-            "not-utf8"])
+            "not-utf8", "document-not-object", "term-not-object",
+            "bad-index", "index-outside", "factor-count",
+            "factor-not-object", "factor-exponent"])
     def test_bad_outside_input_exits_2(self, tmp_path, capsys, monkeypatch,
-                                       content, env_seed):
+                                       content, env_seed, message):
         if env_seed is None:
             monkeypatch.delenv("ORDINFLUENCE_SEED", raising=False)
         else:
@@ -74,7 +100,9 @@ class TestExitCodes:
         path = tmp_path / "spec.json"
         path.write_bytes(content)
         assert cli.main(["influence", str(path), "-k", "1"]) == 2
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s\n" % message.replace("{path}", str(path))
 
     @pytest.mark.parametrize("kind", ["plain-polynomial",
                                       "orderstat-polynomial"])
@@ -131,6 +159,21 @@ class TestExitCodes:
     def test_oversized_arity_or_exponent_exits_2(self, tmp_path, capsys,
                                                  doc, message):
         # refused at parse time: each of these ran out of time or memory
+        assert cli.main(["approx", write_spec(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "builtin", "name": "arithmetic-mean", "arity": 21},
+         "arity 21 outside [1, 20] (at arity)"),
+        ({"kind": "builtin", "name": "variance", "arity": 1},
+         "variance needs arity >= 2 (at arity)"),
+        ({"kind": "builtin", "name": "conjunctive-example-6.1", "arity": 3},
+         "the conjunctive threshold builtin is binary (at arity)"),
+    ], ids=["arithmetic-mean", "variance", "conjunctive"])
+    def test_arity_the_builtin_does_not_take_exits_2(self, tmp_path, capsys,
+                                                     doc, message):
         assert cli.main(["approx", write_spec(tmp_path, doc)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -285,9 +328,14 @@ class TestExitCodes:
         path = write_spec(tmp_path, PRODUCT_DOC)
         assert cli.main(["lovasz", path]) == 3
 
-    def test_rank_out_of_range_exits_3(self, tmp_path):
+    def test_rank_out_of_range_exits_3(self, tmp_path, capsys):
         path = write_spec(tmp_path, PRODUCT_DOC)
-        assert cli.main(["influence", path, "-k", "9"]) == 3
+        for command, k in (("influence", 9), ("crosscheck", 9),
+                           ("crosscheck", 0)):
+            assert cli.main([command, path, "-k", str(k)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: rank %d outside [1, 2]\n" % k
 
     def test_tainted_mc_exits_4(self, tmp_path, monkeypatch):
         path = write_spec(tmp_path, PRODUCT_DOC)

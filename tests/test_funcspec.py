@@ -323,6 +323,14 @@ class TestMethodResolution:
         with pytest.raises(ConfigurationError):
             resolve_method(resolve_builtin("min", 3), "quantum")
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rank_outside_the_arity(self, method, k):
+        # refused before any engine runs
+        with pytest.raises(DomainError) as err:
+            influence_value(resolve_builtin("min", 3), k, method, samples=2)
+        assert str(err.value) == "rank %d outside [1, 3]" % k
+
     def test_every_spec_supports_mc(self):
         docs = [
             {"kind": "orderstat-polynomial", "arity": 2,

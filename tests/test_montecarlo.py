@@ -10,6 +10,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
     _Accumulator,
-    _draw_untied,
     _drawn_ahead,
     _g_kernel,
     _h_density,
@@ -46,6 +46,7 @@ from ordinfluence.montecarlo import (
 )
 from ordinfluence.projection import approximation_from_moments
 
+import conftest
 from conftest import (
     poly_evaluator,
     random_orderstat_polynomial,
@@ -53,7 +54,6 @@ from conftest import (
     reference_derivative,
     reference_diffquotient,
     reference_g_kernel,
-    reference_neighbours,
     reference_profile_moments,
     reference_shift,
 )
@@ -229,36 +229,65 @@ class TestSortedReferences:
         half = len(outputs) // 2
         assert outputs[:half] == outputs[half:]
 
+
+class TiedStream:
+    """Philox draws in which rank k of every third row of a block takes the
+    value of its sorted neighbour above (below at k = n), so it ties."""
+
+    def __init__(self, seed, k):
+        self.gen, self.k = _rng(seed), k
+
+    def random(self, size=None, out=None):
+        x = self.gen.random(size, out=out)
+        if x.ndim == 2:
+            rows = np.arange(0, len(x), 3)
+            order = np.argsort(x[rows], axis=1)
+            n, k = x.shape[1], self.k
+            neighbour = order[:, k] if k < n else order[:, k - 2]
+            x[rows, order[:, k - 1]] = x[rows, neighbour]
+        return x
+
+
+class TestTiedPoints:
+    """A point whose rank k ties a neighbour has h_k = 0 and weighs zero in
+    the derivative estimator, whatever the derivative map returns there."""
+
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_draw_untied_resamples_ties(self, k):
-        # the first draw ties at rank k in a third of the rows; no tied row
-        # survives, and the neighbours returned are those of the final x
-        n, m = 4, 300
-        first = np.random.default_rng(k).random((m, n))
-        tied_rows = np.arange(0, m, 3)
-        xs = np.sort(first[tied_rows], axis=1)
-        xs[:, k - 1] = xs[:, k] if k < n else xs[:, k - 2]
-        first[tied_rows] = xs
-        fresh = np.random.default_rng(100 + k)
+    def test_tied_rows_contribute_zero(self, k, monkeypatch):
+        n, samples = 4, 2 * BATCH + 5
+        ev = weighted_squares_evaluator(n)
+        stream = lambda seed: TiedStream(seed, k)
+        monkeypatch.setattr(montecarlo, "_rng", stream)
+        monkeypatch.setattr(conftest, "_rng", stream)
+        blocks = []
 
-        class Scripted:
-            def __init__(self):
-                self.calls = 0
+        class Recording(_Accumulator):
+            def add(self, block, points):
+                blocks.append(block.copy())
+                super().add(block, points)
 
-            def random(self, shape):
-                self.calls += 1
-                return first.copy() if self.calls == 1 else fresh.random(shape)
+        monkeypatch.setattr(montecarlo, "_Accumulator", Recording)
+        assert (influence_mc_derivative(ev, k, samples, 6)
+                == reference_derivative(ev, k, samples, 6))
+        assert [len(block) for block in blocks] == [BATCH, BATCH, 5]
+        for block in blocks:
+            assert np.all(block[::3] == 0.0)
+            assert np.all(block[1::3] != 0.0) and np.all(block[2::3] != 0.0)
 
-        scripted = Scripted()
-        x, neighbours = _draw_untied(scripted, scripted.random((m, n)), k,
-                                     np.empty((n + 1, m)))
-        assert scripted.calls >= 2
-        down, mid, up = reference_neighbours(x, k)
-        assert not np.any((mid == up) | ((mid == down) & (k >= 2)))
-        for got, expected in zip(neighbours, (down, mid, up)):
-            assert np.array_equal(got, expected)
-        changed = np.any(x != first, axis=1)
-        assert np.array_equal(np.flatnonzero(changed), tied_rows)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_always_tied_stream_gives_zero(self, k, monkeypatch):
+        class AlwaysTied:
+            def random(self, out):
+                out.fill(0.5)
+                return out
+
+        monkeypatch.setattr(montecarlo, "_rng", lambda seed: AlwaysTied())
+        ev = Evaluator(3, lambda x: x.sum(axis=1),
+                       lambda x, k: np.full(len(x), np.inf), name="inf slope")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = influence_mc_derivative(ev, k, 3 * BATCH + 5, 1)
+        assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 class TestReproducibility:
@@ -503,31 +532,38 @@ class TestDrawnAhead:
         yield
         assert threading.active_count() == threads
 
-    def test_batches_in_order_and_close_joins(self):
-        calls = []
+    class Scripted:
+        """Fills each block with the number of blocks drawn before it."""
 
-        def draw(i, m):
-            calls.append((i, m))
-            return i
-        batches = _drawn_ahead(draw, 5 * BATCH + 1)
-        assert [next(batches), next(batches)] == [0, 1]
+        def __init__(self):
+            self.shapes = []
+
+        def random(self, out):
+            out.fill(len(self.shapes))
+            self.shapes.append(out.shape)
+            return out
+
+    def test_batches_in_order_and_close_joins(self):
+        rng = self.Scripted()
+        batches = _drawn_ahead(rng, 5 * BATCH + 1, (3,), ())
+        for i in range(2):
+            x, u = next(batches)
+            assert (x.shape, u.shape) == ((BATCH, 3), (BATCH,))
+            assert (x == 2 * i).all() and (u == 2 * i + 1).all()
         batches.close()
         # batch i + 1 is drawn only once batch i is asked for
-        assert calls in ([(0, BATCH), (1, BATCH)],
-                         [(0, BATCH), (1, BATCH), (2, BATCH)])
-        assert list(_drawn_ahead(lambda i, m: (i, m), 2 * BATCH + 1)) == [
-            (0, BATCH), (1, BATCH), (2, 1)]
+        assert rng.shapes in ([(BATCH, 3), (BATCH,)] * 2,
+                              [(BATCH, 3), (BATCH,)] * 3)
+        assert [[block.shape for block in batch] for batch in _drawn_ahead(
+            self.Scripted(), 2 * BATCH + 1, ())] == [
+            [(BATCH,)], [(BATCH,)], [(1,)]]
 
     def test_block_kept_until_the_next_batch_is_asked_for(self):
         # more callers than CPUs, switching threads every microsecond: the
         # block of batch i holds i for as long as the caller works on it
         def caller(failures):
-            blocks = np.zeros((2, 8))
-
-            def draw(i, m):
-                blocks[i % 2] = i
-                return blocks[i % 2]
-            for i, block in enumerate(_drawn_ahead(draw, 200 * BATCH)):
+            batches = _drawn_ahead(self.Scripted(), 200 * BATCH, (1,))
+            for i, (block,) in enumerate(batches):
                 for _ in range(5):
                     if not (block == i).all():
                         failures.append(i)
@@ -568,28 +604,37 @@ class TestDrawnAhead:
         drawn = _rng(stream).random((samples, 3))
         assert np.array_equal(err.value.point, drawn[3 * BATCH + row])
 
-    def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch):
-        class AlwaysTied:
-            def random(self, shape=None, out=None):
-                if out is None:
-                    return np.full(shape, 0.5)
-                out.fill(0.5)
-                return out
+    @pytest.mark.parametrize("estimate", [
+        lambda f, samples: mc_profile_moments(f, samples, 1),
+        lambda f, samples: mc_inner_product(f, f, samples, 1),
+        lambda f, samples: influence_mc_covariance(f, 2, samples, 1),
+        lambda f, samples: influence_mc_derivative(f, 2, samples, 1),
+        lambda f, samples: influence_mc_diffquotient(f, 2, samples, 1),
+    ], ids=["pass", "inner-product", "covariance", "derivative",
+            "diff-quotient"])
+    def test_generator_error_reaches_the_caller_unchanged(self, monkeypatch,
+                                                          estimate):
+        error = RuntimeError("generator failed")
 
-        monkeypatch.setattr(montecarlo, "_rng", lambda seed: AlwaysTied())
-        with pytest.raises(TaintedSampleError) as err:
-            influence_mc_derivative(weighted_squares_evaluator(3), 2,
-                                    3 * BATCH + 5, 1)
-        assert type(err.value) is TaintedSampleError
-        assert str(err.value) == "could not draw tie-free samples"
-        assert err.value.point is None
-        # raised on the worker: a _draw_untied frame below a frame of the
+        class FailsOnThirdBlock(self.Scripted):
+            def random(self, out):
+                if len(self.shapes) == 2:
+                    raise error
+                return super().random(out)
+
+        monkeypatch.setattr(montecarlo, "_rng",
+                            lambda seed: FailsOnThirdBlock())
+        with pytest.raises(RuntimeError) as err:
+            estimate(weighted_squares_evaluator(3), 3 * BATCH + 5)
+        assert err.value is error
+        # raised on the worker: the generator's frame below a frame of the
         # executor's worker thread
         frames = [(str(entry.path), entry.name) for entry in err.traceback]
         worker = [path.endswith(os.path.join("concurrent", "futures",
                                               "thread.py"))
                   for path, _ in frames].index(True)
-        assert "_draw_untied" in [name for _, name in frames[worker + 1:]]
+        assert frames[-1][1] == "random"
+        assert worker < len(frames) - 1
 
 
 class TestTensorQuadrature:
