@@ -61,6 +61,7 @@ from .funcspec import (
 from .projection import (
     ApproximationResult,
     Moments,
+    ShiftedLStatistic,
     g_basis,
     gram_system,
     h_density,
@@ -160,6 +161,7 @@ __all__ = [
     "tensor_quadrature",
     "ApproximationResult",
     "Moments",
+    "ShiftedLStatistic",
     "g_basis",
     "gram_system",
     "h_density",

@@ -220,7 +220,7 @@ def cmd_lovasz(args) -> ReportDocument:
     if args.symmetric_part:
         part = symmetric_part(v, levels)
         doc.extras["symmetric_part"] = {
-            "constant": str(part.constant),
+            "constant": str(part.intercept),
             "slopes": [str(s) for s in part.slopes],
         }
     if args.diagnose_equal_influence:

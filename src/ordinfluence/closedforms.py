@@ -28,6 +28,7 @@ from .errors import (
     QuadratureError,
 )
 from .exact import as_rational, product_indices
+from .projection import ShiftedLStatistic
 
 if TYPE_CHECKING:
     import numpy as np
@@ -303,25 +304,15 @@ def power_product_ratio(c: float, k: int) -> float:
 # Variance statistic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarianceApproximation:
-    """Closed-form best shifted L-statistic approximation of the sample
-    variance (1/n) sum (x_i - xbar)^2."""
-
-    arity: int
-    indices: Tuple[Fraction, ...]
-    intercept: Fraction
-
-
-def variance_profile(n: int) -> VarianceApproximation:
-    """Exact slopes I(k) = (n+2)(2k-n-1)/(n^2(n+3)) and intercept
-    (1-n^2)/(12n(n+3))."""
+def variance_profile(n: int) -> ShiftedLStatistic:
+    """Best shifted L-statistic fit of the sample variance
+    (1/n) sum (x_i - xbar)^2: exact slopes I(k) = (n+2)(2k-n-1)/(n^2(n+3))
+    and intercept (1-n^2)/(12n(n+3))."""
     if n < 2:
         raise DomainError("variance statistic needs arity >= 2")
-    indices = tuple(Fraction((n + 2) * (2 * k - n - 1), n * n * (n + 3))
-                    for k in range(1, n + 1))
-    intercept = Fraction(1 - n * n, 12 * n * (n + 3))
-    return VarianceApproximation(n, indices, intercept)
+    slopes = tuple(Fraction((n + 2) * (2 * k - n - 1), n * n * (n + 3))
+                   for k in range(1, n + 1))
+    return ShiftedLStatistic(n, slopes, Fraction(1 - n * n, 12 * n * (n + 3)))
 
 
 def variance_plain_terms(n: int):

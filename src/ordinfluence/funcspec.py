@@ -322,13 +322,15 @@ def _only(doc: dict, location: str, *fields: str):
 
 def _parse_rational(value, location: str) -> Fraction:
     # a JSON true or false would pass as the int 1 or 0, and 1e400 arrives
-    # as an infinite float, which Fraction rejects with an OverflowError
+    # as an infinite float, whose repr Fraction rejects with a ValueError
     if isinstance(value, bool):
         raise SpecFileError("expected a rational, got %s"
                             % json.dumps(value), location)
     try:
-        return as_rational(value)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        # a JSON decimal means the decimal it spells: repr is the shortest
+        # one that reads back as the same float, so 0.1 is 1/10
+        return as_rational(repr(value) if isinstance(value, float) else value)
+    except (ValueError, TypeError, ZeroDivisionError):
         raise SpecFileError("cannot parse rational from %r" % (value,), location)
 
 

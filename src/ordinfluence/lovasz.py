@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .exact import as_rational
 from .montecarlo import BATCH, NETWORK_MAX_ARITY, sorted_columns
+from .projection import ShiftedLStatistic
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
 # CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
@@ -409,29 +410,13 @@ def equal_influence_class(v: SetFunction,
 # Symmetric part and exact second moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftedLStatistic:
-    """constant + sum_k slope_k x_{(k)}; the symmetric part of an extension."""
-
-    arity: int
-    constant: Fraction
-    slopes: Tuple[Fraction, ...]
-
-    def evaluate(self, x: Sequence):
-        xs = sorted(x)
-        value = self.constant
-        for slope, xi in zip(self.slopes, xs):
-            value = value + slope * xi
-        return value
-
-
 def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
                    ) -> ShiftedLStatistic:
     """Average of the extension over all permutations of the input point:
     v(emptyset) + sum_i I(f,i) os_i; ``levels`` are the level averages of
     v when already taken."""
     profile = (levels or level_averages(v)).influence_profile()
-    return ShiftedLStatistic(v.arity, v.value(0), profile)
+    return ShiftedLStatistic(v.arity, profile, v.value(0))
 
 
 def norm_sq_lovasz(v: SetFunction) -> Fraction:

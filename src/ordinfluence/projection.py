@@ -103,16 +103,34 @@ _SMALLEST_NORMAL = 2.0 ** -1022  # sys.float_info.min
 
 
 @dataclass(frozen=True)
-class ApproximationResult:
-    """Best shifted L-statistic approximation of f.
-
-    ``coefficients`` are (a_1, ..., a_{n+1}) in the basis
-    (os_1, ..., os_n, 1); the recentered form is
-    mean + sum_k I(f,k) (x_{(k)} - k/(n+1)).  Both evaluate identically.
-    """
+class ShiftedLStatistic:
+    """A shifted L-statistic b + sum_k a_k x_(k): the best fit of f, whose
+    slopes a_k are the indices I(f, k), the symmetric part of a Lovasz
+    extension, or the fit of the sample variance."""
 
     arity: int
-    coefficients: tuple
+    slopes: tuple
+    intercept: object
+
+    @property
+    def coefficients(self) -> tuple:
+        """(a_1, ..., a_n, b), in the basis (os_1, ..., os_n, 1)."""
+        return self.slopes + (self.intercept,)
+
+    def evaluate(self, x: Sequence):
+        value = self.intercept
+        for a, xk in zip(self.slopes, sorted(x)):
+            value = value + a * xk
+        return value
+
+
+@dataclass(frozen=True)
+class ApproximationResult(ShiftedLStatistic):
+    """Best shifted L-statistic approximation of f, with the numbers of the
+    fit: the mean of f, R^2, the residual, sigma^2(f) and, for estimated
+    moments, standard errors (the last of ``coefficient_std_errors`` is the
+    intercept's)."""
+
     mean: object
     r_squared: object
     residual_norm_sq: object
@@ -122,10 +140,6 @@ class ApproximationResult:
     samples: Optional[int] = None
     seed: Optional[int] = None
     variance: object = None
-
-    @property
-    def slopes(self):
-        return self.coefficients[:-1]
 
     @property
     def sigma(self) -> float:
@@ -140,32 +154,13 @@ class ApproximationResult:
         n = self.arity
         if not 1 <= k <= n:
             raise DomainError("rank %d outside [1, %d]" % (k, n))
-        index, v = self.coefficients[k - 1], self.variance
+        index, v = self.slopes[k - 1], self.variance
         if isinstance(v, Fraction) and float(v) < _SMALLEST_NORMAL:
             r = math.sqrt(index.numerator ** 2 * v.denominator
                           / (index.denominator ** 2 * v.numerator
                              * 2 * (n + 1) * (n + 2)))
             return r if index >= 0 else -r
         return float(index) / (self.sigma * math.sqrt(2 * (n + 1) * (n + 2)))
-
-    @property
-    def intercept(self):
-        return self.coefficients[-1]
-
-    def evaluate_basis(self, x: Sequence):
-        xs = sorted(x)
-        value = self.coefficients[-1]
-        for k, a in enumerate(self.coefficients[:-1], start=1):
-            value = value + a * xs[k - 1]
-        return value
-
-    def evaluate_recentered(self, x: Sequence):
-        n = self.arity
-        xs = sorted(x)
-        value = self.mean
-        for k, a in enumerate(self.coefficients[:-1], start=1):
-            value = value + a * (xs[k - 1] - Fraction(k, n + 1))
-        return value
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
     r2 = fit_variance / variance
     estimated = m.covariance is not None
     return ApproximationResult(
-        n, tuple(m.indices) + (tail,), m.mean, r2, variance - fit_variance,
+        n, tuple(m.indices), tail, m.mean, r2, variance - fit_variance,
         m.method,
         r_squared_std_error=(_joint_std_error(m.covariance,
                                               _r_squared_gradient(m, r2))

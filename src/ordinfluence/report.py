@@ -99,13 +99,20 @@ class ReportDocument:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv_module.writer(buf)
-        writer.writerow(["k", "value", "rational", "se", "method"])
+        normalized = self._has_normalized()
+        writer.writerow(["k", "value", "rational", "se", "method"]
+                        + ["normalized"] * normalized)
         for row in self.results:
             writer.writerow([row.get("k", ""), row.get("value", ""),
                              row.get("rational") or "",
                              row.get("se", "") if row.get("se") is not None else "",
-                             row.get("method", "")])
+                             row.get("method", "")]
+                            + [row.get("normalized", "")] * normalized)
         return buf.getvalue()
+
+    def _has_normalized(self) -> bool:
+        """Whether some row carries r(f, k), which then gets a column."""
+        return any("normalized" in row for row in self.results)
 
     def to_table(self) -> str:
         lines = ["%s report (spec kind=%s, arity=%s)"
@@ -116,15 +123,17 @@ class ReportDocument:
             lines.append("%s: %s" % (key, value))
         if self.results:
             lines.append("")
-            lines.append("%4s  %22s  %18s  %12s  %s"
-                         % ("k", "value", "rational", "se", "method"))
+            normalized = self._has_normalized()
+            lines.append("%4s  %22s  %18s  %12s  " % ("k", "value", "rational", "se")
+                         + ("%22s  " % "normalized") * normalized + "method")
             for row in self.results:
                 se = row.get("se")
-                lines.append("%4s  %22.15g  %18s  %12s  %s"
+                lines.append("%4s  %22.15g  %18s  %12s  "
                              % (row.get("k", ""), row.get("value", float("nan")),
                                 row.get("rational") or "-",
-                                ("%.3g" % se) if se is not None else "-",
-                                row.get("method", "")))
+                                ("%.3g" % se) if se is not None else "-")
+                             + ("%22.15g  " % row.get("normalized", float("nan")))
+                             * normalized + row.get("method", ""))
         for key, value in sorted(self.extras.items()):
             lines.append("%s: %s" % (key, value))
         for warning in self.warnings:

@@ -124,7 +124,7 @@ def test_criterion_2_exact_constants(announce):
         closed = variance_profile(n)
         approx = best_approximation(OrderStatPolynomialSpec(
             symmetrize(n, variance_plain_terms(n))))
-        ok &= approx.coefficients[:-1] == closed.indices
+        ok &= approx.coefficients[:-1] == closed.slopes
         ok &= approx.coefficients[-1] == closed.intercept
 
     # sigma^2(g_k) = I(g_k, k) = 2(n+1)(n+2); <1, h_k> = 1
@@ -248,7 +248,7 @@ def test_criterion_6_alternative_formulas(announce):
     for k in (1, 2):
         for formula in ("dfsg5", "dfsg6", "dfsg7"):
             got = influence_via_alternative(VarianceEvaluator, k, formula)
-            worst = max(worst, abs(got - float(closed.indices[k - 1])))
+            worst = max(worst, abs(got - float(closed.slopes[k - 1])))
 
     ok = worst < 1e-7
     announce(6, ok, "max deviation %.2e" % worst)

@@ -200,21 +200,23 @@ class TestExitCodes:
                              "--all"]) == 2
         assert not built and not parsed
 
-    @pytest.mark.parametrize("text, location", [
+    @pytest.mark.parametrize("text, value, location", [
         ('{"kind": "set-function", "arity": 1, "values": [0, 1e400]}',
-         "values[1]"),
+         "inf", "values[1]"),
         ('{"kind": "plain-polynomial", "arity": 1, "terms": '
-         '[{"coefficient": -1e400, "exponents": {"1": 1}}]}', "terms[0]"),
+         '[{"coefficient": -1e400, "exponents": {"1": 1}}]}', "-inf",
+         "terms[0]"),
         ('{"kind": "power-product", "arity": 2, "exponent": 1e400}',
-         "exponent"),
+         "inf", "exponent"),
     ], ids=["value", "coefficient", "exponent"])
-    def test_infinite_rational_exits_2(self, tmp_path, capsys, text,
+    def test_infinite_rational_exits_2(self, tmp_path, capsys, text, value,
                                        location):
         # JSON reads 1e400 as an infinite float, which has no rational value
         path = tmp_path / "spec.json"
         path.write_text(text)
         assert cli.main(["influence", str(path), "--all"]) == 2
-        assert "(at %s)" % location in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: cannot parse rational from %s (at %s)\n" % (value, location))
 
     @pytest.mark.parametrize("doc, command", [
         ({"kind": "set-function", "arity": 1, "values": ["0", "1e400"]},
@@ -509,6 +511,44 @@ class TestFormats:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "k,value,rational,se,method"
         assert lines[1].startswith("1,0.8,4/5")
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_approx_table_and_csv_show_normalized(self, tmp_path, capsys,
+                                                  method):
+        path = write_spec(tmp_path, {"kind": "builtin", "name": "median",
+                                     "arity": 3})
+        argv = ["approx", path, "--method", method, "--seed", "3"]
+        if method == "mc":
+            argv += ["--samples", "5000"]
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+            outputs[fmt] = capsys.readouterr().out
+        want = [row["normalized"]
+                for row in json.loads(outputs["json"])["results"]]
+        assert len(want) == 3 and max(map(abs, want)) > 0.5
+
+        lines = outputs["csv"].splitlines()
+        assert lines[0] == "k,value,rational,se,method,normalized"
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == want
+
+        lines = outputs["table"].splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.split()[:1] == ["k"])
+        assert lines[head].split() == ["k", "value", "rational", "se",
+                                       "normalized", "method"]
+        got = [float(line.split()[4]) for line in lines[head + 1:head + 4]]
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_degenerate_approx_keeps_the_columns(self, tmp_path, capsys, fmt):
+        path = write_spec(tmp_path, {"kind": "orderstat-polynomial",
+                                     "arity": 2, "constant": "2", "terms": []})
+        assert cli.main(["approx", path, "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (["k", "value", "rational", "se", "method"]
+                in [line.replace(",", " ").split() for line in lines])
+        assert not any("normalized" in line for line in lines)
 
     def test_mc_rows_carry_se_and_seed(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "builtin", "arity": 2,

@@ -318,12 +318,12 @@ class TestVariance:
             closed = variance_profile(n)
             poly = symmetrize(n, variance_plain_terms(n))
             approx = best_approximation(OrderStatPolynomialSpec(poly))
-            assert approx.coefficients[:-1] == closed.indices
+            assert approx.coefficients[:-1] == closed.slopes
             assert approx.coefficients[-1] == closed.intercept
             # the same fit as (n-1)/(12n(n+3)) (6(n+2)G - (n+1)), with Gini's
             # mean difference G = (2/(n(n-1))) sum (2k-n-1) x_(k)
             scale = Fraction(n - 1, 12 * n * (n + 3))
-            assert closed.indices == tuple(
+            assert closed.slopes == tuple(
                 scale * 6 * (n + 2) * Fraction(2 * (2 * k - n - 1), n * (n - 1))
                 for k in range(1, n + 1))
             assert closed.intercept == scale * -(n + 1)
@@ -332,11 +332,11 @@ class TestVariance:
         for n in range(2, 8):
             closed = variance_profile(n)
             for k in range(1, n + 1):
-                assert closed.indices[k - 1] == -closed.indices[n - k]
+                assert closed.slopes[k - 1] == -closed.slopes[n - k]
 
     def test_n2_values(self):
         closed = variance_profile(2)
-        assert closed.indices == (Fraction(-1, 5), Fraction(1, 5))
+        assert closed.slopes == (Fraction(-1, 5), Fraction(1, 5))
         assert closed.intercept == Fraction(-1, 40)
 
 
@@ -371,7 +371,7 @@ class TestAlternativeFormulas:
         closed = variance_profile(2)
         for k in (1, 2):
             assert influence_via_alternative(VarianceEvaluator, k, formula) == \
-                pytest.approx(float(closed.indices[k - 1]), abs=1e-7)
+                pytest.approx(float(closed.slopes[k - 1]), abs=1e-7)
 
     def test_box_integral_modes(self):
         # lower + split partitions the cube cross-section for a one-element

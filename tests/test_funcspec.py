@@ -99,6 +99,22 @@ class TestParsing:
             parse_spec_document({"kind": "set-function", "arity": 1,
                                  "values": ["x", "1"]})
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "set-function", "arity": 1, "values": [0, 0.1]}',
+        '{"kind": "plain-polynomial", "arity": 1, "terms": '
+        '[{"coefficient": 0.1, "exponents": {"1": 1}}]}',
+        '{"kind": "orderstat-polynomial", "arity": 1, "constant": 0.7, '
+        '"terms": [{"coefficient": 1e-1, "exponents": {"1": 1}}]}',
+    ], ids=["set-function", "plain-polynomial", "orderstat-polynomial"])
+    def test_json_decimal_is_the_decimal_it_spells(self, tmp_path, capsys,
+                                                   text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert cli.main(["influence", str(path), "--all",
+                         "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["results"]
+        assert row["rational"] == "1/10"
+
     @pytest.mark.parametrize("pool", [
         (0, 1, -3, 0.5, -0.25, "1/3", "-2/7", "0.1", "2", " 1/3", "3e2"),
         (0, 2 ** 70, -(2 ** 66) + 1, 0.75, "1/6", "-5/12", "2/3"),

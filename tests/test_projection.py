@@ -211,7 +211,11 @@ class TestApproximation:
                 continue
             approx = approximation_from_moments(moments_exact(f))
             x = [Fraction(rnd.randint(0, 8), 8) for _ in range(n)]
-            assert approx.evaluate_basis(x) == approx.evaluate_recentered(x)
+            # the paper's recentered form mean + sum_k I(f,k) (x_(k) - k/(n+1))
+            recentered = integral(f) + sum(
+                influence_exact(f, k) * (xk - Fraction(k, n + 1))
+                for k, xk in enumerate(sorted(x), start=1))
+            assert approx.evaluate(x) == recentered
 
 
 class TestNormalizedIndex:
