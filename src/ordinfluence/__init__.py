@@ -54,6 +54,7 @@ from .funcspec import (
     PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
+    VarianceSpec,
     parse_spec_document,
     parse_spec_file,
     resolve_builtin,
@@ -141,6 +142,7 @@ __all__ = [
     "PowerProductSpec",
     "RawEvaluatorSpec",
     "SetFunctionSpec",
+    "VarianceSpec",
     "parse_spec_document",
     "parse_spec_file",
     "resolve_builtin",

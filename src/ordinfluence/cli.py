@@ -170,14 +170,16 @@ def cmd_approx(args) -> ReportDocument:
     n = spec.arity
     moments = api.function_moments(spec, method, args.samples, seed)
     ses = moments.index_std_errors or (None,) * n
-    doc.extras["a_tail"] = format_value(moments.formal_tail())
-    doc.extras["mean"] = format_value(moments.mean)
     try:
         approx = approximation_from_moments(moments)
     except DegenerateVarianceError:
         approx = None
         doc.warnings.append("degenerate-variance: R^2 and r(f,k) undefined "
                             "for a constant function")
+    # the fit's intercept is the formal tail
+    doc.extras["a_tail"] = format_value(moments.formal_tail() if approx is None
+                                        else approx.intercept)
+    doc.extras["mean"] = format_value(moments.mean)
     if moments.covariance is not None:
         # the fit carries the tail's standard error, an O(n^2) sum
         doc.extras["a_tail_se"] = (moments.tail_std_error() if approx is None

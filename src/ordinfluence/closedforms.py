@@ -315,14 +315,14 @@ def variance_profile(n: int) -> ShiftedLStatistic:
     return ShiftedLStatistic(n, slopes, Fraction(1 - n * n, 12 * n * (n + 3)))
 
 
-def variance_plain_terms(n: int):
-    """The sample variance as a plain-variable polynomial:
-    ((n-1)/n^2) sum x_i^2 - (2/n^2) sum_{i<j} x_i x_j."""
-    terms = [(Fraction(n - 1, n * n), {i: 2}) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            terms.append((Fraction(-2, n * n), {i: 1, j: 1}))
-    return terms
+def variance_mean(n: int) -> Fraction:
+    """<f, 1> of the sample variance f: (n-1)/(12n)."""
+    return Fraction(n - 1, 12 * n)
+
+
+def variance_norm_sq(n: int) -> Fraction:
+    """<f, f> of the sample variance f: (n-1)(5n^2-n+6)/(720n^3)."""
+    return Fraction((n - 1) * (5 * n * n - n + 6), 720 * n ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
     influence_power_product, multiplicative_indices, positive_norm_sq, \
-    variance_plain_terms
+    variance_mean, variance_norm_sq, variance_profile
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
@@ -126,6 +126,33 @@ class PlainPolynomialSpec(FunctionSpec):
                  for c, exps in self.terms]
         constant = float(self.constant)
         return (lambda x: _monomial_sum(x.T, terms, constant),)
+
+
+@dataclass
+class VarianceSpec(FunctionSpec):
+    """The builtin sample variance (1/n) sum (x_i - xbar)^2, a plain
+    polynomial whose moments are closed-form rationals."""
+
+    arity: int
+    kind = "plain-polynomial"
+    engine = EXACT
+
+    def moments(self, norm_sq=True):
+        n = self.arity
+        return Moments(n, self.engine, variance_profile(n).slopes,
+                       variance_mean(n),
+                       variance_norm_sq(n) if norm_sq else None)
+
+    def _maps(self):
+        import numpy as np
+        n = self.arity
+
+        def func(x):
+            # mean(x^2) - mean(x)^2 from the power sums of each row
+            mean = x.sum(axis=1) / n
+            return np.einsum("ij,ij->i", x, x) / n - mean * mean
+
+        return (func,)
 
 
 @dataclass
@@ -257,8 +284,7 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
     if name == "variance":
         if n < 2:
             raise DomainError("variance needs arity >= 2")
-        return PlainPolynomialSpec(n, variance_plain_terms(n),
-                                   builtin_name=name)
+        return VarianceSpec(n, builtin_name=name)
     if name == "arithmetic-mean":
         from . import lovasz
         lovasz.check_arity(n)

@@ -5,9 +5,9 @@ compute the ones no user path needs: the expansion of a sum of subset order
 statistics in full order statistics, the min/max expansions of x_(k), the
 pointwise Moebius form and directional slope of a Lovasz extension, the
 hypergeometric influence of a subset order statistic with its vertex set
-function, and the dual set function.  The package computes none of them, so
-each stays an independent check on the exact, Lovasz and Monte-Carlo
-engines.
+function, the dual set function, and the sample variance expanded into plain
+terms.  The package computes none of them, so each stays an independent
+check on the exact, Lovasz, closed-form and Monte-Carlo engines.
 
 The file is not named ``oracles``: ``perfbench`` imports its own
 ``oracles.py`` as a top-level module, which a second module of that name
@@ -144,3 +144,17 @@ def dual_set_function(v: SetFunction) -> SetFunction:
     """Vertex set function of the dual extension: v^d(S) = 1 - v([n] \\ S)."""
     # [n] \ S is the bitmask 2^n - 1 - S: the table read backwards
     return SetFunction(v.arity, [1 - x for x in reversed(v.values)])
+
+
+# ---------------------------------------------------------------------------
+# Sample variance expansion
+# ---------------------------------------------------------------------------
+
+def variance_plain_terms(n: int):
+    """The sample variance as a plain-variable polynomial:
+    ((n-1)/n^2) sum x_i^2 - (2/n^2) sum_{i<j} x_i x_j."""
+    terms = [(Fraction(n - 1, n * n), {i: 2}) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            terms.append((Fraction(-2, n * n), {i: 1, j: 1}))
+    return terms

@@ -43,7 +43,6 @@ from ordinfluence.closedforms import (
     MultiplicativeSpec,
     UnaryFactor,
     multiplicative_indices,
-    variance_plain_terms,
 )
 from ordinfluence.funcspec import SetFunctionSpec
 from ordinfluence.lovasz import influence_lovasz, level_averages, zeta
@@ -61,6 +60,7 @@ from reference import (
     expand_subset_sum,
     influence_os_subset,
     os_subset_set_function,
+    variance_plain_terms,
 )
 
 

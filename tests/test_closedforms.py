@@ -28,6 +28,8 @@ from ordinfluence import (
 )
 from ordinfluence import (
     OrderStatPolynomialSpec,
+    PlainPolynomialSpec,
+    VarianceSpec,
     best_approximation,
     cli,
     exact,
@@ -37,8 +39,9 @@ from ordinfluence import (
 from ordinfluence.closedforms import (
     multiplicative_indices,
     subset_box_integral,
-    variance_plain_terms,
 )
+
+from reference import variance_plain_terms
 
 
 class TestPowerProduct:
@@ -338,6 +341,25 @@ class TestVariance:
         closed = variance_profile(2)
         assert closed.slopes == (Fraction(-1, 5), Fraction(1, 5))
         assert closed.intercept == Fraction(-1, 40)
+
+    def test_spec_moments_vs_plain_expansion(self):
+        # the closed forms give the expansion's Fractions: indices from the
+        # product forms, the term-by-term mean and the pair sum for <f, f>
+        for n in range(2, 41):
+            got = VarianceSpec(n).moments()
+            want = PlainPolynomialSpec(n, variance_plain_terms(n)).moments()
+            assert got.indices == tuple(want.indices)
+            assert got.mean == want.mean and got.norm_sq == want.norm_sq
+            assert all(type(v) is Fraction for v in
+                       got.indices + (got.mean, got.norm_sq))
+
+    def test_power_sum_evaluator_vs_expansion(self):
+        rng = np.random.default_rng(30)
+        for n in range(2, 13):
+            x = rng.random((500, n))
+            got = VarianceSpec(n).evaluator()(x)
+            want = PlainPolynomialSpec(n, variance_plain_terms(n)).evaluator()(x)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestAlternativeFormulas:

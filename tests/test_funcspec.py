@@ -29,6 +29,7 @@ from ordinfluence.funcspec import (
     PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
+    VarianceSpec,
     load_spec_document,
 )
 from ordinfluence.exact import as_rational
@@ -386,7 +387,7 @@ DECLARATIONS = {
     "power-product": (
         {"kind": "power-product", "arity": 3, "exponent": "1/3"},
         PowerProductSpec, CLOSED_MC, "power-product"),
-    "variance": (None, PlainPolynomialSpec, EXACT_MC, "variance"),
+    "variance": (None, VarianceSpec, EXACT_MC, "variance"),
     "arithmetic-mean": (None, SetFunctionSpec, EXACT_MC, "arithmetic-mean"),
     "geometric-mean": (None, PowerProductSpec, CLOSED_MC, "geometric-mean"),
     "product": (None, PlainPolynomialSpec, EXACT_MC, "product"),

@@ -305,12 +305,14 @@ class TestEachPrimaryOnce:
         self.run(tmp_path, self.PLAIN, "influence", "--all")
         assert len(calls) == 2 and not sym  # shapes (1,) and (2, 1)
 
-    def test_variance_approx_takes_two_product_forms(self, monkeypatch):
-        sym = _count_calls(monkeypatch, exact, "symmetrize")
-        calls = _count_calls(monkeypatch, exact, "_product_form")
-        for n in (3, 12):
+    def test_variance_moments_take_no_product_form_or_pair_sum(
+            self, monkeypatch):
+        # the indices, the mean and <f, f> of the builtin are closed forms
+        calls = [_count_calls(monkeypatch, exact, name)
+                 for name in ("symmetrize", "_product_form", "plain_norm_sq")]
+        for n in (3, 12, 1000):
             resolve_builtin("variance", n).moments()
-        assert len(calls) == 4 and not sym
+        assert not any(calls)
 
     def test_orderstat_approx_takes_no_polynomial_product(
             self, tmp_path, monkeypatch, capsys):
