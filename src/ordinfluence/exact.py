@@ -304,7 +304,7 @@ def symmetrize(arity: int,
 # Product form: the indices of a product of powers
 # ---------------------------------------------------------------------------
 
-PRODUCT_FORM_LIMIT = 250_000  # polynomial terms the product form may hold
+PRODUCT_FORM_LIMIT = 250_000  # terms the expanded groups of a product form may hold
 
 
 def product_indices(exponents: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
@@ -321,42 +321,54 @@ def product_indices(exponents: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
     1 - u + w u with u = y^{c_i+1}.  In z = y^{1/D}, D the common denominator
     of the c_i, the r_j are then polynomials with integer coefficients, and
     int_0^1 z^q dy = D/(q+D).  The m variables that share an exponent enter
-    at once through (1 - u + w u)^m = sum_j C(m,j) w^j u^j (1-u)^{m-j}.
+    at once through (1 - u + w u)^m = sum_j C(m,j) w^j u^j (1-u)^{m-j}, and
+    the largest such group is integrated in closed form, unexpanded.
 
-    The work is polynomial in n for a fixed set of distinct exponents; a
-    product form above ``PRODUCT_FORM_LIMIT`` terms raises
+    The work is polynomial in n for a fixed set of distinct exponents, and
+    linear in the size of the largest group; a product form whose other
+    groups would expand to more than ``PRODUCT_FORM_LIMIT`` terms raises
     ``ConfigurationError`` before it is built.
     """
-    differences, scale = _product_form(exponents)
+    cs = [as_rational(c) for c in exponents]
+    den = lcm(*(c.denominator for c in cs))
+    differences, scale = _product_form(Counter(int((c + 1) * den) for c in cs), den)
     return tuple(scale * d for d in differences)
 
 
-def _product_form(exponents: Sequence[RationalLike]) -> Tuple[list, Fraction]:
-    """The product form of ``product_indices`` in integers: the differences
-    sums[k-1] - sums[k], k = 1..n, and the one scale that turns them into
-    I(f, k).  With p_i = (c_i + 1) D, the scale
-    (n+1)(n+2) D / L * prod_i 1/(c_i+1) is (n+1)(n+2) D^{n+1} / (L prod_i p_i),
-    L the common denominator of the integrals."""
-    cs = [as_rational(c) for c in exponents]
-    n = len(cs)
-    if n < 1:
+def _product_form(groups: Mapping[int, int], den: int) -> Tuple[list, Fraction]:
+    """The product form of ``product_indices`` in integers, for groups
+    {p: m} of m variables with u = z^p, p = (c + 1) D and D = ``den``: the
+    differences sums[k-1] - sums[k], k = 1..n, and the one scale that turns
+    them into I(f, k).  With n = sum m, the scale
+    (n+1)(n+2) D / L * prod_i 1/(c_i+1) is (n+1)(n+2) D^{n+1} / (L prod p^m),
+    L the common denominator of the integrals.
+
+    The largest group (p, m) is not expanded.  Against z^q from the others,
+    its term C(m,i) w^i z^{pi} (1 - z^p)^{m-i} integrates, a Beta integral,
+    to D (m!/i!) p^{m-i} / prod_{s=i}^{m} (q + D + ps).  Over L, the lcm of
+    the full products P(q) = prod_{s=0}^{m} (q + D + ps), that is the
+    integer g_i = (m!/i!) p^{m-i} (L / P(q)) prod_{s<i} (q + D + ps), and
+    g_{i+1} = g_i (q + D + pi) / ((i+1) p) exactly."""
+    if not groups:
         raise DomainError("a product needs at least one variable")
-    if any(c <= Fraction(-1, 2) for c in cs):
+    if 2 * min(groups) <= den:
         raise DomainError("exponents must exceed -1/2")
-    den = lcm(*(c.denominator for c in cs))
-    groups = Counter(int((c + 1) * den) for c in cs)  # power of z -> count
+    n = sum(groups.values())
+    p = max(groups, key=groups.get)
+    rest = dict(groups)
+    m = rest.pop(p)
     # each r_j holds at most one term per reachable sum of group powers
-    powers = min(prod(m + 1 for m in groups.values()),
-                 sum(p * m for p, m in groups.items()) + 1)
-    if (n + 1) * powers > PRODUCT_FORM_LIMIT:
+    powers = min(prod(k + 1 for k in rest.values()),
+                 sum(g * k for g, k in rest.items()) + 1)
+    if (n - m + 1) * powers > PRODUCT_FORM_LIMIT:
         raise ConfigurationError(
             "the product form needs up to %d terms, above the limit %d"
-            % ((n + 1) * powers, PRODUCT_FORM_LIMIT))
+            % ((n - m + 1) * powers, PRODUCT_FORM_LIMIT))
     r = [{0: 1}]  # r[j] maps a power q of z to its coefficient in r_j
-    for p, m in groups.items():
-        group = [{p * (j + t): comb(m, j) * comb(m - j, t) * (-1) ** t
-                  for t in range(m - j + 1)} for j in range(m + 1)]
-        out = [{} for _ in range(len(r) + m)]
+    for g, k in rest.items():
+        group = [{g * (j + t): comb(k, j) * comb(k - j, t) * (-1) ** t
+                  for t in range(k - j + 1)} for j in range(k + 1)]
+        out = [{} for _ in range(len(r) + k)]
         for j, rj in enumerate(r):
             for i, gi in enumerate(group):
                 acc = out[i + j]
@@ -364,11 +376,19 @@ def _product_form(exponents: Sequence[RationalLike]) -> Tuple[list, Fraction]:
                     for s, b in gi.items():
                         acc[q + s] = acc.get(q + s, 0) + a * b
         r = out
-    # int_0^1 r_j dy = D * sum_q coeff * (L / (q+D)) / L over one common L
-    common = lcm(*(q + den for rj in r for q in rj))
-    sums = [sum(a * (common // (q + den)) for q, a in rj.items()) for rj in r]
+    full = {q: prod(range(q + den, q + den + p * m + 1, p)) for q in set().union(*r)}
+    common = lcm(*full.values())
+    sums = [0] * (n + 1)
+    for q, pq in full.items():
+        g = [factorial(m) * p ** m * (common // pq)]
+        for i in range(m):
+            g.append(g[i] * (q + den + p * i) // ((i + 1) * p))
+        for j, rj in enumerate(r):
+            a = rj.get(q)
+            if a:
+                sums[j:j + m + 1] = [s + a * gi for s, gi in zip(sums[j:j + m + 1], g)]
     scale = Fraction((n + 1) * (n + 2) * den ** (n + 1),
-                     common * prod(p ** m for p, m in groups.items()))
+                     common * prod(g ** k for g, k in groups.items()))
     return [sums[k - 1] - sums[k] for k in range(1, n + 1)], scale
 
 
@@ -394,7 +414,9 @@ def plain_indices(arity: int,
     parts = []
     for shape, coeff in shapes.items():
         if shape and coeff:
-            differences, scale = _product_form(shape + (0,) * (n - len(shape)))
+            # the unused variables are one group of power D = 1
+            groups = Counter(c + 1 for c in shape) + Counter({1: n - len(shape)})
+            differences, scale = _product_form(groups, 1)
             parts.append((coeff * scale, differences))
     common = lcm(*(r.denominator for r, _ in parts))
     total = [0] * n

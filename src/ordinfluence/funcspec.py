@@ -33,10 +33,10 @@ EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 
 # The largest arity, and the largest order-statistic exponent, of a spec
 # file.  At 1000, on 2 CPUs, an exact approx of min, median or x_(n)^1000
-# takes 0.15-0.25 s in a fresh process and an MC approx at 1e5 samples
-# about 6 s and 560 MB; the exact moments take rising factorials of n plus
-# the exponents, so x_(1)^10000 at arity 1000 takes 0.2 s and x_(1)^(10^5)
-# at arity 3 about 2.4 s.
+# takes 0.15-0.25 s in a fresh process, of product about 0.45 s, and an MC
+# approx at 1e5 samples about 6 s and 560 MB; the exact moments take rising
+# factorials of n plus the exponents, so x_(1)^10000 at arity 1000 takes
+# 0.2 s and x_(1)^(10^5) at arity 3 about 2.4 s.
 MAX_SIZE = 1000
 
 

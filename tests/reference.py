@@ -5,8 +5,8 @@ compute the ones no user path needs: the expansion of a sum of subset order
 statistics in full order statistics, the min/max expansions of x_(k), the
 pointwise Moebius form and directional slope of a Lovasz extension, the
 hypergeometric influence of a subset order statistic with its vertex set
-function, the dual set function, and the sample variance expanded into plain
-terms.  The package computes none of them, so each stays an independent
+function, the dual set function, the sample variance expanded into plain
+terms, and the product form of a product of powers one factor at a time.  The package computes none of them, so each stays an independent
 check on the exact, Lovasz, closed-form and Monte-Carlo engines.
 
 The file is not named ``oracles``: ``perfbench`` imports its own
@@ -17,7 +17,7 @@ would shadow in one pytest session.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence, Tuple
 
 from ordinfluence.errors import DomainError
@@ -158,3 +158,28 @@ def variance_plain_terms(n: int):
         for j in range(i + 1, n + 1):
             terms.append((Fraction(-2, n * n), {i: 1, j: 1}))
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Product form, one factor at a time
+# ---------------------------------------------------------------------------
+
+def product_form_by_factor(exponents) -> Tuple[Fraction, ...]:
+    """I(f, 1..n) of f = prod_i x_i^{c_i} as (n+1)(n+2) times the integral
+    of r_{k-1} - r_k, with the r_j built one factor at a time by
+    r_j <- Phibar_i r_j + Phi_i r_{j-1}, as Fraction polynomials in
+    z = y^{1/D}, and int_0^1 z^q dy = D/(q+D).  No group of equal exponents
+    is expanded at once and none is integrated in closed form."""
+    cs = [Fraction(c) for c in exponents]
+    n, den = len(cs), lcm(*(c.denominator for c in cs))
+    r = [{0: Fraction(1)}]
+    for c in cs:
+        p, a = int((c + 1) * den), 1 / (c + 1)  # Phi_i = a z^p, Phibar_i = a - a z^p
+        out = [{} for _ in range(len(r) + 1)]
+        for j, rj in enumerate(r):
+            for q, v in rj.items():
+                for i, s, w in ((j, q, a * v), (j, q + p, -a * v), (j + 1, q + p, a * v)):
+                    out[i][s] = out[i].get(s, 0) + w
+        r = out
+    sums = [sum(v * Fraction(den, q + den) for q, v in rj.items()) for rj in r]
+    return tuple((n + 1) * (n + 2) * (sums[k - 1] - sums[k]) for k in range(1, n + 1))

@@ -39,7 +39,7 @@ from ordinfluence.exact import (
 from ordinfluence.projection import moments_exact
 
 from conftest import poly_evaluator, random_orderstat_polynomial
-from reference import expand_min_max, expand_subset_sum
+from reference import expand_min_max, expand_subset_sum, product_form_by_factor
 
 
 class TestEvalOrderStat:
@@ -355,11 +355,40 @@ class TestProductForm:
             plain_indices(2, [(1, {1: 1, 2: 1, 3: 1})])
 
     def test_size_is_checked_before_the_build(self, monkeypatch):
-        # n + 1 polynomials r_j of at most n + 1 powers of y^2 each
+        # the largest group, the unused variables, is folded; the m variables
+        # x_i^1 expand to m + 1 polynomials r_j of at most m + 1 powers each
         monkeypatch.setattr(exact, "PRODUCT_FORM_LIMIT", 81)
-        assert len(product_indices([1] * 8)) == 8
+        assert len(product_indices([1] * 8 + [0] * 9)) == 17
         with pytest.raises(ConfigurationError):
-            product_indices([1] * 9)
+            product_indices([1] * 9 + [0] * 10)
+
+    def test_folded_group_matches_symmetrize_and_factor_recurrence(self):
+        rnd = random.Random(41)
+        for trial in range(40):
+            n, den = rnd.randint(1, 7), trial % 4 + 1
+            values = [Fraction(rnd.randint(-den // 2 + 1, 3 * den), den)
+                      for _ in range(3)]
+            if trial % 3 == 0 and n >= 2:  # two groups tie for the largest
+                half = n // 2
+                cs = [values[0]] * half + [values[1]] * half + values[2:2 + n % 2]
+            else:
+                cs = [rnd.choice(values) for _ in range(n)]
+            rnd.shuffle(cs)
+            got = product_indices(cs)
+            assert got == product_form_by_factor(cs), cs
+            if all(c.denominator == 1 for c in cs):
+                sym = symmetrize(n, [(1, {i + 1: c for i, c in enumerate(cs)})])
+                assert got == moments_exact(sym, norm_sq=False).indices, cs
+
+    def test_first_variable_at_arity_1000(self):
+        assert plain_indices(1000, [(1, {1: 1})]) == (Fraction(1, 1000),) * 1000
+
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 3)])
+    def test_product_at_arity_1000_matches_power_product(self, c):
+        got = product_indices([c] * 1000)
+        for k in range(1, 1001):
+            assert float(got[k - 1]) == pytest.approx(
+                influence_power_product(c, 1000, k), rel=1e-11, abs=0)
 
     def test_plain_norm_sq_equals_ordered_pair_sum(self):
         # the integral of every ordered pair of terms, as an independent sum
