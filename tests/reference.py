@@ -6,7 +6,8 @@ statistics in full order statistics, the min/max expansions of x_(k), the
 pointwise Moebius form and directional slope of a Lovasz extension, the
 hypergeometric influence of a subset order statistic with its vertex set
 function, the dual set function, the sample variance expanded into plain
-terms, and the product form of a product of powers one factor at a time.  The package computes none of them, so each stays an independent
+terms, and the exact product form of a product of powers built one factor
+at a time.  The package computes none of them, so each stays an independent
 check on the exact, Lovasz, closed-form and Monte-Carlo engines.
 
 The file is not named ``oracles``: ``perfbench`` imports its own
@@ -178,7 +179,8 @@ def product_form_by_factor(exponents) -> Tuple[Fraction, ...]:
         out = [{} for _ in range(len(r) + 1)]
         for j, rj in enumerate(r):
             for q, v in rj.items():
-                for i, s, w in ((j, q, a * v), (j, q + p, -a * v), (j + 1, q + p, a * v)):
+                for i, s, w in ((j, q, a * v), (j, q + p, -a * v),
+                                (j + 1, q + p, a * v)):
                     out[i][s] = out[i].get(s, 0) + w
         r = out
     sums = [sum(v * Fraction(den, q + den) for q, v in rj.items()) for rj in r]
