@@ -24,7 +24,6 @@ from .api import (
     resolve_method,
 )
 from .errors import (
-    BranchAmbiguityError,
     ConfigurationError,
     DegenerateVarianceError,
     DomainError,
@@ -36,7 +35,6 @@ from .errors import (
 from .exact import (
     OrderStatMonomial,
     OrderStatPolynomial,
-    dualize,
     inner_product_exact,
     integral,
     moment,
@@ -56,7 +54,6 @@ from .funcspec import (
     SetFunctionSpec,
     VarianceSpec,
     parse_spec_document,
-    parse_spec_file,
     resolve_builtin,
 )
 from .projection import (
@@ -64,17 +61,12 @@ from .projection import (
     Moments,
     ShiftedLStatistic,
     g_basis,
-    gram_system,
-    h_density,
     influence_exact,
 )
 from .closedforms import (
     MultiplicativeSpec,
     UnaryFactor,
     influence_power_product,
-    influence_symmetric_multiplicative,
-    influence_via_alternative,
-    power_product_ratio,
     variance_profile,
 )
 
@@ -82,13 +74,11 @@ __version__ = "0.1.0"
 
 # {name: its module} for the names imported on first access
 _LAZY = {
-    **dict.fromkeys(("SetFunction", "equal_influence_class", "eval_lovasz",
-                     "influence_lovasz", "mobius", "norm_sq_lovasz",
-                     "symmetric_part", "zeta"), "lovasz"),
+    **dict.fromkeys(("SetFunction", "equal_influence_class", "mobius",
+                     "norm_sq_lovasz", "symmetric_part", "zeta"), "lovasz"),
     **dict.fromkeys(("Evaluator", "IntegrationEstimate", "derive_seed",
                      "influence_mc_covariance", "influence_mc_derivative",
-                     "influence_mc_diffquotient", "mc_inner_product",
-                     "tensor_quadrature"), "montecarlo"),
+                     "influence_mc_diffquotient"), "montecarlo"),
 }
 
 
@@ -116,7 +106,6 @@ __all__ = [
     "influence_profile",
     "influence_value",
     "resolve_method",
-    "BranchAmbiguityError",
     "ConfigurationError",
     "DegenerateVarianceError",
     "DomainError",
@@ -126,7 +115,6 @@ __all__ = [
     "TaintedSampleError",
     "OrderStatMonomial",
     "OrderStatPolynomial",
-    "dualize",
     "inner_product_exact",
     "integral",
     "moment",
@@ -144,12 +132,9 @@ __all__ = [
     "SetFunctionSpec",
     "VarianceSpec",
     "parse_spec_document",
-    "parse_spec_file",
     "resolve_builtin",
     "SetFunction",
     "equal_influence_class",
-    "eval_lovasz",
-    "influence_lovasz",
     "mobius",
     "norm_sq_lovasz",
     "symmetric_part",
@@ -159,20 +144,13 @@ __all__ = [
     "influence_mc_covariance",
     "influence_mc_derivative",
     "influence_mc_diffquotient",
-    "mc_inner_product",
-    "tensor_quadrature",
     "ApproximationResult",
     "Moments",
     "ShiftedLStatistic",
     "g_basis",
-    "gram_system",
-    "h_density",
     "influence_exact",
     "MultiplicativeSpec",
     "UnaryFactor",
     "influence_power_product",
-    "influence_symmetric_multiplicative",
-    "influence_via_alternative",
-    "power_product_ratio",
     "variance_profile",
 ]

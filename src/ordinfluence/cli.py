@@ -2,10 +2,9 @@
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
 documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file or seed variable, 3 incompatible method or kind, a closed-form branch
-that cannot be decided, or a value beyond the float range, 4 tainted
-Monte-Carlo sample, 5 estimator disagreement in crosscheck, 6 quadrature
-short of its tolerance.
+file or seed variable, 3 incompatible method, kind or rank, or a value beyond
+the float range, 4 tainted Monte-Carlo sample, 5 estimator disagreement in
+crosscheck, 6 quadrature short of its tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import sys
 
 from . import __version__, api
 from .errors import (
-    BranchAmbiguityError,
     ConfigurationError,
     DegenerateVarianceError,
     DomainError,
@@ -303,7 +301,7 @@ def main(argv=None) -> int:
     except SpecFileError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_SPEC
-    except (ConfigurationError, DomainError, BranchAmbiguityError) as exc:
+    except (ConfigurationError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except OverflowError as exc:

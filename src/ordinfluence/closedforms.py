@@ -1,9 +1,10 @@
 """Closed-form influence indices for structured function classes.
 
-Covers products of unary factors (with the symmetric beta-density special
-case), the power-product family, the sample-variance statistic, and the
-subset-box integral identities that express the index without any order
-statistic inside the integrand.
+Covers products of unary factors, the power-product family and the
+sample-variance statistic.  The paper's other closed forms (the symmetric
+beta-density form and the subset-box identities, which express the index
+without any order statistic inside the integrand) serve only as oracles and
+live in ``tests/reference.py``.
 
 Only the quadrature paths need ``scipy.integrate``; it is imported on their
 first use, since loading it takes longer than any exact or closed-form command.
@@ -16,17 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from .errors import (
-    BranchAmbiguityError,
-    ConfigurationError,
-    DomainError,
-    QuadratureError,
-)
+from .errors import ConfigurationError, DomainError, QuadratureError
 from .exact import as_rational, product_indices
 from .projection import ShiftedLStatistic
 
@@ -34,7 +27,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 QUAD_TOL = 1e-10
-PHI_ONE_AMBIGUITY = 1e-12
 
 # The quadrature paths reach scipy.integrate as ``_module.integrate``, so that
 # a caller who replaces the module attribute (a tracer, a test) is seen.
@@ -129,9 +121,6 @@ class UnaryFactor:
         if self.declared_phi_one is not None:
             return self.declared_phi_one
         return self.antiderivative_value(1.0)
-
-    def phi_one_is_exact(self) -> bool:
-        return self.is_symbolic or self.declared_phi_one is not None
 
     def phi_sq_integral(self) -> float:
         """int_0^1 phi(t)^2 dt, for variances of multiplicative functions."""
@@ -233,41 +222,6 @@ def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
     return tuple(((n + 1) * (n + 2) * (sums[:-1] - sums[1:])).tolist())
 
 
-def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> float:
-    """Influence index of f(x) = prod_i phi(x_i).
-
-    When Phi(1) != 0 the index is Phi(1)^n times the integral over y of an
-    explicit binomial difference evaluated at z = Phi(y)/Phi(1) (the
-    derivative of a beta(k+1, n-k+2) density); when Phi(1) = 0 only the full
-    subset survives and the index collapses to the integer
-    (-1)^{n-k+1} (n+1)(n+2) C(n+1, k) times int_0^1 Phi(y)^n dy.
-    """
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    phi1 = factor.phi_one()
-    if not factor.phi_one_is_exact() and abs(float(phi1)) < PHI_ONE_AMBIGUITY:
-        raise BranchAmbiguityError(
-            "Phi(1) = %.3e is numerically ambiguous; declare it exactly"
-            % float(phi1))
-    if float(phi1) != 0.0:
-        phi1 = float(phi1)
-        c_low = comb(n, k - 1)
-        c_high = comb(n, k)
-
-        def integrand(y):
-            z = factor.antiderivative_value(y) / phi1
-            return (c_low * z ** (k - 1) * (1.0 - z) ** (n - k + 1)
-                    - c_high * z ** k * (1.0 - z) ** (n - k))
-
-        return (n + 1) * (n + 2) * phi1 ** n * _quad(integrand)
-    # Gamma(n+3) / (Gamma(k+1) Gamma(n-k+2)) as an exact integer
-    scale = (-1) ** (n - k + 1) * (n + 1) * (n + 2) * comb(n + 1, k)
-    # the integral falls like 4^-n for phi(t) = 2t - 1, so tolerance is
-    # relative only: an absolute one accepts the first estimate
-    return scale * _quad(lambda y: factor.antiderivative_value(y) ** n,
-                         epsabs=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Power products
 # ---------------------------------------------------------------------------
@@ -288,16 +242,6 @@ def influence_power_product(c: float, n: int, k: int) -> float:
     return c * math.exp((n + 2) * math.log(u) + math.lgamma(n + 3)
                         + math.lgamma(k - 1 + u) - math.lgamma(k + 1)
                         - math.lgamma(n + 1 + u))
-
-
-def power_product_ratio(c: float, k: int) -> float:
-    """I(f,k)/I(f,1) = Gamma(k-1+1/(c+1)) / (Gamma(k+1) Gamma(1/(c+1)))."""
-    c = float(c)
-    if c <= -0.5:
-        raise DomainError("exponent must exceed -1/2, got %g" % c)
-    u = 1.0 / (c + 1.0)
-    return math.exp(math.lgamma(k - 1 + u) - math.lgamma(k + 1)
-                    - math.lgamma(u))
 
 
 # ---------------------------------------------------------------------------
@@ -323,126 +267,3 @@ def variance_mean(n: int) -> Fraction:
 def variance_norm_sq(n: int) -> Fraction:
     """<f, f> of the sample variance f: (n-1)(5n^2-n+6)/(720n^3)."""
     return Fraction((n - 1) * (5 * n * n - n + 6), 720 * n ** 3)
-
-
-# ---------------------------------------------------------------------------
-# Subset-box integrals and the alternative index formulas
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _gl_nodes(m: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never written to."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(m)
-
-
-def _box_integral(func, intervals, nodes_per_axis: int) -> float:
-    """Tensor Gauss-Legendre integral of func over a product of intervals."""
-    import numpy as np
-    nodes, weights = _gl_nodes(nodes_per_axis)
-    axes = []
-    axis_weights = []
-    for lo, hi in intervals:
-        half = 0.5 * (hi - lo)
-        axes.append(lo + half * (nodes + 1.0))
-        axis_weights.append(half * weights)
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    values = np.asarray(func(points), dtype=float)
-    w = axis_weights[0]
-    for aw in axis_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    return float(np.dot(values, w.ravel()))
-
-
-_BOX_MODES = ("lower-box", "upper-box", "split")
-
-
-def subset_box_integral(f, subset, mode: str, nodes_per_axis: int = 24,
-                        tol: float = 1e-10) -> float:
-    """One of the building-block integrals over y in [0, 1]:
-
-    lower-box:  int_0^1 int_{[0,y]^S} int_{[0,1]^{S^c}} f dx dy
-    upper-box:  int_0^1 int_{[y,1]^S} int_{[0,1]^{S^c}} f dx dy
-    split:      int_0^1 int_{[0,y]^S} int_{[y,1]^{S^c}} f dx dy
-
-    ``f`` is a MultiplicativeSpec (factorizes into 1-D quadratures) or any
-    object with ``arity`` and vectorized ``evaluate`` (tensor quadrature,
-    arity <= 4).  ``subset`` uses elements of [n].
-    """
-    if mode not in _BOX_MODES:
-        raise DomainError("mode must be one of %s, got %r" % (_BOX_MODES, mode))
-    inside = set(subset)
-    n = f.arity
-    if not all(1 <= i <= n for i in inside):
-        raise DomainError("subset not contained in [1, %d]" % n)
-
-    if isinstance(f, MultiplicativeSpec):
-        def g(y):
-            out = 1.0
-            for i, factor in enumerate(f.factors, start=1):
-                low = factor.antiderivative_value(y)
-                full = float(factor.phi_one())
-                if i in inside:
-                    out *= low if mode in ("lower-box", "split") else full - low
-                else:
-                    out *= full - low if mode == "split" else full
-            return out
-        return _quad(g, tol)
-
-    if not hasattr(f, "evaluate") or not hasattr(f, "arity"):
-        raise ConfigurationError(
-            "subset-box integrals need a multiplicative spec or an evaluator")
-    if n > 4:
-        raise ConfigurationError(
-            "black-box subset-box integrals are limited to arity <= 4")
-
-    def inner(y):
-        intervals = []
-        for i in range(1, n + 1):
-            if i in inside:
-                intervals.append((y, 1.0) if mode == "upper-box" else (0.0, y))
-            else:
-                intervals.append((y, 1.0) if mode == "split" else (0.0, 1.0))
-        return _box_integral(f.evaluate, intervals, nodes_per_axis)
-
-    return _quad(inner, tol)
-
-
-_ALT_FORMULAS = ("dfsg5", "dfsg6", "dfsg7")
-
-
-def influence_via_alternative(f, k: int, formula: str,
-                              nodes_per_axis: int = 24) -> float:
-    """I(f,k) assembled from subset-box integrals, avoiding order statistics:
-
-    dfsg5 uses lower boxes with coefficients (-1)^{|S|+1-k} C(|S|+1, k);
-    dfsg6 uses upper boxes with coefficients (-1)^{|S|-n+k-1} C(|S|+1, n-k+1);
-    dfsg7 is the difference of split-box sums at sizes k-1 and k.
-    """
-    n = f.arity
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    if formula not in _ALT_FORMULAS:
-        raise DomainError("formula must be one of %s, got %r"
-                          % (_ALT_FORMULAS, formula))
-    scale = (n + 1) * (n + 2)
-    total = 0.0
-    if formula == "dfsg5":
-        for size in range(k - 1, n + 1):
-            coeff = (-1) ** (size + 1 - k) * comb(size + 1, k)
-            for subset in combinations(range(1, n + 1), size):
-                total += coeff * subset_box_integral(f, subset, "lower-box",
-                                                     nodes_per_axis)
-    elif formula == "dfsg6":
-        for size in range(n - k, n + 1):
-            coeff = (1 - 2 * ((size - n + k - 1) % 2)) * comb(size + 1, n - k + 1)
-            for subset in combinations(range(1, n + 1), size):
-                total += coeff * subset_box_integral(f, subset, "upper-box",
-                                                     nodes_per_axis)
-    else:
-        for size, sign in ((k - 1, 1), (k, -1)):
-            for subset in combinations(range(1, n + 1), size):
-                total += sign * subset_box_integral(f, subset, "split",
-                                                    nodes_per_axis)
-    return scale * total

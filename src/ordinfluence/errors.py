@@ -17,11 +17,6 @@ class DegenerateVarianceError(OrdInfluenceError):
     """Normalized quantities are undefined because the function is (almost) constant."""
 
 
-class BranchAmbiguityError(OrdInfluenceError):
-    """The antiderivative at 1 is numerically near zero but was not declared zero,
-    so the two structurally different closed-form branches cannot be told apart."""
-
-
 class QuadratureError(OrdInfluenceError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -2,8 +2,9 @@
 
 Everything here is computed with arbitrary-precision rationals: the
 closed-form moment of a product of order-statistic powers over the unit cube,
-inner products, symmetrization of plain-variable polynomials, the influence
-indices of products of powers (product form), and dualization.
+inner products, symmetrization of plain-variable polynomials and the
+influence indices of products of powers (product form).  Duality,
+f^d(x) = 1 - f(1 - x), is an oracle of the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -466,36 +467,3 @@ def plain_norm_sq(plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
                                    + (c * d if i == j else 2 * c * d))
     return sum((Fraction(s, d) for d, s in by_divisor.items()),
                Fraction(0)) / (q * q)
-
-
-# ---------------------------------------------------------------------------
-# Dualization
-# ---------------------------------------------------------------------------
-
-def _reflect(f: OrderStatPolynomial) -> OrderStatPolynomial:
-    """Expansion of x -> f(1 - x) using x_{(k)}(1-x) = 1 - x_{(n-k+1)}(x)."""
-    n = f.arity
-    terms = []
-    constant = f.constant
-    for term in f.terms:
-        slots = [n - slot + 1 for slot, _ in term.exponents]
-        exps = [exp for _, exp in term.exponents]
-        # expand prod_j (1 - y_{r_j})^{c_j} multinomially
-        for picks in product(*[range(c + 1) for c in exps]):
-            coeff = term.coefficient
-            emap = {}
-            for r, c, t in zip(slots, exps, picks):
-                coeff *= comb(c, t) * (-1) ** t
-                if t:
-                    emap[r] = t
-            if emap:
-                terms.append(monomial(n, emap, coeff))
-            else:
-                constant += coeff
-    return polynomial(n, terms, constant)
-
-
-def dualize(f: OrderStatPolynomial) -> OrderStatPolynomial:
-    """Dual function f^d(x) = 1 - f(1 - x), in canonical form."""
-    return 1 - _reflect(f)
-

@@ -2,7 +2,8 @@
 
 A spec declares exactly one function on the unit cube and knows which engines
 can handle it (exact rational, closed form, Monte-Carlo).  Specs can be built
-programmatically or parsed from a JSON document, see ``parse_spec_file``.
+programmatically or parsed from a JSON document: ``load_spec_document``
+reads a file, and ``parse_spec_document`` builds the spec from it.
 
 Set-function payloads are listed in bitmask order with bit i-1 standing for
 element i of [n].
@@ -31,12 +32,14 @@ if TYPE_CHECKING:
 
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 
-# The largest arity, and the largest order-statistic exponent, of a spec
-# file.  At 1000, on 2 CPUs, an exact approx of min, median or x_(n)^1000
-# takes 0.15-0.25 s in a fresh process, of product about 0.45 s, and an MC
-# approx at 1e5 samples about 6 s and 560 MB; the exact moments take rising
-# factorials of n plus the exponents, so x_(1)^10000 at arity 1000 takes
-# 0.2 s and x_(1)^(10^5) at arity 3 about 2.4 s.
+# The largest arity, the largest order-statistic exponent and the largest
+# number of polynomial terms of a spec file.  At 1000, on 2 CPUs, an exact
+# approx of min, median or x_(n)^1000 takes 0.15-0.25 s in a fresh process,
+# of product about 0.45 s, and an MC approx at 1e5 samples about 6 s and
+# 560 MB; the exact moments take rising factorials of n plus the exponents,
+# so x_(1)^10000 at arity 1000 takes 0.2 s and x_(1)^(10^5) at arity 3 about
+# 2.4 s.  <f, f> visits every pair of terms: 1000 terms of up to 3 variables
+# at arity 40 take 0.45-0.7 s (plain) and 0.75 s (order statistics).
 MAX_SIZE = 1000
 
 
@@ -381,6 +384,8 @@ def _parse_set_function(arity: int, values: list) -> SetFunction:
 def _parse_terms(raw, location: str, slot_bound: int, max_exponent=None):
     if not isinstance(raw, list):
         raise SpecFileError("terms must be a list", location)
+    if len(raw) > MAX_SIZE:
+        raise SpecFileError("more than %d terms" % MAX_SIZE, location)
     terms = []
     for i, term in enumerate(raw):
         loc = "%s[%d]" % (location, i)
@@ -500,8 +505,3 @@ def load_spec_document(path: str) -> dict:
         # a key named twice, too deep a nesting or too long an integer
         raise SpecFileError("invalid JSON: %s" % exc, path)
     return doc
-
-
-def parse_spec_file(path: str) -> FunctionSpec:
-    """Load a function spec from a JSON file."""
-    return parse_spec_document(load_spec_document(path))

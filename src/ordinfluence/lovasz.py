@@ -274,23 +274,6 @@ def level_averages(v: SetFunction) -> LevelAverages:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def eval_lovasz(v: SetFunction, x: Sequence) -> float:
-    """Evaluate the extension at one point via the telescoping form
-    f(x) = v(emptyset) + sum_i (v(A_i) - v(A_{i+1})) x_{pi(i)},
-    where pi sorts x ascending and A_i = {pi(i), ..., pi(n)}."""
-    n = v.arity
-    if len(x) != n:
-        raise DomainError("point has %d coordinates, expected %d" % (len(x), n))
-    order = sorted(range(n), key=lambda i: x[i])
-    value = float(v.values[0])
-    mask = (1 << n) - 1
-    for i in order:
-        upper = mask
-        mask ^= 1 << i
-        value += (float(v.values[upper]) - float(v.values[mask])) * x[i]
-    return value
-
-
 def _upper_masks(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """For each row t of the (r, m) array ``levels``, the bitmask of
     {j : x_j >= t} at each of the m points of x, in the narrowest unsigned
@@ -337,20 +320,6 @@ def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     sorting the row ascending."""
     upper = values[_upper_masks(x, sorted_columns(x)[k - 1:k + 1])]
     return upper[0] - (upper[1] if k < x.shape[1] else values[0])
-
-
-# ---------------------------------------------------------------------------
-# Influence
-# ---------------------------------------------------------------------------
-
-def influence_lovasz(v: SetFunction, k: int) -> Fraction:
-    """Exact influence index of the extension of v on its k-th smallest
-    variable: vbar(n-k+1) - vbar(n-k)."""
-    n = v.arity
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    vbar = level_averages(v).vbar
-    return vbar[n - k + 1] - vbar[n - k]
 
 
 # ---------------------------------------------------------------------------

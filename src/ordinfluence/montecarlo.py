@@ -3,8 +3,9 @@
 Three equivalent formulations are implemented: the covariance with the kernel
 g_k, the density-weighted directional derivative, and the difference-quotient
 average over the gap between consecutive order statistics (with a uniform and
-a triangular sampling variant).  A small-dimension tensor Gauss-Legendre
-quadrature serves as an independent oracle.
+a triangular sampling variant).  The uniform-sampling estimate of <f, g>
+and the tensor Gauss-Legendre quadrature that the tests check them against
+live in ``tests/reference.py``.
 
 All estimators draw from a counter-based Philox stream keyed by the seed, so
 results are bit-reproducible for a fixed (seed, samples, estimator) triple.
@@ -44,7 +45,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closedforms import _box_integral
 from .errors import ConfigurationError, DomainError, TaintedSampleError
 from .projection import Moments
 
@@ -334,20 +334,6 @@ def _h_density(n: int, down, mid, up) -> np.ndarray:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
-                     seed: int) -> IntegrationEstimate:
-    """Uniform-sampling estimate of the inner product <f, g>."""
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
-    if f.arity != g.arity:
-        raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
-    acc = _Accumulator()
-    with closing(_drawn_ahead(_rng(seed), samples, (f.arity,))) as batches:
-        for (x,) in batches:
-            acc.add(f(x) * g(x), x)
-    return acc.estimate(seed, "raw-inner-product")
-
-
 def influence_mc_covariance(f: Evaluator, k: int, samples: int,
                             seed: int) -> IntegrationEstimate:
     """I(f,k) as the average of f(x) g_k(x) under uniform sampling."""
@@ -504,17 +490,3 @@ def _estimated_moments(acc: _Accumulator, n: int, norm_sq: bool,
     return Moments(n, "mc", tuple(values[:n]), values[n], values[n + 1],
                    tuple(ses[:n]), ses[n], ses[n + 1], samples=acc.count,
                    seed=seed, covariance=tuple(map(tuple, covariance.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# Tensor quadrature oracle
-# ---------------------------------------------------------------------------
-
-def tensor_quadrature(f: Evaluator, nodes_per_axis: int) -> float:
-    """Tensor-product Gauss-Legendre estimate of the integral of f over the
-    unit cube; an independent oracle for arity <= 4."""
-    if f.arity > 4:
-        raise ConfigurationError("tensor quadrature is limited to arity <= 4")
-    if nodes_per_axis < 2:
-        raise DomainError("need at least 2 nodes per axis")
-    return _box_integral(f, [(0.0, 1.0)] * f.arity, nodes_per_axis)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .errors import DegenerateVarianceError, DomainError
 from .exact import (
@@ -31,43 +31,8 @@ from .exact import (
 
 
 # ---------------------------------------------------------------------------
-# Gram system
+# Influence index and approximations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GramSystem:
-    """Exact (n+1)x(n+1) Gram matrix of (os_1, ..., os_n, 1) and its inverse."""
-
-    arity: int
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    inverse: Tuple[Tuple[Fraction, ...], ...]
-
-
-def gram_system(n: int) -> GramSystem:
-    """Gram matrix M with (M)_{ij} = min(i,j)(max(i,j)+1)/((n+1)(n+2)) and its
-    exact inverse, which is tridiagonal up to the (n+1)(n+2) scale."""
-    if n < 1:
-        raise DomainError("arity must be >= 1, got %d" % n)
-    denom = (n + 1) * (n + 2)
-    size = n + 1
-    matrix = tuple(
-        tuple(Fraction(min(i, j) * (max(i, j) + 1), denom)
-              for j in range(1, size + 1))
-        for i in range(1, size + 1))
-    inverse = []
-    for i in range(1, size + 1):
-        row = []
-        for j in range(1, size + 1):
-            if i == j:
-                entry = Fraction(n + 1, n + 2) if i == size else Fraction(2)
-            elif abs(i - j) == 1:
-                entry = Fraction(-1)
-            else:
-                entry = Fraction(0)
-            row.append(entry * denom)
-        inverse.append(tuple(row))
-    return GramSystem(n, matrix, tuple(inverse))
-
 
 def g_basis(n: int, k: int) -> OrderStatPolynomial:
     """Covariance kernel g_k = -(n+1)(n+2)(os_{k+1} - 2 os_k + os_{k-1}),
@@ -77,20 +42,6 @@ def g_basis(n: int, k: int) -> OrderStatPolynomial:
     second_diff = os_function(n, k + 1) - 2 * os_function(n, k) + os_function(n, k - 1)
     return -(n + 1) * (n + 2) * second_diff
 
-
-def h_density(n: int, k: int) -> OrderStatPolynomial:
-    """Probability density h_k = (n+1)(n+2)(os_{k+1} - os_k)(os_k - os_{k-1})
-    weighting the directional derivative."""
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    upper = os_function(n, k + 1) - os_function(n, k)
-    lower = os_function(n, k) - os_function(n, k - 1)
-    return (n + 1) * (n + 2) * (upper * lower)
-
-
-# ---------------------------------------------------------------------------
-# Influence index and approximations
-# ---------------------------------------------------------------------------
 
 def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
     """Exact influence index I(f, k) = <f, g_k>."""

@@ -14,7 +14,6 @@ import pytest
 from ordinfluence import (
     Evaluator,
     SetFunction,
-    gram_system,
     inner_product_exact,
     integral,
     monomial,
@@ -30,6 +29,7 @@ from ordinfluence.montecarlo import (
     _rng,
     derive_seed,
 )
+from reference import gram_system
 
 
 def random_fraction(rng, lo=-4, hi=4, den=6):

@@ -1,28 +1,53 @@
 """Reference forms of the influence index that the engines are checked against.
 
 The paper states I(f, k) in several equivalent ways.  The functions here
-compute the ones no user path needs: the expansion of a sum of subset order
-statistics in full order statistics, the min/max expansions of x_(k), the
-pointwise Moebius form and directional slope of a Lovasz extension, the
-hypergeometric influence of a subset order statistic with its vertex set
-function, the dual set function, the sample variance expanded into plain
-terms, and the exact product form of a product of powers built one factor
-at a time.  The package computes none of them, so each stays an independent
-check on the exact, Lovasz, closed-form and Monte-Carlo engines.
+compute the ones no user path needs:
+- the expansion of a sum of subset order statistics in full order
+  statistics, and the min/max expansions of x_(k);
+- the Lovasz extension pointwise, in telescoping and Moebius form, with its
+  directional slope and its index from the level averages;
+- the hypergeometric influence of a subset order statistic with its vertex
+  set function, the dual set function and the dual f^d(x) = 1 - f(1 - x);
+- the sample variance expanded into plain terms, and the exact product
+  form of a product of powers built one factor at a time;
+- the Gram system of (os_1, ..., os_n, 1) and the kernel density h_k;
+- the symmetric multiplicative closed form with its Phi(1) = 0 branch and
+  ``BranchAmbiguityError``, and the power-product ratio I(f,k)/I(f,1);
+- the subset-box integrals and the alternative formulas built from them;
+- a uniform-sampling estimate of <f, g> and a tensor Gauss-Legendre
+  quadrature over the unit cube.
+The package computes none of them, so each stays an independent check on
+the exact, Lovasz, closed-form and Monte-Carlo engines.
 
 The file is not named ``oracles``: ``perfbench`` imports its own
 ``oracles.py`` as a top-level module, which a second module of that name
 would shadow in one pytest session.
 """
 
+import math
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb, lcm
 from typing import Sequence, Tuple
 
-from ordinfluence.errors import DomainError
-from ordinfluence.lovasz import SetFunction, mobius
+from ordinfluence import montecarlo
+from ordinfluence.closedforms import MultiplicativeSpec, UnaryFactor, _quad
+from ordinfluence.errors import (
+    ConfigurationError,
+    DomainError,
+    OrdInfluenceError,
+)
+from ordinfluence.exact import (
+    OrderStatPolynomial,
+    monomial,
+    os_function,
+    polynomial,
+)
+from ordinfluence.lovasz import SetFunction, level_averages, mobius
+from ordinfluence.montecarlo import Evaluator, IntegrationEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +108,23 @@ def expand_min_max(n: int, k: int, mode: str) -> SignedSubsetCombination:
 # Lovasz extensions, pointwise
 # ---------------------------------------------------------------------------
 
+def eval_lovasz(v: SetFunction, x: Sequence) -> float:
+    """Evaluate the extension at one point via the telescoping form
+    f(x) = v(emptyset) + sum_i (v(A_i) - v(A_{i+1})) x_{pi(i)},
+    where pi sorts x ascending and A_i = {pi(i), ..., pi(n)}."""
+    n = v.arity
+    if len(x) != n:
+        raise DomainError("point has %d coordinates, expected %d" % (len(x), n))
+    order = sorted(range(n), key=lambda i: x[i])
+    value = float(v.values[0])
+    mask = (1 << n) - 1
+    for i in order:
+        upper = mask
+        mask ^= 1 << i
+        value += (float(v.values[upper]) - float(v.values[mask])) * x[i]
+    return value
+
+
 def eval_lovasz_mobius(v: SetFunction, x: Sequence) -> float:
     """Evaluate via the Moebius form sum_S m(S) min_{i in S} x_i; agrees with
     eval_lovasz and is used as its cross-check."""
@@ -104,6 +146,16 @@ def directional_slope(v: SetFunction, x: Sequence, k: int) -> float:
         upper |= 1 << i
     lower = upper ^ (1 << order[k - 1])
     return float(v.values[upper]) - float(v.values[lower])
+
+
+def influence_lovasz(v: SetFunction, k: int) -> Fraction:
+    """Exact influence index of the extension of v on its k-th smallest
+    variable: vbar(n-k+1) - vbar(n-k)."""
+    n = v.arity
+    if not 1 <= k <= n:
+        raise DomainError("rank %d outside [1, %d]" % (k, n))
+    vbar = level_averages(v).vbar
+    return vbar[n - k + 1] - vbar[n - k]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +199,34 @@ def dual_set_function(v: SetFunction) -> SetFunction:
     return SetFunction(v.arity, [1 - x for x in reversed(v.values)])
 
 
+def _reflect(f: OrderStatPolynomial) -> OrderStatPolynomial:
+    """Expansion of x -> f(1 - x) using x_{(k)}(1-x) = 1 - x_{(n-k+1)}(x)."""
+    n = f.arity
+    terms = []
+    constant = f.constant
+    for term in f.terms:
+        slots = [n - slot + 1 for slot, _ in term.exponents]
+        exps = [exp for _, exp in term.exponents]
+        # expand prod_j (1 - y_{r_j})^{c_j} multinomially
+        for picks in product(*[range(c + 1) for c in exps]):
+            coeff = term.coefficient
+            emap = {}
+            for r, c, t in zip(slots, exps, picks):
+                coeff *= comb(c, t) * (-1) ** t
+                if t:
+                    emap[r] = t
+            if emap:
+                terms.append(monomial(n, emap, coeff))
+            else:
+                constant += coeff
+    return polynomial(n, terms, constant)
+
+
+def dualize(f: OrderStatPolynomial) -> OrderStatPolynomial:
+    """Dual function f^d(x) = 1 - f(1 - x), in canonical form."""
+    return 1 - _reflect(f)
+
+
 # ---------------------------------------------------------------------------
 # Sample variance expansion
 # ---------------------------------------------------------------------------
@@ -185,3 +265,262 @@ def product_form_by_factor(exponents) -> Tuple[Fraction, ...]:
         r = out
     sums = [sum(v * Fraction(den, q + den) for q, v in rj.items()) for rj in r]
     return tuple((n + 1) * (n + 2) * (sums[k - 1] - sums[k]) for k in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Gram system and the kernel density h_k
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GramSystem:
+    """Exact (n+1)x(n+1) Gram matrix of (os_1, ..., os_n, 1) and its inverse."""
+
+    arity: int
+    matrix: Tuple[Tuple[Fraction, ...], ...]
+    inverse: Tuple[Tuple[Fraction, ...], ...]
+
+
+def gram_system(n: int) -> GramSystem:
+    """Gram matrix M with (M)_{ij} = min(i,j)(max(i,j)+1)/((n+1)(n+2)) and its
+    exact inverse, which is tridiagonal up to the (n+1)(n+2) scale."""
+    if n < 1:
+        raise DomainError("arity must be >= 1, got %d" % n)
+    denom = (n + 1) * (n + 2)
+    size = n + 1
+    matrix = tuple(
+        tuple(Fraction(min(i, j) * (max(i, j) + 1), denom)
+              for j in range(1, size + 1))
+        for i in range(1, size + 1))
+    inverse = []
+    for i in range(1, size + 1):
+        row = []
+        for j in range(1, size + 1):
+            if i == j:
+                entry = Fraction(n + 1, n + 2) if i == size else Fraction(2)
+            elif abs(i - j) == 1:
+                entry = Fraction(-1)
+            else:
+                entry = Fraction(0)
+            row.append(entry * denom)
+        inverse.append(tuple(row))
+    return GramSystem(n, matrix, tuple(inverse))
+
+
+def h_density(n: int, k: int) -> OrderStatPolynomial:
+    """Probability density h_k = (n+1)(n+2)(os_{k+1} - os_k)(os_k - os_{k-1})
+    weighting the directional derivative."""
+    if not 1 <= k <= n:
+        raise DomainError("rank %d outside [1, %d]" % (k, n))
+    upper = os_function(n, k + 1) - os_function(n, k)
+    lower = os_function(n, k) - os_function(n, k - 1)
+    return (n + 1) * (n + 2) * (upper * lower)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of multiplicative functions and power products
+# ---------------------------------------------------------------------------
+
+PHI_ONE_AMBIGUITY = 1e-12
+
+
+class BranchAmbiguityError(OrdInfluenceError):
+    """The antiderivative at 1 is numerically near zero but was not declared zero,
+    so the two structurally different closed-form branches cannot be told apart."""
+
+
+def influence_symmetric_multiplicative(factor: UnaryFactor, n: int, k: int) -> float:
+    """Influence index of f(x) = prod_i phi(x_i).
+
+    When Phi(1) != 0 the index is Phi(1)^n times the integral over y of an
+    explicit binomial difference evaluated at z = Phi(y)/Phi(1) (the
+    derivative of a beta(k+1, n-k+2) density); when Phi(1) = 0 only the full
+    subset survives and the index collapses to the integer
+    (-1)^{n-k+1} (n+1)(n+2) C(n+1, k) times int_0^1 Phi(y)^n dy.
+    """
+    if not 1 <= k <= n:
+        raise DomainError("rank %d outside [1, %d]" % (k, n))
+    phi1 = factor.phi_one()
+    if (not factor.is_symbolic and factor.declared_phi_one is None
+            and abs(float(phi1)) < PHI_ONE_AMBIGUITY):
+        raise BranchAmbiguityError(
+            "Phi(1) = %.3e is numerically ambiguous; declare it exactly"
+            % float(phi1))
+    if float(phi1) != 0.0:
+        phi1 = float(phi1)
+        c_low = comb(n, k - 1)
+        c_high = comb(n, k)
+
+        def integrand(y):
+            z = factor.antiderivative_value(y) / phi1
+            return (c_low * z ** (k - 1) * (1.0 - z) ** (n - k + 1)
+                    - c_high * z ** k * (1.0 - z) ** (n - k))
+
+        return (n + 1) * (n + 2) * phi1 ** n * _quad(integrand)
+    # Gamma(n+3) / (Gamma(k+1) Gamma(n-k+2)) as an exact integer
+    scale = (-1) ** (n - k + 1) * (n + 1) * (n + 2) * comb(n + 1, k)
+    # the integral falls like 4^-n for phi(t) = 2t - 1, so tolerance is
+    # relative only: an absolute one accepts the first estimate
+    return scale * _quad(lambda y: factor.antiderivative_value(y) ** n,
+                         epsabs=0.0)
+
+
+def power_product_ratio(c: float, k: int) -> float:
+    """I(f,k)/I(f,1) = Gamma(k-1+1/(c+1)) / (Gamma(k+1) Gamma(1/(c+1)))."""
+    c = float(c)
+    if c <= -0.5:
+        raise DomainError("exponent must exceed -1/2, got %g" % c)
+    u = 1.0 / (c + 1.0)
+    return math.exp(math.lgamma(k - 1 + u) - math.lgamma(k + 1)
+                    - math.lgamma(u))
+
+
+# ---------------------------------------------------------------------------
+# Subset-box integrals and the alternative index formulas
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _gl_nodes(m: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; shared, never written to."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(m)
+
+
+def _box_integral(func, intervals, nodes_per_axis: int) -> float:
+    """Tensor Gauss-Legendre integral of func over a product of intervals."""
+    import numpy as np
+    nodes, weights = _gl_nodes(nodes_per_axis)
+    axes = []
+    axis_weights = []
+    for lo, hi in intervals:
+        half = 0.5 * (hi - lo)
+        axes.append(lo + half * (nodes + 1.0))
+        axis_weights.append(half * weights)
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=-1)
+    values = np.asarray(func(points), dtype=float)
+    w = axis_weights[0]
+    for aw in axis_weights[1:]:
+        w = np.multiply.outer(w, aw)
+    return float(np.dot(values, w.ravel()))
+
+
+_BOX_MODES = ("lower-box", "upper-box", "split")
+
+
+def subset_box_integral(f, subset, mode: str, nodes_per_axis: int = 24,
+                        tol: float = 1e-10) -> float:
+    """One of the building-block integrals over y in [0, 1]:
+
+    lower-box:  int_0^1 int_{[0,y]^S} int_{[0,1]^{S^c}} f dx dy
+    upper-box:  int_0^1 int_{[y,1]^S} int_{[0,1]^{S^c}} f dx dy
+    split:      int_0^1 int_{[0,y]^S} int_{[y,1]^{S^c}} f dx dy
+
+    ``f`` is a MultiplicativeSpec (factorizes into 1-D quadratures) or any
+    object with ``arity`` and vectorized ``evaluate`` (tensor quadrature,
+    arity <= 4).  ``subset`` uses elements of [n].
+    """
+    if mode not in _BOX_MODES:
+        raise DomainError("mode must be one of %s, got %r" % (_BOX_MODES, mode))
+    inside = set(subset)
+    n = f.arity
+    if not all(1 <= i <= n for i in inside):
+        raise DomainError("subset not contained in [1, %d]" % n)
+
+    if isinstance(f, MultiplicativeSpec):
+        def g(y):
+            out = 1.0
+            for i, factor in enumerate(f.factors, start=1):
+                low = factor.antiderivative_value(y)
+                full = float(factor.phi_one())
+                if i in inside:
+                    out *= low if mode in ("lower-box", "split") else full - low
+                else:
+                    out *= full - low if mode == "split" else full
+            return out
+        return _quad(g, tol)
+
+    if not hasattr(f, "evaluate") or not hasattr(f, "arity"):
+        raise ConfigurationError(
+            "subset-box integrals need a multiplicative spec or an evaluator")
+    if n > 4:
+        raise ConfigurationError(
+            "black-box subset-box integrals are limited to arity <= 4")
+
+    def inner(y):
+        intervals = []
+        for i in range(1, n + 1):
+            if i in inside:
+                intervals.append((y, 1.0) if mode == "upper-box" else (0.0, y))
+            else:
+                intervals.append((y, 1.0) if mode == "split" else (0.0, 1.0))
+        return _box_integral(f.evaluate, intervals, nodes_per_axis)
+
+    return _quad(inner, tol)
+
+
+_ALT_FORMULAS = ("dfsg5", "dfsg6", "dfsg7")
+
+
+def influence_via_alternative(f, k: int, formula: str,
+                              nodes_per_axis: int = 24) -> float:
+    """I(f,k) assembled from subset-box integrals, avoiding order statistics:
+
+    dfsg5 uses lower boxes with coefficients (-1)^{|S|+1-k} C(|S|+1, k);
+    dfsg6 uses upper boxes with coefficients (-1)^{|S|-n+k-1} C(|S|+1, n-k+1);
+    dfsg7 is the difference of split-box sums at sizes k-1 and k.
+    """
+    n = f.arity
+    if not 1 <= k <= n:
+        raise DomainError("rank %d outside [1, %d]" % (k, n))
+    if formula not in _ALT_FORMULAS:
+        raise DomainError("formula must be one of %s, got %r"
+                          % (_ALT_FORMULAS, formula))
+    scale = (n + 1) * (n + 2)
+    total = 0.0
+    if formula == "dfsg5":
+        for size in range(k - 1, n + 1):
+            coeff = (-1) ** (size + 1 - k) * comb(size + 1, k)
+            for subset in combinations(range(1, n + 1), size):
+                total += coeff * subset_box_integral(f, subset, "lower-box",
+                                                     nodes_per_axis)
+    elif formula == "dfsg6":
+        for size in range(n - k, n + 1):
+            coeff = (1 - 2 * ((size - n + k - 1) % 2)) * comb(size + 1, n - k + 1)
+            for subset in combinations(range(1, n + 1), size):
+                total += coeff * subset_box_integral(f, subset, "upper-box",
+                                                     nodes_per_axis)
+    else:
+        for size, sign in ((k - 1, 1), (k, -1)):
+            for subset in combinations(range(1, n + 1), size):
+                total += sign * subset_box_integral(f, subset, "split",
+                                                    nodes_per_axis)
+    return scale * total
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo inner product and tensor quadrature
+# ---------------------------------------------------------------------------
+
+def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
+                     seed: int) -> IntegrationEstimate:
+    """Uniform-sampling estimate of the inner product <f, g>."""
+    if samples < 2:
+        raise DomainError("need at least 2 samples")
+    if f.arity != g.arity:
+        raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
+    acc = montecarlo._Accumulator()
+    with closing(montecarlo._drawn_ahead(montecarlo._rng(seed), samples,
+                                         (f.arity,))) as batches:
+        for (x,) in batches:
+            acc.add(f(x) * g(x), x)
+    return acc.estimate(seed, "raw-inner-product")
+
+
+def tensor_quadrature(f: Evaluator, nodes_per_axis: int) -> float:
+    """Tensor-product Gauss-Legendre estimate of the integral of f over the
+    unit cube; an independent oracle for arity <= 4."""
+    if f.arity > 4:
+        raise ConfigurationError("tensor quadrature is limited to arity <= 4")
+    if nodes_per_axis < 2:
+        raise DomainError("need at least 2 nodes per axis")
+    return _box_integral(f, [(0.0, 1.0)] * f.arity, nodes_per_axis)

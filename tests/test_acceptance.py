@@ -17,24 +17,19 @@ import pytest
 from ordinfluence import (
     OrderStatPolynomialSpec,
     best_approximation,
-    dualize,
     equal_influence_class,
     g_basis,
-    gram_system,
-    h_density,
     influence_exact,
     influence_mc_covariance,
     influence_mc_derivative,
     influence_mc_diffquotient,
     influence_power_product,
     influence_profile,
-    influence_via_alternative,
     inner_product_exact,
     integral,
     monomial,
     os_function,
     polynomial,
-    power_product_ratio,
     resolve_builtin,
     symmetrize,
     variance_profile,
@@ -45,7 +40,7 @@ from ordinfluence.closedforms import (
     multiplicative_indices,
 )
 from ordinfluence.funcspec import SetFunctionSpec
-from ordinfluence.lovasz import influence_lovasz, level_averages, zeta
+from ordinfluence.lovasz import level_averages, zeta
 from ordinfluence.montecarlo import Evaluator
 
 from conftest import (
@@ -56,10 +51,16 @@ from conftest import (
 )
 from reference import (
     dual_set_function,
+    dualize,
     expand_min_max,
     expand_subset_sum,
+    gram_system,
+    h_density,
+    influence_lovasz,
     influence_os_subset,
+    influence_via_alternative,
     os_subset_set_function,
+    power_product_ratio,
     variance_plain_terms,
 )
 

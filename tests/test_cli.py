@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ordinfluence import (
-    BranchAmbiguityError,
+    ConfigurationError,
     Evaluator,
     QuadratureError,
     api,
@@ -163,6 +163,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("kind", ["plain-polynomial",
+                                      "orderstat-polynomial"])
+    def test_term_count_bound_is_inclusive(self, tmp_path, capsys, kind):
+        # <f, f> visits every pair of terms, so the term count is bounded
+        # like the arity: an approx of 10^5 terms ran for hours
+        terms = [{"coefficient": 1, "exponents": {str(i % 40 + 1): i // 40 + 1}}
+                 for i in range(funcspec.MAX_SIZE + 1)]
+        doc = {"kind": kind, "arity": 40, "terms": terms[:-1]}
+        assert cli.main(["influence", write_spec(tmp_path, doc), "--all"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 40
+        doc["terms"] = terms
+        assert cli.main(["influence", write_spec(tmp_path, doc), "--all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: more than 1000 terms (at terms)\n"
 
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "builtin", "name": "arithmetic-mean", "arity": 21},
@@ -348,9 +364,9 @@ class TestExitCodes:
                          "--samples", "1000"]) == 4
 
     @pytest.mark.parametrize("error, code", [
-        (BranchAmbiguityError("Phi(1) is near zero but not declared"), 3),
+        (ConfigurationError("no closed form for this function"), 3),
         (QuadratureError("quadrature error above tolerance", 1e-3), 6),
-    ], ids=["branch-ambiguity", "quadrature"])
+    ], ids=["configuration", "quadrature"])
     def test_closed_form_failures_exit_with_their_code(self, tmp_path, capsys,
                                                        monkeypatch, error, code):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
@@ -583,8 +599,8 @@ class TestEstimatedReports:
         assert cli.main(["approx", path, "--method", "mc", "--samples", "20000",
                          "--seed", "3", "--format", "json"]) == 0
         extras = json.loads(capsys.readouterr().out)["extras"]
-        moments = api.function_moments(funcspec.parse_spec_file(path), "mc",
-                                       20000, 3)
+        spec = funcspec.parse_spec_document(funcspec.load_spec_document(path))
+        moments = api.function_moments(spec, "mc", 20000, 3)
         fit = approximation_from_moments(moments)
         assert extras["a_tail_se"] == fit.coefficient_std_errors[-1] > 0
         assert extras["mean_se"] == moments.mean_std_error > 0

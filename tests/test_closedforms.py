@@ -11,18 +11,14 @@ import numpy as np
 import pytest
 
 from ordinfluence import (
-    BranchAmbiguityError,
     DomainError,
     MultiplicativeSpec,
     QuadratureError,
     UnaryFactor,
     influence_exact,
     influence_power_product,
-    influence_symmetric_multiplicative,
-    influence_via_alternative,
     monomial,
     polynomial,
-    power_product_ratio,
     symmetrize,
     variance_profile,
 )
@@ -36,12 +32,16 @@ from ordinfluence import (
     function_moments,
     resolve_builtin,
 )
-from ordinfluence.closedforms import (
-    multiplicative_indices,
-    subset_box_integral,
-)
+from ordinfluence.closedforms import multiplicative_indices
 
-from reference import variance_plain_terms
+from reference import (
+    BranchAmbiguityError,
+    influence_symmetric_multiplicative,
+    influence_via_alternative,
+    power_product_ratio,
+    subset_box_integral,
+    variance_plain_terms,
+)
 
 
 class TestPowerProduct:

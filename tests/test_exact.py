@@ -15,7 +15,6 @@ import pytest
 from ordinfluence import (
     ConfigurationError,
     DomainError,
-    dualize,
     exact,
     influence_exact,
     influence_power_product,
@@ -26,7 +25,6 @@ from ordinfluence import (
     os_function,
     polynomial,
     symmetrize,
-    tensor_quadrature,
 )
 from ordinfluence.exact import (
     orderstat_norm_sq,
@@ -39,7 +37,13 @@ from ordinfluence.exact import (
 from ordinfluence.projection import moments_exact
 
 from conftest import poly_evaluator, random_orderstat_polynomial
-from reference import expand_min_max, expand_subset_sum, product_form_by_factor
+from reference import (
+    dualize,
+    expand_min_max,
+    expand_subset_sum,
+    product_form_by_factor,
+    tensor_quadrature,
+)
 
 
 class TestEvalOrderStat:

@@ -16,7 +16,6 @@ from ordinfluence import (
     influence_profile,
     influence_value,
     parse_spec_document,
-    parse_spec_file,
     resolve_builtin,
     resolve_method,
 )
@@ -179,17 +178,18 @@ class TestParsing:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert load_spec_document(str(path)) == doc
-        assert parse_spec_file(str(path)) == parse_spec_document(doc)
+        assert (parse_spec_document(load_spec_document(str(path)))
+                == parse_spec_document(doc))
 
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
-            parse_spec_file("/nonexistent/spec.json")
+            parse_spec_document(load_spec_document("/nonexistent/spec.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(SpecFileError):
-            parse_spec_file(str(path))
+            parse_spec_document(load_spec_document(str(path)))
 
 
 class TestBuiltins:

@@ -13,9 +13,7 @@ from ordinfluence import (
     DomainError,
     SetFunction,
     equal_influence_class,
-    eval_lovasz,
     influence_exact,
-    influence_lovasz,
     inner_product_exact,
     integral,
     mobius,
@@ -33,10 +31,13 @@ from conftest import random_set_function
 from reference import (
     directional_slope,
     dual_set_function,
+    eval_lovasz,
     eval_lovasz_mobius,
     expand_subset_sum,
+    influence_lovasz,
     influence_os_subset,
     os_subset_set_function,
+    tensor_quadrature,
 )
 
 
@@ -548,7 +549,7 @@ class TestSymmetricPartAndMoments:
 
     def test_mean_against_quadrature(self, rng):
         import numpy as np
-        from ordinfluence import Evaluator, tensor_quadrature
+        from ordinfluence import Evaluator
         from ordinfluence.lovasz import lovasz_eval_batch
         for _ in range(8):
             n = rng.randint(1, 3)

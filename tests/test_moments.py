@@ -27,7 +27,6 @@ from ordinfluence import (
     lovasz,
     projection,
     resolve_builtin,
-    tensor_quadrature,
 )
 from ordinfluence.exact import plain_integral, plain_norm_sq
 from ordinfluence.montecarlo import Evaluator
@@ -35,7 +34,6 @@ from ordinfluence.projection import (
     Moments,
     _r_squared_gradient,
     approximation_from_moments,
-    gram_system,
     moments_exact,
 )
 
@@ -46,6 +44,7 @@ from conftest import (
     random_plain_terms,
     random_set_function,
 )
+from reference import gram_system, tensor_quadrature
 
 X1 = PlainPolynomialSpec(2, [(Fraction(1), {1: 1})])
 
@@ -180,18 +179,18 @@ class TestAssemblerAgainstOracles:
             assert _r_squared_gradient(m, r2) == pytest.approx(
                 numeric, rel=1e-6, abs=1e-8)
 
-    def test_fit_builds_no_gram_system(self, monkeypatch, rng):
+    def test_fit_builds_no_gram_system(self, rng):
+        # the Gram system is an oracle of the tests: the package binds none
         poly = random_orderstat_polynomial(rng, 3)
         while inner_product_exact(poly, poly) == integral(poly) ** 2:
             poly = random_orderstat_polynomial(rng, 3)
-        calls = _count_calls(monkeypatch, projection, "gram_system")
         spec = resolve_builtin("median", 5)
         best_approximation(spec, "exact")
         best_approximation(spec, "mc", samples=4000, seed=1)
         approximation_from_moments(moments_exact(poly)).normalized_index(2)
         best_approximation(OrderStatPolynomialSpec(poly))
         influence_profile(OrderStatPolynomialSpec(poly))
-        assert not calls
+        assert not hasattr(projection, "gram_system")
 
     def test_profile_tail_is_mean_preserving(self, rng):
         for _ in range(10):

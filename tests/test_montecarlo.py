@@ -25,8 +25,6 @@ from ordinfluence import (
     influence_mc_covariance,
     influence_mc_derivative,
     influence_mc_diffquotient,
-    mc_inner_product,
-    tensor_quadrature,
 )
 from ordinfluence import montecarlo
 from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
@@ -57,6 +55,7 @@ from conftest import (
     reference_profile_moments,
     reference_shift,
 )
+from reference import mc_inner_product, tensor_quadrature
 
 # Both sides of the sorted_columns crossover, and the arities of the
 # reference-equality tests

@@ -9,8 +9,6 @@ from ordinfluence import (
     DegenerateVarianceError,
     DomainError,
     g_basis,
-    gram_system,
-    h_density,
     influence_exact,
     inner_product_exact,
     integral,
@@ -25,6 +23,7 @@ from ordinfluence.projection import (
 )
 
 from conftest import direct_tail, gram_solve, random_orderstat_polynomial
+from reference import gram_system, h_density
 
 
 class TestGramSystem:

@@ -14,26 +14,29 @@ from ordinfluence import (
     PowerProductSpec,
     SetFunction,
     UnaryFactor,
-    eval_lovasz,
     influence_exact,
-    influence_lovasz,
-    influence_symmetric_multiplicative,
-    influence_via_alternative,
     inner_product_exact,
-    mc_inner_product,
     moment,
     monomial,
     os_function,
-    power_product_ratio,
     resolve_builtin,
     symmetrize,
-    tensor_quadrature,
     variance_profile,
 )
-from ordinfluence.closedforms import subset_box_integral
 from ordinfluence.exact import plain_indices
 from ordinfluence.montecarlo import mc_profile_moments
 from ordinfluence.projection import approximation_from_moments, moments_exact
+
+from reference import (
+    eval_lovasz,
+    influence_lovasz,
+    influence_symmetric_multiplicative,
+    influence_via_alternative,
+    mc_inner_product,
+    power_product_ratio,
+    subset_box_integral,
+    tensor_quadrature,
+)
 
 
 def _sum_of(arity):
