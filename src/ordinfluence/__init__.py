@@ -35,13 +35,9 @@ from .errors import (
 from .exact import (
     OrderStatMonomial,
     OrderStatPolynomial,
-    inner_product_exact,
-    integral,
-    moment,
     monomial,
     os_function,
     polynomial,
-    symmetrize,
 )
 from .funcspec import (
     BUILTIN_NAMES,
@@ -60,8 +56,6 @@ from .projection import (
     ApproximationResult,
     Moments,
     ShiftedLStatistic,
-    g_basis,
-    influence_exact,
 )
 from .closedforms import (
     MultiplicativeSpec,
@@ -115,13 +109,9 @@ __all__ = [
     "TaintedSampleError",
     "OrderStatMonomial",
     "OrderStatPolynomial",
-    "inner_product_exact",
-    "integral",
-    "moment",
     "monomial",
     "os_function",
     "polynomial",
-    "symmetrize",
     "BUILTIN_NAMES",
     "FunctionSpec",
     "MultiplicativeFunctionSpec",
@@ -147,8 +137,6 @@ __all__ = [
     "ApproximationResult",
     "Moments",
     "ShiftedLStatistic",
-    "g_basis",
-    "influence_exact",
     "MultiplicativeSpec",
     "UnaryFactor",
     "influence_power_product",

@@ -53,15 +53,11 @@ def _checked(value, err: float, tol: float):
     return value
 
 
-def _quad(func: Callable[[float], float], tol: float = QUAD_TOL,
-          epsabs: Optional[float] = None, upper: float = 1.0) -> float:
-    """int_0^upper func to the relative tolerance ``tol`` and the absolute
-    one ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy
-    only, for integrals far below ``tol``."""
-    epsabs = tol if epsabs is None else epsabs
-    value, err = _module.integrate.quad(func, 0.0, upper, epsabs=epsabs,
-                                        epsrel=tol, limit=200)
-    return _checked(value, err, epsabs)
+def _quad(func: Callable[[float], float], upper: float = 1.0) -> float:
+    """int_0^upper func to the relative and absolute tolerance QUAD_TOL."""
+    value, err = _module.integrate.quad(func, 0.0, upper, epsabs=QUAD_TOL,
+                                        epsrel=QUAD_TOL, limit=200)
+    return _checked(value, err, QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class QuadratureError(OrdInfluenceError):
 
 
 class TaintedSampleError(OrdInfluenceError):
-    """A Monte-Carlo evaluator returned a non-finite value."""
+    """A Monte-Carlo evaluator returned a non-finite value, or a product
+    formed from its finite values overflowed."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -1,10 +1,14 @@
 """Exact rational kernel for polynomials of order statistics.
 
-Everything here is computed with arbitrary-precision rationals: the
-closed-form moment of a product of order-statistic powers over the unit cube,
-inner products, symmetrization of plain-variable polynomials and the
-influence indices of products of powers (product form).  Duality,
-f^d(x) = 1 - f(1 - x), is an oracle of the tests (``tests/reference.py``).
+Everything here is computed with arbitrary-precision rationals: the inner
+products <f, x_(i)> and <f, f> of an order-statistic polynomial, summed as
+integers from the closed-form moments of its terms without forming a
+product of polynomials; the mean and <f, f> of a plain-variable polynomial;
+and the influence indices of products of powers (product form), which also
+give those of a plain-variable polynomial without symmetrizing it.  The
+polynomial algebra, the moment of one monomial, the product-based inner
+product, symmetrization and duality, f^d(x) = 1 - f(1 - x), are oracles of
+the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -72,7 +75,8 @@ class OrderStatPolynomial:
     """Canonical sum of order-statistic monomials plus a rational constant.
 
     Canonical means: no two terms share an exponent map, no zero coefficients,
-    terms sorted by exponent map.  Built via :func:`polynomial`.
+    terms sorted by exponent map.  Built via :func:`polynomial`; a plain
+    record, with no arithmetic.
     """
 
     arity: int
@@ -88,56 +92,6 @@ class OrderStatPolynomial:
                 part = part * xs[slot - 1] ** exp
             value = value + part
         return value
-
-    def __add__(self, other):
-        if isinstance(other, OrderStatPolynomial):
-            if other.arity != self.arity:
-                raise DomainError("arity mismatch: %d vs %d" % (self.arity, other.arity))
-            return polynomial(self.arity, self.terms + other.terms,
-                              self.constant + other.constant)
-        return polynomial(self.arity, self.terms, self.constant + as_rational(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, OrderStatPolynomial)
-                       else -as_rational(other))
-
-    def __rsub__(self, other):
-        return (-self) + as_rational(other)
-
-    def __mul__(self, other):
-        if isinstance(other, OrderStatPolynomial):
-            if other.arity != self.arity:
-                raise DomainError("arity mismatch: %d vs %d" % (self.arity, other.arity))
-            terms = []
-            constant = self.constant * other.constant
-            for t in self.terms:
-                if other.constant:
-                    terms.append(OrderStatMonomial(
-                        self.arity, t.exponents, t.coefficient * other.constant))
-                for u in other.terms:
-                    merged = dict(t.exponents)
-                    for slot, exp in u.exponents:
-                        merged[slot] = merged.get(slot, 0) + exp
-                    terms.append(monomial(self.arity, merged,
-                                          t.coefficient * u.coefficient))
-            if self.constant:
-                for u in other.terms:
-                    terms.append(OrderStatMonomial(
-                        self.arity, u.exponents, u.coefficient * self.constant))
-            return polynomial(self.arity, terms, constant)
-        c = as_rational(other)
-        return polynomial(
-            self.arity,
-            tuple(OrderStatMonomial(self.arity, t.exponents, t.coefficient * c)
-                  for t in self.terms),
-            self.constant * c)
-
-    __rmul__ = __mul__
 
 
 def polynomial(arity: int, terms: Iterable[OrderStatMonomial] = (),
@@ -167,46 +121,21 @@ def os_function(arity: int, k: int) -> OrderStatPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Moments and inner products
+# Inner products
 # ---------------------------------------------------------------------------
 
 def _weight(exponents: Sequence[Tuple[int, int]], running: int = 0) -> int:
     """The integer prod_j (k_j - 1 + c_1+...+c_j)! / (k_j - 1 + c_1+...+c_{j-1})!
-    of ``moment``, for (slot, exponent) pairs in ascending slot order and
-    ``running`` more degrees on the slots below them.  A slot may repeat:
-    the rising factorials chain, so x_(k)^a x_(k)^b weighs as x_(k)^(a+b)."""
+    for (slot, exponent) pairs in ascending slot order and ``running`` more
+    degrees on the slots below them.  With ``running`` = 0 the integral of
+    prod_j x_{(k_j)}^{c_j} over [0,1]^n is n!/(n + sum c)! times it.  A slot
+    may repeat: the rising factorials chain, so x_(k)^a x_(k)^b weighs as
+    x_(k)^(a+b)."""
     weight = 1
     for slot, exp in exponents:
         running += exp
         weight *= perm(slot - 1 + running, exp)
     return weight
-
-
-def moment(n: int, term: OrderStatMonomial) -> Fraction:
-    """Exact integral over [0,1]^n of a monomial in order statistics.
-
-    For ascending slots k_1 < ... < k_m with exponents c_1, ..., c_m the
-    integral of prod_j x_{(k_j)}^{c_j} equals
-
-        n! / (n + sum c)! * prod_j (k_j - 1 + c_1+...+c_j)! / (k_j - 1 + c_1+...+c_{j-1})!
-    """
-    if term.arity != n:
-        raise DomainError("monomial arity %d != %d" % (term.arity, n))
-    total = sum(c for _, c in term.exponents)
-    return term.coefficient * Fraction(_weight(term.exponents),
-                                       perm(n + total, total))
-
-
-def integral(f: OrderStatPolynomial) -> Fraction:
-    """Exact integral of f over the unit cube."""
-    return f.constant + sum((moment(f.arity, t) for t in f.terms), Fraction(0))
-
-
-def inner_product_exact(f: OrderStatPolynomial, g: OrderStatPolynomial) -> Fraction:
-    """Exact L2 inner product <f, g> over the unit cube."""
-    if f.arity != g.arity:
-        raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
-    return integral(f * g)
 
 
 def _scaled_terms(f: OrderStatPolynomial) -> Tuple[int, list]:
@@ -225,7 +154,7 @@ def rank_inner_products(f: OrderStatPolynomial) -> Tuple[list, int]:
     denominator, without forming f * x_(i).
 
     A term of total degree t adds its coefficient times n!/(n+t+1)! times
-    W(e + x_(i)), W the integer weight of ``moment``.  With j the number of
+    W(e + x_(i)), W the integer weight of ``_weight``.  With j the number of
     the term's slots at or below i and C_j their exponent sum, that weight
     is W(first j slots) (i + C_j) W(other slots, C_j + 1 degrees below).
     So between two of its slots a term is linear in i, also at i = 0 and
@@ -262,43 +191,6 @@ def orderstat_norm_sq(f: OrderStatPolynomial) -> Fraction:
     top = max(sums, default=0)
     return Fraction(sum(v * perm(n + top, top - t) for t, v in sums.items()),
                     q * q * perm(n + top, top))
-
-
-# ---------------------------------------------------------------------------
-# Symmetrization of plain-variable polynomials
-# ---------------------------------------------------------------------------
-
-def symmetrize(arity: int,
-               plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
-               constant: RationalLike = 0) -> OrderStatPolynomial:
-    """Average a plain-variable polynomial over all permutations of its
-    arguments and express the result in order statistics.
-
-    ``plain_terms`` is an iterable of (coefficient, {variable index: exponent})
-    pairs.  Each plain monomial on m distinct variables contributes the
-    uniform average, over all injective assignments of its exponent list to
-    order-statistic slots, of the corresponding order-statistic monomial.
-    """
-    out = []
-    n = arity
-    for coeff, exps in plain_terms:
-        coeff = as_rational(coeff)
-        exp_list = [int(c) for v, c in sorted(exps.items()) if c]
-        for v in exps:
-            if not 1 <= int(v) <= n:
-                raise DomainError("variable index %s outside [1, %d]" % (v, n))
-        m = len(exp_list)
-        if m == 0:
-            out.append((Fraction(0), coeff))  # degenerate: constant term
-            continue
-        if m > n:
-            raise DomainError("monomial uses more variables than the arity")
-        weight = Fraction(factorial(n - m), factorial(n))
-        for slots in permutations(range(1, n + 1), m):
-            out.append((monomial(n, dict(zip(slots, exp_list)), coeff * weight), None))
-    terms = [t for t, c in out if c is None]
-    extra_constant = sum((c for t, c in out if c is not None), Fraction(0))
-    return polynomial(n, terms, as_rational(constant) + extra_constant)
 
 
 # ---------------------------------------------------------------------------

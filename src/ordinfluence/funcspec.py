@@ -306,8 +306,8 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
         if n % 2:
             poly = os_function(n, (n + 1) // 2)
         else:
-            poly = Fraction(1, 2) * (os_function(n, n // 2)
-                                     + os_function(n, n // 2 + 1))
+            poly = polynomial(n, [monomial(n, {n // 2: 1}, Fraction(1, 2)),
+                                  monomial(n, {n // 2 + 1: 1}, Fraction(1, 2))])
         return OrderStatPolynomialSpec(poly, builtin_name=name)
     if name in ("conjunctive-example-6.1", "conjunctive-threshold"):
         if n != 2:

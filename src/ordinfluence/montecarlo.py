@@ -135,12 +135,19 @@ def _per_point(values, m: int, source: str) -> np.ndarray:
     return values
 
 
-def _check_finite(columns: np.ndarray, points: np.ndarray):
+def _check_finite(columns: np.ndarray, points: np.ndarray, values=None):
+    """TaintedSampleError at the first point whose column is not finite.
+    With ``values``, the evaluator's values at the points, a finite value
+    there means a product formed from it overflowed, and the message says
+    so."""
     bad = ~np.isfinite(columns).all(axis=0)
     if bad.any():
         idx = int(np.argmax(bad))
         raise TaintedSampleError(
-            "evaluator returned a non-finite value", point=points[idx].copy())
+            "evaluator returned a non-finite value"
+            if values is None or not np.isfinite(values[idx])
+            else "a product of finite evaluator values overflowed",
+            point=points[idx].copy())
 
 
 class _Accumulator:
@@ -150,29 +157,40 @@ class _Accumulator:
     one quantity), with the points.  Sums of the blocks and of their outer
     products are taken about the first block's means, so that the
     covariance does not cancel against large means (Chan, Golub & LeVeque
-    1983).  A non-finite entry raises TaintedSampleError at its point.
+    1983).  A non-finite entry, or a finite one whose products overflow the
+    sums, raises TaintedSampleError at its point.
     """
 
     def __init__(self):
         self.count, self.shift, self.sums, self.cross = 0, None, 0.0, 0.0
 
-    def add(self, block: np.ndarray, points: np.ndarray):
-        """Accumulate ``block``, which is shifted in place."""
+    def add(self, block: np.ndarray, points: np.ndarray, values=None):
+        """Accumulate ``block``, which is shifted in place; ``values``, the
+        evaluator's values at the points, if given, tell an overflowed
+        product from a non-finite value."""
         z = block.reshape(-1, block.shape[-1])
         if self.shift is None:
             # trace a non-finite mean to its point before the shift spreads it
             self.shift = z.mean(axis=1, keepdims=True)
             if not np.isfinite(self.shift).all():
-                _check_finite(z, points)
+                _check_finite(z, points, values)
         z -= self.shift
         # OpenBLAS splits one row's long dot product over its threads, so
         # its rounding would follow the CPU count; einsum sums in one loop
-        cross = np.einsum("ij,kj->ik", z, z) if len(z) == 1 else z @ z.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = self.cross + (np.einsum("ij,kj->ik", z, z) if len(z) == 1
+                                  else z @ z.T)
         if not np.isfinite(cross).all():
-            _check_finite(z, points)
+            _check_finite(z, points, values)
+            # z is finite, so its products overflowed, and the largest are
+            # those of the point of largest magnitude
+            idx = int(np.argmax(np.abs(z).max(axis=0)))
+            raise TaintedSampleError(
+                "a product of finite evaluator values overflowed",
+                point=points[idx].copy())
         self.count += z.shape[1]
         self.sums += z.sum(axis=1)
-        self.cross += cross
+        self.cross = cross
 
     def finish(self, linear_map: np.ndarray):
         """(L mean, its covariance) for L = ``linear_map`` and the means."""
@@ -475,8 +493,9 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
             np.multiply(_sort_into(x, z), v, out=z[:n])
             z[n] = v
             if norm_sq:
-                np.multiply(v, v, out=z[n + 1])
-            acc.add(z, x)
+                with np.errstate(over="ignore"):
+                    np.multiply(v, v, out=z[n + 1])
+            acc.add(z, x, v)
     return _estimated_moments(acc, n, norm_sq, seed)
 
 

@@ -1,15 +1,18 @@
 """Least-squares machinery on the span of {os_1, ..., os_n, 1}.
 
-Defines the covariance kernels g_k, the influence index I(f,k) = <f, g_k>,
-the best shifted L-statistic approximation of f, the normalized index r(f,k)
-and the coefficient of determination R^2.
+Assembles, from the influence indices I(f,k) = <f, g_k> (g_k the
+covariance kernel), the mean and <f, f>, the best shifted L-statistic
+approximation of f, the normalized index r(f,k) and the coefficient of
+determination R^2.
 
 Every engine hands the same primaries, a ``Moments`` record, to one
 assembler, ``approximation_from_moments``.  ``Moments`` is also the
 influence profile: the indices, the mean and, from them, the formal tail
 a_{n+1}.  The fit's slopes are the indices themselves, so its variance,
 R^2 and residual are closed forms in them.  An order-statistic polynomial
-takes the same route, from ``moments_exact``.
+takes the same route, from ``moments_exact``, the package's only exact
+kernel for order-statistic polynomials.  The kernels g_k as polynomials and
+the product <f, g_k> are oracles of the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -21,34 +24,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateVarianceError, DomainError
-from .exact import (
-    OrderStatPolynomial,
-    inner_product_exact,
-    orderstat_norm_sq,
-    os_function,
-    rank_inner_products,
-)
+from .exact import OrderStatPolynomial, orderstat_norm_sq, rank_inner_products
 
 
 # ---------------------------------------------------------------------------
-# Influence index and approximations
+# Shifted L-statistics and the best approximation
 # ---------------------------------------------------------------------------
-
-def g_basis(n: int, k: int) -> OrderStatPolynomial:
-    """Covariance kernel g_k = -(n+1)(n+2)(os_{k+1} - 2 os_k + os_{k-1}),
-    with os_0 the zero function and os_{n+1} the constant one."""
-    if not 1 <= k <= n:
-        raise DomainError("rank %d outside [1, %d]" % (k, n))
-    second_diff = os_function(n, k + 1) - 2 * os_function(n, k) + os_function(n, k - 1)
-    return -(n + 1) * (n + 2) * second_diff
-
-
-def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
-    """Exact influence index I(f, k) = <f, g_k>."""
-    if not 1 <= k <= f.arity:
-        raise DomainError("rank %d outside [1, %d]" % (k, f.arity))
-    return inner_product_exact(f, g_basis(f.arity, k))
-
 
 _SMALLEST_NORMAL = 2.0 ** -1022  # sys.float_info.min
 

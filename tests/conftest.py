@@ -14,8 +14,6 @@ import pytest
 from ordinfluence import (
     Evaluator,
     SetFunction,
-    inner_product_exact,
-    integral,
     monomial,
     os_function,
     polynomial,
@@ -29,7 +27,7 @@ from ordinfluence.montecarlo import (
     _rng,
     derive_seed,
 )
-from reference import gram_system
+from reference import gram_system, inner_product_exact, integral
 
 
 def random_fraction(rng, lo=-4, hi=4, den=6):

@@ -2,6 +2,12 @@
 
 The paper states I(f, k) in several equivalent ways.  The functions here
 compute the ones no user path needs:
+- the product-based kernel for order-statistic polynomials: their algebra
+  as free functions (``poly_add``, ``poly_scale``, ``poly_mul``), the
+  moment of one monomial, the integral, <f, g> as the integral of the
+  product, the kernels g_k as polynomials with I(f, k) = <f, g_k>, and the
+  symmetrization of a plain-variable polynomial over all n!/(n-m)!
+  placements of its m variables;
 - the expansion of a sum of subset order statistics in full order
   statistics, and the min/max expansions of x_(k);
 - the Lovasz extension pointwise, in telescoping and Moebius form, with its
@@ -17,7 +23,9 @@ compute the ones no user path needs:
 - a uniform-sampling estimate of <f, g> and a tensor Gauss-Legendre
   quadrature over the unit cube.
 The package computes none of them, so each stays an independent check on
-the exact, Lovasz, closed-form and Monte-Carlo engines.
+the exact, Lovasz, closed-form and Monte-Carlo engines.  ``_quad`` keeps
+the tolerances that only these oracles set: a relative one ``tol`` and an
+absolute one that may be 0.
 
 The file is not named ``oracles``: ``perfbench`` imports its own
 ``oracles.py`` as a top-level module, which a second module of that name
@@ -29,25 +37,157 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb, lcm
-from typing import Sequence, Tuple
+from itertools import combinations, permutations, product
+from math import comb, factorial, lcm, perm
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ordinfluence import montecarlo
-from ordinfluence.closedforms import MultiplicativeSpec, UnaryFactor, _quad
+from ordinfluence import closedforms, montecarlo
+from ordinfluence.closedforms import QUAD_TOL, MultiplicativeSpec, UnaryFactor
 from ordinfluence.errors import (
     ConfigurationError,
     DomainError,
     OrdInfluenceError,
 )
 from ordinfluence.exact import (
+    OrderStatMonomial,
     OrderStatPolynomial,
+    RationalLike,
+    _weight,
+    as_rational,
     monomial,
     os_function,
     polynomial,
 )
 from ordinfluence.lovasz import SetFunction, level_averages, mobius
 from ordinfluence.montecarlo import Evaluator, IntegrationEstimate
+
+
+# ---------------------------------------------------------------------------
+# Polynomial algebra, moments and the kernels g_k
+# ---------------------------------------------------------------------------
+
+def poly_add(f: OrderStatPolynomial, *others) -> OrderStatPolynomial:
+    """f plus each of ``others``, polynomials of f's arity or rationals."""
+    terms, constant = list(f.terms), f.constant
+    for other in others:
+        if isinstance(other, OrderStatPolynomial):
+            if other.arity != f.arity:
+                raise DomainError("arity mismatch: %d vs %d" % (f.arity, other.arity))
+            terms += other.terms
+            constant += other.constant
+        else:
+            constant += as_rational(other)
+    return polynomial(f.arity, terms, constant)
+
+
+def poly_scale(f: OrderStatPolynomial, c: RationalLike) -> OrderStatPolynomial:
+    """c * f for a rational c."""
+    c = as_rational(c)
+    return polynomial(
+        f.arity,
+        tuple(OrderStatMonomial(f.arity, t.exponents, t.coefficient * c)
+              for t in f.terms),
+        f.constant * c)
+
+
+def poly_mul(f: OrderStatPolynomial, g: OrderStatPolynomial) -> OrderStatPolynomial:
+    """f * g, expanded term by term."""
+    if g.arity != f.arity:
+        raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
+    terms = []
+    constant = f.constant * g.constant
+    for t in f.terms:
+        if g.constant:
+            terms.append(OrderStatMonomial(
+                f.arity, t.exponents, t.coefficient * g.constant))
+        for u in g.terms:
+            merged = dict(t.exponents)
+            for slot, exp in u.exponents:
+                merged[slot] = merged.get(slot, 0) + exp
+            terms.append(monomial(f.arity, merged,
+                                  t.coefficient * u.coefficient))
+    if f.constant:
+        for u in g.terms:
+            terms.append(OrderStatMonomial(
+                f.arity, u.exponents, u.coefficient * f.constant))
+    return polynomial(f.arity, terms, constant)
+
+
+def moment(n: int, term: OrderStatMonomial) -> Fraction:
+    """Exact integral over [0,1]^n of a monomial in order statistics.
+
+    For ascending slots k_1 < ... < k_m with exponents c_1, ..., c_m the
+    integral of prod_j x_{(k_j)}^{c_j} equals
+
+        n! / (n + sum c)! * prod_j (k_j - 1 + c_1+...+c_j)! / (k_j - 1 + c_1+...+c_{j-1})!
+    """
+    if term.arity != n:
+        raise DomainError("monomial arity %d != %d" % (term.arity, n))
+    total = sum(c for _, c in term.exponents)
+    return term.coefficient * Fraction(_weight(term.exponents),
+                                       perm(n + total, total))
+
+
+def integral(f: OrderStatPolynomial) -> Fraction:
+    """Exact integral of f over the unit cube."""
+    return f.constant + sum((moment(f.arity, t) for t in f.terms), Fraction(0))
+
+
+def inner_product_exact(f: OrderStatPolynomial, g: OrderStatPolynomial) -> Fraction:
+    """Exact L2 inner product <f, g> over the unit cube."""
+    if f.arity != g.arity:
+        raise DomainError("arity mismatch: %d vs %d" % (f.arity, g.arity))
+    return integral(poly_mul(f, g))
+
+
+def symmetrize(arity: int,
+               plain_terms: Iterable[Tuple[RationalLike, Mapping[int, int]]],
+               constant: RationalLike = 0) -> OrderStatPolynomial:
+    """Average a plain-variable polynomial over all permutations of its
+    arguments and express the result in order statistics.
+
+    ``plain_terms`` is an iterable of (coefficient, {variable index: exponent})
+    pairs.  Each plain monomial on m distinct variables contributes the
+    uniform average, over all injective assignments of its exponent list to
+    order-statistic slots, of the corresponding order-statistic monomial.
+    """
+    out = []
+    n = arity
+    for coeff, exps in plain_terms:
+        coeff = as_rational(coeff)
+        exp_list = [int(c) for v, c in sorted(exps.items()) if c]
+        for v in exps:
+            if not 1 <= int(v) <= n:
+                raise DomainError("variable index %s outside [1, %d]" % (v, n))
+        m = len(exp_list)
+        if m == 0:
+            out.append((Fraction(0), coeff))  # degenerate: constant term
+            continue
+        if m > n:
+            raise DomainError("monomial uses more variables than the arity")
+        weight = Fraction(factorial(n - m), factorial(n))
+        for slots in permutations(range(1, n + 1), m):
+            out.append((monomial(n, dict(zip(slots, exp_list)), coeff * weight), None))
+    terms = [t for t, c in out if c is None]
+    extra_constant = sum((c for t, c in out if c is not None), Fraction(0))
+    return polynomial(n, terms, as_rational(constant) + extra_constant)
+
+
+def g_basis(n: int, k: int) -> OrderStatPolynomial:
+    """Covariance kernel g_k = -(n+1)(n+2)(os_{k+1} - 2 os_k + os_{k-1}),
+    with os_0 the zero function and os_{n+1} the constant one."""
+    if not 1 <= k <= n:
+        raise DomainError("rank %d outside [1, %d]" % (k, n))
+    second_diff = poly_add(os_function(n, k + 1), poly_scale(os_function(n, k), -2),
+                           os_function(n, k - 1))
+    return poly_scale(second_diff, -(n + 1) * (n + 2))
+
+
+def influence_exact(f: OrderStatPolynomial, k: int) -> Fraction:
+    """Exact influence index I(f, k) = <f, g_k>."""
+    if not 1 <= k <= f.arity:
+        raise DomainError("rank %d outside [1, %d]" % (k, f.arity))
+    return inner_product_exact(f, g_basis(f.arity, k))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +364,7 @@ def _reflect(f: OrderStatPolynomial) -> OrderStatPolynomial:
 
 def dualize(f: OrderStatPolynomial) -> OrderStatPolynomial:
     """Dual function f^d(x) = 1 - f(1 - x), in canonical form."""
-    return 1 - _reflect(f)
+    return poly_add(poly_scale(_reflect(f), -1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +451,9 @@ def h_density(n: int, k: int) -> OrderStatPolynomial:
     weighting the directional derivative."""
     if not 1 <= k <= n:
         raise DomainError("rank %d outside [1, %d]" % (k, n))
-    upper = os_function(n, k + 1) - os_function(n, k)
-    lower = os_function(n, k) - os_function(n, k - 1)
-    return (n + 1) * (n + 2) * (upper * lower)
+    upper = poly_add(os_function(n, k + 1), poly_scale(os_function(n, k), -1))
+    lower = poly_add(os_function(n, k), poly_scale(os_function(n, k - 1), -1))
+    return poly_scale(poly_mul(upper, lower), (n + 1) * (n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +461,17 @@ def h_density(n: int, k: int) -> OrderStatPolynomial:
 # ---------------------------------------------------------------------------
 
 PHI_ONE_AMBIGUITY = 1e-12
+
+
+def _quad(func: Callable[[float], float], tol: float = QUAD_TOL,
+          epsabs: Optional[float] = None, upper: float = 1.0) -> float:
+    """int_0^upper func to the relative tolerance ``tol`` and the absolute
+    one ``epsabs`` (default ``tol``); epsabs = 0 asks for relative accuracy
+    only, for integrals far below ``tol``."""
+    epsabs = tol if epsabs is None else epsabs
+    value, err = closedforms.integrate.quad(func, 0.0, upper, epsabs=epsabs,
+                                            epsrel=tol, limit=200)
+    return closedforms._checked(value, err, epsabs)
 
 
 class BranchAmbiguityError(OrdInfluenceError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -362,6 +363,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "parse_spec_document", lambda _: bad)
         assert cli.main(["influence", path, "-k", "1", "--method", "mc",
                          "--samples", "1000"]) == 4
+
+    @pytest.mark.parametrize("command", [["influence", "--all"], ["approx"]],
+                             ids=["influence", "approx"])
+    def test_overflowing_mc_products_exit_4(self, tmp_path, capsys, command):
+        # every value of 1e200 x_(1) is finite, but its square and the outer
+        # products of the moments overflow; numpy warns of none of them
+        path = write_spec(tmp_path, {
+            "kind": "orderstat-polynomial", "arity": 3,
+            "terms": [{"coefficient": "1e200", "exponents": {"1": 1}}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command[0], path, *command[1:], "--method", "mc",
+                             "--samples", "1000", "--seed", "0"])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err == "error: a product of finite evaluator values overflowed\n"
 
     @pytest.mark.parametrize("error, code", [
         (ConfigurationError("no closed form for this function"), 3),

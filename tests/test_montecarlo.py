@@ -21,7 +21,6 @@ from ordinfluence import (
     Evaluator,
     TaintedSampleError,
     cli,
-    influence_exact,
     influence_mc_covariance,
     influence_mc_derivative,
     influence_mc_diffquotient,
@@ -55,7 +54,7 @@ from conftest import (
     reference_profile_moments,
     reference_shift,
 )
-from reference import mc_inner_product, tensor_quadrature
+from reference import influence_exact, mc_inner_product, tensor_quadrature
 
 # Both sides of the sorted_columns crossover, and the arities of the
 # reference-equality tests
@@ -518,6 +517,27 @@ class TestOnePass:
             mc_profile_moments(Evaluator(3, func), samples, 4)
         row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * BATCH + 5]
         assert not np.all(np.diff(row) >= 0)
+        assert np.array_equal(err.value.point, row)
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_overflow_of_finite_products_names_unsorted_row(self, batch):
+        # without <f, f> the block holds f and f x_(k), finite at 1e200, but
+        # their outer products overflow: the error names the drawn row
+        calls = []
+
+        def func(x):
+            v = x.sum(axis=1)
+            if len(calls) == batch:
+                v[5] = 1e200
+            calls.append(len(x))
+            return v
+        samples = 2 * BATCH
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TaintedSampleError) as err:
+                mc_profile_moments(Evaluator(3, func), samples, 4, norm_sq=False)
+        assert str(err.value) == "a product of finite evaluator values overflowed"
+        row = _rng(derive_seed(4, 0)).random((samples, 3))[batch * BATCH + 5]
         assert np.array_equal(err.value.point, row)
 
 

@@ -14,13 +14,9 @@ from ordinfluence import (
     PowerProductSpec,
     SetFunction,
     UnaryFactor,
-    influence_exact,
-    inner_product_exact,
-    moment,
     monomial,
     os_function,
     resolve_builtin,
-    symmetrize,
     variance_profile,
 )
 from ordinfluence.exact import plain_indices
@@ -29,12 +25,16 @@ from ordinfluence.projection import approximation_from_moments, moments_exact
 
 from reference import (
     eval_lovasz,
+    influence_exact,
     influence_lovasz,
     influence_symmetric_multiplicative,
     influence_via_alternative,
+    inner_product_exact,
     mc_inner_product,
+    moment,
     power_product_ratio,
     subset_box_integral,
+    symmetrize,
     tensor_quadrature,
 )
 
