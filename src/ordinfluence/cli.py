@@ -179,9 +179,7 @@ def cmd_approx(args) -> ReportDocument:
                                         else approx.intercept)
     doc.extras["mean"] = format_value(moments.mean)
     if moments.covariance is not None:
-        # the fit carries the tail's standard error, an O(n^2) sum
-        doc.extras["a_tail_se"] = (moments.tail_std_error() if approx is None
-                                   else approx.coefficient_std_errors[-1])
+        doc.extras["a_tail_se"] = moments.tail_std_error()
         doc.extras["mean_se"] = moments.mean_std_error
     for k in range(1, n + 1):
         row = _result_row(k, moments.indices[k - 1], method, ses[k - 1])

@@ -158,7 +158,8 @@ class _Accumulator:
     products are taken about the first block's means, so that the
     covariance does not cancel against large means (Chan, Golub & LeVeque
     1983).  A non-finite entry, or a finite one whose products overflow the
-    sums, raises TaintedSampleError at its point.
+    sums, raises TaintedSampleError at its point; a mean or covariance that
+    overflows as ``finish`` forms it raises it with no point.
     """
 
     def __init__(self):
@@ -193,12 +194,18 @@ class _Accumulator:
         self.cross = cross
 
     def finish(self, linear_map: np.ndarray):
-        """(L mean, its covariance) for L = ``linear_map`` and the means."""
+        """(L mean, its covariance) for L = ``linear_map`` and the means;
+        TaintedSampleError when either overflows."""
         m = self.count
-        offset = linear_map @ self.sums / m
-        covariance = ((linear_map @ self.cross @ linear_map.T
-                       - m * np.outer(offset, offset)) / ((m - 1) * m))
-        return linear_map @ self.shift[:, 0] + offset, covariance
+        with np.errstate(over="ignore", invalid="ignore"):
+            offset = linear_map @ self.sums / m
+            covariance = ((linear_map @ self.cross @ linear_map.T
+                           - m * np.outer(offset, offset)) / ((m - 1) * m))
+            mean = linear_map @ self.shift[:, 0] + offset
+        if not (np.isfinite(covariance).all() and np.isfinite(mean).all()):
+            raise TaintedSampleError(
+                "a product of finite evaluator values overflowed")
+        return mean, covariance
 
     def estimate(self, seed: int, estimator: str,
                  variant=None) -> IntegrationEstimate:
@@ -503,9 +510,10 @@ def _estimated_moments(acc: _Accumulator, n: int, norm_sq: bool,
                        seed: int) -> Moments:
     """Moments from an accumulator of ``_moment_map``'s sorted moments."""
     values, covariance = acc.finish(_moment_map(n, norm_sq))
+    covariance.flags.writeable = False
     # a None past the mean stands for <f, f> when it was not estimated
     values = values.tolist() + [None]
     ses = np.sqrt(np.maximum(np.diag(covariance), 0.0)).tolist() + [None]
     return Moments(n, "mc", tuple(values[:n]), values[n], values[n + 1],
                    tuple(ses[:n]), ses[n], ses[n + 1], samples=acc.count,
-                   seed=seed, covariance=tuple(map(tuple, covariance.tolist())))
+                   seed=seed, covariance=covariance)

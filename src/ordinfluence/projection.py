@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,9 +30,6 @@ from .exact import OrderStatPolynomial, orderstat_norm_sq, rank_inner_products
 # ---------------------------------------------------------------------------
 # Shifted L-statistics and the best approximation
 # ---------------------------------------------------------------------------
-
-_SMALLEST_NORMAL = 2.0 ** -1022  # sys.float_info.min
-
 
 @dataclass(frozen=True)
 class ShiftedLStatistic:
@@ -80,14 +77,13 @@ class ApproximationResult(ShiftedLStatistic):
 
     def normalized_index(self, k: int) -> float:
         """r(f, k) = I(f, k) / (sigma(f) sqrt(2(n+1)(n+2))).  An exact
-        variance below the normal float range takes r^2 as one integer
-        quotient, rounded once, before its signed square root: sigma(f)
-        then underflows, but |r(f, k)| <= 1."""
+        variance takes r^2 as one integer quotient, rounded once, so that
+        |r(f, k)| <= 1, as by Cauchy-Schwarz, even where sigma(f) underflows."""
         n = self.arity
         if not 1 <= k <= n:
             raise DomainError("rank %d outside [1, %d]" % (k, n))
         index, v = self.slopes[k - 1], self.variance
-        if isinstance(v, Fraction) and float(v) < _SMALLEST_NORMAL:
+        if isinstance(v, Fraction):
             r = math.sqrt(index.numerator ** 2 * v.denominator
                           / (index.denominator ** 2 * v.numerator
                              * 2 * (n + 1) * (n + 2)))
@@ -103,9 +99,10 @@ class Moments:
 
     Exact engines carry rationals and closed forms floats; Monte Carlo also
     fills the standard errors and ``covariance``, the joint covariance
-    matrix of the estimates in the order (I(f,1), ..., I(f,n), mean,
-    <f,f>), restricted to those estimated.  <f, f> is None when the caller
-    did not ask for it and its engine could not give it for free.
+    of the estimates in the order (I(f,1), ..., I(f,n), mean, <f,f>),
+    restricted to those estimated, as a read-only float64 array that
+    ``==`` and ``hash`` leave out.  <f, f> is None when the caller did not
+    ask for it and its engine could not give it for free.
     """
 
     arity: int
@@ -118,16 +115,17 @@ class Moments:
     norm_sq_std_error: Optional[float] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
-    covariance: Optional[tuple] = None
+    covariance: object = field(default=None, compare=False)
 
     def variance(self):
         """sigma^2(f) = <f, f> - <f, 1>^2; DegenerateVarianceError when it
-        is not positive."""
+        is not positive, OverflowError when it is beyond the float range."""
         variance = self.norm_sq - self.mean * self.mean
         if variance <= 0:
             raise DegenerateVarianceError(
                 "sigma(f) vanishes: R^2 and r(f,k) are undefined for a "
                 "constant function")
+        float(variance)  # an exact one may pass 1.8e308
         return variance
 
     def formal_tail(self):
@@ -151,10 +149,11 @@ class Moments:
 def _joint_std_error(covariance, gradient: Sequence[float]) -> float:
     """sqrt(g^T C g): the first-order standard error of a function of the
     estimates whose gradient over their leading len(g) entries is g, with C
-    their joint covariance."""
-    variance = sum(gi * covariance[i][j] * gj
-                   for i, gi in enumerate(gradient)
-                   for j, gj in enumerate(gradient))
+    their joint covariance array.  einsum sums in one loop, not through
+    BLAS, so the rounding does not follow the thread count."""
+    import numpy as np  # only estimated moments, which loaded it, come here
+    k = len(gradient)
+    variance = np.einsum("i,ij,j->", gradient, covariance[:k, :k], gradient)
     return math.sqrt(max(variance, 0.0))
 
 

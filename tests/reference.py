@@ -20,8 +20,9 @@ compute the ones no user path needs:
 - the symmetric multiplicative closed form with its Phi(1) = 0 branch and
   ``BranchAmbiguityError``, and the power-product ratio I(f,k)/I(f,1);
 - the subset-box integrals and the alternative formulas built from them;
-- a uniform-sampling estimate of <f, g> and a tensor Gauss-Legendre
-  quadrature over the unit cube.
+- a uniform-sampling estimate of <f, g>, the first-order standard error
+  sqrt(g^T C g) as a double sum over the covariance, and a tensor
+  Gauss-Legendre quadrature over the unit cube.
 The package computes none of them, so each stays an independent check on
 the exact, Lovasz, closed-form and Monte-Carlo engines.  ``_quad`` keeps
 the tolerances that only these oracles set: a relative one ``tol`` and an
@@ -649,7 +650,7 @@ def influence_via_alternative(f, k: int, formula: str,
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo inner product and tensor quadrature
+# Monte-Carlo inner product, joint standard error and tensor quadrature
 # ---------------------------------------------------------------------------
 
 def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
@@ -665,6 +666,15 @@ def mc_inner_product(f: Evaluator, g: Evaluator, samples: int,
         for (x,) in batches:
             acc.add(f(x) * g(x), x)
     return acc.estimate(seed, "raw-inner-product")
+
+
+def joint_std_error(covariance, gradient: Sequence[float]) -> float:
+    """sqrt(g^T C g) over the leading len(g) estimates, as a double sum of
+    Python floats entry by entry."""
+    variance = sum(gi * float(covariance[i][j]) * gj
+                   for i, gi in enumerate(gradient)
+                   for j, gj in enumerate(gradient))
+    return math.sqrt(max(variance, 0.0))
 
 
 def tensor_quadrature(f: Evaluator, nodes_per_axis: int) -> float:

@@ -368,17 +368,39 @@ class TestExitCodes:
                              ids=["influence", "approx"])
     def test_overflowing_mc_products_exit_4(self, tmp_path, capsys, command):
         # every value of 1e200 x_(1) is finite, but its square and the outer
-        # products of the moments overflow; numpy warns of none of them
+        # products of the moments overflow; those of 1e153 x_(1) stay finite
+        # until the covariance of the indices scales them by ((n+1)(n+2))^2.
+        # numpy warns of none of them
+        for coefficient in ("1e200", "1e153"):
+            path = write_spec(tmp_path, {
+                "kind": "orderstat-polynomial", "arity": 3,
+                "terms": [{"coefficient": coefficient,
+                           "exponents": {"1": 1}}]})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([command[0], path, *command[1:], "--method",
+                                 "mc", "--samples", "1000", "--seed", "0"])
+            out, err = capsys.readouterr()
+            assert code == 4 and out == "", coefficient
+            assert err == ("error: a product of finite evaluator values "
+                           "overflowed\n"), coefficient
+
+    def test_largest_finite_mc_covariance_exits_0(self, tmp_path, capsys):
+        # one decade below the overflow of the indices' covariance, every
+        # standard error is finite
         path = write_spec(tmp_path, {
             "kind": "orderstat-polynomial", "arity": 3,
-            "terms": [{"coefficient": "1e200", "exponents": {"1": 1}}]})
+            "terms": [{"coefficient": "1e152", "exponents": {"1": 1}}]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main([command[0], path, *command[1:], "--method", "mc",
-                             "--samples", "1000", "--seed", "0"])
-        out, err = capsys.readouterr()
-        assert code == 4 and out == ""
-        assert err == "error: a product of finite evaluator values overflowed\n"
+            code = cli.main(["influence", path, "--all", "--method", "mc",
+                             "--samples", "1000", "--seed", "0",
+                             "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert len(rows) == 3
+        for row in rows:
+            assert math.isfinite(row["se"]) and row["se"] > 0, row
 
     @pytest.mark.parametrize("error, code", [
         (ConfigurationError("no closed form for this function"), 3),
@@ -467,19 +489,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_variance_below_the_float_range_keeps_normalized_finite(
             self, tmp_path, capsys, sign):
-        # sigma(x_(1)^400) at n = 400 is below 1e-308, while |r(f, k)| <= 1
-        doc = {"kind": "orderstat-polynomial", "arity": 400,
-               "terms": [{"coefficient": sign, "exponents": {"1": 400}}]}
-        path = write_spec(tmp_path, doc)
-        assert cli.main(["approx", path, "--method", "exact",
-                         "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["results"]
-        assert len(rows) == 400
-        for row in rows:
-            r = row["normalized"]
-            assert math.isfinite(r) and abs(r) <= 1, row
-            assert r == 0 or (r > 0) == (Fraction(row["rational"]) > 0), row
-        assert rows[0]["normalized"] * sign > 0
+        # sigma(x_(1)^400) at n = 400 is below 1e-308, while |r(f, k)| <= 1;
+        # x_(1) and 2 - 3 x_1 at n = 1 lie in the span, where r(f, 1) = +-1
+        # and a float quotient of floats would round past 1
+        docs = [
+            ({"kind": "orderstat-polynomial", "arity": 400,
+              "terms": [{"coefficient": sign, "exponents": {"1": 400}}]}, 1),
+            ({"kind": "orderstat-polynomial", "arity": 1,
+              "terms": [{"coefficient": sign, "exponents": {"1": 1}}]}, 1),
+            ({"kind": "plain-polynomial", "arity": 1, "constant": 2 * sign,
+              "terms": [{"coefficient": -3 * sign, "exponents": {"1": 1}}]},
+             -1),
+        ]
+        for doc, first in docs:
+            path = write_spec(tmp_path, doc)
+            assert cli.main(["approx", path, "--method", "exact",
+                             "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["results"]
+            assert len(rows) == doc["arity"]
+            for row in rows:
+                r = row["normalized"]
+                assert math.isfinite(r) and abs(r) <= 1, (doc, row)
+                assert r == 0 or (r > 0) == (Fraction(row["rational"]) > 0), row
+            assert rows[0]["normalized"] * sign * first > 0, doc
+            if doc["arity"] == 1:
+                assert abs(rows[0]["normalized"]) == 1.0, doc
 
     def test_estimated_r_squared_above_one_warns(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "builtin", "arity": 10,

@@ -41,7 +41,7 @@ from ordinfluence.montecarlo import (
     mc_profile_moments,
     sorted_columns,
 )
-from ordinfluence.projection import approximation_from_moments
+from ordinfluence.projection import _joint_std_error, approximation_from_moments
 
 import conftest
 from conftest import (
@@ -54,7 +54,12 @@ from conftest import (
     reference_profile_moments,
     reference_shift,
 )
-from reference import influence_exact, mc_inner_product, tensor_quadrature
+from reference import (
+    influence_exact,
+    joint_std_error,
+    mc_inner_product,
+    tensor_quadrature,
+)
 
 # Both sides of the sorted_columns crossover, and the arities of the
 # reference-equality tests
@@ -443,6 +448,32 @@ class TestOnePass:
             np.cov(v * reference_g_kernel(x, 1),
                    v * reference_g_kernel(x, 2))[0, 1]
             / samples, rel=1e-9)
+
+    def test_covariance_is_a_read_only_array_outside_equality(self):
+        ev = Evaluator(3, lambda x: x.prod(axis=1))
+        est = mc_profile_moments(ev, 2000, 4)
+        assert isinstance(est.covariance, np.ndarray)
+        assert est.covariance.dtype == np.float64
+        assert est.covariance.shape == (5, 5)
+        assert not est.covariance.flags.writeable
+        with pytest.raises(ValueError):
+            est.covariance[0, 0] = 0.0
+        again = mc_profile_moments(ev, 2000, 4)
+        assert est == again and hash(est) == hash(again)
+        assert est != mc_profile_moments(ev, 2000, 5)
+
+    def test_joint_std_error_is_the_double_sum(self):
+        # one contraction over the array against the entrywise double sum,
+        # over the leading entries of (n+2)^2 covariances as the fit uses them
+        rng = np.random.default_rng(7)
+        for n in range(1, 51):
+            factor = rng.standard_normal((n + 2, n + 2))
+            covariance = factor @ factor.T
+            covariance.flags.writeable = False
+            for size in (n + 1, n + 2):
+                gradient = rng.standard_normal(size).tolist()
+                assert _joint_std_error(covariance, gradient) == pytest.approx(
+                    joint_std_error(covariance, gradient), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("ev", [
         Evaluator(3, lambda x: x.prod(axis=1), name="x1 x2 x3"),

@@ -12,6 +12,8 @@ from ordinfluence import (
     os_function,
     polynomial,
 )
+from ordinfluence.api import best_approximation
+from ordinfluence.funcspec import parse_spec_document
 from ordinfluence.projection import (
     Moments,
     approximation_from_moments,
@@ -237,6 +239,18 @@ class TestNormalizedIndex:
             for k in range(1, n + 1):
                 assert fit_g.normalized_index(k) == pytest.approx(
                     fit_f.normalized_index(k), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["min", "max", "median"])
+    def test_exact_index_within_cauchy_schwarz_bound(self, name):
+        # |r(f, k)| <= 1, and at n = 1, where each is x_1 and in the span,
+        # r(f, 1) is +-1 to the last bit
+        for n in range(1, 41):
+            fit = best_approximation(parse_spec_document(
+                {"kind": "builtin", "name": name, "arity": n}), "exact")
+            r = [fit.normalized_index(k) for k in range(1, n + 1)]
+            assert all(abs(value) <= 1.0 for value in r), (n, r)
+            if n == 1:
+                assert abs(r[0]) == 1.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
