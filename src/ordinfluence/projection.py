@@ -57,15 +57,15 @@ class ShiftedLStatistic:
 class ApproximationResult(ShiftedLStatistic):
     """Best shifted L-statistic approximation of f, with the numbers of the
     fit: the mean of f, R^2, the residual, sigma^2(f) and, for estimated
-    moments, standard errors (the last of ``coefficient_std_errors`` is the
-    intercept's)."""
+    moments, the standard error of R^2.  Those of the coefficients are the
+    moments': ``index_std_errors`` for the slopes, ``tail_std_error()`` for
+    the intercept."""
 
     mean: object
     r_squared: object
     residual_norm_sq: object
     method: str
     r_squared_std_error: Optional[float] = None
-    coefficient_std_errors: Optional[tuple] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
     variance: object = None
@@ -84,6 +84,7 @@ class ApproximationResult(ShiftedLStatistic):
             raise DomainError("rank %d outside [1, %d]" % (k, n))
         index, v = self.slopes[k - 1], self.variance
         if isinstance(v, Fraction):
+            float(v)  # OverflowError past 1.8e308, as from sigma
             r = math.sqrt(index.numerator ** 2 * v.denominator
                           / (index.denominator ** 2 * v.numerator
                              * 2 * (n + 1) * (n + 2)))
@@ -119,13 +120,12 @@ class Moments:
 
     def variance(self):
         """sigma^2(f) = <f, f> - <f, 1>^2; DegenerateVarianceError when it
-        is not positive, OverflowError when it is beyond the float range."""
+        is not positive."""
         variance = self.norm_sq - self.mean * self.mean
         if variance <= 0:
             raise DegenerateVarianceError(
                 "sigma(f) vanishes: R^2 and r(f,k) are undefined for a "
                 "constant function")
-        float(variance)  # an exact one may pass 1.8e308
         return variance
 
     def formal_tail(self):
@@ -159,8 +159,8 @@ def _joint_std_error(covariance, gradient: Sequence[float]) -> float:
 
 def approximation_from_moments(m: Moments) -> ApproximationResult:
     """Assemble the best approximation from the indices, the mean and
-    <f, f>: coefficients, residual, R^2 and, for estimated moments, their
-    standard errors by first-order propagation.
+    <f, f>: coefficients, residual, R^2 and, for estimated moments, the
+    standard error of R^2 by first-order propagation.
 
     The fit mean + sum_k I(f,k) (x_(k) - k/(n+1)) is linear in the spacings
     of the sorted point, whose covariance is ((n+1) delta_ij - 1) over
@@ -176,15 +176,12 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
     fit_variance = (((n + 1) * sum(a * a for a in tails) - total * total)
                     / ((n + 1) ** 2 * (n + 2)))
     r2 = fit_variance / variance
-    estimated = m.covariance is not None
     return ApproximationResult(
         n, tuple(m.indices), tail, m.mean, r2, variance - fit_variance,
         m.method,
-        r_squared_std_error=(_joint_std_error(m.covariance,
-                                              _r_squared_gradient(m, r2))
-                             if estimated else None),
-        coefficient_std_errors=(tuple(m.index_std_errors) + (m.tail_std_error(),)
-                                if estimated else None),
+        r_squared_std_error=(None if m.covariance is None else
+                             _joint_std_error(m.covariance,
+                                              _r_squared_gradient(m, r2))),
         samples=m.samples, seed=m.seed, variance=variance)
 
 

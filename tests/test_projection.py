@@ -252,6 +252,18 @@ class TestNormalizedIndex:
             if n == 1:
                 assert abs(r[0]) == 1.0
 
+    def test_variance_past_the_float_range(self):
+        # 1e200 x_1 at n = 1: sigma^2(f) = 1e400 / 12 assembles exactly; only
+        # the float sigma(f) and r(f, k) overflow
+        fit = best_approximation(parse_spec_document(
+            {"kind": "set-function", "arity": 1, "values": ["0", "1e200"]}))
+        assert fit.variance == Fraction(10 ** 400, 12)
+        assert fit.r_squared == 1 and fit.residual_norm_sq == 0
+        with pytest.raises(OverflowError):
+            fit.sigma
+        with pytest.raises(OverflowError):
+            fit.normalized_index(1)
+
     def test_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             approximation_from_moments(
