@@ -48,10 +48,14 @@ class FunctionSpec:
     """Base class.  A kind is a dataclass with the class attributes ``kind``
     and ``engine`` (EXACT, CLOSED_FORM, or None when only MC applies), an
     ``arity``, ``moments`` when it has an engine, and ``_maps``, the MC map
-    of f and optionally its derivative, or its own ``evaluator``."""
+    of f and optionally its derivative, or its own ``evaluator``.  A kind
+    whose maps read order statistics sets ``takes_sorted``, and its maps
+    take the sorted columns as an optional last argument (see
+    ``montecarlo.Evaluator``)."""
 
     kind = "abstract"
     engine = None
+    takes_sorted = False
     builtin_name: Optional[str] = field(default=None, kw_only=True)
 
     @property
@@ -70,7 +74,8 @@ class FunctionSpec:
     def evaluator(self) -> Evaluator:
         from .montecarlo import Evaluator
         return Evaluator(self.arity, *self._maps(),
-                         name=self.builtin_name or self.kind)
+                         name=self.builtin_name or self.kind,
+                         takes_sorted=self.takes_sorted)
 
 
 def _monomial_sum(columns: np.ndarray, terms: list,
@@ -93,6 +98,7 @@ class OrderStatPolynomialSpec(FunctionSpec):
     poly: OrderStatPolynomial
     kind = "orderstat-polynomial"
     engine = EXACT
+    takes_sorted = True
 
     @property
     def arity(self) -> int:
@@ -105,7 +111,12 @@ class OrderStatPolynomialSpec(FunctionSpec):
         from .montecarlo import sorted_columns
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
         constant = float(self.poly.constant)
-        return (lambda x: _monomial_sum(sorted_columns(x), terms, constant),)
+
+        def func(x, xs=None):
+            return _monomial_sum(sorted_columns(x) if xs is None else xs,
+                                 terms, constant)
+
+        return (func,)
 
 
 @dataclass
@@ -163,6 +174,7 @@ class SetFunctionSpec(FunctionSpec):
     set_function: SetFunction
     kind = "set-function"
     engine = EXACT
+    takes_sorted = True
 
     @property
     def arity(self) -> int:
@@ -209,6 +221,7 @@ class PowerProductSpec(FunctionSpec):
     exponent: Fraction
     kind = "power-product"
     engine = CLOSED_FORM
+    takes_sorted = True
 
     def __post_init__(self):
         self.exponent = as_rational(self.exponent)
@@ -228,17 +241,19 @@ class PowerProductSpec(FunctionSpec):
         c = float(self.exponent)
         n = self.arity
 
-        def func(x):
+        def func(x, xs=None):
             # np.prod(x, axis=1), one column at a time: the same products in
-            # the same order, without a reduce along the short axis
+            # the same order, without a reduce along the short axis; the
+            # order statistics are not read
             p = x[:, 0].copy()
             for i in range(1, n):
                 p *= x[:, i]
             return p ** c
 
-        def derivative(x, k):
+        def derivative(x, k, xs=None):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            return c * func(x) / sorted_columns(x)[k - 1]
+            return c * func(x) / (sorted_columns(x) if xs is None
+                                  else xs)[k - 1]
 
         return func, derivative
 

@@ -39,8 +39,8 @@ from .projection import ShiftedLStatistic
 # arity 20 2.2 s and 0.44 GB, of which the chain-form norm is about 1.4 s.
 MAX_ARITY = 20
 # Rows of a Monte-Carlo batch that lovasz_eval_batch evaluates at once: its
-# upper-set masks, gathered terms and sorted columns take n + 1 rows of
-# floats per point, which at BATCH rows would be the largest arrays of a pass
+# upper-set masks and gathered terms take about n + 1 rows of floats per
+# point, which at BATCH rows would be the largest arrays of a pass
 EVAL_TILE = BATCH >> 2
 
 
@@ -285,18 +285,23 @@ def _upper_masks(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return masks
 
 
-def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+def lovasz_eval_batch(values: np.ndarray, x: np.ndarray,
+                      xs: Optional[np.ndarray] = None) -> np.ndarray:
     """The extension of the float table ``values`` at each row of x:
     f(x) = v(emptyset) + sum_i x_(i) (v(U_i) - v(U_{i+1})), the upper sets
     U_i = {j : x_j >= x_(i)} and U_{n+1} = emptyset.  A tied group shares
-    one U_i, so its terms telescope to the stable sort's value.  Rows are
+    one U_i, so its terms telescope to the stable sort's value.  The x_(i)
+    are read from ``xs``, the sorted columns of x that an estimator hands
+    on, or from ``sorted_columns(x)`` when it is not given.  Rows are
     independent, and are taken EVAL_TILE at a time to bound the (n, m)
     temporaries."""
     m, n = x.shape
+    if xs is None:
+        xs = sorted_columns(x)
     out = np.empty(m)
     for lo in range(0, m, EVAL_TILE):
         tile = x[lo:lo + EVAL_TILE]
-        xs = sorted_columns(tile)
+        levels = xs[:, lo:lo + EVAL_TILE]
         if n > NETWORK_MAX_ARITY:
             # n^2 column compares lose to one argsort here; its tails differ
             # from U_i only inside tied groups, so it need not be stable
@@ -305,20 +310,23 @@ def lovasz_eval_batch(values: np.ndarray, x: np.ndarray) -> np.ndarray:
                                  np.argsort(tile, axis=1).astype(dtype))
             masks = np.cumsum(bits[:, ::-1], axis=1, dtype=dtype)[:, ::-1].T
         else:
-            masks = _upper_masks(tile, xs)
+            masks = _upper_masks(tile, levels)
         terms = values[masks]
         terms[:-1] -= terms[1:]
         terms[-1] -= values[0]
-        terms *= xs
+        terms *= levels
         out[lo:lo + EVAL_TILE] = values[0] + terms.sum(axis=0)
     return out
 
 
-def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int,
+                       xs: Optional[np.ndarray] = None) -> np.ndarray:
     """Slope along the k-th smallest coordinate, v(U_k) - v(U_{k+1}) per row:
     on untied rows, v({pi(k),...,pi(n)}) - v({pi(k+1),...,pi(n)}) with pi
-    sorting the row ascending."""
-    upper = values[_upper_masks(x, sorted_columns(x)[k - 1:k + 1])]
+    sorting the row ascending.  ``xs`` is as for ``lovasz_eval_batch``."""
+    if xs is None:
+        xs = sorted_columns(x)
+    upper = values[_upper_masks(x, xs[k - 1:k + 1])]
     return upper[0] - (upper[1] if k < x.shape[1] else values[0])
 
 

@@ -26,8 +26,10 @@ h_k vanishes there, and so does the mass of the gap.  Such points have
 probability zero.
 
 Every estimator reads order statistics of the sampled points, and sorts each
-batch once, into a block it owns (an evaluator that sorts its points sorts
-again).  Up to NETWORK_MAX_ARITY coordinates that runs Batcher's odd-even
+batch once, into a block it owns.  An evaluator whose maps read order
+statistics is handed that block, and the difference quotient's shifted
+points get theirs from it by one row's change, so nothing sorts a batch
+again.  Up to NETWORK_MAX_ARITY coordinates the sort runs Batcher's odd-even
 merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
 np.minimum / np.maximum over whole columns, which beats numpy's per-row
 sort; above the crossover it calls np.sort.  The values are the same either
@@ -54,8 +56,9 @@ from .projection import Moments
 # while the caller reads the other) and a moment block that the batch is
 # sorted into, 3.4 MB together at arity 8, beside the evaluator's
 # temporaries; the single-rank estimators keep a sort block in place of the
-# moment block.  On a 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass
-# at arity 8 took the same time at 1 << 12 to 1 << 14 rows and 10-20% longer
+# moment block, and the difference quotient one more for its shifted
+# points.  On a 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass at
+# arity 8 took the same time at 1 << 12 to 1 << 14 rows and 10-20% longer
 # from 1 << 15 up; the network on 65536 rows at n = 8 took 3.1 ms as one
 # block, 1.8 ms in blocks of 1 << 14 and 1.9-3.0 ms in blocks of 1 << 11 to
 # 1 << 13; the single-rank estimators at 1e5 samples took up to 40% less
@@ -80,16 +83,25 @@ class Evaluator:
     open simplexes of strictly ordered points.  It is called on every
     point, and its value where x_{(k)} ties a neighbour, so that h_k = 0,
     is not used.  Any other shape of either result raises DomainError.
+
+    With ``takes_sorted`` set, both maps also take an optional last
+    argument: the points' (n, m) sorted columns, as ``sorted_columns``
+    returns them.  An estimator hands them the block it sorted the batch
+    into; called without it, the maps sort the points themselves.
     """
 
     arity: int
-    func: Callable[[np.ndarray], np.ndarray]
-    derivative: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    func: Callable[..., np.ndarray]
+    derivative: Optional[Callable[..., np.ndarray]] = None
     name: str = "evaluator"
+    takes_sorted: bool = False
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, xs=None) -> np.ndarray:
+        """f at the rows of x; ``xs``, their sorted columns, goes on to maps
+        that take it."""
         x = np.asarray(x, dtype=float)
-        return _per_point(self.func(x), len(x), self.name)
+        values = self.func(x, xs) if self.takes_sorted else self.func(x)
+        return _per_point(values, len(x), self.name)
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,9 @@ def _network(n: int) -> tuple:
 
 def sorted_columns(x: np.ndarray) -> np.ndarray:
     """The rows of an (m, n) batch sorted, as an (n, m) array in new memory
-    whose row i holds each point's (i+1)-th smallest coordinate.
+    whose row i holds each point's (i+1)-th smallest coordinate.  The
+    estimators sort into blocks of their own; this is for maps called
+    outside them.
 
     Up to NETWORK_MAX_ARITY the columns run through Batcher's network as
     np.minimum / np.maximum over contiguous rows, BATCH points at a time;
@@ -369,7 +383,7 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
     with closing(_drawn_ahead(_rng(seed), samples, (n,))) as batches:
         for (x,) in batches:
             xs = _sort_into(x, columns[:, :len(x)])
-            acc.add(f(x) * _g_kernel(n, *_neighbours(xs, k)), x)
+            acc.add(f(x, xs) * _g_kernel(n, *_neighbours(xs, k)), x)
     return acc.estimate(seed, "covariance")
 
 
@@ -389,8 +403,10 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
     with closing(_drawn_ahead(_rng(seed), samples, (n,))) as batches:
         for (x,) in batches:
             m = len(x)
-            h = _h_density(n, *_neighbours(_sort_into(x, columns[:, :m]), k))
-            slope = _per_point(f.derivative(x, k), m,
+            xs = _sort_into(x, columns[:, :m])
+            h = _h_density(n, *_neighbours(xs, k))
+            slope = _per_point(f.derivative(x, k, xs) if f.takes_sorted
+                               else f.derivative(x, k), m,
                                "the derivative map of %s" % f.name)
             acc.add(np.multiply(h, slope, out=np.zeros(m), where=h > 0.0), x)
     return acc.estimate(seed, "derivative")
@@ -406,6 +422,10 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     density (n+1)(n+2)(y - x_{(k)}) via inverse CDF and the difference
     quotient is weighted by the interval's total mass.  Degenerate gaps
     contribute zero.
+
+    The moved value lies in [x_{(k)}, x_{(k+1)}], so the shifted point's
+    sorted columns are the batch's with row k-1 set to it where the gap is
+    positive.
     """
     if variant not in ("uniform-y", "triangular-y"):
         raise DomainError("variant must be 'uniform-y' or 'triangular-y', got %r"
@@ -414,6 +434,7 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     n = f.arity
     scale = (n + 1) * (n + 2)
     columns = np.empty((n + 1, min(samples, BATCH)))
+    shifted_columns = np.empty((n, min(samples, BATCH)))
     acc = _Accumulator()
     with closing(_drawn_ahead(_rng(seed), samples, (n,), ())) as batches:
         for x, u in batches:
@@ -422,7 +443,13 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
             mid = xs[k - 1]
             gap = (xs[k] if k < n else np.ones(m)) - mid
             h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
-            increment = f(_shift_rank(x, mid, gap, mid + h)) - f(x)
+            moved = mid + h
+            shifted = None
+            if f.takes_sorted:
+                shifted = _shift_columns(xs, k, gap, moved,
+                                         shifted_columns[:, :m])
+            increment = (f(_shift_rank(x, mid, gap, moved), shifted)
+                         - f(x, xs))
             if variant == "uniform-y":
                 contrib = scale * gap * increment
             else:
@@ -446,6 +473,17 @@ def _shift_rank(x: np.ndarray, mid: np.ndarray, gap: np.ndarray,
         np.copyto(target, moved, where=hit)
         pending ^= hit
     return shifted
+
+
+def _shift_columns(xs: np.ndarray, k: int, gap: np.ndarray,
+                   moved: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sorted columns of ``_shift_rank``'s points, written to ``out``:
+    xs with row k-1 set to ``moved`` where the gap is positive.  With
+    x_{(k)} <= moved <= x_{(k+1)} that is already sorted; a value
+    x_{(k)} + gap * s with s < 1 does not round past x_{(k+1)}."""
+    out[:] = xs
+    np.copyto(out[k - 1], moved, where=gap > 0.0)
+    return out
 
 
 def _check_rank(f: Evaluator, k: int, samples: int):
@@ -495,9 +533,10 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
     with closing(_drawn_ahead(rng, samples, (n,))) as batches:
         for (x,) in batches:
             z = moments[:, :len(x)]
-            v = f(x)
             # the sort leaves row n as scratch, which v then fills
-            np.multiply(_sort_into(x, z), v, out=z[:n])
+            xs = _sort_into(x, z)
+            v = f(x, xs)
+            np.multiply(xs, v, out=z[:n])
             z[n] = v
             if norm_sq:
                 with np.errstate(over="ignore"):

@@ -26,7 +26,9 @@ from ordinfluence import (
     influence_mc_diffquotient,
 )
 from ordinfluence import montecarlo
-from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec
+from ordinfluence import lovasz
+from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec, \
+    SetFunctionSpec
 from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
@@ -36,6 +38,7 @@ from ordinfluence.montecarlo import (
     _h_density,
     _neighbours,
     _rng,
+    _shift_columns,
     _shift_rank,
     derive_seed,
     mc_profile_moments,
@@ -47,6 +50,7 @@ import conftest
 from conftest import (
     poly_evaluator,
     random_orderstat_polynomial,
+    random_set_function,
     reference_covariance,
     reference_derivative,
     reference_diffquotient,
@@ -193,23 +197,34 @@ class TestSortedReferences:
     @pytest.mark.parametrize("n", ARITIES)
     def test_shift_moves_the_argsort_column(self, n):
         # half the rows on a grid of three levels, so that rank k ties with
-        # its neighbours below and above (zero gaps); the other half untied
+        # its neighbours below and above (zero gaps); the other half untied.
+        # The shifted points' sorted columns are the batch's with row k-1
+        # moved, also where the move reaches x_(k+1)
         gen = np.random.default_rng(n)
         x = np.floor(gen.random((600, n)) * 3) / 3
         x[::2] = gen.random((300, n))
         u = gen.random(600)
-        tied_below = zero_gap = 0
+        reach = gen.random(600) < 0.25
+        out = np.empty((n, len(x)))
+        tied_below = zero_gap = reached = 0
         for k in range(1, n + 1):
             xs = sorted_columns(x)
             mid = xs[k - 1]
-            gap = (xs[k] if k < n else np.ones(len(x))) - mid
+            up = xs[k] if k < n else np.ones(len(x))
+            gap = up - mid
             h = gap * u
             assert np.array_equal(_shift_rank(x, mid, gap, mid + h),
                                   reference_shift(x, k, h))
+            moved = np.where(reach, up, mid + h)
+            assert np.array_equal(
+                _shift_columns(xs, k, gap, moved, out),
+                sorted_columns(_shift_rank(x, mid, gap, moved)))
             zero_gap += int(np.sum(gap == 0.0))
+            reached += int(np.sum(reach & (gap > 0.0)))
             if k >= 2:
                 tied_below += int(np.sum((gap > 0.0) & (xs[k - 2] == mid)))
         assert n == 1 or (zero_gap and tied_below)
+        assert reached
 
     @pytest.mark.parametrize("doc, estimators", [
         ({"kind": "power-product", "arity": 4, "exponent": "2/3"},
@@ -234,6 +249,53 @@ class TestSortedReferences:
                 outputs.append(capsys.readouterr().out)
         half = len(outputs) // 2
         assert outputs[:half] == outputs[half:]
+
+
+def black_box(ev):
+    """``ev`` behind the plain (m, n) contract: its maps sort for
+    themselves."""
+    derivative = ev.derivative and (lambda x, k: ev.derivative(x, k))
+    return Evaluator(ev.arity, lambda x: ev(x), derivative, name=ev.name)
+
+
+class TestSortedBlock:
+    """Maps that read order statistics take the block an estimator sorted
+    the batch into, and give what they give when they sort for
+    themselves."""
+
+    @pytest.mark.parametrize("n", [6, 14])
+    @pytest.mark.parametrize("kind", ["orderstat", "set-function",
+                                      "power-product"])
+    def test_pass_never_sorts_again(self, kind, n, rng, monkeypatch):
+        assert 6 <= NETWORK_MAX_ARITY < 14
+        spec = {"orderstat": lambda: OrderStatPolynomialSpec(
+                    random_orderstat_polynomial(rng, n)),
+                "set-function": lambda: SetFunctionSpec(
+                    random_set_function(rng, n)),
+                "power-product": lambda: PowerProductSpec(n, "2/3")}[kind]()
+        samples, ranks = BATCH + 5, (1, n // 2, n)
+
+        def runs(ev):
+            out = [mc_profile_moments(ev, samples, 3)]
+            for k in ranks:
+                out.append(influence_mc_covariance(ev, k, samples, 5))
+                if ev.derivative is not None:
+                    out.append(influence_mc_derivative(ev, k, samples, 6))
+                for variant in ("uniform-y", "triangular-y"):
+                    out.append(influence_mc_diffquotient(ev, k, samples, 7,
+                                                         variant))
+            return out
+
+        want = runs(black_box(spec.evaluator()))
+
+        def resort(x):
+            raise AssertionError("a batch was sorted again")
+
+        for module in (montecarlo, lovasz):
+            monkeypatch.setattr(module, "sorted_columns", resort)
+        got = runs(spec.evaluator())
+        assert got == want
+        assert np.array_equal(got[0].covariance, want[0].covariance)
 
 
 class TiedStream:
