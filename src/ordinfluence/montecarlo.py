@@ -13,12 +13,15 @@ results are bit-reproducible for a fixed (seed, samples, estimator) triple.
 Every loop draws its batches through ``_drawn_ahead``: on more than one CPU
 the one worker of a thread-pool executor fills batch i + 1 with uniform
 draws, into the other of two blocks per draw, while the caller sorts,
-evaluates and accumulates batch i.  The worker runs nothing but the
-generator, one batch after another, so the stream is read in the same order
-as by an inline loop, which runs instead on a single batch or a one-CPU
-affinity mask.  Every output is the same either way, save that the cross
-products of the one pass, from about 100 quantities up, go through BLAS,
-whose rounding follows its thread count.
+evaluates and accumulates batch i.  The worker is pinned to the CPUs of the
+caller's affinity mask other than the caller's own, so that it runs beside
+the caller also where the kernel never moves a thread off the CPU it was
+made on.  The worker runs nothing but the generator, one batch after
+another, so the stream is read in the same order as by an inline loop,
+which runs instead on a single batch or a one-CPU affinity mask.  Every
+output is the same either way, save that the cross products of the one
+pass, from about 100 quantities up, go through BLAS, whose rounding follows
+its thread count.
 
 A point where x_{(k)} ties a neighbour, or where the gap above x_{(k)} is
 zero, weighs zero in the derivative and difference-quotient estimators:
@@ -241,6 +244,33 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _current_cpu() -> Optional[int]:
+    """The CPU the calling thread last ran on: field 39 of its
+    /proc/thread-self/stat, or None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # the command name, field 2, is in parentheses and may hold
+            # spaces; field 3 is the first after the last ")"
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _pin_off(cpu: Optional[int]):
+    """Confine the calling thread to the CPUs of its mask other than
+    ``cpu``.  Nothing happens where ``cpu`` is None, no other CPU is left,
+    the platform has no affinity call or the call fails: as an executor's
+    initializer this must not raise, or the executor breaks."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
 def _drawn_ahead(rng, samples: int, *shapes):
     """Yield, for the i-th batch of m rows in turn, a tuple of one block of
     uniform draws from ``rng`` per shape, each of shape (m,) + shape.
@@ -255,6 +285,13 @@ def _drawn_ahead(rng, samples: int, *shapes):
     single batch or a process allowed one CPU.  An exception in ``rng`` is
     raised in the caller; closing the generator, or an exception at its
     ``yield``, waits for the batch being drawn and shuts the worker down.
+
+    The worker starts on the CPUs of the caller's mask other than the one
+    the caller runs on (``_pin_off``), where there are any.  A kernel that
+    does not balance load across CPUs (``cpuset.sched_load_balance`` = 0)
+    never moves a thread off the CPU of the thread that made it, and there
+    an unpinned worker would take turns with the caller on one CPU.  The
+    caller's own mask is not touched, and the pin ends with the worker.
     """
     blocks = [np.empty((2, min(samples, BATCH)) + shape) for shape in shapes]
     batches = (tuple(block[i % 2, :m] for block in blocks)
@@ -264,7 +301,8 @@ def _drawn_ahead(rng, samples: int, *shapes):
             yield tuple(rng.random(out=block) for block in batch)
         return
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, "ordinfluence-draw") as worker:
+    with ThreadPoolExecutor(1, "ordinfluence-draw", _pin_off,
+                            (_current_cpu(),)) as worker:
         def fill(batch):
             return [worker.submit(rng.random, out=block) for block in batch]
 
@@ -535,6 +573,11 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
             z = moments[:, :len(x)]
             # the sort leaves row n as scratch, which v then fills
             xs = _sort_into(x, z)
+            if n > NETWORK_MAX_ARITY:
+                # np.sort's result, freed here so that it and f's
+                # temporaries are never held at once
+                z[:n] = xs
+                xs = z[:n]
             v = f(x, xs)
             np.multiply(xs, v, out=z[:n])
             z[n] = v

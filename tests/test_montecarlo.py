@@ -5,6 +5,7 @@ Statistical assertions use the 3-standard-error rule with frozen seeds, so
 the suite is deterministic.
 """
 
+import io
 import json
 import os
 import re
@@ -33,6 +34,7 @@ from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
     _Accumulator,
+    _current_cpu,
     _drawn_ahead,
     _g_kernel,
     _h_density,
@@ -296,6 +298,21 @@ class TestSortedBlock:
         got = runs(spec.evaluator())
         assert got == want
         assert np.array_equal(got[0].covariance, want[0].covariance)
+
+    @pytest.mark.parametrize("n", [6, NETWORK_MAX_ARITY + 2])
+    def test_pass_hands_f_its_moment_block(self, n):
+        # above the crossover too, the pass copies np.sort's result into its
+        # moment block before f runs, so every batch's f gets the one block
+        received = []
+
+        def func(x, xs):
+            received.append(xs)
+            return x.sum(axis=1)
+
+        mc_profile_moments(Evaluator(n, func, takes_sorted=True),
+                           2 * BATCH + 5, 3)
+        assert [xs.shape for xs in received] == [(n, BATCH)] * 2 + [(n, 5)]
+        assert all(np.shares_memory(xs, received[0]) for xs in received)
 
 
 class TiedStream:
@@ -639,25 +656,86 @@ class TestOnePass:
 
 
 class TestDrawnAhead:
-    """The helper thread: order, blocks, errors and shutdown."""
+    """The helper thread: order, blocks, errors, its CPUs and shutdown."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         threads = threading.active_count()
+        mask = os.sched_getaffinity(0)
         yield
         assert threading.active_count() == threads
+        assert os.sched_getaffinity(0) == mask
 
     class Scripted:
-        """Fills each block with the number of blocks drawn before it."""
+        """Fills each block with the number of blocks drawn before it, and
+        records the affinity mask of the thread that draws it."""
 
         def __init__(self):
-            self.shapes = []
+            self.shapes, self.masks = [], []
 
         def random(self, out):
             out.fill(len(self.shapes))
             self.shapes.append(out.shape)
+            self.masks.append(os.sched_getaffinity(0))
             return out
+
+    def test_worker_runs_off_the_callers_cpu(self, monkeypatch):
+        cpus = []
+
+        def current_cpu():
+            cpus.append(_current_cpu())
+            return cpus[-1]
+
+        monkeypatch.setattr(montecarlo, "_current_cpu", current_cpu)
+        mask, rng = os.sched_getaffinity(0), self.Scripted()
+        for _ in _drawn_ahead(rng, 3 * BATCH, (2,)):
+            pass
+        assert len(cpus) == 1
+        others = mask - {cpus[0]}
+        assert rng.masks == [others if others else mask] * 3
+
+    @pytest.mark.parametrize("unpinned", ["no-cpu", "setaffinity-fails",
+                                          "no-affinity-call"])
+    def test_unpinned_worker_draws_the_same(self, unpinned, monkeypatch):
+        ev = weighted_squares_evaluator(3)
+        want = mc_profile_moments(ev, 3 * BATCH + 5, 3)
+
+        def fails(pid, mask):
+            raise OSError("sched_setaffinity refused")
+
+        if unpinned == "no-cpu":
+            monkeypatch.setattr(montecarlo, "_current_cpu", lambda: None)
+        elif unpinned == "setaffinity-fails":
+            monkeypatch.setattr(os, "sched_setaffinity", fails)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        mask, rng = os.sched_getaffinity(0), self.Scripted()
+        for _ in _drawn_ahead(rng, 3 * BATCH, (2,)):
+            pass
+        assert rng.masks == [mask] * 3
+        got = mc_profile_moments(ev, 3 * BATCH + 5, 3)
+        assert got == want
+        assert np.array_equal(got.covariance, want.covariance)
+
+    def test_current_cpu(self, monkeypatch):
+        assert _current_cpu() in os.sched_getaffinity(0) | {None}
+        # field 39, counted after the last ")" of a command name that holds
+        # ") " itself; None where the file is missing, too short or holds
+        # no number there
+        fields = [b"0"] * 36 + [b"5"] + [b"0"] * 13
+        for stat, cpu in [(b"7 (a) b) " + b" ".join(fields), 5),
+                          (b"7 (a) b) " + b" ".join(fields[:36]), None),
+                          (b"7 (a) b) " + b" ".join(fields[:36] + [b"x"]),
+                           None),
+                          (None, None)]:
+            def fake_open(path, mode, stat=stat):
+                assert (path, mode) == ("/proc/thread-self/stat", "rb")
+                if stat is None:
+                    raise FileNotFoundError(path)
+                return io.BytesIO(stat)
+            monkeypatch.setattr(montecarlo, "open", fake_open, raising=False)
+            assert _current_cpu() == cpu
 
     def test_batches_in_order_and_close_joins(self):
         rng = self.Scripted()
