@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .exact import as_rational, product_indices
 from .projection import ShiftedLStatistic
+from .record import FrozenRecord, set_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,8 +64,7 @@ def _quad(func: Callable[[float], float], upper: float = 1.0) -> float:
 # Unary factors and multiplicative functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnaryFactor:
+class UnaryFactor(FrozenRecord):
     """One-dimensional integrand phi on [0,1] together with its running
     integral Phi(x) = int_0^x phi.
 
@@ -75,10 +74,16 @@ class UnaryFactor:
     exact value) when it is known symbolically.
     """
 
-    exponent: Optional[Fraction] = None
-    phi: Optional[Callable[[float], float]] = None
-    antiderivative: Optional[Callable[[float], float]] = None
-    declared_phi_one: Optional[Fraction] = None
+    _fields = ("exponent", "phi", "antiderivative", "declared_phi_one")
+
+    def __init__(self, exponent: Optional[Fraction] = None,
+                 phi: Optional[Callable[[float], float]] = None,
+                 antiderivative: Optional[Callable[[float], float]] = None,
+                 declared_phi_one: Optional[Fraction] = None):
+        set_field(self, "exponent", exponent)
+        set_field(self, "phi", phi)
+        set_field(self, "antiderivative", antiderivative)
+        set_field(self, "declared_phi_one", declared_phi_one)
 
     @classmethod
     def power(cls, c) -> "UnaryFactor":
@@ -125,17 +130,17 @@ class UnaryFactor:
         return _quad(lambda t: self.phi(t) ** 2)
 
 
-@dataclass(frozen=True)
-class MultiplicativeSpec:
+class MultiplicativeSpec(FrozenRecord):
     """f(x) = prod_i phi_i(x_i)."""
 
-    arity: int
-    factors: Tuple[UnaryFactor, ...]
+    _fields = ("arity", "factors")
 
-    def __post_init__(self):
-        if len(self.factors) != self.arity:
+    def __init__(self, arity: int, factors: Tuple[UnaryFactor, ...]):
+        set_field(self, "arity", arity)
+        set_field(self, "factors", factors)
+        if len(factors) != arity:
             raise DomainError("expected %d factors, got %d"
-                              % (self.arity, len(self.factors)))
+                              % (arity, len(factors)))
 
     @classmethod
     def symmetric(cls, factor: UnaryFactor, arity: int) -> "MultiplicativeSpec":

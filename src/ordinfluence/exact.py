@@ -14,12 +14,12 @@ the tests (``tests/reference.py``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import ConfigurationError, DomainError
+from .record import FrozenRecord, set_field
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -35,21 +35,23 @@ def as_rational(value: RationalLike) -> Fraction:
 # Monomials and polynomials in order statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderStatMonomial:
+class OrderStatMonomial(FrozenRecord):
     """A term c * prod_j x_{(k_j)}^{c_j} with 1 <= k_1 < ... < k_m <= arity."""
 
-    arity: int
-    exponents: Tuple[Tuple[int, int], ...]  # ((slot, exponent), ...), slots ascending
-    coefficient: Fraction
+    _fields = ("arity", "exponents", "coefficient")
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, arity: int, exponents: Tuple[Tuple[int, int], ...],
+                 coefficient: Fraction):
+        set_field(self, "arity", arity)
+        # ((slot, exponent), ...), slots ascending
+        set_field(self, "exponents", exponents)
+        set_field(self, "coefficient", coefficient)
+        if arity < 1:
             raise DomainError("arity must be positive")
         prev = 0
-        for slot, exp in self.exponents:
-            if not 1 <= slot <= self.arity:
-                raise DomainError("slot %d outside [1, %d]" % (slot, self.arity))
+        for slot, exp in exponents:
+            if not 1 <= slot <= arity:
+                raise DomainError("slot %d outside [1, %d]" % (slot, arity))
             if exp < 1:
                 raise DomainError("exponents must be >= 1")
             if slot <= prev:
@@ -70,8 +72,7 @@ def monomial(arity: int, exponents: Mapping[int, int],
     return OrderStatMonomial(arity, items, as_rational(coefficient))
 
 
-@dataclass(frozen=True)
-class OrderStatPolynomial:
+class OrderStatPolynomial(FrozenRecord):
     """Canonical sum of order-statistic monomials plus a rational constant.
 
     Canonical means: no two terms share an exponent map, no zero coefficients,
@@ -79,9 +80,13 @@ class OrderStatPolynomial:
     record, with no arithmetic.
     """
 
-    arity: int
-    terms: Tuple[OrderStatMonomial, ...]
-    constant: Fraction
+    _fields = ("arity", "terms", "constant")
+
+    def __init__(self, arity: int, terms: Tuple[OrderStatMonomial, ...],
+                 constant: Fraction):
+        set_field(self, "arity", arity)
+        set_field(self, "terms", terms)
+        set_field(self, "constant", constant)
 
     def evaluate(self, x: Sequence):
         xs = sorted(x)

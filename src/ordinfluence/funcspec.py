@@ -12,7 +12,6 @@ element i of [n].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -24,6 +23,7 @@ from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
     plain_indices, plain_integral, plain_norm_sq, polynomial
 from .projection import Moments, moments_exact
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,10 +43,11 @@ EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 MAX_SIZE = 1000
 
 
-@dataclass
-class FunctionSpec:
-    """Base class.  A kind is a dataclass with the class attributes ``kind``
-    and ``engine`` (EXACT, CLOSED_FORM, or None when only MC applies), an
+class FunctionSpec(Record):
+    """Base class.  A kind is a subclass whose ``__init__`` sets its fields,
+    ``builtin_name`` last and keyword-only, and ``_fields`` names them,
+    ``builtin_name`` first.  It has the class attributes ``kind`` and
+    ``engine`` (EXACT, CLOSED_FORM, or None when only MC applies), an
     ``arity``, ``moments`` when it has an engine, and ``_maps``, the MC map
     of f and optionally its derivative, or its own ``evaluator``.  A kind
     whose maps read order statistics sets ``takes_sorted``, and its maps
@@ -56,7 +57,10 @@ class FunctionSpec:
     kind = "abstract"
     engine = None
     takes_sorted = False
-    builtin_name: Optional[str] = field(default=None, kw_only=True)
+    _fields = ("builtin_name",)
+
+    def __init__(self, *, builtin_name: Optional[str] = None):
+        self.builtin_name = builtin_name
 
     @property
     def methods(self) -> Tuple[str, ...]:
@@ -93,12 +97,15 @@ def _monomial_sum(columns: np.ndarray, terms: list,
     return out
 
 
-@dataclass
 class OrderStatPolynomialSpec(FunctionSpec):
-    poly: OrderStatPolynomial
     kind = "orderstat-polynomial"
     engine = EXACT
     takes_sorted = True
+    _fields = ("builtin_name", "poly")
+
+    def __init__(self, poly: OrderStatPolynomial, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.poly = poly
 
     @property
     def arity(self) -> int:
@@ -119,13 +126,17 @@ class OrderStatPolynomialSpec(FunctionSpec):
         return (func,)
 
 
-@dataclass
 class PlainPolynomialSpec(FunctionSpec):
-    arity: int
-    terms: list  # [(Fraction, {var: exp})]
-    constant: Fraction = Fraction(0)
     kind = "plain-polynomial"
     engine = EXACT
+    _fields = ("builtin_name", "arity", "terms", "constant")
+
+    def __init__(self, arity: int, terms: list,
+                 constant: Fraction = Fraction(0), *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.arity = arity
+        self.terms = terms  # [(Fraction, {var: exp})]
+        self.constant = constant
 
     def moments(self, norm_sq=True):
         # the indices depend on the exponent lists of the terms only, while
@@ -142,14 +153,17 @@ class PlainPolynomialSpec(FunctionSpec):
         return (lambda x: _monomial_sum(x.T, terms, constant),)
 
 
-@dataclass
 class VarianceSpec(FunctionSpec):
     """The builtin sample variance (1/n) sum (x_i - xbar)^2, a plain
     polynomial whose moments are closed-form rationals."""
 
-    arity: int
     kind = "plain-polynomial"
     engine = EXACT
+    _fields = ("builtin_name", "arity")
+
+    def __init__(self, arity: int, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.arity = arity
 
     def moments(self, norm_sq=True):
         n = self.arity
@@ -169,12 +183,15 @@ class VarianceSpec(FunctionSpec):
         return (func,)
 
 
-@dataclass
 class SetFunctionSpec(FunctionSpec):
-    set_function: SetFunction
     kind = "set-function"
     engine = EXACT
     takes_sorted = True
+    _fields = ("builtin_name", "set_function")
+
+    def __init__(self, set_function: SetFunction, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.set_function = set_function
 
     @property
     def arity(self) -> int:
@@ -195,11 +212,14 @@ class SetFunctionSpec(FunctionSpec):
                 partial(lovasz_slope_batch, values))
 
 
-@dataclass
 class MultiplicativeFunctionSpec(FunctionSpec):
-    spec: MultiplicativeSpec
     kind = "multiplicative"
     engine = CLOSED_FORM
+    _fields = ("builtin_name", "spec")
+
+    def __init__(self, spec: MultiplicativeSpec, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.spec = spec
 
     @property
     def arity(self) -> int:
@@ -215,16 +235,16 @@ class MultiplicativeFunctionSpec(FunctionSpec):
         return (self.spec.evaluate,)
 
 
-@dataclass
 class PowerProductSpec(FunctionSpec):
-    arity: int
-    exponent: Fraction
     kind = "power-product"
     engine = CLOSED_FORM
     takes_sorted = True
+    _fields = ("builtin_name", "arity", "exponent")
 
-    def __post_init__(self):
-        self.exponent = as_rational(self.exponent)
+    def __init__(self, arity: int, exponent: Fraction, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.arity = arity
+        self.exponent = as_rational(exponent)
         if self.exponent <= Fraction(-1, 2):
             raise DomainError("exponent must exceed -1/2")
 
@@ -258,12 +278,15 @@ class PowerProductSpec(FunctionSpec):
         return func, derivative
 
 
-@dataclass
 class RawEvaluatorSpec(FunctionSpec):
     """Black-box evaluator; Monte-Carlo only.  Not representable in a file."""
 
-    raw: Evaluator
     kind = "builtin"
+    _fields = ("builtin_name", "raw")
+
+    def __init__(self, raw: Evaluator, *, builtin_name=None):
+        self.builtin_name = builtin_name
+        self.raw = raw
 
     @property
     def arity(self) -> int:

@@ -19,7 +19,6 @@ integer table to the object it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, isqrt, lcm
@@ -33,6 +32,7 @@ from .errors import DomainError
 from .exact import as_rational
 from .montecarlo import BATCH, NETWORK_MAX_ARITY, sorted_columns
 from .projection import ShiftedLStatistic
+from .record import FrozenRecord, set_field
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
 # CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
@@ -233,14 +233,17 @@ def zeta(m: MobiusRepresentation) -> SetFunction:
     return _transform(m, 1, SetFunction)
 
 
-@dataclass(frozen=True)
-class LevelAverages:
+class LevelAverages(FrozenRecord):
     """Averages over subsets of each cardinality: vbar(s) of v and mbar(s) of
     its Moebius transform, s=0..n."""
 
-    arity: int
-    vbar: Tuple[Fraction, ...]
-    mbar: Tuple[Fraction, ...]
+    _fields = ("arity", "vbar", "mbar")
+
+    def __init__(self, arity: int, vbar: Tuple[Fraction, ...],
+                 mbar: Tuple[Fraction, ...]):
+        set_field(self, "arity", arity)
+        set_field(self, "vbar", vbar)
+        set_field(self, "mbar", mbar)
 
     def influence_profile(self) -> Tuple[Fraction, ...]:
         """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n."""
@@ -334,18 +337,22 @@ def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int,
 # Equal-influence diagnosis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualInfluenceDiagnosis:
+class EqualInfluenceDiagnosis(FrozenRecord):
     """Joint truth of the three equivalent equal-influence conditions:
     (a) flat influence profile, (b) level averages vbar in arithmetic
     progression, (c) mbar(s) = 0 for s >= 2.  ``witnesses`` maps each failed
     condition to the first violated level."""
 
-    equal: bool
-    profile_flat: bool
-    vbar_arithmetic: bool
-    mbar_vanishing: bool
-    witnesses: dict
+    _fields = ("equal", "profile_flat", "vbar_arithmetic", "mbar_vanishing",
+               "witnesses")
+
+    def __init__(self, equal: bool, profile_flat: bool,
+                 vbar_arithmetic: bool, mbar_vanishing: bool, witnesses: dict):
+        set_field(self, "equal", equal)
+        set_field(self, "profile_flat", profile_flat)
+        set_field(self, "vbar_arithmetic", vbar_arithmetic)
+        set_field(self, "mbar_vanishing", mbar_vanishing)
+        set_field(self, "witnesses", witnesses)
 
 
 def equal_influence_class(v: SetFunction,

@@ -45,13 +45,13 @@ import functools
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TaintedSampleError
 from .projection import Moments
+from .record import FrozenRecord, set_field
 
 # Rows handled as one block: the draw batch of every estimator and of
 # mc_profile_moments, and the tile over which sorted_columns runs the network.
@@ -76,8 +76,7 @@ BATCH = 1 << 14
 NETWORK_MAX_ARITY = 12
 
 
-@dataclass(frozen=True)
-class Evaluator:
+class Evaluator(FrozenRecord):
     """A total, deterministic map from points of [0,1]^n to reals.
 
     ``func`` takes an (m, n) float array and returns (m,) values.  The
@@ -93,11 +92,16 @@ class Evaluator:
     into; called without it, the maps sort the points themselves.
     """
 
-    arity: int
-    func: Callable[..., np.ndarray]
-    derivative: Optional[Callable[..., np.ndarray]] = None
-    name: str = "evaluator"
-    takes_sorted: bool = False
+    _fields = ("arity", "func", "derivative", "name", "takes_sorted")
+
+    def __init__(self, arity: int, func: Callable[..., np.ndarray],
+                 derivative: Optional[Callable[..., np.ndarray]] = None,
+                 name: str = "evaluator", takes_sorted: bool = False):
+        set_field(self, "arity", arity)
+        set_field(self, "func", func)
+        set_field(self, "derivative", derivative)
+        set_field(self, "name", name)
+        set_field(self, "takes_sorted", takes_sorted)
 
     def __call__(self, x: np.ndarray, xs=None) -> np.ndarray:
         """f at the rows of x; ``xs``, their sorted columns, goes on to maps
@@ -107,17 +111,21 @@ class Evaluator:
         return _per_point(values, len(x), self.name)
 
 
-@dataclass(frozen=True)
-class IntegrationEstimate:
+class IntegrationEstimate(FrozenRecord):
     """Monte-Carlo value with provenance: the standard error is the sample
     standard deviation of the per-sample contributions over sqrt(samples)."""
 
-    value: float
-    std_error: float
-    samples: int
-    seed: int
-    estimator: str
-    variant: Optional[str] = None
+    _fields = ("value", "std_error", "samples", "seed", "estimator",
+               "variant")
+
+    def __init__(self, value: float, std_error: float, samples: int,
+                 seed: int, estimator: str, variant: Optional[str] = None):
+        set_field(self, "value", value)
+        set_field(self, "std_error", std_error)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "estimator", estimator)
+        set_field(self, "variant", variant)
 
     def z_score(self, other: "IntegrationEstimate") -> float:
         """|difference| in units of the combined standard error."""

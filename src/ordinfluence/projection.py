@@ -19,27 +19,29 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateVarianceError, DomainError
 from .exact import OrderStatPolynomial, orderstat_norm_sq, rank_inner_products
+from .record import FrozenRecord, set_field
 
 
 # ---------------------------------------------------------------------------
 # Shifted L-statistics and the best approximation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftedLStatistic:
+class ShiftedLStatistic(FrozenRecord):
     """A shifted L-statistic b + sum_k a_k x_(k): the best fit of f, whose
     slopes a_k are the indices I(f, k), the symmetric part of a Lovasz
     extension, or the fit of the sample variance."""
 
-    arity: int
-    slopes: tuple
-    intercept: object
+    _fields = ("arity", "slopes", "intercept")
+
+    def __init__(self, arity: int, slopes: tuple, intercept):
+        set_field(self, "arity", arity)
+        set_field(self, "slopes", slopes)
+        set_field(self, "intercept", intercept)
 
     @property
     def coefficients(self) -> tuple:
@@ -53,7 +55,6 @@ class ShiftedLStatistic:
         return value
 
 
-@dataclass(frozen=True)
 class ApproximationResult(ShiftedLStatistic):
     """Best shifted L-statistic approximation of f, with the numbers of the
     fit: the mean of f, R^2, the residual, sigma^2(f) and, for estimated
@@ -61,14 +62,24 @@ class ApproximationResult(ShiftedLStatistic):
     moments': ``index_std_errors`` for the slopes, ``tail_std_error()`` for
     the intercept."""
 
-    mean: object
-    r_squared: object
-    residual_norm_sq: object
-    method: str
-    r_squared_std_error: Optional[float] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    variance: object = None
+    _fields = ShiftedLStatistic._fields + (
+        "mean", "r_squared", "residual_norm_sq", "method",
+        "r_squared_std_error", "samples", "seed", "variance")
+
+    def __init__(self, arity: int, slopes: tuple, intercept, mean, r_squared,
+                 residual_norm_sq, method: str,
+                 r_squared_std_error: Optional[float] = None,
+                 samples: Optional[int] = None, seed: Optional[int] = None,
+                 variance=None):
+        super().__init__(arity, slopes, intercept)
+        set_field(self, "mean", mean)
+        set_field(self, "r_squared", r_squared)
+        set_field(self, "residual_norm_sq", residual_norm_sq)
+        set_field(self, "method", method)
+        set_field(self, "r_squared_std_error", r_squared_std_error)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "variance", variance)
 
     @property
     def sigma(self) -> float:
@@ -92,8 +103,7 @@ class ApproximationResult(ShiftedLStatistic):
         return float(index) / (self.sigma * math.sqrt(2 * (n + 1) * (n + 2)))
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(FrozenRecord):
     """The primaries that fix the best shifted L-statistic fit of f: the
     indices I(f, 1..n), the mean <f, 1> and <f, f>.  With the formal tail
     they are the influence profile.
@@ -106,17 +116,30 @@ class Moments:
     ask for it and its engine could not give it for free.
     """
 
-    arity: int
-    method: str
-    indices: tuple
-    mean: object
-    norm_sq: object = None
-    index_std_errors: Optional[tuple] = None
-    mean_std_error: Optional[float] = None
-    norm_sq_std_error: Optional[float] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    covariance: object = field(default=None, compare=False)
+    _fields = ("arity", "method", "indices", "mean", "norm_sq",
+               "index_std_errors", "mean_std_error", "norm_sq_std_error",
+               "samples", "seed", "covariance")
+
+    def __init__(self, arity: int, method: str, indices: tuple, mean,
+                 norm_sq=None, index_std_errors: Optional[tuple] = None,
+                 mean_std_error: Optional[float] = None,
+                 norm_sq_std_error: Optional[float] = None,
+                 samples: Optional[int] = None, seed: Optional[int] = None,
+                 covariance=None):
+        set_field(self, "arity", arity)
+        set_field(self, "method", method)
+        set_field(self, "indices", indices)
+        set_field(self, "mean", mean)
+        set_field(self, "norm_sq", norm_sq)
+        set_field(self, "index_std_errors", index_std_errors)
+        set_field(self, "mean_std_error", mean_std_error)
+        set_field(self, "norm_sq_std_error", norm_sq_std_error)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "covariance", covariance)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # all but the covariance
 
     def variance(self):
         """sigma^2(f) = <f, f> - <f, 1>^2; DegenerateVarianceError when it

@@ -14,10 +14,11 @@ import io
 import csv as csv_module
 import json
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+from .record import Record
 
 
 def format_value(value) -> dict:
@@ -74,23 +75,27 @@ def _to_json(value, indent: str) -> str:
                     % type(value).__name__)
 
 
-@dataclass
-class ReportDocument:
-    command: str
-    spec: dict
-    requested: dict
-    results: list
-    extras: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-    seed: Optional[int] = None
-    version: str = ""
+class ReportDocument(Record):
+    _fields = ("command", "spec", "requested", "results", "extras",
+               "warnings", "seed", "version")
+
+    def __init__(self, command: str, spec: dict, requested: dict,
+                 results: list, extras: Optional[dict] = None,
+                 warnings: Optional[list] = None, seed: Optional[int] = None,
+                 version: str = ""):
+        self.command = command
+        self.spec = spec
+        self.requested = requested
+        self.results = results
+        self.extras = {} if extras is None else extras
+        self.warnings = [] if warnings is None else warnings
+        self.seed = seed
+        self.version = version
 
     def to_json(self) -> str:
-        # the fields hold plain JSON values, and json.dumps rejects a nested
-        # dataclass, so this is the text of asdict(self) without its deep
-        # copy of the spec echo (2^n value strings for a set function)
-        return _to_json({f.name: getattr(self, f.name) for f in fields(self)},
-                        "")
+        # the fields hold plain JSON values, so this is the text of
+        # json.dumps of the fields, with indent=2 and sort_keys=True
+        return _to_json(dict(zip(self._fields, self._key())), "")
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":

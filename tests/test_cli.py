@@ -3,7 +3,6 @@
 import json
 import math
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -558,7 +557,7 @@ class TestFormats:
         if command == "crosscheck":
             doc, _ = doc
         text = doc.to_json()
-        assert text == json.dumps(asdict(doc), indent=2, sort_keys=True)
+        assert text == json.dumps(vars(doc), indent=2, sort_keys=True)
         assert ReportDocument.from_json(text).to_json() == text
 
     def test_exact_decimal_matches_rational(self, tmp_path, capsys):

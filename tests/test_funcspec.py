@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -449,10 +448,13 @@ class TestDeclarations:
             assert code in ((0, 5) if argv[0] == "crosscheck" else (0,))
             assert json.loads(capsys.readouterr().out)["spec"] == doc
 
-    @dataclass
     class Bare(FunctionSpec):
-        arity: int
         kind = "bare"
+        _fields = ("builtin_name", "arity")
+
+        def __init__(self, arity, *, builtin_name=None):
+            self.builtin_name = builtin_name
+            self.arity = arity
 
     def test_kind_without_engine_is_mc_only(self):
         spec = self.Bare(3, builtin_name="bare")

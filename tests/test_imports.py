@@ -1,8 +1,8 @@
 """scipy is imported only on the quadrature paths, numpy with ``lovasz`` and
-``montecarlo`` only off the exact polynomial paths, and the CLI parser only on
-the first command, checked in fresh interpreters: a test process has usually
-loaded all of them already.  The package defines nothing that only tests
-reach."""
+``montecarlo`` only off the exact polynomial paths, the CLI parser only on
+the first command, and ``dataclasses`` never, checked in fresh interpreters:
+a test process has usually loaded all of them already.  The package defines
+nothing that only tests reach."""
 
 import ast
 import json
@@ -48,6 +48,33 @@ for name, argv in json.loads(sys.argv[1]):
     loaded[name] = [m for m in %r if m in sys.modules]
 print(json.dumps(loaded))
 """ % (NUMPY_MODULES,)
+
+# dataclasses, which generates a record's methods when its class is defined,
+# and inspect, which it imports; the package's records are plain classes.
+CODEGEN_MODULES = ("dataclasses", "inspect")
+
+# Like NUMPY_RUNS, for CODEGEN_MODULES, and also records them after the
+# import, before the first run.
+CODEGEN_RUNS = """
+import contextlib, io, json, sys
+from ordinfluence import cli
+loaded = {"import": [m for m in %r if m in sys.modules]}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[name] = [m for m in %r if m in sys.modules]
+print(json.dumps(loaded))
+""" % (CODEGEN_MODULES, CODEGEN_MODULES)
+
+PLAIN_DOC = {
+    "kind": "plain-polynomial", "arity": 3, "constant": "1/3",
+    "terms": [{"coefficient": "3/2", "exponents": {"2": 1}},
+              {"coefficient": "-1", "exponents": {"3": 2, "1": 1}}]}
+
+ORDERSTAT_DOC = {
+    "kind": "orderstat-polynomial", "arity": 4, "constant": "-1/2",
+    "terms": [{"coefficient": "2/3", "exponents": {"1": 2, "4": 1}},
+              {"coefficient": "5", "exponents": {"3": 3}}]}
 
 # The quad_vec fallback of multiplicative_indices, reached by a callable
 # factor and by a symbolic product above a lowered PRODUCT_FORM_LIMIT, next
@@ -185,14 +212,8 @@ print(json.dumps([package, [m for m in %r if m in sys.modules]]))
 
 
 def test_exact_polynomial_commands_leave_numpy_out(tmp_path):
-    plain = write_spec(tmp_path, "plain", {
-        "kind": "plain-polynomial", "arity": 3, "constant": "1/3",
-        "terms": [{"coefficient": "3/2", "exponents": {"2": 1}},
-                  {"coefficient": "-1", "exponents": {"3": 2, "1": 1}}]})
-    orderstat = write_spec(tmp_path, "orderstat", {
-        "kind": "orderstat-polynomial", "arity": 4, "constant": "-1/2",
-        "terms": [{"coefficient": "2/3", "exponents": {"1": 2, "4": 1}},
-                  {"coefficient": "5", "exponents": {"3": 3}}]})
+    plain = write_spec(tmp_path, "plain", PLAIN_DOC)
+    orderstat = write_spec(tmp_path, "orderstat", ORDERSTAT_DOC)
     specs = [("plain", plain), ("orderstat", orderstat)]
     for name, n in (("min", 5), ("median", 20), ("variance", 9),
                     ("product", 6)):
@@ -222,6 +243,33 @@ def test_exact_polynomial_commands_leave_numpy_out(tmp_path):
         [(name, argv + ["--format", "json"]) for name, argv in runs]))
     assert loaded == {**{name: [] for name, _ in exact_runs},
                       **{name: list(NUMPY_MODULES) for name, _ in later_runs}}
+
+
+def test_cli_loads_no_dataclasses(tmp_path):
+    # neither the import nor an exact command on a polynomial loads them
+    runs = []
+    for name, doc in (("plain", PLAIN_DOC), ("orderstat", ORDERSTAT_DOC)):
+        path = write_spec(tmp_path, name, doc)
+        runs.append((name + "-influence",
+                     ["influence", path, "--all", "--method", "exact"]))
+        runs.append((name + "-approx", ["approx", path, "--method", "exact"]))
+    loaded = run_fresh("-c", CODEGEN_RUNS, json.dumps(runs))
+    assert loaded == {"import": [], **{name: [] for name, _ in runs}}
+
+
+def test_no_package_module_imports_dataclasses():
+    importers = []
+    for path in sorted(Path(ordinfluence.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.append("%s:%d" % (path.name, node.lineno))
+    assert not importers, importers
 
 
 def test_lazy_names_are_the_defining_modules_objects():
