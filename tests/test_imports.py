@@ -34,11 +34,9 @@ for name, argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-# The modules that load numpy, none of which an exact polynomial command needs.
-NUMPY_MODULES = ("numpy", "ordinfluence.lovasz", "ordinfluence.montecarlo")
-
-# Like CLI_RUNS, but records which of NUMPY_MODULES were loaded after each run.
-NUMPY_RUNS = """
+# Like CLI_RUNS, for the tuple of module names formatted in for %r: records
+# which of them were loaded after each run.
+MODULE_RUNS = """
 import contextlib, io, json, sys
 from ordinfluence import cli
 loaded = {}
@@ -47,24 +45,15 @@ for name, argv in json.loads(sys.argv[1]):
         assert cli.main(argv) == 0, argv
     loaded[name] = [m for m in %r if m in sys.modules]
 print(json.dumps(loaded))
-""" % (NUMPY_MODULES,)
+"""
+
+# The modules that load numpy, none of which an exact polynomial command needs.
+NUMPY_MODULES = ("numpy", "ordinfluence.lovasz", "ordinfluence.montecarlo")
+NUMPY_RUNS = MODULE_RUNS % (NUMPY_MODULES,)
 
 # dataclasses, which generates a record's methods when its class is defined,
 # and inspect, which it imports; the package's records are plain classes.
 CODEGEN_MODULES = ("dataclasses", "inspect")
-
-# Like NUMPY_RUNS, for CODEGEN_MODULES, and also records them after the
-# import, before the first run.
-CODEGEN_RUNS = """
-import contextlib, io, json, sys
-from ordinfluence import cli
-loaded = {"import": [m for m in %r if m in sys.modules]}
-for name, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-    loaded[name] = [m for m in %r if m in sys.modules]
-print(json.dumps(loaded))
-""" % (CODEGEN_MODULES, CODEGEN_MODULES)
 
 PLAIN_DOC = {
     "kind": "plain-polynomial", "arity": 3, "constant": "1/3",
@@ -253,8 +242,9 @@ def test_cli_loads_no_dataclasses(tmp_path):
         runs.append((name + "-influence",
                      ["influence", path, "--all", "--method", "exact"]))
         runs.append((name + "-approx", ["approx", path, "--method", "exact"]))
-    loaded = run_fresh("-c", CODEGEN_RUNS, json.dumps(runs))
-    assert loaded == {"import": [], **{name: [] for name, _ in runs}}
+    # sys.modules only grows: what no run loaded, the import did not load
+    loaded = run_fresh("-c", MODULE_RUNS % (CODEGEN_MODULES,), json.dumps(runs))
+    assert loaded == {name: [] for name, _ in runs}
 
 
 def test_no_package_module_imports_dataclasses():
