@@ -2,7 +2,7 @@
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
 documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file or seed variable, 3 incompatible method, kind or rank, or a value beyond
+file or seed, 3 incompatible method, kind or rank, or a value beyond
 the float range, 4 tainted Monte-Carlo sample, 5 estimator disagreement in
 crosscheck, 6 quadrature short of its tolerance.
 """
@@ -50,13 +50,20 @@ ESTIMATORS = {
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
+def _seed(given) -> int:
+    """``--seed``, else $ORDINFLUENCE_SEED, else 0, in [0, 2^64): the streams
+    are keyed on it modulo 2^64, so no two seeds give the same numbers."""
+    source, raw = (("--seed", given) if given is not None
+                   else (SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")))
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise SpecFileError("%s must be an integer, got %r"
                             % (SEED_ENV_VAR, raw), SEED_ENV_VAR)
+    if not 0 <= seed < 2 ** 64:
+        raise SpecFileError("%s must lie in [0, 2^64), got %r"
+                            % (source, raw), source)
+    return seed
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,8 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     exit_code = EXIT_OK
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
+        args.seed = _seed(args.seed)
         if args.command == "influence":
             doc = cmd_influence(args)
         elif args.command == "approx":

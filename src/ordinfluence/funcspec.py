@@ -51,8 +51,8 @@ class FunctionSpec(Record):
     ``arity``, ``moments`` when it has an engine, and ``_maps``, the MC map
     of f and optionally its derivative, or its own ``evaluator``.  A kind
     whose maps read order statistics sets ``takes_sorted``, and its maps
-    take the sorted columns as an optional last argument (see
-    ``montecarlo.Evaluator``)."""
+    take the sorted columns as a required last argument, which the
+    ``montecarlo.Evaluator`` they are wrapped in always hands them."""
 
     kind = "abstract"
     engine = None
@@ -115,15 +115,9 @@ class OrderStatPolynomialSpec(FunctionSpec):
         return moments_exact(self.poly, norm_sq)
 
     def _maps(self):
-        from .montecarlo import sorted_columns
         terms = [(float(t.coefficient), t.exponents) for t in self.poly.terms]
         constant = float(self.poly.constant)
-
-        def func(x, xs=None):
-            return _monomial_sum(sorted_columns(x) if xs is None else xs,
-                                 terms, constant)
-
-        return (func,)
+        return (lambda x, xs: _monomial_sum(xs, terms, constant),)
 
 
 class PlainPolynomialSpec(FunctionSpec):
@@ -257,7 +251,6 @@ class PowerProductSpec(FunctionSpec):
                        if norm_sq else None)
 
     def _maps(self):
-        from .montecarlo import sorted_columns
         c = float(self.exponent)
         n = self.arity
 
@@ -270,10 +263,9 @@ class PowerProductSpec(FunctionSpec):
                 p *= x[:, i]
             return p ** c
 
-        def derivative(x, k, xs=None):
+        def derivative(x, k, xs):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            return c * func(x) / (sorted_columns(x) if xs is None
-                                  else xs)[k - 1]
+            return c * func(x) / xs[k - 1]
 
         return func, derivative
 

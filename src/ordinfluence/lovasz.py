@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exact import as_rational
-from .montecarlo import BATCH, NETWORK_MAX_ARITY, sorted_columns
+from .montecarlo import BATCH, NETWORK_MAX_ARITY
 from .projection import ShiftedLStatistic
 from .record import FrozenRecord, set_field
 
@@ -289,18 +289,15 @@ def _upper_masks(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def lovasz_eval_batch(values: np.ndarray, x: np.ndarray,
-                      xs: Optional[np.ndarray] = None) -> np.ndarray:
+                      xs: np.ndarray) -> np.ndarray:
     """The extension of the float table ``values`` at each row of x:
     f(x) = v(emptyset) + sum_i x_(i) (v(U_i) - v(U_{i+1})), the upper sets
     U_i = {j : x_j >= x_(i)} and U_{n+1} = emptyset.  A tied group shares
     one U_i, so its terms telescope to the stable sort's value.  The x_(i)
-    are read from ``xs``, the sorted columns of x that an estimator hands
-    on, or from ``sorted_columns(x)`` when it is not given.  Rows are
-    independent, and are taken EVAL_TILE at a time to bound the (n, m)
-    temporaries."""
+    are read from ``xs``, the (n, m) sorted columns of x, whose row i holds
+    each point's (i+1)-th smallest coordinate.  Rows are independent, and
+    are taken EVAL_TILE at a time to bound the (n, m) temporaries."""
     m, n = x.shape
-    if xs is None:
-        xs = sorted_columns(x)
     out = np.empty(m)
     for lo in range(0, m, EVAL_TILE):
         tile = x[lo:lo + EVAL_TILE]
@@ -323,12 +320,10 @@ def lovasz_eval_batch(values: np.ndarray, x: np.ndarray,
 
 
 def lovasz_slope_batch(values: np.ndarray, x: np.ndarray, k: int,
-                       xs: Optional[np.ndarray] = None) -> np.ndarray:
+                       xs: np.ndarray) -> np.ndarray:
     """Slope along the k-th smallest coordinate, v(U_k) - v(U_{k+1}) per row:
     on untied rows, v({pi(k),...,pi(n)}) - v({pi(k+1),...,pi(n)}) with pi
     sorting the row ascending.  ``xs`` is as for ``lovasz_eval_batch``."""
-    if xs is None:
-        xs = sorted_columns(x)
     upper = values[_upper_masks(x, xs[k - 1:k + 1])]
     return upper[0] - (upper[1] if k < x.shape[1] else values[0])
 

@@ -35,8 +35,8 @@ points get theirs from it by one row's change, so nothing sorts a batch
 again.  Up to NETWORK_MAX_ARITY coordinates the sort runs Batcher's odd-even
 merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
 np.minimum / np.maximum over whole columns, which beats numpy's per-row
-sort; above the crossover it calls np.sort.  The values are the same either
-way.
+sort; above the crossover it copies np.sort's result into the block.  The
+values are the same either way.
 """
 
 from __future__ import annotations
@@ -86,10 +86,9 @@ class Evaluator(FrozenRecord):
     point, and its value where x_{(k)} ties a neighbour, so that h_k = 0,
     is not used.  Any other shape of either result raises DomainError.
 
-    With ``takes_sorted`` set, both maps also take an optional last
-    argument: the points' (n, m) sorted columns, as ``sorted_columns``
-    returns them.  An estimator hands them the block it sorted the batch
-    into; called without it, the maps sort the points themselves.
+    With ``takes_sorted`` set, both maps also take a last argument, the
+    points' (n, m) sorted columns: ``__call__`` and ``slope`` hand them the
+    block an estimator sorted the batch into, or else ``sorted_columns(x)``.
     """
 
     _fields = ("arity", "func", "derivative", "name", "takes_sorted")
@@ -104,11 +103,22 @@ class Evaluator(FrozenRecord):
         set_field(self, "takes_sorted", takes_sorted)
 
     def __call__(self, x: np.ndarray, xs=None) -> np.ndarray:
-        """f at the rows of x; ``xs``, their sorted columns, goes on to maps
-        that take it."""
+        """f at the rows of x; ``xs`` are their sorted columns, if known."""
+        return self._apply(self.func, x, (), xs, self.name)
+
+    def slope(self, x: np.ndarray, k: int, xs=None) -> np.ndarray:
+        """The derivative map at the rows of x along rank k; ``xs`` as for
+        ``__call__``."""
+        return self._apply(self.derivative, x, (k,), xs,
+                           "the derivative map of %s" % self.name)
+
+    def _apply(self, map_, x, args: tuple, xs, source: str) -> np.ndarray:
+        """``map_(x, *args)``, handed the sorted columns last if it takes
+        them, as one value per point (``_per_point``)."""
         x = np.asarray(x, dtype=float)
-        values = self.func(x, xs) if self.takes_sorted else self.func(x)
-        return _per_point(values, len(x), self.name)
+        if self.takes_sorted:
+            args += (sorted_columns(x) if xs is None else xs,)
+        return _per_point(map_(x, *args), len(x), source)
 
 
 class IntegrationEstimate(FrozenRecord):
@@ -378,13 +388,14 @@ def sorted_columns(x: np.ndarray) -> np.ndarray:
 
 
 def _sort_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sorted_columns(x)`` written to the first n rows of ``out``, a
-    block of at least n+1 rows and m columns whose row n the network uses
-    as scratch.  Above NETWORK_MAX_ARITY, where np.sort allocates its
-    result anyway, that result, and ``out`` is left alone."""
+    """``sorted_columns(x)`` written to, and returned as, the first n rows
+    of ``out``, a block of at least n+1 rows and m columns whose row n the
+    network uses as scratch.  Above NETWORK_MAX_ARITY np.sort's result is
+    copied in and freed, so it and f's temporaries are never held at once."""
     m, n = x.shape
     if n > NETWORK_MAX_ARITY:
-        return np.sort(x, axis=1).T
+        out[:n] = np.sort(x, axis=1).T
+        return out[:n]
     moves, free = _network(n)
     for lo in range(0, m, BATCH):
         tile = out[:n + 1, lo:lo + BATCH]
@@ -451,10 +462,8 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
             m = len(x)
             xs = _sort_into(x, columns[:, :m])
             h = _h_density(n, *_neighbours(xs, k))
-            slope = _per_point(f.derivative(x, k, xs) if f.takes_sorted
-                               else f.derivative(x, k), m,
-                               "the derivative map of %s" % f.name)
-            acc.add(np.multiply(h, slope, out=np.zeros(m), where=h > 0.0), x)
+            acc.add(np.multiply(h, f.slope(x, k, xs), out=np.zeros(m),
+                                where=h > 0.0), x)
     return acc.estimate(seed, "derivative")
 
 
@@ -581,11 +590,6 @@ def mc_profile_moments(f: Evaluator, samples: int, seed: int,
             z = moments[:, :len(x)]
             # the sort leaves row n as scratch, which v then fills
             xs = _sort_into(x, z)
-            if n > NETWORK_MAX_ARITY:
-                # np.sort's result, freed here so that it and f's
-                # temporaries are never held at once
-                z[:n] = xs
-                xs = z[:n]
             v = f(x, xs)
             np.multiply(xs, v, out=z[:n])
             z[n] = v

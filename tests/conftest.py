@@ -161,7 +161,7 @@ def reference_derivative(f, k, samples, seed):
     for m in _batches(samples):
         x = rng.random((m, f.arity))
         h = reference_h_density(x, k)
-        slope = np.asarray(f.derivative(x, k), dtype=float)
+        slope = np.asarray(f.slope(x, k), dtype=float)
         with np.errstate(invalid="ignore"):
             acc.add(np.where(h > 0.0, h * slope, 0.0), x)
     return acc.estimate(seed, "derivative")

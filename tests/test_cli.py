@@ -58,6 +58,12 @@ class TestExitCodes:
         (json.dumps(PRODUCT_DOC).encode(), "abc",
          "ORDINFLUENCE_SEED must be an integer, got 'abc' "
          "(at ORDINFLUENCE_SEED)"),
+        (json.dumps(PRODUCT_DOC).encode(), "-1",
+         "ORDINFLUENCE_SEED must lie in [0, 2^64), got '-1' "
+         "(at ORDINFLUENCE_SEED)"),
+        (json.dumps(PRODUCT_DOC).encode(), "18446744073709551616",
+         "ORDINFLUENCE_SEED must lie in [0, 2^64), got "
+         "'18446744073709551616' (at ORDINFLUENCE_SEED)"),
         (json.dumps({"kind": "plain-polynomial", "arity": 2,
                      "terms": [{"coefficient": 1, "exponents": [1]}]}).encode(),
          None, "exponents must be an object (at terms[0])"),
@@ -86,9 +92,10 @@ class TestExitCodes:
         (json.dumps({"kind": "multiplicative", "arity": 2, "factors": [
             {"exponent": 1}, {"exponent": "-1/2"}]}).encode(), None,
          "factor exponent must exceed -1/2 (at factors[1])"),
-    ], ids=["seed-variable", "exponents-not-object", "terms-not-list",
-            "not-utf8", "document-not-object", "term-not-object",
-            "bad-index", "index-outside", "factor-count",
+    ], ids=["seed-variable", "seed-variable-negative",
+            "seed-variable-2-to-the-64", "exponents-not-object",
+            "terms-not-list", "not-utf8", "document-not-object",
+            "term-not-object", "bad-index", "index-outside", "factor-count",
             "factor-not-object", "factor-exponent"])
     def test_bad_outside_input_exits_2(self, tmp_path, capsys, monkeypatch,
                                        content, env_seed, message):
@@ -102,6 +109,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: %s\n" % message.replace("{path}", str(path))
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616",
+                                      "18446744073709551617"])
+    def test_seed_option_outside_64_bits_exits_2(self, tmp_path, capsys,
+                                                 seed):
+        # the streams are keyed on the seed modulo 2^64, so these would
+        # print the numbers of 2^64 - 1, 0 and 1 under another seed
+        path = write_spec(tmp_path, PRODUCT_DOC)
+        assert cli.main(["influence", path, "-k", "1", "--method", "mc",
+                         "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must lie in [0, 2^64), got %s " \
+                      "(at --seed)\n" % seed
 
     @pytest.mark.parametrize("kind", ["plain-polynomial",
                                       "orderstat-polynomial"])

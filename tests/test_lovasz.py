@@ -23,6 +23,7 @@ from ordinfluence import (
 )
 from ordinfluence import lovasz
 from ordinfluence.lovasz import level_averages
+from ordinfluence.montecarlo import sorted_columns
 
 from conftest import random_set_function
 from reference import (
@@ -353,7 +354,7 @@ class TestBatchEvaluation:
             v = random_set_function(rng, n, zero_grounded=False)
             values = np.array([float(t) for t in v.values])
             x = np.random.default_rng(1).random((64, n))
-            got = lovasz.lovasz_eval_batch(values, x)
+            got = lovasz.lovasz_eval_batch(values, x, sorted_columns(x))
             want = np.array([eval_lovasz(v, row) for row in x])
             assert np.allclose(got, want, atol=1e-12)
 
@@ -364,7 +365,7 @@ class TestBatchEvaluation:
             values = np.array([float(t) for t in v.values])
             x = np.random.default_rng(2).random((32, n))
             k = rng.randint(1, n)
-            got = lovasz.lovasz_slope_batch(values, x, k)
+            got = lovasz.lovasz_slope_batch(values, x, k, sorted_columns(x))
             want = np.array([directional_slope(v, row, k) for row in x])
             assert np.allclose(got, want, atol=1e-12)
 
@@ -374,7 +375,7 @@ class TestBatchEvaluation:
         v = random_set_function(random.Random(n), n, zero_grounded=False)
         values = np.array([float(t) for t in v.values])
         x = tied_rows(n, 48, n)
-        got = lovasz.lovasz_eval_batch(values, x)
+        got = lovasz.lovasz_eval_batch(values, x, sorted_columns(x))
         want = np.array([eval_lovasz(v, row) for row in x])
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -385,11 +386,13 @@ class TestBatchEvaluation:
         v = random_set_function(random.Random(n), n, zero_grounded=False)
         values = np.array([float(t) for t in v.values])
         x = tied_rows(n, 2 * lovasz.EVAL_TILE + 7, n)
-        got = lovasz.lovasz_eval_batch(values, x)
-        pieces = [lovasz.lovasz_eval_batch(values, x[lo:lo + 1000])
+        got = lovasz.lovasz_eval_batch(values, x, sorted_columns(x))
+        pieces = [lovasz.lovasz_eval_batch(values, x[lo:lo + 1000],
+                                           sorted_columns(x[lo:lo + 1000]))
                   for lo in range(0, len(x), 1000)]
         assert np.array_equal(got, np.concatenate(pieces))
-        assert np.array_equal(got, lovasz.lovasz_eval_batch(values, x[::-1])[::-1])
+        assert np.array_equal(got, lovasz.lovasz_eval_batch(
+            values, x[::-1], sorted_columns(x[::-1]))[::-1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 13, 16])
     def test_slope_matches_pointwise_on_untied_rows(self, n):
@@ -398,7 +401,7 @@ class TestBatchEvaluation:
         x = np.random.default_rng(n).random((48, n))
         assert all(len(set(row)) == n for row in x.tolist())
         for k in range(1, n + 1):
-            got = lovasz.lovasz_slope_batch(values, x, k)
+            got = lovasz.lovasz_slope_batch(values, x, k, sorted_columns(x))
             want = [directional_slope(v, row, k) for row in x]
             assert np.array_equal(got, want)
 
@@ -555,7 +558,8 @@ class TestSymmetricPartAndMoments:
             n = rng.randint(1, 3)
             v = random_set_function(rng, n, zero_grounded=False)
             values = np.array([float(t) for t in v.values])
-            ev = Evaluator(n, lambda x, values=values: lovasz_eval_batch(values, x))
+            ev = Evaluator(n, lambda x, values=values: lovasz_eval_batch(
+                values, x, sorted_columns(x)))
             oracle = tensor_quadrature(ev, 48)
             assert float(level_averages(v).mean()) == pytest.approx(oracle, abs=1e-3)
 
@@ -576,7 +580,8 @@ class TestSymmetricPartAndMoments:
         from ordinfluence.montecarlo import mc_profile_moments
         v = random_set_function(rng, 3, zero_grounded=False)
         values = np.array([float(t) for t in v.values])
-        ev = Evaluator(3, lambda x: lovasz_eval_batch(values, x))
+        ev = Evaluator(3, lambda x: lovasz_eval_batch(values, x,
+                                                      sorted_columns(x)))
         moments = mc_profile_moments(ev, 200_000, 99)
         assert (abs(moments.norm_sq - float(norm_sq_lovasz(v)))
                 <= 3 * moments.norm_sq_std_error)

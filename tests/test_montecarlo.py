@@ -27,9 +27,9 @@ from ordinfluence import (
     influence_mc_diffquotient,
 )
 from ordinfluence import montecarlo
-from ordinfluence import lovasz
 from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec, \
     SetFunctionSpec
+from ordinfluence.lovasz import lovasz_eval_batch, lovasz_slope_batch
 from ordinfluence.montecarlo import (
     BATCH,
     NETWORK_MAX_ARITY,
@@ -42,6 +42,7 @@ from ordinfluence.montecarlo import (
     _rng,
     _shift_columns,
     _shift_rank,
+    _sort_into,
     derive_seed,
     mc_profile_moments,
     sorted_columns,
@@ -132,6 +133,15 @@ class TestSortedColumns:
             assert np.array_equal(got, np.sort(x, axis=1).T)
             assert not np.shares_memory(got, x)
 
+    @pytest.mark.parametrize("n", [6, NETWORK_MAX_ARITY + 2])
+    def test_sort_into_fills_the_callers_block(self, n):
+        # above the crossover too, np.sort's result is copied into the block
+        x = np.random.default_rng(n).random((BATCH + 3, n))
+        out = np.empty((n + 1, len(x)))
+        got = _sort_into(x, out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out[:n], np.sort(x, axis=1).T)
+
     @pytest.mark.parametrize("n", range(1, NETWORK_MAX_ARITY + 1))
     def test_zero_one_principle(self, n):
         # a comparator network that sorts every 0-1 row sorts every row
@@ -151,7 +161,23 @@ class TestSortedColumns:
         for k in (1, n):
             col = np.argsort(x, axis=1, kind="stable")[:, k - 1]
             expected = 2.0 / 3.0 * ev(x) / x[np.arange(len(x)), col]
-            assert np.array_equal(ev.derivative(x, k), expected)
+            assert np.array_equal(ev.slope(x, k), expected)
+        v = random_set_function(rng, n)
+        values, row_sort = v.floats(), np.sort(x, axis=1).T
+        ev = SetFunctionSpec(v).evaluator()
+        assert np.array_equal(ev(x), lovasz_eval_batch(values, x, row_sort))
+        for k in (1, n):
+            assert np.array_equal(ev.slope(x, k),
+                                  lovasz_slope_batch(values, x, k, row_sort))
+        # called without a block, an evaluator sorts as an estimator would
+        for ev in (OrderStatPolynomialSpec(poly).evaluator(), ev,
+                   PowerProductSpec(n, "2/3").evaluator()):
+            assert ev.takes_sorted
+            assert np.array_equal(ev(x), ev(x, sorted_columns(x)))
+            for k in (1, n):
+                if ev.derivative is not None:
+                    assert np.array_equal(ev.slope(x, k),
+                                          ev.slope(x, k, sorted_columns(x)))
 
 
 class TestSortedReferences:
@@ -256,7 +282,7 @@ class TestSortedReferences:
 def black_box(ev):
     """``ev`` behind the plain (m, n) contract: its maps sort for
     themselves."""
-    derivative = ev.derivative and (lambda x, k: ev.derivative(x, k))
+    derivative = ev.derivative and (lambda x, k: ev.slope(x, k))
     return Evaluator(ev.arity, lambda x: ev(x), derivative, name=ev.name)
 
 
@@ -293,8 +319,7 @@ class TestSortedBlock:
         def resort(x):
             raise AssertionError("a batch was sorted again")
 
-        for module in (montecarlo, lovasz):
-            monkeypatch.setattr(module, "sorted_columns", resort)
+        monkeypatch.setattr(montecarlo, "sorted_columns", resort)
         got = runs(spec.evaluator())
         assert got == want
         assert np.array_equal(got[0].covariance, want[0].covariance)
