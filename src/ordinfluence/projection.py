@@ -9,16 +9,22 @@ Every engine hands the same primaries, a ``Moments`` record, to one
 assembler, ``approximation_from_moments``.  ``Moments`` is also the
 influence profile: the indices, the mean and, from them, the formal tail
 a_{n+1}.  The fit's slopes are the indices themselves, so its variance,
-R^2 and residual are closed forms in them.  An order-statistic polynomial
-takes the same route, from ``moments_exact``, the package's only exact
-kernel for order-statistic polynomials.  The kernels g_k as polynomials and
-the product <f, g_k> are oracles of the tests (``tests/reference.py``).
+R^2 and residual are closed forms in them.  Exact moments take those
+sums, and the formal tail, in integers over the common denominator of the
+indices and the mean, and form one Fraction per number of the fit; float
+moments take the same formula with that denominator 1, so each of their
+numbers is the same floating-point expression.  An order-statistic
+polynomial takes the same route, from ``moments_exact``, the package's only
+exact kernel for order-statistic polynomials.  The kernels g_k as
+polynomials and the product <f, g_k> are oracles of the tests
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -154,9 +160,7 @@ class Moments(FrozenRecord):
     def formal_tail(self):
         """a_{n+1} from the mean-preservation identity
         (1/(n+1)) sum_{k=1}^{n+1} k a_k = <f, 1>, with a_k = I(f,k)."""
-        n = self.arity
-        weighted = sum(k * a for k, a in enumerate(self.indices, start=1))
-        return ((n + 1) * self.mean - weighted) / (n + 1)
+        return _formal_tail(self.arity, *_over_one_denominator(self))
 
     def tail_std_error(self) -> Optional[float]:
         """Standard error of a_{n+1} = mean - sum_k k I(f,k) / (n+1), from
@@ -189,23 +193,46 @@ def approximation_from_moments(m: Moments) -> ApproximationResult:
     of the sorted point, whose covariance is ((n+1) delta_ij - 1) over
     (n+1)^2 (n+2).  So with the tail sums A_i and S = sum A_i,
     Var(f_L) = ((n+1) sum A_i^2 - S^2) / ((n+1)^2 (n+2)), R^2 is
-    Var(f_L) / sigma^2(f) and the residual sigma^2(f) - Var(f_L).
+    Var(f_L) / sigma^2(f) and the residual sigma^2(f) - Var(f_L).  Exact
+    moments take the sums in integers over the common denominator of the
+    indices and the mean, and form one Fraction for Var(f_L) and one for
+    the tail.
     """
     n = m.arity
     variance = m.variance()
-    tail = m.formal_tail()
-    tails = _tail_sums(m.indices)
+    p, d, quotient = _over_one_denominator(m)
+    tails = _tail_sums(p[:n])
     total = sum(tails)
-    fit_variance = (((n + 1) * sum(a * a for a in tails) - total * total)
-                    / ((n + 1) ** 2 * (n + 2)))
+    fit_variance = quotient((n + 1) * sum(a * a for a in tails) - total * total,
+                            (n + 1) ** 2 * (n + 2) * d * d)
     r2 = fit_variance / variance
     return ApproximationResult(
-        n, tuple(m.indices), tail, m.mean, r2, variance - fit_variance,
-        m.method,
+        n, tuple(m.indices), _formal_tail(n, p, d, quotient), m.mean, r2,
+        variance - fit_variance, m.method,
         r_squared_std_error=(None if m.covariance is None else
                              _joint_std_error(m.covariance,
                                               _r_squared_gradient(m, r2))),
         samples=m.samples, seed=m.seed, variance=variance)
+
+
+def _over_one_denominator(m: Moments) -> tuple:
+    """(p, d, quotient): I(f, 1..n) and then the mean, each as p[i] / d,
+    with the division that turns a sum of the p[i] over a multiple of d
+    back into a number.  Exact moments give integers over d, the lcm of
+    their denominators, and Fraction; float moments give themselves over
+    d = 1 and true division, so their sums are the same floating-point
+    operations as on the moments."""
+    values = (*m.indices, m.mean)
+    if all(isinstance(v, Fraction) for v in values):
+        d = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d, Fraction
+    return values, 1, operator.truediv
+
+
+def _formal_tail(n: int, p: Sequence, d, quotient):
+    """a_{n+1} = ((n+1) mean - sum_k k I(f,k)) / (n+1), over d."""
+    weighted = sum(k * a for k, a in enumerate(p[:n], start=1))
+    return quotient((n + 1) * p[n] - weighted, (n + 1) * d)
 
 
 def _tail_sums(indices: Sequence) -> list:

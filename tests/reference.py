@@ -17,6 +17,8 @@ compute the ones no user path needs:
 - the sample variance expanded into plain terms, and the exact product
   form of a product of powers built one factor at a time;
 - the Gram system of (os_1, ..., os_n, 1) and the kernel density h_k;
+- the best approximation assembled one Fraction operation at a time from
+  the moments, against the package's sums in integers over one denominator;
 - the symmetric multiplicative closed form with its Phi(1) = 0 branch and
   ``BranchAmbiguityError``, and the power-product ratio I(f,k)/I(f,1);
 - the subset-box integrals and the alternative formulas built from them;
@@ -38,11 +40,11 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, lcm, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ordinfluence import closedforms, montecarlo
+from ordinfluence import closedforms, montecarlo, projection
 from ordinfluence.closedforms import QUAD_TOL, MultiplicativeSpec, UnaryFactor
 from ordinfluence.errors import (
     ConfigurationError,
@@ -61,6 +63,7 @@ from ordinfluence.exact import (
 )
 from ordinfluence.lovasz import SetFunction, level_averages, mobius
 from ordinfluence.montecarlo import Evaluator, IntegrationEstimate
+from ordinfluence.projection import ApproximationResult, Moments
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,7 @@ def product_form_by_factor(exponents) -> Tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gram system and the kernel density h_k
+# Gram system, the fit by Fraction sums and the kernel density h_k
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -445,6 +448,32 @@ def gram_system(n: int) -> GramSystem:
             row.append(entry * denom)
         inverse.append(tuple(row))
     return GramSystem(n, matrix, tuple(inverse))
+
+
+def approximation_by_fractions(m: Moments) -> ApproximationResult:
+    """The best approximation from the moments, each sum taken over the
+    indices themselves, one Fraction (or float) operation at a time:
+    the tail sums A_i, S = sum A_i, Var(f_L) =
+    ((n+1) sum A_i^2 - S^2) / ((n+1)^2 (n+2)) and
+    a_{n+1} = ((n+1) mean - sum_k k I(f,k)) / (n+1).  The standard error
+    of R^2 is the package's, from this R^2."""
+    n = m.arity
+    variance = m.variance()
+    weighted = sum(k * a for k, a in enumerate(m.indices, start=1))
+    tail = ((n + 1) * m.mean - weighted) / (n + 1)
+    tails = list(accumulate(reversed(m.indices)))[::-1]
+    total = sum(tails)
+    fit_variance = (((n + 1) * sum(a * a for a in tails) - total * total)
+                    / ((n + 1) ** 2 * (n + 2)))
+    r2 = fit_variance / variance
+    return ApproximationResult(
+        n, tuple(m.indices), tail, m.mean, r2, variance - fit_variance,
+        m.method,
+        r_squared_std_error=(None if m.covariance is None else
+                             projection._joint_std_error(
+                                 m.covariance,
+                                 projection._r_squared_gradient(m, r2))),
+        samples=m.samples, seed=m.seed, variance=variance)
 
 
 def h_density(n: int, k: int) -> OrderStatPolynomial:

@@ -5,6 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordinfluence import (
@@ -42,6 +43,7 @@ from conftest import (
     random_set_function,
 )
 from reference import (
+    approximation_by_fractions,
     gram_system,
     influence_exact,
     inner_product_exact,
@@ -194,6 +196,59 @@ class TestAssemblerAgainstOracles:
         best_approximation(OrderStatPolynomialSpec(poly))
         influence_profile(OrderStatPolynomialSpec(poly))
         assert not hasattr(projection, "gram_system")
+
+    def test_assembly_matches_fraction_by_fraction_reference(self, rng):
+        # exact: the same Fractions as the sums taken one Fraction at a time,
+        # on seeded specs of every exact kind and at arity 1000
+        specs = [resolve_builtin(name, rng.randint(2, 9))
+                 for name in ("min", "max", "median", "product", "variance",
+                              "arithmetic-mean")]
+        for random_spec in (_random_orderstat_spec, _random_set_function_spec,
+                            _random_plain_spec):
+            specs += [random_spec(rng) for _ in range(5)]
+        specs += [resolve_builtin(name, 1000)
+                  for name in ("product", "variance", "median")]
+        specs.append(PlainPolynomialSpec(1000, [(Fraction(1), {1: 1})]))
+        checked = 0
+        for spec in specs:
+            moments = spec.moments()
+            if moments.norm_sq == moments.mean ** 2:
+                continue
+            got = approximation_from_moments(moments)
+            want = approximation_by_fractions(moments)
+            assert got == want
+            for value in (got.intercept, got.r_squared, got.residual_norm_sq,
+                          got.variance):
+                assert type(value) is Fraction
+            checked += 1
+        assert checked >= len(specs) - 5
+        # floats: the same bits, with and without a covariance
+        np_random = np.random.default_rng(rng.randrange(2 ** 32))
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            scale = 10.0 ** rng.randint(-6, 6)
+            indices = tuple(rng.uniform(-1, 1) * scale for _ in range(n))
+            mean = rng.uniform(-1, 1) * scale
+            norm_sq = mean * mean + rng.uniform(0.1, 2) * scale * scale
+            root = np_random.standard_normal((n + 2, n + 2))
+            for covariance in (None, root @ root.T):
+                moments = Moments(n, "mc", indices, mean, norm_sq,
+                                  covariance=covariance)
+                got = approximation_from_moments(moments)
+                want = approximation_by_fractions(moments)
+                assert got == want and repr(got) == repr(want)
+                assert (got.r_squared_std_error is None) == (covariance is None)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 40, 100, 1000])
+    def test_closed_forms_of_x1_and_variance_fits(self, n):
+        x1 = best_approximation(
+            PlainPolynomialSpec(n, [(Fraction(1), {1: 1})]), "exact")
+        assert x1.r_squared == Fraction(1, n)
+        assert x1.residual_norm_sq == Fraction(n - 1, 12 * n)
+        assert x1.intercept == 0
+        variance = best_approximation(resolve_builtin("variance", n), "exact")
+        c = 2 * (n + 2) ** 2
+        assert variance.r_squared == Fraction(c, c + n + 1)
 
     def test_profile_tail_is_mean_preserving(self, rng):
         for _ in range(10):
