@@ -254,7 +254,7 @@ class PowerProductSpec(FunctionSpec):
         c = float(self.exponent)
         n = self.arity
 
-        def func(x, xs=None):
+        def func(x, xs):
             # np.prod(x, axis=1), one column at a time: the same products in
             # the same order, without a reduce along the short axis; the
             # order statistics are not read
@@ -265,7 +265,7 @@ class PowerProductSpec(FunctionSpec):
 
         def derivative(x, k, xs):
             # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
-            return c * func(x) / xs[k - 1]
+            return c * func(x, xs) / xs[k - 1]
 
         return func, derivative
 

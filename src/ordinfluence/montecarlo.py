@@ -30,8 +30,8 @@ probability zero.
 
 Every estimator reads order statistics of the sampled points, and sorts each
 batch once, into a block it owns.  An evaluator whose maps read order
-statistics is handed that block, and the difference quotient's shifted
-points get theirs from it by one row's change, so nothing sorts a batch
+statistics is handed that block, and the difference quotient then moves
+row k-1 of it in place for its shifted points, so nothing sorts a batch
 again.  Up to NETWORK_MAX_ARITY coordinates the sort runs Batcher's odd-even
 merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
 np.minimum / np.maximum over whole columns, which beats numpy's per-row
@@ -59,7 +59,7 @@ from .record import FrozenRecord, set_field
 # while the caller reads the other) and a moment block that the batch is
 # sorted into, 3.4 MB together at arity 8, beside the evaluator's
 # temporaries; the single-rank estimators keep a sort block in place of the
-# moment block, and the difference quotient one more for its shifted
+# moment block, which the difference quotient reuses for its shifted
 # points.  On a 2-CPU Xeon with 2 MB of L2 per core, a 1e5-sample pass at
 # arity 8 took the same time at 1 << 12 to 1 << 14 rows and 10-20% longer
 # from 1 << 15 up; the network on 65536 rows at n = 8 took 3.1 ms as one
@@ -89,6 +89,8 @@ class Evaluator(FrozenRecord):
     With ``takes_sorted`` set, both maps also take a last argument, the
     points' (n, m) sorted columns: ``__call__`` and ``slope`` hand them the
     block an estimator sorted the batch into, or else ``sorted_columns(x)``.
+    A map may return a view of that block: the estimators write to the
+    block after a map returns, so such values are copied.
     """
 
     _fields = ("arity", "func", "derivative", "name", "takes_sorted")
@@ -114,11 +116,14 @@ class Evaluator(FrozenRecord):
 
     def _apply(self, map_, x, args: tuple, xs, source: str) -> np.ndarray:
         """``map_(x, *args)``, handed the sorted columns last if it takes
-        them, as one value per point (``_per_point``)."""
+        them, as one value per point (``_per_point``), copied if it may
+        view the columns (np.may_share_memory, a bounds check)."""
         x = np.asarray(x, dtype=float)
-        if self.takes_sorted:
-            args += (sorted_columns(x) if xs is None else xs,)
-        return _per_point(map_(x, *args), len(x), source)
+        if not self.takes_sorted:
+            return _per_point(map_(x, *args), len(x), source)
+        xs = sorted_columns(x) if xs is None else xs
+        values = _per_point(map_(x, *args, xs), len(x), source)
+        return values.copy() if np.may_share_memory(values, xs) else values
 
 
 class IntegrationEstimate(FrozenRecord):
@@ -478,9 +483,9 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     quotient is weighted by the interval's total mass.  Degenerate gaps
     contribute zero.
 
-    The moved value lies in [x_{(k)}, x_{(k+1)}], so the shifted point's
-    sorted columns are the batch's with row k-1 set to it where the gap is
-    positive.
+    The moved value lies in [x_{(k)}, x_{(k+1)}], so once f has been
+    evaluated at the batch, row k-1 of the batch's sorted block is set to
+    it where the gap is positive, and the block serves the shifted points.
     """
     if variant not in ("uniform-y", "triangular-y"):
         raise DomainError("variant must be 'uniform-y' or 'triangular-y', got %r"
@@ -489,22 +494,20 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
     n = f.arity
     scale = (n + 1) * (n + 2)
     columns = np.empty((n + 1, min(samples, BATCH)))
-    shifted_columns = np.empty((n, min(samples, BATCH)))
     acc = _Accumulator()
     with closing(_drawn_ahead(_rng(seed), samples, (n,), ())) as batches:
         for x, u in batches:
-            m = len(x)
-            xs = _sort_into(x, columns[:, :m])
-            mid = xs[k - 1]
-            gap = (xs[k] if k < n else np.ones(m)) - mid
+            xs = _sort_into(x, columns[:, :len(x)])
+            _, mid, up = _neighbours(xs, k)
+            gap = up - mid
             h = gap * (np.sqrt(u) if variant == "triangular-y" else u)
             moved = mid + h
-            shifted = None
-            if f.takes_sorted:
-                shifted = _shift_columns(xs, k, gap, moved,
-                                         shifted_columns[:, :m])
-            increment = (f(_shift_rank(x, mid, gap, moved), shifted)
-                         - f(x, xs))
+            shifted = _shift_rank(x, mid, gap, moved)
+            value = f(x, xs)
+            # the shifted points' sorted columns are xs with row k-1 moved:
+            # x_(k) + gap * s with s < 1 does not round past x_(k+1)
+            np.copyto(mid, moved, where=gap > 0.0)
+            increment = f(shifted, xs) - value
             if variant == "uniform-y":
                 contrib = scale * gap * increment
             else:
@@ -528,17 +531,6 @@ def _shift_rank(x: np.ndarray, mid: np.ndarray, gap: np.ndarray,
         np.copyto(target, moved, where=hit)
         pending ^= hit
     return shifted
-
-
-def _shift_columns(xs: np.ndarray, k: int, gap: np.ndarray,
-                   moved: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sorted columns of ``_shift_rank``'s points, written to ``out``:
-    xs with row k-1 set to ``moved`` where the gap is positive.  With
-    x_{(k)} <= moved <= x_{(k+1)} that is already sorted; a value
-    x_{(k)} + gap * s with s < 1 does not round past x_{(k+1)}."""
-    out[:] = xs
-    np.copyto(out[k - 1], moved, where=gap > 0.0)
-    return out
 
 
 def _check_rank(f: Evaluator, k: int, samples: int):

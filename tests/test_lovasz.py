@@ -537,6 +537,20 @@ class TestEqualInfluence:
         assert not diag.equal
         assert diag.witnesses
 
+    @pytest.mark.parametrize("n, level, witnesses", [
+        (3, lambda size: size == 3, {"profile": 2, "vbar": 3, "mbar": 3}),
+        (4, lambda size: max(0, size - 2), {"profile": 3, "vbar": 3,
+                                            "mbar": 3}),
+    ], ids=["min-capacity-n3", "size-minus-2-n4"])
+    def test_first_violated_levels(self, n, level, witnesses):
+        # the table format prints the dict, so its order is pinned too
+        v = SetFunction(n, tuple(Fraction(level(bin(mask).count("1")))
+                                 for mask in range(1 << n)))
+        diag = equal_influence_class(v)
+        assert list(diag.witnesses.items()) == list(witnesses.items())
+        assert not (diag.profile_flat or diag.vbar_arithmetic
+                    or diag.mbar_vanishing)
+
 
 class TestSymmetricPartAndMoments:
     def test_symmetric_part_is_permutation_average(self, rng):

@@ -40,7 +40,6 @@ from ordinfluence.montecarlo import (
     _h_density,
     _neighbours,
     _rng,
-    _shift_columns,
     _shift_rank,
     _sort_into,
     derive_seed,
@@ -233,7 +232,6 @@ class TestSortedReferences:
         x[::2] = gen.random((300, n))
         u = gen.random(600)
         reach = gen.random(600) < 0.25
-        out = np.empty((n, len(x)))
         tied_below = zero_gap = reached = 0
         for k in range(1, n + 1):
             xs = sorted_columns(x)
@@ -244,9 +242,10 @@ class TestSortedReferences:
             assert np.array_equal(_shift_rank(x, mid, gap, mid + h),
                                   reference_shift(x, k, h))
             moved = np.where(reach, up, mid + h)
+            block = xs.copy()
+            np.copyto(block[k - 1], moved, where=gap > 0.0)
             assert np.array_equal(
-                _shift_columns(xs, k, gap, moved, out),
-                sorted_columns(_shift_rank(x, mid, gap, moved)))
+                block, sorted_columns(_shift_rank(x, mid, gap, moved)))
             zero_gap += int(np.sum(gap == 0.0))
             reached += int(np.sum(reach & (gap > 0.0)))
             if k >= 2:
@@ -338,6 +337,44 @@ class TestSortedBlock:
                            2 * BATCH + 5, 3)
         assert [xs.shape for xs in received] == [(n, BATCH)] * 2 + [(n, 5)]
         assert all(np.shares_memory(xs, received[0]) for xs in received)
+
+    @pytest.mark.parametrize("variant", ["uniform-y", "triangular-y"])
+    @pytest.mark.parametrize("n", [6, NETWORK_MAX_ARITY + 2])
+    def test_diffquotient_hands_f_one_block(self, n, variant):
+        # f at the batch and at the shifted points reads the one block the
+        # batch was sorted into, row k-1 moved in place for the latter
+        for k in (1, n // 2, n):
+            received, sorted_as_handed = [], []
+
+            def func(x, xs):
+                received.append(xs)
+                sorted_as_handed.append(np.array_equal(xs, sorted_columns(x)))
+                return x.sum(axis=1)
+
+            influence_mc_diffquotient(Evaluator(n, func, takes_sorted=True),
+                                      k, 2 * BATCH + 5, 7, variant)
+            assert len(received) == 6
+            assert all(np.shares_memory(xs, received[0]) for xs in received)
+            assert all(sorted_as_handed)
+
+    @pytest.mark.parametrize("n", [3, NETWORK_MAX_ARITY + 2])
+    def test_map_may_return_a_view_of_its_block(self, n):
+        # the pass and the difference quotient write to the block after f
+        # returns, so a value that views it must not change with it
+        samples = BATCH + 5
+        for row in (0, n - 1):
+            runs = []
+            for view in (True, False):
+                func = ((lambda x, xs: xs[row]) if view
+                        else (lambda x, xs: xs[row].copy()))
+                ev = Evaluator(n, func, takes_sorted=True)
+                runs.append([mc_profile_moments(ev, samples, 3)]
+                            + [influence_mc_diffquotient(ev, row + 1, samples,
+                                                         7, variant)
+                               for variant in ("uniform-y", "triangular-y")])
+            assert runs[0] == runs[1]
+            assert np.array_equal(runs[0][0].covariance, runs[1][0].covariance)
+            assert all(estimate.value != 0.0 for estimate in runs[0][1:])
 
 
 class TiedStream:
