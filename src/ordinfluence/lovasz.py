@@ -354,20 +354,35 @@ def equal_influence_class(v: SetFunction,
                           levels: Optional[LevelAverages] = None
                           ) -> EqualInfluenceDiagnosis:
     """Diagnose v from its level averages, ``levels`` when already taken."""
+    n = v.arity
     lv = levels or level_averages(v)
     profile = lv.influence_profile()
-    step = lv.vbar[1] - lv.vbar[0]
-    conditions = {"profile": lambda s: profile[s - 1] == profile[0],
-                  "vbar": lambda s: lv.vbar[s] - lv.vbar[s - 1] == step,
-                  "mbar": lambda s: lv.mbar[s] == 0}
+
     witnesses = {}
-    for name, holds in conditions.items():
-        level = next((s for s in range(2, v.arity + 1) if not holds(s)), None)
-        if level is not None:
-            witnesses[name] = level
-    flat, arithmetic, vanishing = (c not in witnesses for c in conditions)
-    return EqualInfluenceDiagnosis(not witnesses, flat, arithmetic, vanishing,
-                                   witnesses)
+    flat = True
+    for k in range(2, n + 1):
+        if profile[k - 1] != profile[0]:
+            flat = False
+            witnesses["profile"] = k
+            break
+
+    arithmetic = True
+    step = lv.vbar[1] - lv.vbar[0]
+    for s in range(2, n + 1):
+        if lv.vbar[s] - lv.vbar[s - 1] != step:
+            arithmetic = False
+            witnesses["vbar"] = s
+            break
+
+    vanishing = True
+    for s in range(2, n + 1):
+        if lv.mbar[s] != 0:
+            vanishing = False
+            witnesses["mbar"] = s
+            break
+
+    return EqualInfluenceDiagnosis(flat and arithmetic and vanishing,
+                                   flat, arithmetic, vanishing, witnesses)
 
 
 # ---------------------------------------------------------------------------
