@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm, perm, prod
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from math import comb, factorial, gcd, lcm, perm, prod
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigurationError, DomainError
 from .record import FrozenRecord, set_field
@@ -28,7 +28,61 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, floats and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return Fraction(*integer_ratio(value))
     return Fraction(value)
+
+
+def integer_ratio(value: RationalLike) -> Tuple[int, int]:
+    """``as_rational(value)`` as (numerator, denominator) in lowest terms.
+    An int or a float gives its own ratio, and an ASCII string of the form
+    [-]digits/digits, [-]digits or [-]digits.digits is read by int and one
+    gcd, so none of these builds a Fraction.  Every other spelling, and
+    every refusal, is ``Fraction(value)``'s own."""
+    if isinstance(value, str):
+        ratio = _plain_ratio(value)
+        if ratio is not None:
+            return ratio
+        value = Fraction(value)
+    elif isinstance(value, (int, float)):
+        return value.as_integer_ratio()
+    elif not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.as_integer_ratio()
+
+
+def _plain_ratio(text: str) -> Optional[Tuple[int, int]]:
+    """(p, q) of ``text`` if it is [-]digits/digits with q > 0, [-]digits or
+    [-]digits.digits in ASCII, else None."""
+    if not text.isascii():
+        return None
+    negative = text[:1] == "-"
+    body = text[negative:]
+    if body.isdigit():
+        return int(text), 1
+    num, slash, den = body.partition("/")
+    if slash:
+        if not (num.isdigit() and den.isdigit()):
+            return None
+        p, q = int(num), int(den)
+        if not q:  # Fraction raises its ZeroDivisionError
+            return None
+    else:
+        # as Fraction reads a decimal: the whole part times 10^len, plus the
+        # decimals, each within int's digit limit
+        num, _, decimals = body.partition(".")
+        if not (num.isdigit() and decimals.isdigit()):
+            return None
+        q = 10 ** len(decimals)
+        p = int(num) * q + int(decimals)
+    g = gcd(p, q)
+    return -(p // g) if negative else p // g, q // g
+
+
+def rational_string(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ints p and q > 0, from the integers."""
+    g = gcd(p, q)
+    return "%d" % (p // g) if q == g else "%d/%d" % (p // g, q // g)
 
 
 # ---------------------------------------------------------------------------

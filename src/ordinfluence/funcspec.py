@@ -14,14 +14,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .closedforms import MultiplicativeSpec, UnaryFactor, \
     influence_power_product, multiplicative_indices, positive_norm_sq, \
     variance_mean, variance_norm_sq, variance_profile
 from .errors import ConfigurationError, DomainError, SpecFileError
-from .exact import OrderStatPolynomial, as_rational, monomial, os_function, \
-    plain_indices, plain_integral, plain_norm_sq, polynomial
+from .exact import OrderStatPolynomial, as_rational, integer_ratio, \
+    monomial, os_function, plain_indices, plain_integral, plain_norm_sq, \
+    polynomial
 from .projection import Moments, moments_exact
 from .record import Record
 
@@ -295,14 +297,17 @@ class RawEvaluatorSpec(FunctionSpec):
 def _conjunctive_threshold(x):
     # 0 below the 3/4 threshold on the largest input, else min capped at 1/4
     import numpy as np
+    # on [0, 1]^2 the product by the boolean gives the same bits as a
+    # select: v * 1 = v and v * 0 = +0.0
     x = np.asarray(x, dtype=float)
-    return np.where(np.maximum(x[:, 0], x[:, 1]) < 0.75, 0.0,
-                    np.minimum(np.minimum(x[:, 0], x[:, 1]), 0.25))
+    return (np.minimum(np.minimum(x[:, 0], x[:, 1]), 0.25)
+            * (np.maximum(x[:, 0], x[:, 1]) >= 0.75))
 
 
 def _arithmetic_mean_set_function(n: int) -> SetFunction:
     from . import lovasz
-    levels = [Fraction(size, n) for size in range(n + 1)]
+    levels = [(size // gcd(size, n), n // gcd(size, n))
+              for size in range(n + 1)]
     return lovasz.SetFunction.from_codes(n, levels, lovasz._levels(n)[0])
 
 
@@ -379,36 +384,67 @@ def _only(doc: dict, location: str, *fields: str):
             raise SpecFileError("unknown field %r" % key, location)
 
 
+_PARSE_ERRORS = (ValueError, TypeError, ZeroDivisionError)
+
+
+def _parse_ratio(value) -> Tuple[int, int]:
+    """The JSON value ``value`` as an integer ratio in lowest terms; raises
+    one of _PARSE_ERRORS if it is no rational.  A JSON decimal means the
+    decimal it spells: repr is the shortest one that reads back as the same
+    float, so 0.1 is 1/10, and 1e400, an infinite float, spells no number."""
+    return integer_ratio(repr(value) if isinstance(value, float) else value)
+
+
 def _parse_rational(value, location: str) -> Fraction:
-    # a JSON true or false would pass as the int 1 or 0, and 1e400 arrives
-    # as an infinite float, whose repr Fraction rejects with a ValueError
+    # a JSON true or false would pass as the int 1 or 0
     if isinstance(value, bool):
         raise SpecFileError("expected a rational, got %s"
                             % json.dumps(value), location)
     try:
-        # a JSON decimal means the decimal it spells: repr is the shortest
-        # one that reads back as the same float, so 0.1 is 1/10
-        return as_rational(repr(value) if isinstance(value, float) else value)
-    except (ValueError, TypeError, ZeroDivisionError):
+        return Fraction(*_parse_ratio(value))
+    except _PARSE_ERRORS:
         raise SpecFileError("cannot parse rational from %r" % (value,), location)
+
+
+# The types json gives a number or a string, and Fraction.  Values of these
+# types that are equal are one dict key, parsed once from the first of them;
+# a value of another type (a numpy scalar, a Decimal) is refused, since it
+# could equal one of these without parsing alike
+_SCALARS = frozenset((str, int, float, Fraction))
 
 
 def _parse_set_function(arity: int, values: list) -> SetFunction:
     """The set function with the given JSON values, each distinct one parsed
-    once; a bad value is reported at the first index that holds it."""
-    codes, distinct, seen = [], [], {}
-    for i, value in enumerate(values):
-        try:
-            # true hashes as 1, so it must not find a parsed 1
-            code = None if isinstance(value, bool) else seen.get(value)
-        except TypeError:  # a list or an object, which _parse_rational rejects
-            code = None
-        if code is None:
-            distinct.append(_parse_rational(value, "values[%d]" % i))
-            code = seen[value] = len(distinct) - 1
-        codes.append(code)
+    once, to an integer ratio; a bad value is reported at the first index
+    that holds it."""
     from . import lovasz
-    return lovasz.SetFunction.from_codes(arity, distinct, codes)
+    return lovasz.SetFunction.from_codes(arity, *_coded(values))
+
+
+def _coded(values: list) -> tuple:
+    """The integer ratios of the distinct values of ``values``, in order of
+    first appearance, and the code of each value among them.  1 and 1.0
+    are one key and parse to one ratio."""
+    odd = set(map(type, values)) - _SCALARS
+    if odd:
+        # a bool (true hashes as 1), null, list or object is no rational, so
+        # the first one is the error unless a value before it is
+        first = next(i for i, value in enumerate(values)
+                     if type(value) in odd)
+        _coded(values[:first])
+        _parse_rational(values[first], "values[%d]" % first)
+        raise SpecFileError("expected a number or a string, got %s"
+                            % type(values[first]).__name__,
+                            "values[%d]" % first)
+    index = dict.fromkeys(values)
+    ratios = []
+    try:
+        for value in index:
+            ratios.append(_parse_ratio(value))
+    except _PARSE_ERRORS:
+        _parse_rational(value, "values[%d]" % values.index(value))
+    index = dict(zip(index, range(len(index))))
+    return ratios, list(map(index.__getitem__, values))
 
 
 def _parse_terms(raw, location: str, slot_bound: int, max_exponent=None):

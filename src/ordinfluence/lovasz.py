@@ -8,6 +8,8 @@ closed form in terms of the level averages of v (or of its Moebius transform).
 
 A table object holds only its values times their least common denominator D,
 as integers, and builds Fractions, strings and floats from them on request.
+It is built from the values' integer ratios (p, q): a spec file's values are
+parsed to ratios, not to Fractions, and strings are printed from p and D.
 Each computation copies that table, as int64 when a bound on every
 intermediate shows it cannot overflow and as Python ints otherwise.
 The profile and the mean need only the level averages vbar(s), one pass of
@@ -29,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .exact import as_rational
+from .exact import integer_ratio, rational_string
 from .montecarlo import BATCH, NETWORK_MAX_ARITY
 from .projection import ShiftedLStatistic
 from .record import FrozenRecord, set_field
@@ -58,7 +60,8 @@ class _DenseTable:
     is canonical, so two objects are equal exactly when their values are."""
 
     def __new__(cls, arity: int, values: Sequence):
-        return cls._from_table(arity, *_scaled_numerators(values))
+        return cls._from_table(arity, *_scaled_numerators(
+            [integer_ratio(x) for x in values]))
 
     @classmethod
     def _from_table(cls, arity: int, table: np.ndarray, denominator: int,
@@ -84,7 +87,7 @@ class _DenseTable:
 
     def strings(self) -> list:
         """``str`` of every value."""
-        return self._by_numerator(lambda p, d: str(Fraction(p, d)))
+        return self._by_numerator(rational_string)
 
     def floats(self) -> np.ndarray:
         """The values as floats.  Each is p / D in int true division, which
@@ -116,14 +119,15 @@ class SetFunction(_DenseTable):
 
     @classmethod
     def from_values(cls, arity: int, values: Sequence) -> "SetFunction":
-        return cls(arity, [as_rational(v) for v in values])
+        """v from its 2^n values: ints, floats, Fractions or strings."""
+        return cls(arity, values)
 
     @classmethod
-    def from_codes(cls, arity: int, distinct: Sequence[Fraction],
+    def from_codes(cls, arity: int, distinct: Sequence[Tuple[int, int]],
                    codes: Sequence[int]) -> "SetFunction":
-        """v(S) = distinct[codes[S]], where ``codes`` uses every value of
-        ``distinct``: the integer numerators are scaled from the distinct
-        values alone."""
+        """v(S) = p / q for (p, q) = distinct[codes[S]], each ratio in lowest
+        terms, where ``codes`` uses every ratio of ``distinct``: the integer
+        numerators are scaled from the distinct ratios alone."""
         table, scale, peak = _scaled_numerators(distinct)
         return cls._from_table(arity, table[np.asarray(codes, dtype=np.intp)],
                                scale, peak)
@@ -152,14 +156,14 @@ class MobiusRepresentation(_DenseTable):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _scaled_numerators(values: Sequence[Fraction]
+def _scaled_numerators(ratios: Sequence[Tuple[int, int]]
                        ) -> Tuple[np.ndarray, int, int]:
-    """``values`` as integer numerators over their least common denominator,
-    that denominator and the largest numerator magnitude; the table is int64
-    when that magnitude fits, else Python ints in an object array."""
-    pairs = [x.as_integer_ratio() for x in values]
-    scale = lcm(*{d for _, d in pairs})
-    ints = [p * (scale // d) for p, d in pairs]
+    """The values p / q of ``ratios``, each (p, q) in lowest terms with
+    q > 0, as integer numerators over their least common denominator, that
+    denominator and the largest numerator magnitude; the table is int64 when
+    that magnitude fits, else Python ints in an object array."""
+    scale = lcm(*{q for _, q in ratios})
+    ints = [p * (scale // q) for p, q in ratios]
     peak = max(map(abs, ints), default=0)
     dtype = np.int64 if peak <= _INT64_MAX else object
     return np.array(ints, dtype=dtype), scale, peak

@@ -524,12 +524,15 @@ def _shift_rank(x: np.ndarray, mid: np.ndarray, gap: np.ndarray,
     """x with its rank-k value ``mid`` set to ``moved`` where the gap above
     it is positive: rank k then ends its tie group, so the column a stable
     sort puts there is the last one equal to ``mid``."""
+    m, n = x.shape
+    # the last column equal to mid, found on contiguous columns; a masked
+    # write per column would branch on every element of its mask
+    last = np.zeros(m, dtype=np.intp)
+    for j, column in enumerate(np.ascontiguousarray(x.T)[1:], 1):
+        np.maximum(last, (column == mid) * j, out=last)
     shifted = x.copy()
-    pending = gap > 0.0
-    for column, target in zip(x.T[::-1], shifted.T[::-1]):
-        hit = (column == mid) & pending
-        np.copyto(target, moved, where=hit)
-        pending ^= hit
+    shifted.reshape(-1)[np.arange(0, m * n, n) + last] = np.where(
+        gap > 0.0, moved, mid)
     return shifted
 
 

@@ -18,13 +18,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
+from .exact import rational_string
 from .record import Record
 
 
 def format_value(value) -> dict:
     """Render a result value as {'value': decimal, 'rational': str or None}."""
-    if isinstance(value, Fraction) or isinstance(value, int):
-        return {"value": float(value), "rational": str(Fraction(value))}
+    if isinstance(value, (Fraction, int)):
+        return {"value": float(value),
+                "rational": rational_string(*value.as_integer_ratio())}
     return {"value": float(value), "rational": None}
 
 

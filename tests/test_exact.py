@@ -22,12 +22,15 @@ from ordinfluence import (
     polynomial,
 )
 from ordinfluence.exact import (
+    as_rational,
+    integer_ratio,
     orderstat_norm_sq,
     plain_indices,
     plain_integral,
     plain_norm_sq,
     product_indices,
     rank_inner_products,
+    rational_string,
 )
 from ordinfluence.projection import moments_exact
 
@@ -411,3 +414,53 @@ class TestProductForm:
                               for v in a.keys() | b.keys()})
                      for c, a in full for d, b in full]
             assert plain_norm_sq(terms, constant) == plain_integral(pairs)
+
+
+def _ratio_corpus():
+    rng = random.Random(41_2026)
+    corpus = ["+5/12", "-0", "--3/4", " 5/12", "5 /12", "1_0/3", "1_0.5",
+              "\u00b2/3", "\u0663/4", ".5", "5.", "1e3", "1.5e+20", "1/0",
+              "3/-4", "", "-", "/", ".", "-.5", "0/0", "-0/7", "1.50",
+              "-12.125", "007/014", "1/3\n", "1.5/2", "\uff15", "inf",
+              "nan", "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300,
+              "-" + "9" * 4300 + "/7", "1." + "2" * 4300, "1" * 4301]
+    for _ in range(6000):
+        x = rng.random() * 10.0 ** rng.randint(-30, 30)
+        corpus.append(repr(-x if rng.random() < 0.5 else x))
+    return corpus
+
+
+def test_ratio_parser_agrees_with_fraction():
+    # integer_ratio and as_rational read every string as Fraction does, or
+    # refuse it with the same exception type
+    for text in _ratio_corpus():
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            for parse in (integer_ratio, as_rational):
+                with pytest.raises(type(exc)):
+                    parse(text)
+            continue
+        assert integer_ratio(text) == want.as_integer_ratio(), text
+        got = as_rational(text)
+        assert type(got) is Fraction and got == want, text
+
+
+def test_integer_ratio_of_numbers():
+    for value in (0, -7, 2 ** 70, True, 0.1, -2.5, Fraction(-4, 6)):
+        assert integer_ratio(value) == Fraction(value).as_integer_ratio()
+    for value, error in ((float("inf"), OverflowError),
+                         (float("nan"), ValueError), (None, TypeError),
+                         ([1], TypeError)):
+        with pytest.raises(error):
+            integer_ratio(value)
+
+
+def test_rational_string_is_str_of_fraction():
+    rng = random.Random(41_2027)
+    for _ in range(2000):
+        p = rng.randint(-10 ** rng.randint(0, 25), 10 ** rng.randint(0, 25))
+        q = rng.randint(1, 10 ** rng.randint(0, 25))
+        assert rational_string(p, q) == str(Fraction(p, q))
+    for p, q in ((0, 5), (-6, 3), (6, 4), (2 ** 70, 1), (-(2 ** 70), 6)):
+        assert rational_string(p, q) == str(Fraction(p, q))

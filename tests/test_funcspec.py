@@ -2,6 +2,7 @@
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,12 @@ from ordinfluence.funcspec import (
     VarianceSpec,
     load_spec_document,
 )
+from ordinfluence import exact, lovasz
 from ordinfluence.exact import as_rational
 from ordinfluence.lovasz import SetFunction, _scaled_numerators, mobius, zeta
+from ordinfluence.report import format_value
+
+NAN = float("nan")
 
 
 class TestParsing:
@@ -120,16 +125,17 @@ class TestParsing:
     ], ids=["int64", "object"])
     def test_set_function_values_parsed_once_per_distinct_value(
             self, pool, monkeypatch):
-        # each distinct JSON value is parsed once, and the values hold one
-        # Fraction object per distinct rational (" 1/3" and "1/3" share one)
+        # each distinct JSON value is parsed once, to an integer ratio, and
+        # the values hold one Fraction object per distinct rational (" 1/3"
+        # and "1/3" share one)
         parsed = []
-        original = funcspec._parse_rational
+        original = funcspec._parse_ratio
 
-        def recorded(value, location):
+        def recorded(value):
             parsed.append(value)
-            return original(value, location)
+            return original(value)
 
-        monkeypatch.setattr(funcspec, "_parse_rational", recorded)
+        monkeypatch.setattr(funcspec, "_parse_ratio", recorded)
         rng = random.Random(11_2026)
         for n in (1, 3, 6, 8):
             values = [rng.choice(pool) for _ in range(1 << n)]
@@ -149,7 +155,8 @@ class TestParsing:
     @staticmethod
     def _assert_numerators_handed_over(v):
         table, scale, peak = v.numerators, v.denominator, v._peak
-        want_table, want_scale, want_peak = _scaled_numerators(v.values)
+        want_table, want_scale, want_peak = _scaled_numerators(
+            [x.as_integer_ratio() for x in v.values])
         assert table.dtype == want_table.dtype
         assert table.tolist() == want_table.tolist()
         assert (scale, peak) == (want_scale, want_peak)
@@ -163,6 +170,10 @@ class TestParsing:
         ([0, 1, float("nan"), float("nan")], "values[2]"),
         ([1, 1, 1, float("-inf")], "values[3]"),
         ([1, 0, True, True], "values[2]"),
+        (["0", "x", True, "1"], "values[1]"),
+        ([0, True, "x", "x"], "values[1]"),
+        ([0, NAN, float("nan"), NAN], "values[1]"),
+        ([0, "1", 1.0, float("nan")], "values[3]"),
     ])
     def test_set_function_bad_value_is_named_at_its_first_index(
             self, values, location):
@@ -170,6 +181,62 @@ class TestParsing:
             parse_spec_document({"kind": "set-function", "arity": 2,
                                  "values": values})
         assert err.value.location == location
+
+    def test_bad_value_messages_are_those_of_a_single_value(self):
+        # the message of a bad value in a set function is the one a
+        # polynomial constant gets for it
+        for bad in ("x", "1/0", [1], {"a": 1}, None, float("nan"), True):
+            with pytest.raises(SpecFileError) as err:
+                parse_spec_document({"kind": "set-function", "arity": 1,
+                                     "values": [0, bad]})
+            with pytest.raises(SpecFileError) as want:
+                parse_spec_document({"kind": "plain-polynomial", "arity": 1,
+                                     "constant": bad})
+            assert str(err.value) == str(want.value).replace(
+                "(at constant)", "(at values[1])")
+
+    @pytest.mark.parametrize("first, second, plain", [
+        (1.0, 1, 1), (1, 1.0, 1), (-0.0, 0, 0), (0, -0.0, 0)])
+    def test_equal_keys_give_one_table(self, first, second, plain):
+        # 1 and 1.0 are one dict key and parse to one ratio, in either order
+        v, w = (parse_spec_document({"kind": "set-function", "arity": 2,
+                                     "values": [a, "1/3", b, "2"]}
+                                    ).set_function
+                for a, b in ((first, second), (plain, plain)))
+        assert v == w
+        assert v.numerators.tolist() == w.numerators.tolist()
+
+    def test_set_function_values_built_in_python(self):
+        # a Fraction reads as itself; another type that json never gives is
+        # refused at its first index, even where Fraction would accept it
+        v = parse_spec_document({"kind": "set-function", "arity": 1,
+                                 "values": [Fraction(1, 3), 0.5]})
+        assert v.set_function.values == (Fraction(1, 3), Fraction(1, 2))
+        with pytest.raises(SpecFileError) as err:
+            parse_spec_document({"kind": "set-function", "arity": 2,
+                                 "values": [0, 1, Decimal("0.5"), 1]})
+        assert err.value.location == "values[2]"
+        assert str(err.value) == ("expected a number or a string, got "
+                                  "Decimal (at values[2])")
+
+    def test_set_function_parse_builds_no_fraction(self, monkeypatch):
+        # p/q strings, ints and plain decimals, as strings and as JSON
+        # floats, go from text to the integer table without a Fraction
+        rng = random.Random(41_2026)
+        values = [rng.choice(["-5/12", "7/3", "0", "-0", "12", "0.125",
+                              "-3.75", 4, -2, 0.1, 2.5, -0.0, 1e-3])
+                  for _ in range(64)]
+        doc = {"kind": "set-function", "arity": 6, "values": values}
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        for module in (exact, funcspec, lovasz):
+            monkeypatch.setattr(module, "Fraction", no_fraction)
+        v = parse_spec_document(doc).set_function
+        monkeypatch.undo()
+        assert v == SetFunction.from_values(
+            6, [repr(x) if isinstance(x, float) else x for x in values])
 
     def test_file_round_trip(self, tmp_path):
         doc = {"kind": "set-function", "arity": 2,
@@ -230,8 +297,24 @@ class TestBuiltins:
         cases.append(SetFunction(3, tuple(Fraction(2 ** 70 + i, 3 + i % 2)
                                           for i in range(8))))
         cases.append(zeta(mobius(cases[4])))
+        # negative, zero and integral values, an int64 table and an object
+        # table of them, and numerators of either sign past int64
+        cases.append(SetFunction(3, (0, -1, Fraction(-7, 2), 5, 0,
+                                     Fraction(-1, 3), -12, Fraction(9, 3))))
+        cases.append(SetFunction(2, (0, -(2 ** 70), 2 ** 70, 3)))
+        cases.append(SetFunction(2, (Fraction(-(2 ** 70) - 1, 6), 0, -4,
+                                     Fraction(2 ** 66, 2))))
+        assert {v.numerators.dtype for v in cases} == {
+            np.dtype(np.int64), np.dtype(object)}
         for v in cases:
             assert v.strings() == [str(as_rational(x)) for x in v.values]
+            for x in v.values:
+                assert format_value(x) == {"value": float(x),
+                                           "rational": str(x)}
+        for x in (0, -3, 2 ** 70, -(2 ** 70), True, False):
+            assert format_value(x) == {"value": float(x),
+                                       "rational": str(Fraction(x))}
+        assert format_value(0.5) == {"value": 0.5, "rational": None}
 
     def test_set_function_float_table(self):
         # one p / D per distinct numerator gives float(v) of every value, for
@@ -313,6 +396,15 @@ class TestBuiltins:
         f = spec.evaluator()
         x = np.array([[0.5, 0.5], [0.8, 0.1], [0.8, 0.5], [0.9, 0.9]])
         assert f(x) == pytest.approx([0.0, 0.1, 0.25, 0.25])
+        # the threshold takes 3/4 itself, and the map's bits are those of the
+        # select on [0, 1]^2, zeros included
+        x = np.array([[0.75, 0.1], [0.2, 0.75], [0.7499999, 0.3], [0.0, 0.0],
+                      [1.0, 0.0], [0.75, 0.75]])
+        x = np.concatenate([x, np.random.default_rng(6).random((1000, 2))])
+        want = np.where(np.maximum(x[:, 0], x[:, 1]) < 0.75, 0.0,
+                        np.minimum(np.minimum(x[:, 0], x[:, 1]), 0.25))
+        assert f(x)[:6].tolist() == [0.1, 0.2, 0.0, 0.0, 0.0, 0.25]
+        assert f(x).tobytes() == want.tobytes()
 
     def test_conjunctive_arity_restriction(self):
         with pytest.raises(DomainError):

@@ -218,7 +218,7 @@ class TestTableObject:
 
         monkeypatch.setattr(lovasz, "Fraction", no_fraction)
         zeta(mobius(v))
-        SetFunction.from_codes(3, [Fraction(1, 2), Fraction(1, 3)], [0, 1] * 4)
+        SetFunction.from_codes(3, [(1, 2), (1, 3)], [0, 1] * 4)
 
 
 class TestIntegerTables:
