@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: influence, approx, lovasz, crosscheck.  Function specs are JSON
-documents (see README for the format).  Exit codes: 0 success, 2 invalid spec
-file or seed, 3 incompatible method, kind or rank, or a value beyond
-the float range, 4 tainted Monte-Carlo sample, 5 estimator disagreement in
-crosscheck, 6 quadrature short of its tolerance.
+documents (see README for the format).  Exit codes: 0 success, 1 stdout
+closed by its reader, 2 invalid spec file or seed, 3 incompatible method,
+kind or rank, or a value beyond the float range, 4 tainted Monte-Carlo
+sample, 5 estimator disagreement in crosscheck, 6 quadrature short of its
+tolerance.
 """
 
 from __future__ import annotations
@@ -318,7 +319,16 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_QUADRATURE
-    sys.stdout.write(doc.render(args.format))
+    try:
+        sys.stdout.write(doc.render(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull, so that the flush
+        # at exit cannot raise again, and exit 1 without a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return exit_code
 
 

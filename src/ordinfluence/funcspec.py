@@ -35,10 +35,11 @@ if TYPE_CHECKING:
 EXACT, CLOSED_FORM, MC = "exact", "closed-form", "mc"
 
 # The largest arity, the largest order-statistic exponent and the largest
-# number of polynomial terms of a spec file.  At 1000, on 2 CPUs, an exact
-# approx of min, median or x_(n)^1000 takes 0.15-0.25 s in a fresh process,
-# of product about 0.45 s, and an MC approx at 1e5 samples about 6 s and
-# 560 MB; the exact moments take rising factorials of n plus the exponents,
+# number of polynomial terms of a spec file.  At 1000, on 2 CPUs (Python
+# 3.11, with or without a bytecode cache), an exact approx of min, median,
+# variance or x_(n)^1000 takes 0.08-0.10 s in a fresh process, of product
+# 0.21-0.25 s, and an MC approx of variance at 1e5 samples 3.4-4.4 s and
+# 558 MB; the exact moments take rising factorials of n plus the exponents,
 # so x_(1)^10000 at arity 1000 takes 0.2 s and x_(1)^(10^5) at arity 3 about
 # 2.4 s.  <f, f> visits every pair of terms: 1000 terms of up to 3 variables
 # at arity 40 take 0.45-0.7 s (plain) and 0.75 s (order statistics).

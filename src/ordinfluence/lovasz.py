@@ -37,8 +37,9 @@ from .projection import ShiftedLStatistic
 from .record import FrozenRecord, set_field
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
-# CPUs: arity 16 takes 0.43 s and 52 MB peak RSS, arity 18 0.70 s and 124 MB,
-# arity 20 2.2 s and 0.44 GB, of which the chain-form norm is about 1.4 s.
+# CPUs (Python 3.11, bytecode cached): arity 16 takes 0.24-0.25 s and 50 MB
+# peak RSS, arity 18 0.37-0.40 s and 116 MB, arity 20 1.1-1.35 s and 406 MB,
+# of which the chain-form norm is about 0.9 s.
 MAX_ARITY = 20
 # Rows of a Monte-Carlo batch that lovasz_eval_batch evaluates at once: its
 # upper-set masks and gathered terms take about n + 1 rows of floats per

@@ -1,16 +1,22 @@
-"""Shared randomized-case generators for the test suite.
+"""Shared randomized-case generators for the test suite, and the one way a
+test runs a fresh interpreter.
 
 Everything draws from an explicitly seeded generator so failures are
 reproducible; the exact modules consume Fractions only.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordinfluence
 from ordinfluence import (
     Evaluator,
     SetFunction,
@@ -28,6 +34,34 @@ from ordinfluence.montecarlo import (
     derive_seed,
 )
 from reference import gram_system, inner_product_exact, integral
+
+SRC = str(Path(ordinfluence.__file__).resolve().parent.parent)
+
+
+def run_fresh(*argv, one_cpu=False, stdout=subprocess.PIPE):
+    """``python *argv`` in a fresh interpreter that imports this package, on
+    one CPU of the caller's affinity mask if ``one_cpu``; the completed
+    process.  A child that exits 0, 1 (its stdout closed by the reader) or 5
+    wrote nothing to stderr, so no warning either, and one that exits
+    otherwise wrote one ``error:`` line, and no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    pin = None
+    if one_cpu:
+        cpu = min(os.sched_getaffinity(0))
+
+        def pin():
+            os.sched_setaffinity(0, {cpu})
+    proc = subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300,
+                          preexec_fn=pin)
+    if proc.returncode in (0, 1, 5):
+        assert proc.stderr == "", proc.stderr
+    else:
+        assert (proc.stderr.startswith("error: ")
+                and proc.stderr.count("\n") == 1), proc.stderr
+    return proc
 
 
 def random_fraction(rng, lo=-4, hi=4, den=6):

@@ -179,10 +179,12 @@ class TestExitCodes:
     def test_oversized_arity_or_exponent_exits_2(self, tmp_path, capsys,
                                                  doc, message):
         # refused at parse time: each of these ran out of time or memory
-        assert cli.main(["approx", write_spec(tmp_path, doc)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: %s\n" % message
+        path = write_spec(tmp_path, doc)
+        for command in (["influence", "--all"], ["approx"]):
+            assert cli.main([command[0], path] + command[1:]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: %s\n" % message
 
     @pytest.mark.parametrize("kind", ["plain-polynomial",
                                       "orderstat-polynomial"])
@@ -317,14 +319,17 @@ class TestExitCodes:
         ('{"kind": "orderstat-polynomial", "arity": 2, "terms": [{"coefficient"'
          ': 1, "exponents": {"1": 1}}, {"coeficient": 1, "exponents": {}}]}',
          "unknown field 'coeficient' (at terms[1])"),
+        ('{"kind": "plain-polynomial", "arity": 2, "terms": [{"coefficient": '
+         '1, "exponents": {"1": 1}, "exponent": {"2": 1}}]}',
+         "unknown field 'exponent' (at terms[0])"),
         ('{"kind": "multiplicative", "arity": 2, "factors": [{"exponent": 1}, '
          '{"exponent": 1, "callable": "sin"}]}',
          "unknown field 'callable' (at factors[1])"),
         # nested deeper than the report's JSON writer could echo
         ('{"kind": "power-product", "arity": 2, "exponent": 1, "note": %s%s}'
          % ("[" * 600, "]" * 600), "unknown field 'note' (at $)"),
-    ], ids=["top-level", "misspelled-required", "builtin", "term", "factor",
-            "deep"])
+    ], ids=["top-level", "misspelled-required", "builtin", "term",
+            "plain-term", "factor", "deep"])
     def test_unknown_field_exits_2(self, tmp_path, capsys, text, message):
         # the report echoes the spec document, so it holds no field that
         # the kind ignores

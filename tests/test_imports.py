@@ -6,9 +6,6 @@ nothing that only tests reach."""
 
 import ast
 import json
-import os
-import subprocess
-import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +14,8 @@ import pytest
 
 import ordinfluence
 
+from conftest import run_fresh
 from test_readme import BLOCKS as README_BLOCKS
-
-SRC = str(Path(ordinfluence.__file__).resolve().parent.parent)
 
 # Runs cli.main on each (name, argv) pair of the JSON list in argv[1], with
 # stdout captured, and records whether scipy was loaded after each run.
@@ -97,16 +93,6 @@ print(json.dumps({
 """
 
 
-def run_fresh(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def write_spec(tmp_path, name, doc):
     path = tmp_path / (name + ".json")
     path.write_text(json.dumps(doc))
@@ -114,13 +100,13 @@ def write_spec(tmp_path, name, doc):
 
 
 def test_package_import_leaves_scipy_out():
-    loaded = run_fresh("-c", """
+    loaded = json.loads(run_fresh("-c", """
 import json, sys
 import ordinfluence
 package = "scipy" in sys.modules
 import ordinfluence.cli
 print(json.dumps([package, "scipy" in sys.modules]))
-""")
+""").stdout)
     assert loaded == [False, False]
 
 
@@ -144,13 +130,13 @@ def test_exact_mc_and_closed_form_commands_leave_scipy_out(tmp_path):
                        "--seed", "1"]),
         ("power-product-approx", ["approx", power, "--method", "closed-form"]),
     ]
-    loaded = run_fresh("-c", CLI_RUNS, json.dumps(
-        [(name, argv + ["--format", "json"]) for name, argv in runs]))
+    loaded = json.loads(run_fresh("-c", CLI_RUNS, json.dumps(
+        [(name, argv + ["--format", "json"]) for name, argv in runs])).stdout)
     assert loaded == {name: False for name, _ in runs}
 
 
 def test_quad_vec_fallback_loads_scipy_and_matches_exact_form():
-    out = run_fresh("-c", FALLBACK)
+    out = json.loads(run_fresh("-c", FALLBACK).stdout)
     assert not out["before"] and out["after_callable"] and out["resolves"]
     assert out["fallback_quad_vec_calls"] == 1
     for got, want in ((out["callable"], out["exact_callable"]),
@@ -161,7 +147,7 @@ def test_quad_vec_fallback_loads_scipy_and_matches_exact_form():
 
 
 def test_cli_import_builds_no_parser():
-    builds = run_fresh("-c", """
+    builds = json.loads(run_fresh("-c", """
 import contextlib, io, json
 from ordinfluence import cli
 builds = [cli._build_parser.cache_info().misses]
@@ -170,7 +156,7 @@ for _ in range(2):
         assert cli.main(["influence", "/no/such/spec.json", "--all"]) == 2
     builds.append(cli._build_parser.cache_info().misses)
 print(json.dumps(builds))
-""")
+""").stdout)
     assert builds == [0, 1, 1]
 
 
@@ -190,13 +176,13 @@ def test_all_names_the_public_bindings():
 
 
 def test_package_import_leaves_numpy_out():
-    loaded = run_fresh("-c", """
+    loaded = json.loads(run_fresh("-c", """
 import json, sys
 import ordinfluence
 package = [m for m in %r if m in sys.modules]
 import ordinfluence.cli
 print(json.dumps([package, [m for m in %r if m in sys.modules]]))
-""" % (NUMPY_MODULES, NUMPY_MODULES))
+""" % (NUMPY_MODULES, NUMPY_MODULES)).stdout)
     assert loaded == [[], []]
 
 
@@ -228,8 +214,8 @@ def test_exact_polynomial_commands_leave_numpy_out(tmp_path):
                        "--seed", "1"]),
     ]
     runs = exact_runs + later_runs
-    loaded = run_fresh("-c", NUMPY_RUNS, json.dumps(
-        [(name, argv + ["--format", "json"]) for name, argv in runs]))
+    loaded = json.loads(run_fresh("-c", NUMPY_RUNS, json.dumps(
+        [(name, argv + ["--format", "json"]) for name, argv in runs])).stdout)
     assert loaded == {**{name: [] for name, _ in exact_runs},
                       **{name: list(NUMPY_MODULES) for name, _ in later_runs}}
 
@@ -243,7 +229,8 @@ def test_cli_loads_no_dataclasses(tmp_path):
                      ["influence", path, "--all", "--method", "exact"]))
         runs.append((name + "-approx", ["approx", path, "--method", "exact"]))
     # sys.modules only grows: what no run loaded, the import did not load
-    loaded = run_fresh("-c", MODULE_RUNS % (CODEGEN_MODULES,), json.dumps(runs))
+    loaded = json.loads(run_fresh("-c", MODULE_RUNS % (CODEGEN_MODULES,),
+                                  json.dumps(runs)).stdout)
     assert loaded == {name: [] for name, _ in runs}
 
 
@@ -263,7 +250,7 @@ def test_no_package_module_imports_dataclasses():
 
 
 def test_lazy_names_are_the_defining_modules_objects():
-    out = run_fresh("-c", """
+    out = json.loads(run_fresh("-c", """
 import json, sys
 import ordinfluence
 listed = set(ordinfluence.__all__) <= set(dir(ordinfluence))
@@ -277,7 +264,7 @@ for name in lazy:
 print(json.dumps({"listed": listed, "lazy": lazy, "same": same,
                   "bound": all(bound),
                   "unknown": hasattr(ordinfluence, "no_such_name")}))
-""")
+""").stdout)
     lazy_modules = {"ordinfluence.lovasz", "ordinfluence.montecarlo"}
     assert out["listed"] and out["bound"] and not out["unknown"]
     assert {"mobius", "SetFunction", "Evaluator", "derive_seed"} <= set(out["lazy"])
@@ -289,23 +276,16 @@ print(json.dumps({"listed": listed, "lazy": lazy, "same": same,
             assert name in out["lazy"], name
 
 
-def run_module(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 @pytest.mark.parametrize("argv", [["--version"],
                                   ["influence", "/no/such/spec.json", "--all"]],
                          ids=["version", "bad-spec-path"])
 def test_python_m_ordinfluence_runs_the_cli(argv):
-    package = run_module("ordinfluence", *argv)
-    assert package == run_module("ordinfluence.cli", *argv)
-    assert package[0] == (0 if argv == ["--version"] else 2)
-    assert package[1] + package[2]
+    package, cli = (run_fresh("-m", module, *argv)
+                    for module in ("ordinfluence", "ordinfluence.cli"))
+    assert ((package.returncode, package.stdout, package.stderr)
+            == (cli.returncode, cli.stdout, cli.stderr))
+    assert package.returncode == (0 if argv == ["--version"] else 2)
+    assert package.stdout + package.stderr
 
 
 def _names_used(node):

@@ -781,7 +781,10 @@ class TestDrawnAhead:
         assert np.array_equal(got.covariance, want.covariance)
 
     def test_current_cpu(self, monkeypatch):
-        assert _current_cpu() in os.sched_getaffinity(0) | {None}
+        # a parse fault would leave the draw worker unpinned, drawing the
+        # same numbers, with no other test failing
+        cpu = _current_cpu()
+        assert cpu is not None and cpu in os.sched_getaffinity(0), cpu
         # field 39, counted after the last ")" of a command name that holds
         # ") " itself; None where the file is missing, too short or holds
         # no number there
