@@ -42,7 +42,7 @@ from .exact import (
 from .funcspec import (
     BUILTIN_NAMES,
     FunctionSpec,
-    MultiplicativeFunctionSpec,
+    MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
     PowerProductSpec,
@@ -58,7 +58,6 @@ from .projection import (
     ShiftedLStatistic,
 )
 from .closedforms import (
-    MultiplicativeSpec,
     UnaryFactor,
     influence_power_product,
     variance_profile,
@@ -114,7 +113,7 @@ __all__ = [
     "polynomial",
     "BUILTIN_NAMES",
     "FunctionSpec",
-    "MultiplicativeFunctionSpec",
+    "MultiplicativeSpec",
     "OrderStatPolynomialSpec",
     "PlainPolynomialSpec",
     "PowerProductSpec",
@@ -137,7 +136,6 @@ __all__ = [
     "ApproximationResult",
     "Moments",
     "ShiftedLStatistic",
-    "MultiplicativeSpec",
     "UnaryFactor",
     "influence_power_product",
     "variance_profile",

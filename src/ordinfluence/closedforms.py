@@ -24,7 +24,7 @@ from .projection import ShiftedLStatistic
 from .record import FrozenRecord, set_field
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .funcspec import MultiplicativeSpec
 
 QUAD_TOL = 1e-10
 
@@ -128,53 +128,6 @@ class UnaryFactor(FrozenRecord):
         if self.is_symbolic:
             return 1.0 / (2.0 * float(self.exponent) + 1.0)
         return _quad(lambda t: self.phi(t) ** 2)
-
-
-class MultiplicativeSpec(FrozenRecord):
-    """f(x) = prod_i phi_i(x_i)."""
-
-    _fields = ("arity", "factors")
-
-    def __init__(self, arity: int, factors: Tuple[UnaryFactor, ...]):
-        set_field(self, "arity", arity)
-        set_field(self, "factors", factors)
-        if len(factors) != arity:
-            raise DomainError("expected %d factors, got %d"
-                              % (arity, len(factors)))
-
-    @classmethod
-    def symmetric(cls, factor: UnaryFactor, arity: int) -> "MultiplicativeSpec":
-        return cls(arity, (factor,) * arity)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an (m, n) array of points."""
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[0])
-        for i, factor in enumerate(self.factors):
-            if factor.is_symbolic:
-                out *= x[:, i] ** float(factor.exponent)
-            else:
-                out *= np.fromiter(map(factor.phi, x[:, i].tolist()), float,
-                                   len(x))
-        return out
-
-    def mean(self) -> float:
-        out = 1.0
-        for factor in self.factors:
-            out *= float(factor.phi_one())
-        return out
-
-    def norm_sq(self) -> float:
-        """<f, f> = prod_i int_0^1 phi_i^2, which is 0.0 only when some
-        phi_i = 0."""
-        out = 1.0
-        for factor in self.factors:
-            integral = factor.phi_sq_integral()
-            if integral == 0.0:
-                return 0.0
-            out *= integral
-        return positive_norm_sq(out)
 
 
 def positive_norm_sq(value: float) -> float:

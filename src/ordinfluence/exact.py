@@ -112,13 +112,6 @@ class OrderStatMonomial(FrozenRecord):
                 raise DomainError("slots must be strictly ascending")
             prev = slot
 
-    def evaluate(self, x: Sequence):
-        xs = sorted(x)
-        value = self.coefficient
-        for slot, exp in self.exponents:
-            value = value * xs[slot - 1] ** exp
-        return value
-
 
 def monomial(arity: int, exponents: Mapping[int, int],
              coefficient: RationalLike = 1) -> OrderStatMonomial:

@@ -15,11 +15,11 @@ import json
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from .closedforms import MultiplicativeSpec, UnaryFactor, \
-    influence_power_product, multiplicative_indices, positive_norm_sq, \
-    variance_mean, variance_norm_sq, variance_profile
+from .closedforms import UnaryFactor, influence_power_product, \
+    multiplicative_indices, positive_norm_sq, variance_mean, \
+    variance_norm_sq, variance_profile
 from .errors import ConfigurationError, DomainError, SpecFileError
 from .exact import OrderStatPolynomial, as_rational, integer_ratio, \
     monomial, os_function, plain_indices, plain_integral, plain_norm_sq, \
@@ -47,9 +47,8 @@ MAX_SIZE = 1000
 
 
 class FunctionSpec(Record):
-    """Base class.  A kind is a subclass whose ``__init__`` sets its fields,
-    ``builtin_name`` last and keyword-only, and ``_fields`` names them,
-    ``builtin_name`` first.  It has the class attributes ``kind`` and
+    """Base class.  A kind is a subclass whose ``__init__`` sets its fields
+    and ``_fields`` names them.  It has the class attributes ``kind`` and
     ``engine`` (EXACT, CLOSED_FORM, or None when only MC applies), an
     ``arity``, ``moments`` when it has an engine, and ``_maps``, the MC map
     of f and optionally its derivative, or its own ``evaluator``.  A kind
@@ -60,10 +59,6 @@ class FunctionSpec(Record):
     kind = "abstract"
     engine = None
     takes_sorted = False
-    _fields = ("builtin_name",)
-
-    def __init__(self, *, builtin_name: Optional[str] = None):
-        self.builtin_name = builtin_name
 
     @property
     def methods(self) -> Tuple[str, ...]:
@@ -80,8 +75,7 @@ class FunctionSpec(Record):
 
     def evaluator(self) -> Evaluator:
         from .montecarlo import Evaluator
-        return Evaluator(self.arity, *self._maps(),
-                         name=self.builtin_name or self.kind,
+        return Evaluator(self.arity, *self._maps(), name=self.kind,
                          takes_sorted=self.takes_sorted)
 
 
@@ -104,10 +98,9 @@ class OrderStatPolynomialSpec(FunctionSpec):
     kind = "orderstat-polynomial"
     engine = EXACT
     takes_sorted = True
-    _fields = ("builtin_name", "poly")
+    _fields = ("poly",)
 
-    def __init__(self, poly: OrderStatPolynomial, *, builtin_name=None):
-        self.builtin_name = builtin_name
+    def __init__(self, poly: OrderStatPolynomial):
         self.poly = poly
 
     @property
@@ -126,11 +119,10 @@ class OrderStatPolynomialSpec(FunctionSpec):
 class PlainPolynomialSpec(FunctionSpec):
     kind = "plain-polynomial"
     engine = EXACT
-    _fields = ("builtin_name", "arity", "terms", "constant")
+    _fields = ("arity", "terms", "constant")
 
     def __init__(self, arity: int, terms: list,
-                 constant: Fraction = Fraction(0), *, builtin_name=None):
-        self.builtin_name = builtin_name
+                 constant: Fraction = Fraction(0)):
         self.arity = arity
         self.terms = terms  # [(Fraction, {var: exp})]
         self.constant = constant
@@ -156,10 +148,9 @@ class VarianceSpec(FunctionSpec):
 
     kind = "plain-polynomial"
     engine = EXACT
-    _fields = ("builtin_name", "arity")
+    _fields = ("arity",)
 
-    def __init__(self, arity: int, *, builtin_name=None):
-        self.builtin_name = builtin_name
+    def __init__(self, arity: int):
         self.arity = arity
 
     def moments(self, norm_sq=True):
@@ -184,10 +175,9 @@ class SetFunctionSpec(FunctionSpec):
     kind = "set-function"
     engine = EXACT
     takes_sorted = True
-    _fields = ("builtin_name", "set_function")
+    _fields = ("set_function",)
 
-    def __init__(self, set_function: SetFunction, *, builtin_name=None):
-        self.builtin_name = builtin_name
+    def __init__(self, set_function: SetFunction):
         self.set_function = set_function
 
     @property
@@ -209,37 +199,69 @@ class SetFunctionSpec(FunctionSpec):
                 partial(lovasz_slope_batch, values))
 
 
-class MultiplicativeFunctionSpec(FunctionSpec):
+class MultiplicativeSpec(FunctionSpec):
+    """f(x) = prod_i phi_i(x_i)."""
+
     kind = "multiplicative"
     engine = CLOSED_FORM
-    _fields = ("builtin_name", "spec")
+    _fields = ("arity", "factors")
 
-    def __init__(self, spec: MultiplicativeSpec, *, builtin_name=None):
-        self.builtin_name = builtin_name
-        self.spec = spec
+    def __init__(self, arity: int, factors: Tuple[UnaryFactor, ...]):
+        self.arity = arity
+        self.factors = factors
+        if len(factors) != arity:
+            raise DomainError("expected %d factors, got %d"
+                              % (arity, len(factors)))
 
-    @property
-    def arity(self) -> int:
-        return self.spec.arity
+    @classmethod
+    def symmetric(cls, factor: UnaryFactor, arity: int) -> MultiplicativeSpec:
+        return cls(arity, (factor,) * arity)
 
     def moments(self, norm_sq=True):
-        spec = self.spec
-        return Moments(self.arity, self.engine, multiplicative_indices(spec),
-                       spec.mean(),
-                       spec.norm_sq() if norm_sq else None)
+        return Moments(self.arity, self.engine, multiplicative_indices(self),
+                       self.mean(), self.norm_sq() if norm_sq else None)
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation at an (m, n) array of points."""
+        import numpy as np
+        x = np.asarray(x, dtype=float)
+        out = np.ones(x.shape[0])
+        for i, factor in enumerate(self.factors):
+            if factor.is_symbolic:
+                out *= x[:, i] ** float(factor.exponent)
+            else:
+                out *= np.fromiter(map(factor.phi, x[:, i].tolist()), float,
+                                   len(x))
+        return out
+
+    def mean(self) -> float:
+        out = 1.0
+        for factor in self.factors:
+            out *= float(factor.phi_one())
+        return out
+
+    def norm_sq(self) -> float:
+        """<f, f> = prod_i int_0^1 phi_i^2, which is 0.0 only when some
+        phi_i = 0."""
+        out = 1.0
+        for factor in self.factors:
+            integral = factor.phi_sq_integral()
+            if integral == 0.0:
+                return 0.0
+            out *= integral
+        return positive_norm_sq(out)
 
     def _maps(self):
-        return (self.spec.evaluate,)
+        return (self.evaluate,)
 
 
 class PowerProductSpec(FunctionSpec):
     kind = "power-product"
     engine = CLOSED_FORM
     takes_sorted = True
-    _fields = ("builtin_name", "arity", "exponent")
+    _fields = ("arity", "exponent")
 
-    def __init__(self, arity: int, exponent: Fraction, *, builtin_name=None):
-        self.builtin_name = builtin_name
+    def __init__(self, arity: int, exponent: Fraction):
         self.arity = arity
         self.exponent = as_rational(exponent)
         if self.exponent <= Fraction(-1, 2):
@@ -277,10 +299,9 @@ class RawEvaluatorSpec(FunctionSpec):
     """Black-box evaluator; Monte-Carlo only.  Not representable in a file."""
 
     kind = "builtin"
-    _fields = ("builtin_name", "raw")
+    _fields = ("raw",)
 
-    def __init__(self, raw: Evaluator, *, builtin_name=None):
-        self.builtin_name = builtin_name
+    def __init__(self, raw: Evaluator):
         self.raw = raw
 
     @property
@@ -323,34 +344,33 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
     if name == "variance":
         if n < 2:
             raise DomainError("variance needs arity >= 2")
-        return VarianceSpec(n, builtin_name=name)
+        return VarianceSpec(n)
     if name == "arithmetic-mean":
         from . import lovasz
         lovasz.check_arity(n)
-        return SetFunctionSpec(_arithmetic_mean_set_function(n),
-                               builtin_name=name)
+        return SetFunctionSpec(_arithmetic_mean_set_function(n))
     if name == "geometric-mean":
-        return PowerProductSpec(n, Fraction(1, n), builtin_name=name)
+        return PowerProductSpec(n, Fraction(1, n))
     if name == "product":
         terms = [(Fraction(1), {i: 1 for i in range(1, n + 1)})]
-        return PlainPolynomialSpec(n, terms, builtin_name=name)
+        return PlainPolynomialSpec(n, terms)
     if name == "min":
-        return OrderStatPolynomialSpec(os_function(n, 1), builtin_name=name)
+        return OrderStatPolynomialSpec(os_function(n, 1))
     if name == "max":
-        return OrderStatPolynomialSpec(os_function(n, n), builtin_name=name)
+        return OrderStatPolynomialSpec(os_function(n, n))
     if name == "median":
         if n % 2:
             poly = os_function(n, (n + 1) // 2)
         else:
             poly = polynomial(n, [monomial(n, {n // 2: 1}, Fraction(1, 2)),
                                   monomial(n, {n // 2 + 1: 1}, Fraction(1, 2))])
-        return OrderStatPolynomialSpec(poly, builtin_name=name)
+        return OrderStatPolynomialSpec(poly)
     if name in ("conjunctive-example-6.1", "conjunctive-threshold"):
         if n != 2:
             raise DomainError("the conjunctive threshold builtin is binary")
         from . import montecarlo
         return RawEvaluatorSpec(montecarlo.Evaluator(
-            2, _conjunctive_threshold, name=name), builtin_name=name)
+            2, _conjunctive_threshold, name=name))
     raise SpecFileError("unknown builtin %r; known: %s"
                         % (name, ", ".join(BUILTIN_NAMES)), location="name")
 
@@ -532,7 +552,7 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
             if c <= Fraction(-1, 2):
                 raise SpecFileError("factor exponent must exceed -1/2", loc)
             factors.append(UnaryFactor.power(c))
-        return MultiplicativeFunctionSpec(MultiplicativeSpec(arity, tuple(factors)))
+        return MultiplicativeSpec(arity, tuple(factors))
     if kind == "power-product":
         c = _parse_rational(_require(doc, "exponent", "exponent"), "exponent")
         if c <= Fraction(-1, 2):

@@ -119,11 +119,6 @@ class SetFunction(_DenseTable):
     """v: 2^[n] -> Q as a dense table of 2^n exact rationals in bitmask order."""
 
     @classmethod
-    def from_values(cls, arity: int, values: Sequence) -> "SetFunction":
-        """v from its 2^n values: ints, floats, Fractions or strings."""
-        return cls(arity, values)
-
-    @classmethod
     def from_codes(cls, arity: int, distinct: Sequence[Tuple[int, int]],
                    codes: Sequence[int]) -> "SetFunction":
         """v(S) = p / q for (p, q) = distinct[codes[S]], each ratio in lowest

@@ -45,7 +45,7 @@ from math import comb, factorial, lcm, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ordinfluence import closedforms, montecarlo, projection
-from ordinfluence.closedforms import QUAD_TOL, MultiplicativeSpec, UnaryFactor
+from ordinfluence.closedforms import QUAD_TOL, UnaryFactor
 from ordinfluence.errors import (
     ConfigurationError,
     DomainError,
@@ -61,6 +61,7 @@ from ordinfluence.exact import (
     os_function,
     polynomial,
 )
+from ordinfluence.funcspec import MultiplicativeSpec
 from ordinfluence.lovasz import SetFunction, level_averages, mobius
 from ordinfluence.montecarlo import Evaluator, IntegrationEstimate
 from ordinfluence.projection import ApproximationResult, Moments

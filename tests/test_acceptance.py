@@ -29,12 +29,8 @@ from ordinfluence import (
     resolve_builtin,
     variance_profile,
 )
-from ordinfluence.closedforms import (
-    MultiplicativeSpec,
-    UnaryFactor,
-    multiplicative_indices,
-)
-from ordinfluence.funcspec import SetFunctionSpec
+from ordinfluence.closedforms import UnaryFactor, multiplicative_indices
+from ordinfluence.funcspec import MultiplicativeSpec, SetFunctionSpec
 from ordinfluence.lovasz import level_averages, zeta
 from ordinfluence.montecarlo import Evaluator
 

@@ -13,16 +13,20 @@ from ordinfluence import (
     ConfigurationError,
     DomainError,
     SpecFileError,
+    UnaryFactor,
     influence_profile,
     influence_value,
+    monomial,
+    os_function,
     parse_spec_document,
+    polynomial,
     resolve_builtin,
     resolve_method,
 )
 from ordinfluence import cli, funcspec
 from ordinfluence.funcspec import (
     FunctionSpec,
-    MultiplicativeFunctionSpec,
+    MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
     PowerProductSpec,
@@ -75,8 +79,15 @@ class TestParsing:
         doc = {"kind": "multiplicative", "arity": 2,
                "factors": [{"exponent": 1}, {"exponent": 1}]}
         spec = parse_spec_document(doc)
-        assert isinstance(spec, MultiplicativeFunctionSpec)
+        assert isinstance(spec, MultiplicativeSpec)
         assert influence_value(spec, 1, "closed-form") == pytest.approx(0.8)
+
+    def test_multiplicative_is_the_product_of_its_factors(self):
+        exponents = (1, "2/3", 0, "-1/4")
+        doc = {"kind": "multiplicative", "arity": 4,
+               "factors": [{"exponent": c} for c in exponents]}
+        assert parse_spec_document(doc) == MultiplicativeSpec(
+            4, tuple(UnaryFactor.power(c) for c in exponents))
 
     def test_power_product(self):
         spec = parse_spec_document({"kind": "power-product", "arity": 3,
@@ -142,7 +153,7 @@ class TestParsing:
             parsed.clear()
             v = parse_spec_document({"kind": "set-function", "arity": n,
                                      "values": values}).set_function
-            assert v == SetFunction.from_values(n, values)
+            assert v == SetFunction(n, values)
             assert len(parsed) == len(set(values))
             assert len({id(x) for x in v.values}) == len(set(v.values))
             self._assert_numerators_handed_over(v)
@@ -235,7 +246,7 @@ class TestParsing:
             monkeypatch.setattr(module, "Fraction", no_fraction)
         v = parse_spec_document(doc).set_function
         monkeypatch.undo()
-        assert v == SetFunction.from_values(
+        assert v == SetFunction(
             6, [repr(x) if isinstance(x, float) else x for x in values])
 
     def test_file_round_trip(self, tmp_path):
@@ -264,6 +275,29 @@ class TestBuiltins:
             arity = 2 if name == "conjunctive-example-6.1" else 3
             spec = resolve_builtin(name, arity)
             assert spec.arity == arity
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 6))
+    def test_builtins_equal_the_specs_built_from_their_parts(self, n):
+        # a builtin is the spec of its kind, with nothing that names it
+        built = {
+            "arithmetic-mean": SetFunctionSpec(SetFunction(n, [
+                Fraction(bin(mask).count("1"), n) for mask in range(1 << n)])),
+            "geometric-mean": PowerProductSpec(n, Fraction(1, n)),
+            "product": PlainPolynomialSpec(
+                n, [(Fraction(1), {i: 1 for i in range(1, n + 1)})]),
+            "min": OrderStatPolynomialSpec(os_function(n, 1)),
+            "max": OrderStatPolynomialSpec(os_function(n, n)),
+            "median": OrderStatPolynomialSpec(
+                os_function(n, (n + 1) // 2) if n % 2 else polynomial(n, [
+                    monomial(n, {n // 2: 1}, Fraction(1, 2)),
+                    monomial(n, {n // 2 + 1: 1}, Fraction(1, 2))])),
+        }
+        if n >= 2:
+            built["variance"] = VarianceSpec(n)
+        assert set(built) | {"variance", "conjunctive-example-6.1"} \
+            == set(BUILTIN_NAMES)
+        for name, spec in built.items():
+            assert resolve_builtin(name, n) == spec, name
 
     def test_variance(self):
         spec = resolve_builtin("variance", 2)
@@ -474,17 +508,18 @@ DECLARATIONS = {
     "multiplicative": (
         {"kind": "multiplicative", "arity": 2,
          "factors": [{"exponent": 1}, {"exponent": "2/3"}]},
-        MultiplicativeFunctionSpec, CLOSED_MC, "multiplicative"),
+        MultiplicativeSpec, CLOSED_MC, "multiplicative"),
     "power-product": (
         {"kind": "power-product", "arity": 3, "exponent": "1/3"},
         PowerProductSpec, CLOSED_MC, "power-product"),
-    "variance": (None, VarianceSpec, EXACT_MC, "variance"),
-    "arithmetic-mean": (None, SetFunctionSpec, EXACT_MC, "arithmetic-mean"),
-    "geometric-mean": (None, PowerProductSpec, CLOSED_MC, "geometric-mean"),
-    "product": (None, PlainPolynomialSpec, EXACT_MC, "product"),
-    "min": (None, OrderStatPolynomialSpec, EXACT_MC, "min"),
-    "max": (None, OrderStatPolynomialSpec, EXACT_MC, "max"),
-    "median": (None, OrderStatPolynomialSpec, EXACT_MC, "median"),
+    "variance": (None, VarianceSpec, EXACT_MC, "plain-polynomial"),
+    "arithmetic-mean": (None, SetFunctionSpec, EXACT_MC, "set-function"),
+    "geometric-mean": (None, PowerProductSpec, CLOSED_MC, "power-product"),
+    "product": (None, PlainPolynomialSpec, EXACT_MC, "plain-polynomial"),
+    "min": (None, OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial"),
+    "max": (None, OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial"),
+    "median": (None, OrderStatPolynomialSpec, EXACT_MC,
+               "orderstat-polynomial"),
     "conjunctive-example-6.1": (
         None, RawEvaluatorSpec, ("mc",), "conjunctive-example-6.1"),
 }
@@ -542,17 +577,14 @@ class TestDeclarations:
 
     class Bare(FunctionSpec):
         kind = "bare"
-        _fields = ("builtin_name", "arity")
+        _fields = ("arity",)
 
-        def __init__(self, arity, *, builtin_name=None):
-            self.builtin_name = builtin_name
+        def __init__(self, arity):
             self.arity = arity
 
     def test_kind_without_engine_is_mc_only(self):
-        spec = self.Bare(3, builtin_name="bare")
+        spec = self.Bare(3)
         assert spec.methods == ("mc",)
         assert resolve_method(spec) == "mc"
         with pytest.raises(ConfigurationError, match="bare functions"):
             spec.moments()
-        with pytest.raises(TypeError):
-            self.Bare(3, "bare")  # builtin_name is keyword-only

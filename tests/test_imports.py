@@ -68,7 +68,8 @@ FALLBACK = """
 import json, sys
 from fractions import Fraction
 from ordinfluence import closedforms, exact
-from ordinfluence.closedforms import MultiplicativeSpec, UnaryFactor
+from ordinfluence.closedforms import UnaryFactor
+from ordinfluence.funcspec import MultiplicativeSpec
 before = "scipy" in sys.modules
 cube_root = UnaryFactor.from_callable(
     lambda t: t ** (1 / 3), antiderivative=lambda y: 0.75 * y ** (4 / 3))

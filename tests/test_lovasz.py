@@ -198,7 +198,7 @@ class TestTableObject:
         for n in (1, 3, 6):
             values = [rng.randint(-30, 30) * factor for _ in range(1 << n)]
             v = SetFunction(n, tuple(values))
-            built = [v, SetFunction.from_values(n, map(str, values)),
+            built = [v, SetFunction(n, map(str, values)),
                      parse_spec_document({"kind": "set-function", "arity": n,
                                           "values": list(map(str, values))}
                                          ).set_function,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ordinfluence import (
-    MultiplicativeFunctionSpec,
     MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
@@ -388,10 +387,9 @@ class TestEachPrimaryOnce:
                             lambda *a, **kw: quads.append(1) or original(*a, **kw))
         symbolic = MultiplicativeSpec(6, tuple(UnaryFactor.power(Fraction(c, 3))
                                                for c in (1, 2, 4, 5, 0, 3)))
-        MultiplicativeFunctionSpec(symbolic).moments()
+        symbolic.moments()
         assert len(calls) == 1 and not quads
         cube_root = UnaryFactor.from_callable(
             lambda t: t ** (1 / 3), antiderivative=lambda y: 0.75 * y ** (4 / 3))
-        MultiplicativeFunctionSpec(
-            MultiplicativeSpec.symmetric(cube_root, 6)).moments()
+        MultiplicativeSpec.symmetric(cube_root, 6).moments()
         assert len(calls) == 1 and len(quads) == 1

@@ -62,10 +62,10 @@ CASES = {
         lambda: tensor_quadrature(_sum_of(2), 1),
         DomainError, "need at least 2 nodes per axis"),
     "lovasz-point-length": (
-        lambda: eval_lovasz(SetFunction.from_values(2, [0, 1, 1, 2]), [0.5]),
+        lambda: eval_lovasz(SetFunction(2, [0, 1, 1, 2]), [0.5]),
         DomainError, "point has 1 coordinates, expected 2"),
     "lovasz-rank": (
-        lambda: influence_lovasz(SetFunction.from_values(2, [0, 1, 1, 2]), 3),
+        lambda: influence_lovasz(SetFunction(2, [0, 1, 1, 2]), 3),
         DomainError, "rank 3 outside [1, 2]"),
     "exact-rank": (
         lambda: influence_exact(os_function(2, 1), 0),

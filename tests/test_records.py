@@ -1,6 +1,5 @@
 """The package's record classes: constructors, field-wise ``==``, ``hash``
-and ``repr``, frozen records that refuse assignment, and the keyword-only
-``builtin_name`` of the spec kinds."""
+and ``repr``, and frozen records that refuse assignment."""
 
 import copy
 from fractions import Fraction
@@ -23,7 +22,7 @@ MONOMIAL = exact.OrderStatMonomial(2, ((1, 1), (2, 3)), F(2, 3))
 POLY = exact.polynomial(2, [MONOMIAL], F(1, 5))
 FACTOR = closedforms.UnaryFactor.power(F(1, 2))
 EVALUATOR = montecarlo.Evaluator(2, _double, name="double", takes_sorted=True)
-SETFN = lovasz.SetFunction.from_values(2, [F(0), F(1, 3), F(1, 2), F(1)])
+SETFN = lovasz.SetFunction(2, [F(0), F(1, 3), F(1, 2), F(1)])
 
 # (record, its fields in repr order, whether it is frozen)
 RECORDS = {
@@ -57,29 +56,21 @@ RECORDS = {
          "witnesses"), True),
     "UnaryFactor": (FACTOR, ("exponent", "phi", "antiderivative",
                              "declared_phi_one"), True),
-    "MultiplicativeSpec": (closedforms.MultiplicativeSpec(2, (FACTOR, FACTOR)),
-                           ("arity", "factors"), True),
-    "FunctionSpec": (funcspec.FunctionSpec(builtin_name="abstract"),
-                     ("builtin_name",), False),
-    "OrderStatPolynomialSpec": (
-        funcspec.OrderStatPolynomialSpec(POLY, builtin_name="poly"),
-        ("builtin_name", "poly"), False),
+    "FunctionSpec": (funcspec.FunctionSpec(), (), False),
+    "OrderStatPolynomialSpec": (funcspec.OrderStatPolynomialSpec(POLY),
+                                ("poly",), False),
     "PlainPolynomialSpec": (
         funcspec.PlainPolynomialSpec(2, [(F(3, 2), {1: 2})], F(1, 3)),
-        ("builtin_name", "arity", "terms", "constant"), False),
-    "VarianceSpec": (funcspec.VarianceSpec(3, builtin_name="variance"),
-                     ("builtin_name", "arity"), False),
-    "SetFunctionSpec": (funcspec.SetFunctionSpec(SETFN),
-                        ("builtin_name", "set_function"), False),
-    "MultiplicativeFunctionSpec": (
-        funcspec.MultiplicativeFunctionSpec(
-            closedforms.MultiplicativeSpec(2, (FACTOR, FACTOR))),
-        ("builtin_name", "spec"), False),
+        ("arity", "terms", "constant"), False),
+    "VarianceSpec": (funcspec.VarianceSpec(3), ("arity",), False),
+    "SetFunctionSpec": (funcspec.SetFunctionSpec(SETFN), ("set_function",),
+                        False),
+    "MultiplicativeSpec": (funcspec.MultiplicativeSpec(2, (FACTOR, FACTOR)),
+                           ("arity", "factors"), False),
     "PowerProductSpec": (funcspec.PowerProductSpec(3, F(2, 3)),
-                         ("builtin_name", "arity", "exponent"), False),
-    "RawEvaluatorSpec": (funcspec.RawEvaluatorSpec(EVALUATOR,
-                                                   builtin_name="double"),
-                         ("builtin_name", "raw"), False),
+                         ("arity", "exponent"), False),
+    "RawEvaluatorSpec": (funcspec.RawEvaluatorSpec(EVALUATOR), ("raw",),
+                         False),
     "ReportDocument": (
         report.ReportDocument("approx", {"kind": "builtin"}, {"method": "mc"},
                               [{"k": 1, "value": 0.5}], {"max_z": 1.5},
@@ -180,16 +171,6 @@ def test_moments_equality_and_hash_leave_out_covariance():
     assert "covariance=array(" in repr(with_cov)
 
 
-@pytest.mark.parametrize("name", SPEC_KINDS)
-def test_builtin_name_is_keyword_only(name):
-    record, names, _ = RECORDS[name]
-    fields = _values(record, names[1:])
-    assert type(record)(*fields, builtin_name="named").builtin_name == "named"
-    assert type(record)(*fields).builtin_name is None
-    with pytest.raises(TypeError):
-        type(record)(*fields, "named")
-
-
 def test_report_document_defaults_are_fresh():
     first = report.ReportDocument("approx", {}, {}, [])
     second = report.ReportDocument("approx", {}, {}, [])
@@ -204,7 +185,7 @@ def test_post_init_checks_run():
     with pytest.raises(DomainError):
         exact.OrderStatMonomial(2, ((2, 1), (1, 1)), F(1))
     with pytest.raises(DomainError):
-        closedforms.MultiplicativeSpec(3, (FACTOR,))
+        funcspec.MultiplicativeSpec(3, (FACTOR,))
     with pytest.raises(DomainError):
         funcspec.PowerProductSpec(2, F(-1, 2))
     assert funcspec.PowerProductSpec(2, "1/3").exponent == F(1, 3)
