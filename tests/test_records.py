@@ -24,7 +24,8 @@ FACTOR = closedforms.UnaryFactor.power(F(1, 2))
 EVALUATOR = montecarlo.Evaluator(2, _double, name="double", takes_sorted=True)
 SETFN = lovasz.SetFunction(2, [F(0), F(1, 3), F(1, 2), F(1)])
 
-# (record, its fields in repr order, whether it is frozen)
+# (record, its fields in repr order, whether it is frozen), keyed by the
+# record's class name, or for a second record of a class, by a case name
 RECORDS = {
     "OrderStatMonomial": (MONOMIAL, ("arity", "exponents", "coefficient"), True),
     "OrderStatPolynomial": (POLY, ("arity", "terms", "constant"), True),
@@ -67,6 +68,13 @@ RECORDS = {
                         False),
     "MultiplicativeSpec": (funcspec.MultiplicativeSpec(2, (FACTOR, FACTOR)),
                            ("arity", "factors"), False),
+    # the multiplicative FunctionSpec kind as a spec file loads it; its class
+    # is MultiplicativeSpec, which replaced MultiplicativeFunctionSpec
+    "MultiplicativeFunctionSpec": (
+        funcspec.parse_spec_document(
+            {"kind": "multiplicative", "arity": 2,
+             "factors": [{"exponent": "1/2"}, {"exponent": 2}]}),
+        ("arity", "factors"), False),
     "PowerProductSpec": (funcspec.PowerProductSpec(3, F(2, 3)),
                          ("arity", "exponent"), False),
     "RawEvaluatorSpec": (funcspec.RawEvaluatorSpec(EVALUATOR), ("raw",),
@@ -97,7 +105,7 @@ def _compared(name):
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_repr_is_field_wise(name):
     record, names, _ = RECORDS[name]
-    assert repr(record) == "%s(%s)" % (name, ", ".join(
+    assert repr(record) == "%s(%s)" % (type(record).__name__, ", ".join(
         "%s=%r" % (field, getattr(record, field)) for field in names))
 
 
