@@ -45,7 +45,6 @@ from .funcspec import (
     MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
-    PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
     VarianceSpec,
@@ -116,7 +115,6 @@ __all__ = [
     "MultiplicativeSpec",
     "OrderStatPolynomialSpec",
     "PlainPolynomialSpec",
-    "PowerProductSpec",
     "RawEvaluatorSpec",
     "SetFunctionSpec",
     "VarianceSpec",

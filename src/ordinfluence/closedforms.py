@@ -130,35 +130,32 @@ class UnaryFactor(FrozenRecord):
         return _quad(lambda t: self.phi(t) ** 2)
 
 
-def positive_norm_sq(value: float) -> float:
-    """``value``, a positive <f, f> taken in floats; OverflowError when it
-    has rounded to 0.0, where it would read as a constant function."""
-    if value == 0.0:
-        raise OverflowError("<f, f> is positive but rounds to 0.0")
-    return value
-
-
 def multiplicative_indices(spec: MultiplicativeSpec) -> Tuple[float, ...]:
     """I(f, 1..n) of a product of unary factors, from the product form
 
         I(f,k) = (n+1)(n+2) int_0^1 (r_{k-1}(y) - r_k(y)) dy,
         sum_j r_j(y) w^j = prod_i (Phibar_i(y) + w Phi_i(y)),
 
-    with Phibar_i = Phi_i(1) - Phi_i.  Symbolic factors x^c take all n
-    indices from one exact ``exact.product_indices`` call.  Callable factors,
-    and symbolic products too large for the exact form, run the recurrence
+    with Phibar_i = Phi_i(1) - Phi_i.  Factors x^c with one c take the Gamma
+    form ``influence_power_product``, other factors x^c all n indices from
+    one exact ``exact.product_indices`` call.  Callable factors, and
+    symbolic products too large for the exact form, run the recurrence
     r_j <- Phibar_i r_j + Phi_i r_{j-1} in floats at each y, under one
     adaptive vector quadrature for all ranks.
     """
     factors = spec.factors
+    n = spec.arity
     if all(f.is_symbolic for f in factors):
+        if all(f.exponent == factors[0].exponent for f in factors):
+            c = float(factors[0].exponent)
+            return tuple(influence_power_product(c, n, k)
+                         for k in range(1, n + 1))
         try:
             return tuple(float(v) for v in
                          product_indices([f.exponent for f in factors]))
         except ConfigurationError:
             pass  # too many distinct exponent sums for the exact form
     import numpy as np
-    n = spec.arity
     full = [float(f.phi_one()) for f in factors]
 
     def r_of(y):

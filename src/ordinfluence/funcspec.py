@@ -14,16 +14,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, inf
 from typing import TYPE_CHECKING, Tuple
 
-from .closedforms import UnaryFactor, influence_power_product, \
-    multiplicative_indices, positive_norm_sq, variance_mean, \
-    variance_norm_sq, variance_profile
+from .closedforms import UnaryFactor, multiplicative_indices, \
+    variance_mean, variance_norm_sq, variance_profile
 from .errors import ConfigurationError, DomainError, SpecFileError
-from .exact import OrderStatPolynomial, as_rational, integer_ratio, \
-    monomial, os_function, plain_indices, plain_integral, plain_norm_sq, \
-    polynomial
+from .exact import OrderStatPolynomial, integer_ratio, monomial, \
+    os_function, plain_indices, plain_integral, plain_norm_sq, polynomial
 from .projection import Moments, moments_exact
 from .record import Record
 
@@ -199,11 +197,19 @@ class SetFunctionSpec(FunctionSpec):
                 partial(lovasz_slope_batch, values))
 
 
+# Columns of one exponent multiplied before their power is taken.  A product
+# of m uniforms is exp(-G), G a Gamma(m, 1) variate, and leaves the normal
+# floats when G exceeds 708: never at m = 64, nearly always at m = 800.
+PRODUCT_CHUNK = 64
+
+
 class MultiplicativeSpec(FunctionSpec):
-    """f(x) = prod_i phi_i(x_i)."""
+    """f(x) = prod_i phi_i(x_i).  A ``power-product`` file and the
+    ``geometric-mean`` builtin load as ``symmetric`` specs of factors x^c."""
 
     kind = "multiplicative"
     engine = CLOSED_FORM
+    takes_sorted = True
     _fields = ("arity", "factors")
 
     def __init__(self, arity: int, factors: Tuple[UnaryFactor, ...]):
@@ -224,15 +230,36 @@ class MultiplicativeSpec(FunctionSpec):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (m, n) array of points."""
         import numpy as np
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[0])
+        return self._product()(np.asarray(x, dtype=float))
+
+    def _product(self):
+        """f on (m, n) float arrays: each exponent's columns multiplied in
+        order, PRODUCT_CHUNK at a time, one power per chunk, then callables."""
+        import numpy as np
+        groups, callables = {}, []
         for i, factor in enumerate(self.factors):
             if factor.is_symbolic:
-                out *= x[:, i] ** float(factor.exponent)
+                groups.setdefault(float(factor.exponent), []).append(i)
             else:
-                out *= np.fromiter(map(factor.phi, x[:, i].tolist()), float,
-                                   len(x))
-        return out
+                callables.append((i, factor.phi))
+        chunks = [(c, columns[lo:lo + PRODUCT_CHUNK])
+                  for c, columns in groups.items()
+                  for lo in range(0, len(columns), PRODUCT_CHUNK)]
+
+        def product(x, xs=None):
+            out = None
+            for c, (first, *rest) in chunks:
+                p = x[:, first].copy()
+                for i in rest:
+                    p *= x[:, i]
+                p = p ** c
+                out = p if out is None else np.multiply(out, p, out=out)
+            out = np.ones(len(x)) if out is None else out
+            for i, phi in callables:
+                out *= np.fromiter(map(phi, x[:, i].tolist()), float, len(x))
+            return out
+
+        return product
 
     def mean(self) -> float:
         out = 1.0
@@ -241,55 +268,30 @@ class MultiplicativeSpec(FunctionSpec):
         return out
 
     def norm_sq(self) -> float:
-        """<f, f> = prod_i int_0^1 phi_i^2, which is 0.0 only when some
-        phi_i = 0."""
+        """<f, f> = prod_i int_0^1 phi_i^2, 0.0 only when some phi_i = 0;
+        OverflowError where a positive product rounds to 0.0 or inf."""
         out = 1.0
         for factor in self.factors:
             integral = factor.phi_sq_integral()
             if integral == 0.0:
                 return 0.0
             out *= integral
-        return positive_norm_sq(out)
+        if out in (0.0, inf):
+            raise OverflowError("<f, f> is positive but rounds to %r" % out)
+        return out
 
     def _maps(self):
-        return (self.evaluate,)
-
-
-class PowerProductSpec(FunctionSpec):
-    kind = "power-product"
-    engine = CLOSED_FORM
-    takes_sorted = True
-    _fields = ("arity", "exponent")
-
-    def __init__(self, arity: int, exponent: Fraction):
-        self.arity = arity
-        self.exponent = as_rational(exponent)
-        if self.exponent <= Fraction(-1, 2):
-            raise DomainError("exponent must exceed -1/2")
-
-    def moments(self, norm_sq=True):
-        c = float(self.exponent)
-        n = self.arity
-        indices = tuple(influence_power_product(c, n, k) for k in range(1, n + 1))
-        return Moments(n, self.engine, indices, (1.0 / (c + 1.0)) ** n,
-                       positive_norm_sq((1.0 / (2.0 * c + 1.0)) ** n)
-                       if norm_sq else None)
-
-    def _maps(self):
-        c = float(self.exponent)
-        n = self.arity
-
-        def func(x, xs):
-            # np.prod(x, axis=1), one column at a time: the same products in
-            # the same order, without a reduce along the short axis; the
-            # order statistics are not read
-            p = x[:, 0].copy()
-            for i in range(1, n):
-                p *= x[:, i]
-            return p ** c
+        import numpy as np
+        func = self._product()
+        if not all(factor.is_symbolic for factor in self.factors):
+            return (func,)
+        exponents = np.array([float(f.exponent) for f in self.factors])
+        one = exponents[0] if len(set(exponents.tolist())) == 1 else None
 
         def derivative(x, k, xs):
-            # d/dx_{pi(k)} prod x_i^c = c f(x) / x_{pi(k)}
+            # d/dx_(k) f = c f(x) / x_(k), c the exponent of x_(k)'s column
+            c = one if one is not None else (
+                (x == xs[k - 1][:, None]).astype(float) @ exponents)
             return c * func(x, xs) / xs[k - 1]
 
         return func, derivative
@@ -350,7 +352,8 @@ def resolve_builtin(name: str, arity: int) -> FunctionSpec:
         lovasz.check_arity(n)
         return SetFunctionSpec(_arithmetic_mean_set_function(n))
     if name == "geometric-mean":
-        return PowerProductSpec(n, Fraction(1, n))
+        return MultiplicativeSpec.symmetric(UnaryFactor.power(Fraction(1, n)),
+                                            n)
     if name == "product":
         terms = [(Fraction(1), {i: 1 for i in range(1, n + 1)})]
         return PlainPolynomialSpec(n, terms)
@@ -557,7 +560,7 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
         c = _parse_rational(_require(doc, "exponent", "exponent"), "exponent")
         if c <= Fraction(-1, 2):
             raise SpecFileError("exponent must exceed -1/2", "exponent")
-        return PowerProductSpec(arity, c)
+        return MultiplicativeSpec.symmetric(UnaryFactor.power(c), arity)
     name = _require(doc, "name", "name")  # the last kind, "builtin"
     try:
         return resolve_builtin(name, arity)

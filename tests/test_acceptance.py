@@ -29,7 +29,8 @@ from ordinfluence import (
     resolve_builtin,
     variance_profile,
 )
-from ordinfluence.closedforms import UnaryFactor, multiplicative_indices
+from ordinfluence.closedforms import UnaryFactor
+from ordinfluence.exact import product_indices
 from ordinfluence.funcspec import MultiplicativeSpec, SetFunctionSpec
 from ordinfluence.lovasz import level_averages, zeta
 from ordinfluence.montecarlo import Evaluator
@@ -179,11 +180,11 @@ def test_criterion_4_estimator_equivalence(announce):
             worst = max(worst, a.z_score(b))
 
     # power products at n = 2, 3 with c in {1/3, 1, 2}
-    from ordinfluence.funcspec import PowerProductSpec
     seed = 211_000
     for c in (Fraction(1, 3), Fraction(1), Fraction(2)):
         for n in (2, 3):
-            evaluator = PowerProductSpec(n, c).evaluator()
+            evaluator = MultiplicativeSpec.symmetric(UnaryFactor.power(c),
+                                                     n).evaluator()
             for k in range(1, n + 1):
                 estimates = _all_estimates(evaluator, k, samples, seed)
                 seed += 10
@@ -229,7 +230,10 @@ def test_criterion_6_alternative_formulas(announce):
         MultiplicativeSpec.symmetric(UnaryFactor.power(2), 4),
     ]
     for spec in specs:
-        for k, reference in enumerate(multiplicative_indices(spec), start=1):
+        # the exact product form: multiplicative_indices takes the symmetric
+        # specs to the Gamma form
+        product = product_indices([f.exponent for f in spec.factors])
+        for k, reference in enumerate(map(float, product), start=1):
             for formula in ("dfsg5", "dfsg6", "dfsg7"):
                 got = influence_via_alternative(spec, k, formula)
                 worst = max(worst, abs(got - reference))

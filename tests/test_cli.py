@@ -362,6 +362,21 @@ class TestExitCodes:
         assert len(rows) == doc["arity"]
         assert all(math.isfinite(row["value"]) for row in rows)
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "power-product", "arity": 1000, "exponent": "-2/5"},
+        {"kind": "multiplicative", "arity": 1000,
+         "factors": [{"exponent": "-2/5"}] * 999 + [{"exponent": 0}]},
+    ], ids=["power-product", "multiplicative"])
+    def test_closed_form_norm_above_the_float_range_exits_3(
+            self, tmp_path, capsys, doc):
+        # <f, f> = 5^1000 rounds to inf; the indices need no <f, f>
+        path = write_spec(tmp_path, doc)
+        assert cli.main(["approx", path]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: a value is beyond the float range: "
+                                  "<f, f> is positive but rounds to inf\n")
+        assert cli.main(["influence", path, "-k", "1"]) == 0
+
     def test_incompatible_method_exits_3(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "power-product", "arity": 2,
                                      "exponent": 1})
@@ -408,6 +423,23 @@ class TestExitCodes:
             assert code == 4 and out == "", coefficient
             assert err == ("error: a product of finite evaluator values "
                            "overflowed\n"), coefficient
+
+    @pytest.mark.parametrize("command", [["influence", "-k", "1"], ["approx"]],
+                             ids=["influence", "approx"])
+    def test_negative_power_product_at_arity_1000_exits_4(self, tmp_path,
+                                                          capsys, command):
+        # f = prod x_i^(-49/100) is finite, about e^490, although the product
+        # of the 1000 uniforms underflows; its square overflows
+        path = write_spec(tmp_path, {"kind": "power-product", "arity": 1000,
+                                     "exponent": "-49/100"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command[0], path, *command[1:], "--method", "mc",
+                             "--samples", "2000", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err == ("error: a product of finite evaluator values "
+                       "overflowed\n")
 
     def test_largest_finite_mc_covariance_exits_0(self, tmp_path, capsys):
         # one decade below the overflow of the indices' covariance, every

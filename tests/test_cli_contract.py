@@ -31,6 +31,10 @@ SPECS = {
     "amean14": {"kind": "builtin", "name": "arithmetic-mean", "arity": 14},
     "mean16": {"kind": "builtin", "name": "arithmetic-mean", "arity": 16},
     "gmean16": {"kind": "builtin", "name": "geometric-mean", "arity": 16},
+    "gmean700": {"kind": "builtin", "name": "geometric-mean", "arity": 700},
+    "gmean1000": {"kind": "builtin", "name": "geometric-mean", "arity": 1000},
+    "mult4": {"kind": "multiplicative", "arity": 4,
+              "factors": [{"exponent": c} for c in ("1/2", "2", "-1/4", "1")]},
     "product40": {"kind": "builtin", "name": "product", "arity": 40},
     "median1000": {"kind": "builtin", "name": "median", "arity": 1000},
     "variance1000": {"kind": "builtin", "name": "variance", "arity": 1000},
@@ -227,8 +231,9 @@ def test_mc_within_3_se_of_the_reference(tmp_path, capsys, name, reference,
             assert se > 0 and abs(est - want) <= 3 * se, (key, est, se, want)
 
 
-@pytest.mark.parametrize("name, k", [("pp4", 2), ("gmean16", 8)],
-                         ids=["power-product-4", "geometric-mean-16"])
+@pytest.mark.parametrize("name, k", [("pp4", 2), ("gmean16", 8), ("mult4", 2)],
+                         ids=["power-product-4", "geometric-mean-16",
+                              "multiplicative-4"])
 def test_crosscheck_estimators_within_5_se_of_the_closed_form(
         tmp_path, capsys, name, k):
     _, out = run(capsys, "crosscheck", write_spec(tmp_path, name), "-k",
@@ -241,6 +246,23 @@ def test_crosscheck_estimators_within_5_se_of_the_closed_form(
     for est in mc:
         assert est["k"] == ref[0]["k"] == k and est["se"] > 0, (est, ref)
         assert abs(est["value"] - ref[0]["value"]) <= 5 * est["se"], (est, ref)
+
+
+@pytest.mark.parametrize("name", ["gmean700", "gmean1000"],
+                         ids=["geometric-mean-700", "geometric-mean-1000"])
+def test_mc_geometric_mean_at_large_arity_within_3_se(tmp_path, capsys, name):
+    # a product of all 700 or 1000 uniforms underflows, so the columns are
+    # multiplied in chunks, each raised to 1/n
+    path = write_spec(tmp_path, name)
+    argv = ["approx", path, "--method"]
+    mc = report(capsys, *argv, "mc", "--samples", "20000", "--seed", "1")
+    ref = report(capsys, *argv, "closed-form")
+    est, want = mc["results"][0], ref["results"][0]
+    assert est["k"] == want["k"] == 1 and est["se"] > 0, (est, want)
+    assert abs(est["value"] - want["value"]) <= 3 * est["se"], (est, want)
+    est, se = mc["extras"]["mean"]["value"], mc["extras"]["mean_se"]
+    want = ref["extras"]["mean"]["value"]
+    assert se > 0 and abs(est - want) <= 3 * se, (est, se, want)
 
 
 def test_mc_reports_are_the_same_bytes_every_run_and_on_one_cpu(tmp_path,

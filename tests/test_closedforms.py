@@ -125,12 +125,16 @@ class TestPowerProduct:
 
 class TestMultiplicative:
     def test_symmetric_power_factors_match_gamma_formula(self):
+        # multiplicative_indices gives such specs the Gamma form itself, so
+        # the independent sides are the exact product form and the beta form
         for n in (2, 3):
             for c in (Fraction(1, 3), Fraction(1), Fraction(2)):
                 spec = MultiplicativeSpec.symmetric(UnaryFactor.power(c), n)
+                product = exact.product_indices([c] * n)
                 for k in range(1, n + 1):
                     expected = influence_power_product(float(c), n, k)
-                    assert multiplicative_indices(spec)[k - 1] == pytest.approx(
+                    assert multiplicative_indices(spec)[k - 1] == expected
+                    assert float(product[k - 1]) == pytest.approx(
                         expected, rel=1e-9)
                     assert influence_symmetric_multiplicative(
                         UnaryFactor.power(c), n, k) == pytest.approx(

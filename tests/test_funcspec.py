@@ -29,7 +29,6 @@ from ordinfluence.funcspec import (
     MultiplicativeSpec,
     OrderStatPolynomialSpec,
     PlainPolynomialSpec,
-    PowerProductSpec,
     RawEvaluatorSpec,
     SetFunctionSpec,
     VarianceSpec,
@@ -92,8 +91,8 @@ class TestParsing:
     def test_power_product(self):
         spec = parse_spec_document({"kind": "power-product", "arity": 3,
                                     "exponent": "1/3"})
-        assert isinstance(spec, PowerProductSpec)
-        assert spec.exponent == Fraction(1, 3)
+        assert spec == MultiplicativeSpec.symmetric(
+            UnaryFactor.power(Fraction(1, 3)), 3)
 
     def test_power_product_bad_exponent(self):
         with pytest.raises(SpecFileError):
@@ -282,7 +281,8 @@ class TestBuiltins:
         built = {
             "arithmetic-mean": SetFunctionSpec(SetFunction(n, [
                 Fraction(bin(mask).count("1"), n) for mask in range(1 << n)])),
-            "geometric-mean": PowerProductSpec(n, Fraction(1, n)),
+            "geometric-mean": MultiplicativeSpec.symmetric(
+                UnaryFactor.power(Fraction(1, n)), n),
             "product": PlainPolynomialSpec(
                 n, [(Fraction(1), {i: 1 for i in range(1, n + 1)})]),
             "min": OrderStatPolynomialSpec(os_function(n, 1)),
@@ -376,8 +376,8 @@ class TestBuiltins:
 
     def test_geometric_mean_is_power_product(self):
         spec = resolve_builtin("geometric-mean", 3)
-        assert isinstance(spec, PowerProductSpec)
-        assert spec.exponent == Fraction(1, 3)
+        assert spec == MultiplicativeSpec.symmetric(
+            UnaryFactor.power(Fraction(1, 3)), 3)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_power_product_evaluator_equals_np_prod(self, n):
@@ -385,12 +385,50 @@ class TestBuiltins:
         x = np.random.default_rng(n).random((1000, n))
         for exponent in ("2/3", "1/%d" % n):
             c = float(Fraction(exponent))
-            evaluator = PowerProductSpec(n, exponent).evaluator()
+            evaluator = MultiplicativeSpec.symmetric(
+                UnaryFactor.power(exponent), n).evaluator()
             assert np.array_equal(evaluator(x), np.prod(x, axis=1) ** c)
             for k in (1, n):
                 assert np.array_equal(
                     evaluator.slope(x, k),
                     c * np.prod(x, axis=1) ** c / np.sort(x, axis=1)[:, k - 1])
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_one_exponent_is_the_column_product_to_the_power(self, n):
+        # up to PRODUCT_CHUNK columns the map multiplies them in order and
+        # takes one power, bit for bit
+        assert n <= funcspec.PRODUCT_CHUNK
+        x = np.random.default_rng(n).random((2000, n))
+        p = x[:, 0].copy()
+        for i in range(1, n):
+            p *= x[:, i]
+        for c in ("2/3", "-2/5", "3"):
+            spec = MultiplicativeSpec.symmetric(UnaryFactor.power(c), n)
+            want = p ** float(Fraction(c))
+            assert spec.evaluator()(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8, 65, 1000])
+    def test_mixed_exponents_are_the_product_of_powers(self, n):
+        # the column-by-column product of powers, and the derivative along
+        # rank k is c f / x_(k) with c the exponent of the column at rank k
+        rng = np.random.default_rng(n)
+        choices = ("-2/5", "1/3", "1/2", "-1/4", "0", "2")
+        exponents = [Fraction(choices[i]) for i in rng.integers(0, 6, n)]
+        exponents[:3] = Fraction(-2, 5), Fraction(1, 2), Fraction(2)
+        spec = MultiplicativeSpec(n, tuple(map(UnaryFactor.power, exponents)))
+        c = np.array([float(e) for e in exponents])
+        x = rng.random((500, n))
+        want = np.ones(len(x))
+        for i in range(n):
+            want *= x[:, i] ** c[i]
+        evaluator = spec.evaluator()
+        f = evaluator(x)
+        np.testing.assert_allclose(f, want, rtol=1e-12, atol=0)
+        rows = np.arange(len(x))
+        for k in (1, (n + 1) // 2, n):
+            column = np.argsort(x, axis=1)[:, k - 1]
+            assert np.array_equal(evaluator.slope(x, k),
+                                  c[column] * f / x[rows, column])
 
     def test_min_max_median(self):
         assert influence_value(resolve_builtin("min", 3), 1, "exact") == 1
@@ -511,10 +549,10 @@ DECLARATIONS = {
         MultiplicativeSpec, CLOSED_MC, "multiplicative"),
     "power-product": (
         {"kind": "power-product", "arity": 3, "exponent": "1/3"},
-        PowerProductSpec, CLOSED_MC, "power-product"),
+        MultiplicativeSpec, CLOSED_MC, "multiplicative"),
     "variance": (None, VarianceSpec, EXACT_MC, "plain-polynomial"),
     "arithmetic-mean": (None, SetFunctionSpec, EXACT_MC, "set-function"),
-    "geometric-mean": (None, PowerProductSpec, CLOSED_MC, "power-product"),
+    "geometric-mean": (None, MultiplicativeSpec, CLOSED_MC, "multiplicative"),
     "product": (None, PlainPolynomialSpec, EXACT_MC, "plain-polynomial"),
     "min": (None, OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial"),
     "max": (None, OrderStatPolynomialSpec, EXACT_MC, "orderstat-polynomial"),

@@ -27,8 +27,9 @@ from ordinfluence import (
     influence_mc_diffquotient,
 )
 from ordinfluence import montecarlo
-from ordinfluence.funcspec import OrderStatPolynomialSpec, PowerProductSpec, \
-    SetFunctionSpec
+from ordinfluence.closedforms import UnaryFactor
+from ordinfluence.funcspec import MultiplicativeSpec, \
+    OrderStatPolynomialSpec, SetFunctionSpec
 from ordinfluence.lovasz import lovasz_eval_batch, lovasz_slope_batch
 from ordinfluence.montecarlo import (
     BATCH,
@@ -156,7 +157,7 @@ class TestSortedColumns:
         poly = random_orderstat_polynomial(rng, n)
         assert np.array_equal(OrderStatPolynomialSpec(poly).evaluator()(x),
                               poly_evaluator(poly)(x))
-        ev = PowerProductSpec(n, "2/3").evaluator()
+        ev = power_product(n, "2/3").evaluator()
         for k in (1, n):
             col = np.argsort(x, axis=1, kind="stable")[:, k - 1]
             expected = 2.0 / 3.0 * ev(x) / x[np.arange(len(x)), col]
@@ -170,7 +171,8 @@ class TestSortedColumns:
                                   lovasz_slope_batch(values, x, k, row_sort))
         # called without a block, an evaluator sorts as an estimator would
         for ev in (OrderStatPolynomialSpec(poly).evaluator(), ev,
-                   PowerProductSpec(n, "2/3").evaluator()):
+                   power_product(n, "2/3").evaluator(),
+                   mixed_product(n).evaluator()):
             assert ev.takes_sorted
             assert np.array_equal(ev(x), ev(x, sorted_columns(x)))
             for k in (1, n):
@@ -278,6 +280,18 @@ class TestSortedReferences:
         assert outputs[:half] == outputs[half:]
 
 
+def power_product(n, c):
+    """(x_1 ... x_n)^c, as a power-product file loads it."""
+    return MultiplicativeSpec.symmetric(UnaryFactor.power(c), n)
+
+
+def mixed_product(n):
+    """prod_i x_i^{c_i} with the exponents 1/2, 2, -1/4, 1 in turn."""
+    exponents = ("1/2", "2", "-1/4", "1")
+    return MultiplicativeSpec(n, tuple(UnaryFactor.power(exponents[i % 4])
+                                       for i in range(n)))
+
+
 def black_box(ev):
     """``ev`` behind the plain (m, n) contract: its maps sort for
     themselves."""
@@ -292,14 +306,15 @@ class TestSortedBlock:
 
     @pytest.mark.parametrize("n", [6, 14])
     @pytest.mark.parametrize("kind", ["orderstat", "set-function",
-                                      "power-product"])
+                                      "power-product", "multiplicative"])
     def test_pass_never_sorts_again(self, kind, n, rng, monkeypatch):
         assert 6 <= NETWORK_MAX_ARITY < 14
         spec = {"orderstat": lambda: OrderStatPolynomialSpec(
                     random_orderstat_polynomial(rng, n)),
                 "set-function": lambda: SetFunctionSpec(
                     random_set_function(rng, n)),
-                "power-product": lambda: PowerProductSpec(n, "2/3")}[kind]()
+                "power-product": lambda: power_product(n, "2/3"),
+                "multiplicative": lambda: mixed_product(n)}[kind]()
         samples, ranks = BATCH + 5, (1, n // 2, n)
 
         def runs(ev):

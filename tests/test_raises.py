@@ -11,7 +11,6 @@ from ordinfluence import (
     DomainError,
     Evaluator,
     MultiplicativeSpec,
-    PowerProductSpec,
     SetFunction,
     UnaryFactor,
     monomial,
@@ -99,9 +98,6 @@ CASES = {
     "ratio-exponent": (
         lambda: power_product_ratio(-0.5, 1),
         DomainError, "exponent must exceed -1/2, got -0.5"),
-    "power-product-exponent": (
-        lambda: PowerProductSpec(2, "-1/2"),
-        DomainError, "exponent must exceed -1/2"),
     "variance-arity": (
         lambda: variance_profile(1),
         DomainError, "variance statistic needs arity >= 2"),

@@ -75,8 +75,12 @@ RECORDS = {
             {"kind": "multiplicative", "arity": 2,
              "factors": [{"exponent": "1/2"}, {"exponent": 2}]}),
         ("arity", "factors"), False),
-    "PowerProductSpec": (funcspec.PowerProductSpec(3, F(2, 3)),
-                         ("arity", "exponent"), False),
+    # the multiplicative kind as a power-product file loads it; its class is
+    # MultiplicativeSpec, which replaced PowerProductSpec
+    "PowerProductSpec": (
+        funcspec.parse_spec_document(
+            {"kind": "power-product", "arity": 3, "exponent": "2/3"}),
+        ("arity", "factors"), False),
     "RawEvaluatorSpec": (funcspec.RawEvaluatorSpec(EVALUATOR), ("raw",),
                          False),
     "ReportDocument": (
@@ -195,5 +199,5 @@ def test_post_init_checks_run():
     with pytest.raises(DomainError):
         funcspec.MultiplicativeSpec(3, (FACTOR,))
     with pytest.raises(DomainError):
-        funcspec.PowerProductSpec(2, F(-1, 2))
-    assert funcspec.PowerProductSpec(2, "1/3").exponent == F(1, 3)
+        closedforms.UnaryFactor.power(F(-1, 2))
+    assert closedforms.UnaryFactor.power("1/3").exponent == F(1, 3)
