@@ -185,9 +185,13 @@ class SetFunctionSpec(FunctionSpec):
     def moments(self, norm_sq=True):
         from . import lovasz
         v = self.set_function
-        levels = lovasz.level_averages(v)
-        return Moments(v.arity, self.engine, levels.influence_profile(),
-                       levels.mean(),
+        n = v.arity
+        # I(f, k) = vbar(n-k+1) - vbar(n-k), mean = sum_s vbar(s) / (n + 1)
+        vnum, denominator = lovasz._level_numerators(v)
+        return Moments(n, self.engine,
+                       tuple(Fraction(vnum[n - k + 1] - vnum[n - k], denominator)
+                             for k in range(1, n + 1)),
+                       Fraction(sum(vnum), (n + 1) * denominator),
                        lovasz.norm_sq_lovasz(v) if norm_sq else None)
 
     def _maps(self):
@@ -262,9 +266,15 @@ class MultiplicativeSpec(FunctionSpec):
         return product
 
     def mean(self) -> float:
+        """prod_i Phi_i(1).  For x^c, c = p/d, Phi(1) = d / (p + d) in int
+        true division, which rounds correctly, so equals float(phi_one())."""
         out = 1.0
         for factor in self.factors:
-            out *= float(factor.phi_one())
+            if factor.is_symbolic:
+                c = factor.exponent
+                out *= c.denominator / (c.numerator + c.denominator)
+            else:
+                out *= float(factor.phi_one())
         return out
 
     def norm_sq(self) -> float:

@@ -12,11 +12,13 @@ It is built from the values' integer ratios (p, q): a spec file's values are
 parsed to ratios, not to Fractions, and strings are printed from p and D.
 Each computation copies that table, as int64 when a bound on every
 intermediate shows it cannot overflow and as Python ints otherwise.
-The profile and the mean need only the level averages vbar(s), one pass of
-sums per cardinality over v's table; mbar(s) follows by binomial inversion.
-Zeta and Moebius are butterfly passes over a (2,)*n view of the table, one
-axis per element, run only when a transform is asked for; each hands its
-integer table to the object it returns.
+The profile and the mean need only the level averages vbar(s): one pass of
+sums per cardinality over v's table, put over one denominator, from which
+each I(f, k) and the mean is one Fraction; mbar(s) follows by binomial
+inversion.  Zeta and Moebius are butterfly passes with the bitmask on the
+table's first axis, each pass adding whole blocks of rows, run only when a
+transform is asked for; each hands its integer table to the object it
+returns.  The chain-form norm runs the same passes over a (2^n, n+1) table.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .projection import ShiftedLStatistic
 from .record import FrozenRecord, set_field
 
 # Dense 2^n tables.  Exact approx of the arithmetic mean, CLI end to end on 2
-# CPUs (Python 3.11, bytecode cached): arity 16 takes 0.24-0.25 s and 50 MB
-# peak RSS, arity 18 0.37-0.40 s and 116 MB, arity 20 1.1-1.35 s and 406 MB,
-# of which the chain-form norm is about 0.9 s.
+# CPUs (Python 3.11, bytecode cached): arity 16 takes 0.18-0.19 s and 50 MB
+# peak RSS, arity 18 0.27-0.30 s and 116 MB, arity 20 0.84-1.22 s and 406 MB,
+# of which the chain-form norm is 0.73-0.92 s.
 MAX_ARITY = 20
 # Rows of a Monte-Carlo batch that lovasz_eval_batch evaluates at once: its
 # upper-set masks and gathered terms take about n + 1 rows of floats per
@@ -176,15 +178,13 @@ def _integer_table(x: _DenseTable, limit: int) -> Tuple[np.ndarray, int]:
 
 def _butterfly(table: np.ndarray, n: int, sign: int) -> None:
     """In place, for each element i: t(S) += sign * t(S - {i}) for S containing
-    i.  The last axis of ``table`` is indexed by bitmask; with sign +1 this is
-    the zeta transform, with -1 the Moebius transform.  Neither multiplies
-    the largest magnitude by more than 2^n."""
-    cube = table.reshape(table.shape[:-1] + (2,) * n)
-    lead = (slice(None),) * (table.ndim - 1)
-    for axis in range(n):
-        # slices, not integers, so that even a 0-d selection stays a view
-        upper = cube[lead + (slice(None),) * axis + (slice(1, 2),)]
-        lower = cube[lead + (slice(None),) * axis + (slice(0, 1),)]
+    i.  The first axis of the C-contiguous ``table`` is indexed by bitmask;
+    with sign +1 this is the zeta transform, with -1 the Moebius transform.
+    Neither multiplies the largest magnitude by more than 2^n."""
+    for i in range(n):
+        # axis 1 is bit i; the trailing axis holds 2^i whole rows of table
+        cube = table.reshape(1 << (n - 1 - i), 2, -1)
+        upper, lower = cube[:, 1], cube[:, 0]
         if sign > 0:
             upper += lower
         else:
@@ -204,10 +204,10 @@ def _levels(n: int) -> tuple:
 
 
 def _level_sums(table: np.ndarray, n: int) -> list:
-    """Sums of ``table`` over the subsets of each cardinality s = 0..n (last
+    """Sums of ``table`` over the subsets of each cardinality s = 0..n (first
     axis indexed by the bitmasks of 2^[n]), as Python ints."""
     _, order, starts = _levels(n)
-    return np.add.reduceat(table[..., order], starts, axis=-1).tolist()
+    return np.add.reduceat(table[order], starts).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +257,31 @@ class LevelAverages(FrozenRecord):
         return sum(self.vbar, Fraction(0)) / (self.arity + 1)
 
 
-def level_averages(v: SetFunction) -> LevelAverages:
-    """vbar and mbar from one pass of level sums over v's integer table, with
-    no Moebius transform: each T of size t lies in C(n-t, s-t) sets of size
-    s, so sum_{|S|=s} m(S) = sum_t (-1)^(s-t) C(n-t, s-t) sum_{|T|=t} v(T)."""
+def _level_numerators(v: SetFunction) -> Tuple[list, int]:
+    """The level averages vbar(0..n) of v as integers over one denominator,
+    and that denominator: one pass of level sums over v's integer table, the
+    sum over the C(n, s) sets of size s scaled to lcm_s C(n, s) times v's D."""
     n = v.arity
     # a level holds at most 2^n sets
     table, scale = _integer_table(v, _INT64_MAX >> n)
-    vsum = _level_sums(table, n)
-    msum = [sum((-1) ** (s - t) * comb(n - t, s - t) * vsum[t]
-                for t in range(s + 1))
+    sizes = [comb(n, s) for s in range(n + 1)]
+    common = lcm(*sizes)
+    return ([total * (common // size)
+             for total, size in zip(_level_sums(table, n), sizes)],
+            common * scale)
+
+
+def level_averages(v: SetFunction) -> LevelAverages:
+    """vbar and mbar from ``_level_numerators``, with no Moebius transform:
+    each T of size t lies in C(n-t, s-t) sets of size s, so
+    sum_{|S|=s} m(S) = sum_t (-1)^(s-t) C(n-t, s-t) sum_{|T|=t} v(T), that is
+    mbar(s) = sum_t (-1)^(s-t) C(s, t) vbar(t)."""
+    n = v.arity
+    vnum, denominator = _level_numerators(v)
+    mnum = [sum((-1) ** (s - t) * comb(s, t) * vnum[t] for t in range(s + 1))
             for s in range(n + 1)]
-    vbar = tuple(Fraction(vsum[s], comb(n, s) * scale) for s in range(n + 1))
-    mbar = tuple(Fraction(msum[s], comb(n, s) * scale) for s in range(n + 1))
+    vbar = tuple(Fraction(x, denominator) for x in vnum)
+    mbar = tuple(Fraction(x, denominator) for x in mnum)
     return LevelAverages(n, vbar, mbar)
 
 
@@ -415,14 +427,14 @@ def norm_sq_lovasz(v: SetFunction) -> Fraction:
     # <= 3^n, so every partial sum stays within peak^2 3^n
     table, scale = _integer_table(v, isqrt(_INT64_MAX // 3 ** n))
     counts = _levels(n)[0]
-    # row b starts as v on the sets of size b; the zeta transform makes it z_b
-    ranked = np.zeros((n + 1, 1 << n), dtype=table.dtype)
-    ranked[counts, np.arange(1 << n)] = table
+    # column b starts as v on the sets of size b; the zeta transform makes it z_b
+    ranked = np.zeros((1 << n, n + 1), dtype=table.dtype)
+    ranked[np.arange(1 << n), counts] = table
     _butterfly(ranked, n, 1)
-    ranked *= table
+    ranked *= table[:, None]
     pairs = _level_sums(ranked, n)
     # 1 / (C(n,a) C(a,b)) = (n-a)! (a-b)! b! / n!
     fact = [factorial(i) for i in range(n + 3)]
-    total = sum(pairs[b][a] * fact[n - a] * fact[a - b] * fact[b]
+    total = sum(pairs[a][b] * fact[n - a] * fact[a - b] * fact[b]
                 for a in range(n + 1) for b in range(a + 1))
     return Fraction(2 * total, fact[n + 2] * scale * scale)

@@ -212,6 +212,19 @@ class TestMultiplicative:
         spec = MultiplicativeSpec.symmetric(UnaryFactor.power(1), 2)
         assert spec.mean() == pytest.approx(0.25, abs=1e-12)
         assert spec.norm_sq() == pytest.approx(1 / 9, abs=1e-12)
+        # the mean of powers takes d / (p + d) for c = p/d, bit for bit the
+        # product of the exact Phi(1) = 1 / (c + 1) as floats
+        rng = random.Random(108)
+        for n in (1, 8, 1000):
+            exponents = [Fraction(rng.randint(-10 ** 17, 10 ** 18),
+                                  rng.randint(2 * 10 ** 17 + 1, 10 ** 18))
+                         for _ in range(n)]
+            exponents[0] = Fraction(-1, 3)
+            factors = tuple(map(UnaryFactor.power, exponents))
+            product = 1.0
+            for factor in factors:
+                product *= float(factor.phi_one())
+            assert MultiplicativeSpec(n, factors).mean() == product
 
     def test_callable_factor_evaluates_as_per_point_loop(self):
         spec = MultiplicativeSpec(2, (UnaryFactor.from_callable(math.sqrt),

@@ -22,8 +22,10 @@ from ordinfluence import (
     zeta,
 )
 from ordinfluence import lovasz
+from ordinfluence.funcspec import SetFunctionSpec
 from ordinfluence.lovasz import level_averages
 from ordinfluence.montecarlo import sorted_columns
+from ordinfluence.projection import Moments
 
 from conftest import random_set_function
 from reference import (
@@ -121,6 +123,15 @@ def scaled_cases(factor):
     numerators no factor enlarges."""
     return [SetFunction(v.arity, tuple(factor * x for x in v.values))
             for v in chain_form_cases() if any(v.values)]
+
+
+def wide_cases(factor, arities):
+    """One seeded set function per arity, values with denominators 1..9,
+    times ``factor``."""
+    rng = random.Random(45_2026)
+    return [SetFunction(n, tuple(
+        factor * Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        for _ in range(1 << n))) for n in arities]
 
 
 @pytest.fixture
@@ -224,15 +235,25 @@ class TestTableObject:
 class TestIntegerTables:
     def test_mobius_and_levels_match_fraction_loops(self, table_dtypes):
         # the scaled cases put the level sums on Python ints
-        for v in chain_form_cases() + scaled_cases(2 ** 60 + Fraction(1, 7)):
+        big = 2 ** 60 + Fraction(1, 7)
+        for v in (chain_form_cases() + scaled_cases(big)
+                  + wide_cases(1, range(7, 13)) + wide_cases(big, range(7, 13))):
+            n = v.arity
             m = reference_mobius(v)
             vbar, mbar = reference_level_averages(v)
             levels = lovasz.level_averages(v)
             assert mobius(v).values == m
             assert (levels.vbar, levels.mbar) == (vbar, mbar)
-            assert levels.mean() == sum(
+            profile = tuple(vbar[n - k + 1] - vbar[n - k]
+                            for k in range(1, n + 1))
+            mean = sum(vbar) / (n + 1)
+            assert levels.influence_profile() == profile
+            assert levels.mean() == mean == sum(
                 (c / (bin(mask).count("1") + 1) for mask, c in enumerate(m)),
                 Fraction(0))
+            if n <= 8:
+                assert SetFunctionSpec(v).moments(True) == Moments(
+                    n, "exact", profile, mean, norm_sq_lovasz(v))
         assert set(table_dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
     @pytest.mark.parametrize("factor, dtype", [(1, np.int64),
@@ -240,6 +261,8 @@ class TestIntegerTables:
     def test_round_trip_on_both_dtypes(self, factor, dtype, table_dtypes):
         for w in scaled_cases(factor):
             assert zeta(mobius(w)).values == w.values
+        for w in wide_cases(factor, range(7, 15)):
+            assert zeta(mobius(w)) == w
         assert set(table_dtypes) == {np.dtype(dtype)}
 
     def test_mobius_at_the_int64_edge(self, table_dtypes):
@@ -261,7 +284,8 @@ class TestChainFormNorm:
 
     def test_object_fallback_matches_pair_sum(self, table_dtypes):
         # numerators >= 2^40 square past int64, so the norm works on Python ints
-        for w in scaled_cases(2 ** 40 + Fraction(1, 3)):
+        for w in (scaled_cases(2 ** 40 + Fraction(1, 3))
+                  + wide_cases(2 ** 40 + Fraction(1, 3), (7, 8))):
             table_dtypes.clear()
             assert norm_sq_lovasz(w) == pair_sum_norm_sq(w)
             assert np.dtype(object) in table_dtypes
