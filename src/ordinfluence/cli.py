@@ -78,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by name, for main to call directly
+    parser.commands = sub.choices
 
     def common(p, with_method=True, with_samples=True):
         p.add_argument("spec", help="path to a JSON function spec")
@@ -291,7 +293,20 @@ def cmd_crosscheck(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser would only pick the subcommand and hand it the
+    # rest, so a known command's own parser reads the rest directly.  The
+    # top-level parser takes every other call, where its usage line and
+    # message are argparse's: no command, an unknown one, arguments the
+    # subcommand leaves over, and "--=..." after the command, which it
+    # rejects as ambiguous between its --help and --version first.
+    command = parser.commands.get(argv[0]) if argv else None
+    args = extras = None
+    if command is not None and not any(a.startswith("--=") for a in argv):
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or extras:
+        args = parser.parse_args(argv)
     exit_code = EXIT_OK
     try:
         args.seed = _seed(args.seed)

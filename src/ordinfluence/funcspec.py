@@ -581,11 +581,13 @@ def parse_spec_document(doc: dict) -> FunctionSpec:
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's (key, value) pairs as a dict; a key named twice, of
     which json would keep the last value, raises SpecFileError."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise SpecFileError("key %r named twice" % key)
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecFileError("key %r named twice" % key)
+            seen.add(key)
     return doc
 
 

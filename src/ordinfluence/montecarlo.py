@@ -208,15 +208,16 @@ class _Accumulator:
         evaluator's values at the points, if given, tell an overflowed
         product from a non-finite value."""
         z = block.reshape(-1, block.shape[-1])
-        if self.shift is None:
-            # trace a non-finite mean to its point before the shift spreads it
-            self.shift = z.mean(axis=1, keepdims=True)
-            if not np.isfinite(self.shift).all():
-                _check_finite(z, points, values)
-        z -= self.shift
-        # OpenBLAS splits one row's long dot product over its threads, so
-        # its rounding would follow the CPU count; einsum sums in one loop
         with np.errstate(over="ignore", invalid="ignore"):
+            if self.shift is None:
+                # trace a non-finite mean to its point before the shift
+                # spreads it
+                self.shift = z.mean(axis=1, keepdims=True)
+                if not np.isfinite(self.shift).all():
+                    _check_finite(z, points, values)
+            z -= self.shift
+            # OpenBLAS splits one row's long dot product over its threads, so
+            # its rounding would follow the CPU count; einsum sums in one loop
             cross = self.cross + (np.einsum("ij,kj->ik", z, z) if len(z) == 1
                                   else z @ z.T)
         if not np.isfinite(cross).all():
@@ -445,7 +446,10 @@ def influence_mc_covariance(f: Evaluator, k: int, samples: int,
     with closing(_drawn_ahead(_rng(seed), samples, (n,))) as batches:
         for (x,) in batches:
             xs = _sort_into(x, columns[:, :len(x)])
-            acc.add(f(x, xs) * _g_kernel(n, *_neighbours(xs, k)), x)
+            value = f(x, xs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = value * _g_kernel(n, *_neighbours(xs, k))
+            acc.add(block, x, value)
     return acc.estimate(seed, "covariance")
 
 
@@ -467,8 +471,10 @@ def influence_mc_derivative(f: Evaluator, k: int, samples: int,
             m = len(x)
             xs = _sort_into(x, columns[:, :m])
             h = _h_density(n, *_neighbours(xs, k))
-            acc.add(np.multiply(h, f.slope(x, k, xs), out=np.zeros(m),
-                                where=h > 0.0), x)
+            slope = f.slope(x, k, xs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = np.multiply(h, slope, out=np.zeros(m), where=h > 0.0)
+            acc.add(block, x, slope)
     return acc.estimate(seed, "derivative")
 
 
@@ -507,15 +513,19 @@ def influence_mc_diffquotient(f: Evaluator, k: int, samples: int, seed: int,
             # the shifted points' sorted columns are xs with row k-1 moved:
             # x_(k) + gap * s with s < 1 does not round past x_(k+1)
             np.copyto(mid, moved, where=gap > 0.0)
-            increment = f(shifted, xs) - value
-            if variant == "uniform-y":
-                contrib = scale * gap * increment
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
+            moved_value = f(shifted, xs)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                increment = moved_value - value
+                if variant == "uniform-y":
+                    contrib = scale * gap * increment
+                else:
                     quotient = np.where(h > 0.0,
                                         increment / np.where(h > 0.0, h, 1.0), 0.0)
-                contrib = quotient * scale * gap * gap / 2.0
-            acc.add(np.where(gap > 0.0, contrib, 0.0), x)
+                    contrib = quotient * scale * gap * gap / 2.0
+            # finite where both values are: a non-finite contribution there
+            # is an overflowed product
+            both = np.where(np.isfinite(value), moved_value, value)
+            acc.add(np.where(gap > 0.0, contrib, 0.0), x, both)
     return acc.estimate(seed, "diff-quotient", variant)
 
 

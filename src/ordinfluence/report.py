@@ -40,24 +40,34 @@ def _key_json(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _float_json(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+# the JSON text of a scalar, by its exact type
+_SCALAR_JSON = {str: encode_basestring_ascii, type(None): lambda value: "null",
+                bool: lambda value: "true" if value else "false",
+                int: int.__repr__, float: _float_json}
+
+
 def _to_json(value, indent: str) -> str:
     """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True)``
     lays it out, nested at ``indent``, except that a non-finite float value is
     ``null``.  The json module writes that layout with its pure-Python
-    encoder; here every string goes through its C string encoder, a whole
-    list of strings at once."""
+    encoder.  Here a scalar is looked up by its exact type, and a subclass
+    (an ``IntEnum`` member) tested for after; every string goes through the C
+    string encoder, a whole list of strings at once; and a list of dicts with
+    one key set of str keys, such as the report's rows, has those keys sorted
+    and encoded once for the whole list."""
+    scalar = _SCALAR_JSON.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
+        return _float_json(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -65,7 +75,8 @@ def _to_json(value, indent: str) -> str:
         try:  # a list of strings, such as a spec echo, in one C pass
             items = list(map(encode_basestring_ascii, value))
         except TypeError:  # some item is not a string
-            items = [_to_json(item, inner) for item in value]
+            items = (_rows_json(value, inner)
+                     or [_to_json(item, inner) for item in value])
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
     if isinstance(value, dict):
         if not value:
@@ -75,6 +86,23 @@ def _to_json(value, indent: str) -> str:
         return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(value).__name__)
+
+
+def _rows_json(rows, indent: str):
+    """The JSON text of each of ``rows``, nested at ``indent``, when they are
+    dicts with one nonempty key set of str keys; else None."""
+    keys = rows[0].keys() if type(rows[0]) is dict else ()
+    if not keys or not all(type(key) is str for key in keys) or not all(
+            type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    order = sorted(keys)
+    inner = indent + "  "
+    heads = [encode_basestring_ascii(key) + ": " for key in order]
+    join = (",\n" + inner).join
+    return ["{\n%s%s\n%s}" % (inner, join([head + _to_json(row[key], inner)
+                                          for head, key in zip(heads, order)]),
+                              indent)
+            for row in rows]
 
 
 class ReportDocument(Record):

@@ -21,6 +21,8 @@ from ordinfluence import (
 from ordinfluence.funcspec import RawEvaluatorSpec
 from ordinfluence.report import ReportDocument
 
+from conftest import run_fresh
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -424,6 +426,28 @@ class TestExitCodes:
             assert err == ("error: a product of finite evaluator values "
                            "overflowed\n"), coefficient
 
+    @pytest.mark.parametrize("doc, command", [
+        ({"kind": "set-function", "arity": 1, "values": [4, 1e308]},
+         ["influence", "--all", "--method", "mc"]),
+        ({"kind": "plain-polynomial", "arity": 1, "constant": -1e308,
+          "terms": [{"coefficient": 3, "exponents": {}}]},
+         ["influence", "--all", "--method", "mc"]),
+        ({"kind": "plain-polynomial", "arity": 1, "constant": -1e308,
+          "terms": [{"coefficient": 3, "exponents": {}}]},
+         ["crosscheck", "-k", "1"]),
+    ], ids=["set-function", "polynomial", "crosscheck"])
+    def test_overflowing_sums_exit_4_with_one_line(self, tmp_path, doc,
+                                                   command):
+        # every value of f is finite near the float max: the shift mean's
+        # sum and the estimators' products overflow, and numpy prints no
+        # warning of it ahead of the one error line (run_fresh checks)
+        proc = run_fresh("-m", "ordinfluence", command[0],
+                         write_spec(tmp_path, doc), *command[1:],
+                         "--samples", "2000")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("error: a product of finite evaluator values "
+                               "overflowed\n")
+
     @pytest.mark.parametrize("command", [["influence", "-k", "1"], ["approx"]],
                              ids=["influence", "approx"])
     def test_negative_power_product_at_arity_1000_exits_4(self, tmp_path,
@@ -817,6 +841,77 @@ class TestParserBuiltOnce:
         capsys.readouterr()
         assert run_all() == first
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestDispatch:
+    """``main`` hands the arguments after a known command to that command's
+    parser; every call prints what the top-level ``parse_args`` and the
+    command print."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code,) + tuple(capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        ["influence", "P", "--all", "--format", "json"],
+        ["influence", "P", "-k", "2", "--method", "mc", "--samples", "2000",
+         "--seed", "3", "--format", "csv"],
+        ["approx", "P", "--method", "exact"],
+        ["lovasz", "M", "--mobius", "--format", "json"],
+        ["crosscheck", "P", "-k", "1", "--samples", "2000", "--seed", "4"],
+        ["influence", "P", "--all", "--meth", "exact"],
+        ["influence", "--all", "--", "P"],
+        ["influence", "-h"],
+        ["--version"],
+        ["-h"],
+        [],
+        ["frobnicate", "P"],
+        ["--", "influence", "P", "--all"],
+        ["influence", "P", "--all", "--bogus"],
+        ["influence", "P", "--all", "extra"],
+        ["influence", "P", "--all", "--version"],
+        ["influence", "P", "--all", "--=x"],
+        ["influence", "P", "--all", "--s", "1"],
+        ["influence", "P"],
+        ["influence", "P", "-k", "1", "--all"],
+        ["influence", "P", "-k", "9"],
+        ["influence", "P", "--all", "--seed", "x"],
+        ["approx"],
+        ["crosscheck", "P"],
+        ["lovasz", "P"],
+    ], ids=lambda argv: " ".join(argv) or "no-argument")
+    def test_same_output_as_the_top_level_parse(self, tmp_path, capsys,
+                                                monkeypatch, argv):
+        monkeypatch.delenv("ORDINFLUENCE_SEED", raising=False)
+        paths = {"P": write_spec(tmp_path, PRODUCT_DOC, "p.json"),
+                 "M": write_spec(tmp_path, MEAN_DOC, "m.json")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        direct = self.outcome(capsys, argv)
+        # with no command's parser to call, main gives every call to the
+        # top-level parse_args
+        monkeypatch.setattr(cli._build_parser(), "commands", {})
+        assert self.outcome(capsys, argv) == direct
+
+    def test_valid_calls_skip_the_top_level_parser(self, tmp_path, capsys,
+                                                   monkeypatch):
+        parser = cli._build_parser()
+        calls = []
+        top_level = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *a, **k: calls.append(a) or top_level(*a, **k))
+        product = write_spec(tmp_path, PRODUCT_DOC)
+        for argv in (["influence", product, "--all"],
+                     ["approx", product, "--format", "json"],
+                     ["lovasz", write_spec(tmp_path, MEAN_DOC, "m.json")],
+                     ["crosscheck", product, "-k", "2", "--samples", "2000"]):
+            assert cli.main(argv) == 0 and calls == [], argv
+        with pytest.raises(SystemExit):
+            cli.main(["influence", product, "--all", "--bogus"])
+        assert len(calls) == 1
 
 
 class TestEnvironment:

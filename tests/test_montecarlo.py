@@ -424,9 +424,9 @@ class TestTiedPoints:
         blocks = []
 
         class Recording(_Accumulator):
-            def add(self, block, points):
+            def add(self, block, points, values=None):
                 blocks.append(block.copy())
-                super().add(block, points)
+                super().add(block, points, values)
 
         monkeypatch.setattr(montecarlo, "_Accumulator", Recording)
         assert (influence_mc_derivative(ev, k, samples, 6)

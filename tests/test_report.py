@@ -2,6 +2,7 @@
 sort_keys=True)`` of the document with its non-finite float values as None,
 byte for byte."""
 
+import enum
 import json
 import math
 import random
@@ -16,7 +17,17 @@ STRINGS = ("", "k", "1/3", "-17/12", 'quote " and \\ backslash',
 FLOATS = (0.0, -0.0, 0.1, -2.5, 1e-300, 1.7976931348623157e308, 5e-324,
           math.nan, math.inf, -math.inf)
 INTS = (0, 1, -1, 12, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 3 ** 90)
-SCALARS = STRINGS + FLOATS + INTS + (True, False, None)
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 70
+
+
+SCALARS = STRINGS + FLOATS + INTS + (True, False, None, Level.LOW, Level.HIGH)
+# key sets of a table's rows, each of one key type
+ROW_KEYS = (("k", "value", "rational", "se", "method"), ("k",), (0, 1, -1),
+            (0.5, -2.0), (True, False))
 
 
 def strict(value):
@@ -46,9 +57,19 @@ def random_json(rng, depth=0):
             random_json(rng, depth + 1)]
     if kind == 3:
         return [random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if kind == 4:  # rows, as in a report's results
-        return [{"k": k, "value": rng.choice(FLOATS), "se": None,
-                 "rational": rng.choice(STRINGS)} for k in range(rng.randrange(4))]
+    if kind == 4:  # rows, as in a report's results, of zero, one or more
+        keys = rng.choice(ROW_KEYS)
+        rows = [{key: rng.choice(SCALARS) for key in keys}
+                for _ in range(rng.choice((0, 1, 1, 2, 4, 9)))]
+        for row in rows:
+            if rng.random() < 0.2:  # key sets differ
+                if type(keys[0]) is str:
+                    row["normalized"] = rng.choice(FLOATS)
+                else:
+                    del row[keys[-1]]
+            if rng.random() < 0.2:  # a row holds a list or a dict
+                row[rng.choice(keys)] = random_json(rng, depth + 1)
+        return rows
     if kind == 5:
         return tuple(random_json(rng, depth + 1) for _ in range(rng.randrange(3)))
     keys = rng.choice((STRINGS, INTS, FLOATS[:-3], (True, False)))
@@ -68,6 +89,10 @@ def test_random_documents_match_json_dumps():
     {"z": 1, "a": 2, "m": {"y": [1.5, "x"], "b": None}},
     {None: 1}, {True: 2, False: 3}, {1.5: "x", -2.0: "y", math.nan: "z"},
     ["1/3"] * 5 + [7], [[str(i)] for i in range(3)],
+    [{"a": 1}], [{}, {}], [{"a": 1}, {}], [{"b": 1, "a": 2}, {"a": 3}],
+    [{"a": 1}, [{"a": 2}]], [{"a": [1, {"b": None}]}, {"a": {"c": []}}],
+    [{1: "x"}, {True: "y"}], [{1.0: "x"}, {1: "y"}], [{None: 1}, {None: 2}],
+    [{"a": Level.LOW, "b": True}, {"a": False, "b": Level.HIGH}],
 ])
 def test_edge_documents_match_json_dumps(value):
     assert _to_json(value, "") == dumps(value)
