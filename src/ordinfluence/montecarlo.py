@@ -29,14 +29,14 @@ h_k vanishes there, and so does the mass of the gap.  Such points have
 probability zero.
 
 Every estimator reads order statistics of the sampled points, and sorts each
-batch once, into a block it owns.  An evaluator whose maps read order
-statistics is handed that block, and the difference quotient then moves
-row k-1 of it in place for its shifted points, so nothing sorts a batch
-again.  Up to NETWORK_MAX_ARITY coordinates the sort runs Batcher's odd-even
-merge sorting network (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4) as
-np.minimum / np.maximum over whole columns, which beats numpy's per-row
-sort; above the crossover it copies np.sort's result into the block.  The
-values are the same either way.
+batch once, at every arity, into a block it owns.  An evaluator whose maps
+read order statistics, the set functions' among them, is handed that block,
+and the difference quotient moves row k-1 of it in place for its shifted
+points, so nothing sorts a batch again.  Up to NETWORK_MAX_ARITY
+coordinates the sort runs Batcher's odd-even merge sorting network (Batcher
+1968; Knuth, TAOCP vol. 3, 5.3.4) as np.minimum / np.maximum over whole
+columns, which beats numpy's per-row sort; above the crossover it copies
+np.sort's result into the block.  The values are the same either way.
 """
 
 from __future__ import annotations
@@ -115,15 +115,17 @@ class Evaluator(FrozenRecord):
                            "the derivative map of %s" % self.name)
 
     def _apply(self, map_, x, args: tuple, xs, source: str) -> np.ndarray:
-        """``map_(x, *args)``, handed the sorted columns last if it takes
-        them, as one value per point (``_per_point``), copied if it may
-        view the columns (np.may_share_memory, a bounds check)."""
+        """``map_(x, *args)`` under no numpy warning (the accumulator refuses
+        a non-finite value at its point), handed the sorted columns last if
+        it takes them, as one value per point (``_per_point``), copied if it
+        may view the columns (np.may_share_memory, a bounds check)."""
         x = np.asarray(x, dtype=float)
-        if not self.takes_sorted:
-            return _per_point(map_(x, *args), len(x), source)
-        xs = sorted_columns(x) if xs is None else xs
-        values = _per_point(map_(x, *args, xs), len(x), source)
-        return values.copy() if np.may_share_memory(values, xs) else values
+        if self.takes_sorted:
+            args += (sorted_columns(x) if xs is None else xs,)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = _per_point(map_(x, *args), len(x), source)
+        return (values.copy() if self.takes_sorted
+                and np.may_share_memory(values, args[-1]) else values)
 
 
 class IntegrationEstimate(FrozenRecord):

@@ -448,6 +448,26 @@ class TestExitCodes:
         assert proc.stderr == ("error: a product of finite evaluator values "
                                "overflowed\n")
 
+    @pytest.mark.parametrize("command", [
+        ["influence", "--all", "--method", "mc"], ["approx", "--method", "mc"],
+        ["crosscheck", "-k", "1"]], ids=["influence", "approx", "crosscheck"])
+    @pytest.mark.parametrize("doc", [
+        {"kind": "orderstat-polynomial", "arity": 2, "constant": 1e308,
+         "terms": [{"coefficient": 1e308, "exponents": {"1": 1}}]},
+        {"kind": "plain-polynomial", "arity": 2, "constant": 1e308,
+         "terms": [{"coefficient": 1e308, "exponents": {"1": 1}}]},
+        {"kind": "set-function", "arity": 1, "values": [-1e308, 1e308]},
+    ], ids=["orderstat-polynomial", "plain-polynomial", "set-function"])
+    def test_overflowing_evaluator_exits_4_with_one_line(self, tmp_path, doc,
+                                                         command):
+        # the evaluator's own sum or difference overflows to inf, and numpy
+        # prints no warning of it ahead of the one error line (run_fresh
+        # checks)
+        proc = run_fresh("-m", "ordinfluence", command[0],
+                         write_spec(tmp_path, doc), *command[1:],
+                         "--samples", "2000")
+        assert (proc.returncode, proc.stdout) == (4, "")
+
     @pytest.mark.parametrize("command", [["influence", "-k", "1"], ["approx"]],
                              ids=["influence", "approx"])
     def test_negative_power_product_at_arity_1000_exits_4(self, tmp_path,

@@ -204,7 +204,8 @@ def test_set_function_approx_and_symmetric_part_at_arity_16(
     ("gmean8", "closed-form"),
     # np.sort sorts the rows at arity 16
     ("gmean16", "closed-form"),
-    # the set function's masks come from argsort
+    # np.sort sorts the rows, and the set function's masks come from
+    # column compares, as at every arity
     ("setfn14", "exact"),
 ], ids=["geometric-mean-8", "geometric-mean-16", "set-function-14"])
 def test_mc_within_3_se_of_the_reference(tmp_path, capsys, name, reference,

@@ -22,9 +22,10 @@ from ordinfluence import (
     zeta,
 )
 from ordinfluence import lovasz
+from ordinfluence.api import influence_profile
 from ordinfluence.funcspec import SetFunctionSpec
 from ordinfluence.lovasz import level_averages
-from ordinfluence.montecarlo import sorted_columns
+from ordinfluence.montecarlo import BATCH, sorted_columns
 from ordinfluence.projection import Moments
 
 from conftest import random_set_function
@@ -393,9 +394,10 @@ class TestBatchEvaluation:
             want = np.array([directional_slope(v, row, k) for row in x])
             assert np.allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("n", list(range(1, 15)) + [16])
+    @pytest.mark.parametrize("n", list(range(1, 15)) + [16, 20])
     def test_eval_matches_pointwise_on_tied_rows(self, n):
-        # column compares up to NETWORK_MAX_ARITY, argsort tails above it
+        # column compares at every arity, below and above the sorting
+        # network's NETWORK_MAX_ARITY
         v = random_set_function(random.Random(n), n, zero_grounded=False)
         values = np.array([float(t) for t in v.values])
         x = tied_rows(n, 48, n)
@@ -428,6 +430,22 @@ class TestBatchEvaluation:
             got = lovasz.lovasz_slope_batch(values, x, k, sorted_columns(x))
             want = [directional_slope(v, row, k) for row in x]
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_mc_sorts_each_batch_once(self, monkeypatch, n):
+        # above the network np.sort sorts each of the three batches, and
+        # nothing sorts a batch again
+        spec = parse_spec_document({"kind": "builtin",
+                                    "name": "arithmetic-mean", "arity": n})
+        calls = {"argsort": 0, "sort": 0}
+        for name in calls:
+            def counted(*args, _name=name, _numpy=getattr(np, name), **kw):
+                calls[_name] += 1
+                return _numpy(*args, **kw)
+            monkeypatch.setattr(np, name, counted)
+        moments = influence_profile(spec, "mc", 2 * BATCH + 1, 1)
+        assert moments.samples == 2 * BATCH + 1
+        assert calls == {"argsort": 0, "sort": 3}
 
 
 class TestInfluence:
