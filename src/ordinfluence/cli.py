@@ -25,6 +25,7 @@ from .errors import (
     SpecFileError,
     TaintedSampleError,
 )
+from .exact import rational_string
 from .funcspec import EXACT, MC, SetFunctionSpec, load_spec_document, \
     parse_spec_document
 from .projection import approximation_from_moments
@@ -214,25 +215,25 @@ def cmd_lovasz(args) -> ReportDocument:
     if not isinstance(spec, SetFunctionSpec):
         raise ConfigurationError("the lovasz command needs a set-function "
                                  "spec, got kind %r" % spec.kind)
-    from .lovasz import equal_influence_class, level_averages, mobius, \
-        symmetric_part
+    from .lovasz import equal_influence_class, mobius, symmetric_part
     doc = _report("lovasz", document, {"quantity": "set-function diagnostics"},
                   args.seed)
     v = spec.set_function
-    levels = level_averages(v)
-    for k, value in enumerate(levels.influence_profile(), start=1):
+    moments = spec.moments(norm_sq=False)
+    for k, value in enumerate(moments.indices, start=1):
         doc.results.append(_result_row(k, value, EXACT))
-    doc.extras["mean"] = format_value(levels.mean())
+    doc.extras["mean"] = format_value(moments.mean)
     if args.mobius:
         doc.extras["mobius"] = mobius(v).strings()
     if args.symmetric_part:
-        part = symmetric_part(v, levels)
+        part = symmetric_part(v)
         doc.extras["symmetric_part"] = {
-            "constant": str(part.intercept),
-            "slopes": [str(s) for s in part.slopes],
+            "constant": rational_string(*part.intercept.as_integer_ratio()),
+            "slopes": [rational_string(*s.as_integer_ratio())
+                       for s in part.slopes],
         }
     if args.diagnose_equal_influence:
-        diag = equal_influence_class(v, levels)
+        diag = equal_influence_class(v)
         doc.extras["equal_influence"] = {
             "equal": diag.equal,
             "profile_flat": diag.profile_flat,

@@ -13,6 +13,7 @@ the tests (``tests/reference.py``).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
@@ -80,9 +81,19 @@ def _plain_ratio(text: str) -> Optional[Tuple[int, int]]:
 
 
 def rational_string(p: int, q: int) -> str:
-    """``str(Fraction(p, q))`` for ints p and q > 0, from the integers."""
+    """``str(Fraction(p, q))`` for ints p and q > 0, from the integers, at
+    any length: the interpreter's limit on digits in an int string guards
+    parsing, and is lifted for this call only when the result passes it."""
     g = gcd(p, q)
-    return "%d" % (p // g) if q == g else "%d/%d" % (p // g, q // g)
+    try:
+        return "%d" % (p // g) if q == g else "%d/%d" % (p // g, q // g)
+    except ValueError:  # never raised on 3.10.0-3.10.6, which have no limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return rational_string(p, q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,8 @@ class SetFunctionSpec(FunctionSpec):
     def moments(self, norm_sq=True):
         from . import lovasz
         v = self.set_function
-        n = v.arity
-        # I(f, k) = vbar(n-k+1) - vbar(n-k), mean = sum_s vbar(s) / (n + 1)
-        vnum, denominator = lovasz._level_numerators(v)
-        return Moments(n, self.engine,
-                       tuple(Fraction(vnum[n - k + 1] - vnum[n - k], denominator)
-                             for k in range(1, n + 1)),
-                       Fraction(sum(vnum), (n + 1) * denominator),
+        profile, mean = lovasz._profile_and_mean(v)
+        return Moments(v.arity, self.engine, profile, mean,
                        lovasz.norm_sq_lovasz(v) if norm_sq else None)
 
     def _maps(self):

@@ -12,13 +12,13 @@ It is built from the values' integer ratios (p, q): a spec file's values are
 parsed to ratios, not to Fractions, and strings are printed from p and D.
 Each computation copies that table, as int64 when a bound on every
 intermediate shows it cannot overflow and as Python ints otherwise.
-The profile and the mean need only the level averages vbar(s): one pass of
-sums per cardinality over v's table, put over one denominator, from which
-each I(f, k) and the mean is one Fraction; mbar(s) follows by binomial
-inversion.  Zeta and Moebius are butterfly passes with the bitmask on the
-table's first axis, each pass adding whole blocks of rows, run only when a
-transform is asked for; each hands its integer table to the object it
-returns.  The chain-form norm runs the same passes over a (2^n, n+1) table.
+The profile, the mean, the symmetric part and the equal-influence diagnosis
+read only the level averages vbar(s), one pass of sums per cardinality over
+v's table put over one denominator, as integers.  Zeta and Moebius are
+butterfly passes with the bitmask on the table's first axis, each pass
+adding whole blocks of rows, run only when a transform is asked for; each
+hands its integer table to the object it returns.  The chain-form norm runs
+the same passes over a (2^n, n+1) table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial, isqrt, lcm
 from numbers import Integral
 from operator import truediv
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -235,30 +235,6 @@ def zeta(m: MobiusRepresentation) -> SetFunction:
     return _transform(m, 1, SetFunction)
 
 
-class LevelAverages(FrozenRecord):
-    """Averages over subsets of each cardinality: vbar(s) of v and mbar(s) of
-    its Moebius transform, s=0..n."""
-
-    _fields = ("arity", "vbar", "mbar")
-
-    def __init__(self, arity: int, vbar: Tuple[Fraction, ...],
-                 mbar: Tuple[Fraction, ...]):
-        set_field(self, "arity", arity)
-        set_field(self, "vbar", vbar)
-        set_field(self, "mbar", mbar)
-
-    def influence_profile(self) -> Tuple[Fraction, ...]:
-        """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n."""
-        n = self.arity
-        return tuple(self.vbar[n - k + 1] - self.vbar[n - k]
-                     for k in range(1, n + 1))
-
-    def mean(self) -> Fraction:
-        """Integral of the extension, sum_s vbar(s) / (n + 1): each of the n+1
-        chain levels has Dirichlet spacing mean 1 / (n + 1)."""
-        return sum(self.vbar, Fraction(0)) / (self.arity + 1)
-
-
 def _level_numerators(v: SetFunction) -> Tuple[list, int]:
     """The level averages vbar(0..n) of v as integers over one denominator,
     and that denominator: one pass of level sums over v's integer table, the
@@ -273,18 +249,15 @@ def _level_numerators(v: SetFunction) -> Tuple[list, int]:
             common * scale)
 
 
-def level_averages(v: SetFunction) -> LevelAverages:
-    """vbar and mbar from ``_level_numerators``, with no Moebius transform:
-    each T of size t lies in C(n-t, s-t) sets of size s, so
-    sum_{|S|=s} m(S) = sum_t (-1)^(s-t) C(n-t, s-t) sum_{|T|=t} v(T), that is
-    mbar(s) = sum_t (-1)^(s-t) C(s, t) vbar(t)."""
+def _profile_and_mean(v: SetFunction) -> Tuple[Tuple[Fraction, ...], Fraction]:
+    """I(f, k) = vbar(n-k+1) - vbar(n-k) for k = 1..n, and the integral of
+    the extension, sum_s vbar(s) / (n + 1): each of the n+1 chain levels has
+    Dirichlet spacing mean 1 / (n + 1).  One Fraction each."""
     n = v.arity
     vnum, denominator = _level_numerators(v)
-    mnum = [sum((-1) ** (s - t) * comb(s, t) * vnum[t] for t in range(s + 1))
-            for s in range(n + 1)]
-    vbar = tuple(Fraction(x, denominator) for x in vnum)
-    mbar = tuple(Fraction(x, denominator) for x in mnum)
-    return LevelAverages(n, vbar, mbar)
+    return (tuple(Fraction(vnum[n - k + 1] - vnum[n - k], denominator)
+                  for k in range(1, n + 1)),
+            Fraction(sum(vnum), (n + 1) * denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -354,52 +327,42 @@ class EqualInfluenceDiagnosis(FrozenRecord):
         set_field(self, "witnesses", witnesses)
 
 
-def equal_influence_class(v: SetFunction,
-                          levels: Optional[LevelAverages] = None
-                          ) -> EqualInfluenceDiagnosis:
-    """Diagnose v from its level averages, ``levels`` when already taken."""
+def equal_influence_class(v: SetFunction) -> EqualInfluenceDiagnosis:
+    """Diagnose v from the numerators of its level averages, as integers:
+    the step vbar(s) - vbar(s-1) is I(f, n-s+1), and, as each T of size t
+    lies in C(n-t, s-t) sets of size s, mbar(s) = sum_t (-1)^(s-t) C(s, t)
+    vbar(t), with no Moebius transform."""
     n = v.arity
-    lv = levels or level_averages(v)
-    profile = lv.influence_profile()
+    vnum, _ = _level_numerators(v)
+    # steps[s - 1] is vbar(s) - vbar(s-1) over the common denominator
+    steps = [vnum[s] - vnum[s - 1] for s in range(1, n + 1)]
 
     witnesses = {}
-    flat = True
     for k in range(2, n + 1):
-        if profile[k - 1] != profile[0]:
-            flat = False
+        if steps[n - k] != steps[n - 1]:
             witnesses["profile"] = k
             break
-
-    arithmetic = True
-    step = lv.vbar[1] - lv.vbar[0]
     for s in range(2, n + 1):
-        if lv.vbar[s] - lv.vbar[s - 1] != step:
-            arithmetic = False
+        if steps[s - 1] != steps[0]:
             witnesses["vbar"] = s
             break
-
-    vanishing = True
     for s in range(2, n + 1):
-        if lv.mbar[s] != 0:
-            vanishing = False
+        if sum((-1) ** (s - t) * comb(s, t) * vnum[t] for t in range(s + 1)):
             witnesses["mbar"] = s
             break
-
-    return EqualInfluenceDiagnosis(flat and arithmetic and vanishing,
-                                   flat, arithmetic, vanishing, witnesses)
+    return EqualInfluenceDiagnosis(not witnesses, "profile" not in witnesses,
+                                   "vbar" not in witnesses,
+                                   "mbar" not in witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------
 # Symmetric part and exact second moments
 # ---------------------------------------------------------------------------
 
-def symmetric_part(v: SetFunction, levels: Optional[LevelAverages] = None
-                   ) -> ShiftedLStatistic:
+def symmetric_part(v: SetFunction) -> ShiftedLStatistic:
     """Average of the extension over all permutations of the input point:
-    v(emptyset) + sum_i I(f,i) os_i; ``levels`` are the level averages of
-    v when already taken."""
-    profile = (levels or level_averages(v)).influence_profile()
-    return ShiftedLStatistic(v.arity, profile, v.value(0))
+    v(emptyset) + sum_i I(f,i) os_i."""
+    return ShiftedLStatistic(v.arity, _profile_and_mean(v)[0], v.value(0))
 
 
 def norm_sq_lovasz(v: SetFunction) -> Fraction:

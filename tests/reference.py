@@ -62,7 +62,7 @@ from ordinfluence.exact import (
     polynomial,
 )
 from ordinfluence.funcspec import MultiplicativeSpec
-from ordinfluence.lovasz import SetFunction, level_averages, mobius
+from ordinfluence.lovasz import SetFunction, mobius
 from ordinfluence.montecarlo import Evaluator, IntegrationEstimate
 from ordinfluence.projection import ApproximationResult, Moments
 
@@ -295,12 +295,16 @@ def directional_slope(v: SetFunction, x: Sequence, k: int) -> float:
 
 def influence_lovasz(v: SetFunction, k: int) -> Fraction:
     """Exact influence index of the extension of v on its k-th smallest
-    variable: vbar(n-k+1) - vbar(n-k)."""
+    variable: vbar(n-k+1) - vbar(n-k), vbar(s) the average of v over the
+    sets of size s, summed by a loop over Fractions."""
     n = v.arity
     if not 1 <= k <= n:
         raise DomainError("rank %d outside [1, %d]" % (k, n))
-    vbar = level_averages(v).vbar
-    return vbar[n - k + 1] - vbar[n - k]
+    sums = [Fraction(0)] * (n + 1)
+    for mask, value in enumerate(v.values):
+        sums[bin(mask).count("1")] += value
+    return (sums[n - k + 1] / comb(n, n - k + 1)
+            - sums[n - k] / comb(n, n - k))
 
 
 # ---------------------------------------------------------------------------

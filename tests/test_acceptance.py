@@ -32,7 +32,7 @@ from ordinfluence import (
 from ordinfluence.closedforms import UnaryFactor
 from ordinfluence.exact import product_indices
 from ordinfluence.funcspec import MultiplicativeSpec, SetFunctionSpec
-from ordinfluence.lovasz import level_averages, zeta
+from ordinfluence.lovasz import zeta
 from ordinfluence.montecarlo import Evaluator
 
 from conftest import (
@@ -293,8 +293,9 @@ def test_criterion_7_property_suites(announce):
     for _ in range(100):
         n = rnd.randint(1, 5)
         v = random_set_function(rnd, n)
-        profile = level_averages(v).influence_profile()
-        dual_profile = level_averages(dual_set_function(v)).influence_profile()
+        profile = SetFunctionSpec(v).moments(False).indices
+        dual_profile = SetFunctionSpec(dual_set_function(v)).moments(
+            False).indices
         ok &= dual_profile == tuple(reversed(profile))
 
     # orthogonality of the residual (200 cases)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -18,10 +19,18 @@ from ordinfluence import (
     lovasz,
     montecarlo,
 )
+from ordinfluence.exact import monomial, polynomial
 from ordinfluence.funcspec import RawEvaluatorSpec
+from ordinfluence.projection import Moments
 from ordinfluence.report import ReportDocument
 
 from conftest import run_fresh
+from reference import (
+    approximation_by_fractions,
+    influence_exact,
+    inner_product_exact,
+    integral,
+)
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -614,6 +623,62 @@ class TestExitCodes:
             assert rows[0]["normalized"] * sign * first > 0, doc
             if doc["arity"] == 1:
                 assert abs(rows[0]["normalized"]) == 1.0, doc
+
+    @pytest.mark.parametrize("kind", ["set-function", "plain-polynomial",
+                                      "orderstat-polynomial"])
+    def test_results_past_the_integer_string_limit_print_in_full(
+            self, tmp_path, kind):
+        # 1/D parses, D having as many digits as the interpreter's limit on
+        # int strings allows (3001 at the default 4300), while R^2 has about
+        # twice as many in its numerator and in its denominator
+        limit = sys.get_int_max_str_digits()
+        digits = min(3001, limit or 3001)
+        den = 10 ** (digits - 1) + 7
+        small = "1/1" + "0" * (digits - 2) + "7"
+        terms = [{"coefficient": small, "exponents": {"1": 1}},
+                 {"coefficient": "2/3", "exponents": {"2": 1}}]
+        if kind == "set-function":
+            doc = {"kind": kind, "arity": 2,
+                   "values": ["0", small, "2/3", "1"]}
+            # (I(f, 1), I(f, 2)) on each ordering of x_1, x_2: f is
+            # x_(1) / 3 + 2 x_(2) / 3 where x_1 < x_2, and
+            # (1 - 1/D) x_(1) + x_(2) / D where x_2 < x_1
+            pieces = [(Fraction(1, 3), Fraction(2, 3)),
+                      (1 - Fraction(1, den), Fraction(1, den))]
+        elif kind == "plain-polynomial":
+            doc = {"kind": kind, "arity": 2, "terms": terms}
+            pieces = [(Fraction(1, den), Fraction(2, 3)),
+                      (Fraction(2, 3), Fraction(1, den))]
+        else:
+            terms[0]["exponents"]["1"] = 2
+            doc = {"kind": kind, "arity": 2, "terms": terms}
+        if kind == "orderstat-polynomial":
+            poly = polynomial(2, [monomial(2, {1: 2}, Fraction(1, den)),
+                                  monomial(2, {2: 1}, Fraction(2, 3))])
+            moments = Moments(2, "exact", (influence_exact(poly, 1),
+                                           influence_exact(poly, 2)),
+                              integral(poly), inner_product_exact(poly, poly))
+        else:
+            # each ordering has probability 1/2, and E[x_(1)^2] = 1/6,
+            # E[x_(1) x_(2)] = 1/4, E[x_(2)^2] = 1/2
+            moments = Moments(
+                2, "exact", tuple(sum(piece[i] for piece in pieces) / 2
+                                  for i in (0, 1)),
+                sum(a / 3 + 2 * b / 3 for a, b in pieces) / 2,
+                sum(a * a / 6 + a * b / 2 + b * b / 2 for a, b in pieces) / 2)
+        want = approximation_by_fractions(moments).r_squared
+        proc = run_fresh("-m", "ordinfluence", "approx",
+                         write_spec(tmp_path, doc), "--method", "exact",
+                         "--format", "json")
+        assert proc.returncode == 0
+        text = json.loads(proc.stdout)["extras"]["r_squared"]["rational"]
+        top, _, bottom = text.partition("/")
+        assert len(top) > limit and len(bottom) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(text) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_estimated_r_squared_above_one_warns(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "builtin", "arity": 10,

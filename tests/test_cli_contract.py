@@ -179,6 +179,10 @@ def test_set_function_profile_and_mobius_at_arity_16(tmp_path, capsys,
     # the zeta transform of the Möbius table gives back v, in integers
     out = report(capsys, "lovasz", path, "--mobius")
     assert len(out["results"]) == n and len(out["extras"]["mobius"]) == 1 << n
+    # lovasz prints the rows of influence and the mean of approx
+    assert out["results"] == rows
+    assert out["extras"]["mean"] == report(
+        capsys, "approx", path, "--method", "exact")["extras"]["mean"]
     table = np.array(scaled(out["extras"]["mobius"], scale), dtype=np.int64)
     for i in range(n):
         halves = table.reshape(-1, 2, 1 << i)

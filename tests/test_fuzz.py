@@ -3,12 +3,13 @@
 Each case is a spec document of one of the six file kinds, built valid and
 then mutated in its fields, types, lengths or magnitudes.  The numbers lean
 to the float extremes (constants and coefficients of +-1e308, set functions
-whose values take both signs) and the mutations to the bounds that
-``funcspec`` checks.  Every subcommand runs on each document in-process,
-with warnings raised as errors.  Each run must exit with a code of the
-README's table, print a report that parses in the requested format when it
-exits 0, and write nothing to stderr on exits 0 and 5 and one ``error:``
-line otherwise.
+whose values take both signs) and to rationals of up to 4300 digits, whose
+results print past the interpreter's limit on int strings; the mutations
+lean to the bounds that ``funcspec`` checks.  Every subcommand runs on each
+document in-process, with warnings raised as errors.  Each run must exit
+with a code of the README's table, print a report that parses in the
+requested format when it exits 0, and write nothing to stderr on exits 0
+and 5 and one ``error:`` line otherwise.
 """
 
 import contextlib
@@ -41,12 +42,29 @@ WRONG_TYPES = (True, None, [], {}, "x", "1/0", [1], {"1": 1})
 ARITY_BOUNDS = (0, -1, 2.0, "3", MAX_ARITY + 1, MAX_SIZE, MAX_SIZE + 1)
 
 
+def digits(rng, count):
+    """``count`` decimal digits, the first nonzero, spelled one by one, so
+    that no int is converted to a string past the interpreter's limit."""
+    return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789",
+                                                        k=count - 1))
+
+
+def long_rational(rng):
+    """A rational string whose numerator or denominator has 1000 to 4300
+    digits: it parses under the interpreter's default limit on int strings
+    (4300 digits), while the results it makes can run past it."""
+    long = digits(rng, rng.randint(1000, 4300))
+    return rng.choice(("1/" + long, "-%s/%s" % (long, digits(rng, len(long))),
+                       long + "/7"))
+
+
 def number(rng):
     """A JSON number or rational string, an extreme one half of the time."""
     if rng.random() < 0.5:
         return rng.choice(EXTREMES)
     return rng.choice((rng.randint(-9, 9), rng.uniform(-4, 4),
-                       "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9))))
+                       "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9)),
+                       long_rational(rng)))
 
 
 def terms(rng, n):
@@ -62,12 +80,16 @@ def terms(rng, n):
 
 
 def set_function_values(rng, n):
-    """2^n values: small rationals, or extremes of both signs."""
+    """2^n values: small rationals, one of them long now and then, or
+    extremes of both signs."""
     if rng.random() < 0.5:
         return [rng.choice((1e308, -1e308, 1.7976931348623157e308, 0))
                 for _ in range(1 << n)]
-    return ["%d/%d" % (rng.randint(-6, 6), rng.randint(1, 4))
-            for _ in range(1 << n)]
+    values = ["%d/%d" % (rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(1 << n)]
+    if rng.random() < 0.5:
+        values[rng.randrange(1 << n)] = long_rational(rng)
+    return values
 
 
 def exponent(rng):

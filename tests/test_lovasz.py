@@ -24,7 +24,6 @@ from ordinfluence import (
 from ordinfluence import lovasz
 from ordinfluence.api import influence_profile
 from ordinfluence.funcspec import SetFunctionSpec
-from ordinfluence.lovasz import level_averages
 from ordinfluence.montecarlo import BATCH, sorted_columns
 from ordinfluence.projection import Moments
 
@@ -242,16 +241,22 @@ class TestIntegerTables:
             n = v.arity
             m = reference_mobius(v)
             vbar, mbar = reference_level_averages(v)
-            levels = lovasz.level_averages(v)
+            vnum, denominator = lovasz._level_numerators(v)
             assert mobius(v).values == m
-            assert (levels.vbar, levels.mbar) == (vbar, mbar)
+            assert tuple(Fraction(x, denominator) for x in vnum) == vbar
+            # mbar(s) = sum_t (-1)^(s-t) C(s, t) vbar(t), the numerators
+            # that equal_influence_class compares
+            assert tuple(Fraction(sum((-1) ** (s - t) * comb(s, t) * vnum[t]
+                                      for t in range(s + 1)), denominator)
+                         for s in range(n + 1)) == mbar
             profile = tuple(vbar[n - k + 1] - vbar[n - k]
                             for k in range(1, n + 1))
             mean = sum(vbar) / (n + 1)
-            assert levels.influence_profile() == profile
-            assert levels.mean() == mean == sum(
+            assert mean == sum(
                 (c / (bin(mask).count("1") + 1) for mask, c in enumerate(m)),
                 Fraction(0))
+            assert SetFunctionSpec(v).moments(False) == Moments(
+                n, "exact", profile, mean)
             if n <= 8:
                 assert SetFunctionSpec(v).moments(True) == Moments(
                     n, "exact", profile, mean, norm_sq_lovasz(v))
@@ -455,7 +460,7 @@ class TestInfluence:
         for _ in range(30):
             n = rng.randint(1, 6)
             v = random_set_function(rng, n)
-            mbar = level_averages(v).mbar
+            _, mbar = reference_level_averages(v)
             for k in range(1, n + 1):
                 assert influence_lovasz(v, k) == sum(
                     comb(n - k, s - 1) * mbar[s] for s in range(1, n - k + 2))
@@ -464,14 +469,15 @@ class TestInfluence:
         for n in range(1, 7):
             v = SetFunction(n, tuple(Fraction(bin(s).count("1"), n)
                                      for s in range(1 << n)))
-            assert level_averages(v).influence_profile() == (Fraction(1, n),) * n
+            assert SetFunctionSpec(v).moments(False).indices == (
+                Fraction(1, n),) * n
 
     def test_min_capacity(self):
         n = 3
         full = (1 << n) - 1
         v = SetFunction(n, tuple(Fraction(1 if mask == full else 0)
                                  for mask in range(1 << n)))
-        assert level_averages(v).influence_profile() == (
+        assert SetFunctionSpec(v).moments(False).indices == (
             Fraction(1), Fraction(0), Fraction(0))
 
     def test_cross_module_consistency(self, rng):
@@ -490,7 +496,7 @@ class TestInfluence:
                   for k in range(1, n + 1)))
             for k in range(1, n + 1):
                 assert influence_lovasz(v, k) == influence_exact(poly, k)
-            assert level_averages(v).mean() == integral(poly)
+            assert SetFunctionSpec(v).moments(False).mean == integral(poly)
             assert norm_sq_lovasz(v) == inner_product_exact(poly, poly)
 
     def test_relabel_invariance(self, rng):
@@ -507,16 +513,16 @@ class TestInfluence:
                         src |= 1 << perm[i]
                 relabeled.append(v.values[src])
             w = SetFunction(n, tuple(relabeled))
-            assert (level_averages(w).influence_profile()
-                    == level_averages(v).influence_profile())
+            assert (SetFunctionSpec(w).moments(False).indices
+                    == SetFunctionSpec(v).moments(False).indices)
 
     def test_duality(self, rng):
         for _ in range(20):
             n = rng.randint(1, 5)
             v = random_set_function(rng, n)
             vd = dual_set_function(v)
-            profile = level_averages(v).influence_profile()
-            dual_profile = level_averages(vd).influence_profile()
+            profile = SetFunctionSpec(v).moments(False).indices
+            dual_profile = SetFunctionSpec(vd).moments(False).indices
             for k in range(1, n + 1):
                 assert dual_profile[k - 1] == profile[n - k]
 
@@ -617,17 +623,18 @@ class TestSymmetricPartAndMoments:
             ev = Evaluator(n, lambda x, values=values: lovasz_eval_batch(
                 values, x, sorted_columns(x)))
             oracle = tensor_quadrature(ev, 48)
-            assert float(level_averages(v).mean()) == pytest.approx(oracle, abs=1e-3)
+            assert float(SetFunctionSpec(v).moments(False).mean) == pytest.approx(
+                oracle, abs=1e-3)
 
     def test_norm_sq_known_cases(self):
         # min(x1, x2): <f,f> = 1/6; extension of v(S)=1 iff S={1,2}
         v = SetFunction(2, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
         assert norm_sq_lovasz(v) == Fraction(1, 6)
-        assert level_averages(v).mean() == Fraction(1, 3)
+        assert SetFunctionSpec(v).moments(False).mean == Fraction(1, 3)
         # max(x1, x2): <f,f> = 1/2
         w = SetFunction(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(1)))
         assert norm_sq_lovasz(w) == Fraction(1, 2)
-        assert level_averages(w).mean() == Fraction(2, 3)
+        assert SetFunctionSpec(w).moments(False).mean == Fraction(2, 3)
 
     def test_norm_sq_mc_cross_check(self, rng):
         import numpy as np

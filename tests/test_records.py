@@ -49,8 +49,6 @@ RECORDS = {
     "IntegrationEstimate": (
         montecarlo.IntegrationEstimate(0.5, 0.01, 1000, 7, "plain", "exact"),
         ("value", "std_error", "samples", "seed", "estimator", "variant"), True),
-    "LevelAverages": (lovasz.level_averages(SETFN), ("arity", "vbar", "mbar"),
-                      True),
     "EqualInfluenceDiagnosis": (
         lovasz.equal_influence_class(SETFN),
         ("equal", "profile_flat", "vbar_arithmetic", "mbar_vanishing",
